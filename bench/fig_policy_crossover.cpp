@@ -17,11 +17,6 @@
 //  * random: no structure to learn. The predictor's mispredictions are
 //    bounded by its projected-footprint shaping, so it degrades toward
 //    prefetch-off instead of paying the tree's amplification.
-//
-// Determinism: the crossover-point configuration (markov prefetch + CLOCK
-// eviction) is re-run with 1 and 4 servicing lanes and a digest of every
-// reported quantity is compared; a mismatch fails the bench with a nonzero
-// exit, which CI treats as a hard error.
 #include <algorithm>
 #include <array>
 #include <sstream>
@@ -54,34 +49,6 @@ void apply_mode(SimConfig& c, Mode m) {
   c.driver.prefetch_enabled = m != Mode::Off;
   c.driver.prefetch_policy =
       m == Mode::Markov ? PrefetchPolicyKind::Markov : PrefetchPolicyKind::Tree;
-}
-
-/// FNV-1a over every quantity this bench reports (fig_full_scale's recipe
-/// plus the PR-10 counters). Equal digests mean the runs are
-/// indistinguishable to every consumer of this bench's output.
-std::uint64_t result_digest(const RunResult& r) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xFF;
-      h *= 0x100000001b3ULL;
-    }
-  };
-  mix(static_cast<std::uint64_t>(r.end_time));
-  mix(static_cast<std::uint64_t>(r.total_kernel_time()));
-  const DriverCounters& c = r.counters;
-  mix(c.passes);
-  mix(c.faults_fetched);
-  mix(c.faults_serviced);
-  mix(c.blocks_serviced);
-  mix(c.pages_migrated_h2d);
-  mix(c.pages_prefetched);
-  mix(c.pages_evicted);
-  mix(c.evictions);
-  mix(c.markov_observes);
-  mix(c.markov_predictions);
-  mix(c.markov_blocks_prefetched);
-  return h;
 }
 
 }  // namespace
@@ -203,24 +170,6 @@ int main() {
       "evicted-page counts agree within 25%",
       ev_max > 0 && (ev_max - ev_min) * 4 <= ev_max);
 
-  // --- lanes determinism at the crossover configuration -------------------
-  auto lanes_run = [&](std::uint32_t lanes) {
-    SimConfig c = cfg;
-    apply_mode(c, Mode::Markov);
-    c.driver.eviction_policy = EvictionPolicyKind::Clock;
-    c.driver.service_lanes = lanes;
-    return run_workload(c, "strided", crossover_target);
-  };
-  const std::uint64_t d1 = result_digest(lanes_run(1));
-  const std::uint64_t d4 = result_digest(lanes_run(4));
-  const bool identical = d1 == d4;
-  std::ostringstream h1, h4;
-  h1 << std::hex << d1;
-  h4 << std::hex << d4;
-  std::cout << "\nlane determinism (markov+clock, lanes 1 vs 4): "
-            << (identical ? "PASS" : "FAIL") << " (" << h1.str() << " vs "
-            << h4.str() << ")\n";
-
   const auto ratio_of = [](SimDuration num, SimDuration den) {
     return den > 0 ? static_cast<double>(num) / static_cast<double>(den) : 0.0;
   };
@@ -243,8 +192,7 @@ int main() {
        << "  \"markov_speedup_vs_tree\": "
        << fmt(ratio_of(deep[1][tree], deep[1][markov]), 4) << ",\n"
        << "  \"markov_blocks_strided\": " << deep_markov_blocks[1] << ",\n"
-       << "  \"markov_blocks_random\": " << deep_markov_blocks[2] << ",\n"
-       << "  \"identical_output\": " << (identical ? "true" : "false") << "\n"
+       << "  \"markov_blocks_random\": " << deep_markov_blocks[2] << "\n"
        << "}\n";
   const char* out = std::getenv("UVMSIM_BENCH_JSON");
   if (out != nullptr && *out != '\0') {
@@ -253,5 +201,5 @@ int main() {
   } else {
     std::cout << json.str();
   }
-  return identical ? 0 : 1;
+  return 0;
 }

@@ -266,7 +266,7 @@ void BM_ParallelFor(benchmark::State& state) {
   // body. Tiny grains drown in per-task dispatch (queue mutex + one future
   // per chunk); the curve flattens once each chunk amortizes that overhead
   // — the recorded crossover justifies parallel_for's default grain
-  // (~4 chunks per worker) and fetch's kShardGrain floor.
+  // (~4 chunks per worker).
   ThreadPool pool(2);
   const std::size_t n = 1 << 14;
   const std::size_t grain = static_cast<std::size_t>(state.range(0));
@@ -287,7 +287,7 @@ void BM_ParallelFor(benchmark::State& state) {
 BENCHMARK(BM_ParallelFor)->Arg(1)->Arg(16)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
 
 void BM_PrefetcherComputeFast(benchmark::State& state) {
-  // The lane pipeline's plan precompute vs the tree-building reference:
+  // The driver's prefetch path vs the tree-building reference:
   // BM_PrefetcherTwoStage measures compute(); this measures compute_fast()
   // on the same shape so the ratio is visible in one run.
   VaBlock blk;

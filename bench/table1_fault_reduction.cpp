@@ -28,6 +28,13 @@ int main() {
       {"stream", 84.44},   {"cufft", 90.07},  {"tealeaf", 66.97},
       {"hpgmg", 64.06},    {"cusparse", 73.88}};
 
+  // Only the paper's eight workloads have a Table I row; registry
+  // additions (e.g. strided) are skipped.
+  std::vector<std::string> names;
+  for (const auto& name : workload_names()) {
+    if (paper.count(name) != 0) names.push_back(name);
+  }
+
   double min_reduction = 100.0;
   double red_regular = 0, red_random = 0;
 
@@ -37,7 +44,7 @@ int main() {
     std::uint64_t faults_pf = 0;
   };
   std::vector<std::function<Row()>> jobs;
-  for (const auto& name : workload_names()) {
+  for (const auto& name : names) {
     jobs.emplace_back([name, target] {
       Row row;
       SimConfig nopf = base_config();
@@ -50,8 +57,8 @@ int main() {
   }
   std::vector<Row> rows = run_sweep(std::move(jobs), shared_pool());
 
-  for (std::size_t i = 0; i < workload_names().size(); ++i) {
-    const std::string& name = workload_names()[i];
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    const std::string& name = names[i];
     const Row& row = rows[i];
     double red = fault_reduction_percent(row.faults_nopf, row.faults_pf);
     min_reduction = std::min(min_reduction, red);

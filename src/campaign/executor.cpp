@@ -7,8 +7,7 @@ namespace uvmsim::campaign {
 std::size_t default_workers() {
   // Shared validated parser + clamp (core/env.h): malformed values warn
   // once on stderr and fall back to the default (1 = serial), oversized
-  // counts clamp — exactly like the bench-side knobs and the intra-run
-  // servicing lanes.
+  // counts clamp — exactly like the bench-side knobs.
   return env_threads();
 }
 

@@ -36,13 +36,13 @@ inline std::uint64_t env_u64(const char* name, std::uint64_t def) {
   return static_cast<std::uint64_t>(n);
 }
 
-/// Upper bound on any user-supplied thread / lane count. High enough for
+/// Upper bound on any user-supplied thread count. High enough for
 /// every real machine, low enough that a typo'd UVMSIM_THREADS=10000 cannot
 /// spawn ten thousand workers.
 inline constexpr std::uint64_t kMaxThreadCount = 256;
 
-/// The single thread-count resolution rule, shared by the sweep executor
-/// and the intra-run servicing lanes: 0 means "use hardware concurrency",
+/// The single thread-count resolution rule, shared by the sweep and
+/// campaign executors: 0 means "use hardware concurrency",
 /// anything above kMaxThreadCount warns on stderr and clamps. `what` names
 /// the knob in the warning (e.g. "UVMSIM_THREADS").
 inline std::size_t clamp_thread_count(std::uint64_t n, const char* what) {

@@ -53,16 +53,6 @@ struct RunResult {
   std::uint64_t utlb_hits = 0;
   std::uint64_t utlb_misses = 0;
 
-  /// Host CPU time (thread clock, ns) the ordering thread spent inside
-  /// fault-servicing passes — the critical path through the code
-  /// `service_lanes` restructures (helper-lane work overlaps it on parallel
-  /// hardware). A measurement aid for benches; deliberately absent from
-  /// every report so host timing can never leak into simulated output.
-  std::uint64_t servicing_host_ns = 0;
-  /// Process CPU time (all threads, ns) inside fault-servicing passes: the
-  /// total host cost including helper-lane work. Same report exclusion.
-  std::uint64_t servicing_cpu_ns = 0;
-
   // Latency distributions (nanosecond histograms).
   LogHistogram stall_latency;        ///< warp stall-episode durations
   LogHistogram fault_queue_latency;  ///< fault raise -> driver fetch

@@ -46,17 +46,8 @@ Simulator::Simulator(const SimConfig& cfg)
   gcfg.seed = rng_.next_u64();
   gpu_ = std::make_unique<GpuEngine>(gcfg, eq_, as_, pt_, fb_, ac_, &link_);
 
-  // Intra-run lane pool (PR 8): owned here, not shared with sweep pools —
-  // fork-join work nested on a pool whose workers each run a whole
-  // simulation would deadlock. service_lanes workers including the calling
-  // thread (for_lanes runs lane 0 inline), so lanes-1 pool threads.
-  if (cfg_.driver.service_lanes > 1) {
-    lane_pool_ = std::make_unique<ThreadPool>(cfg_.driver.service_lanes - 1);
-  }
-
   Driver::Deps deps{&eq_,  &as_,  &pt_, &fb_,           gpu_.get(),
-                    &pma_, &dma_, &ac_, hazards_.get(), tracer_.get(),
-                    lane_pool_.get()};
+                    &pma_, &dma_, &ac_, hazards_.get(), tracer_.get()};
   DriverConfig dcfg = cfg_.driver;
   dcfg.seed = rng_.next_u64();
   // Hazard runs can drop fault entries and spin up replay storms; the
@@ -139,8 +130,6 @@ RunResult Simulator::run() {
 
   r.utlb_hits = gpu_->utlb_hits();
   r.utlb_misses = gpu_->utlb_misses();
-  r.servicing_host_ns = driver_->servicing_host_ns();
-  r.servicing_cpu_ns = driver_->servicing_cpu_ns();
   r.stall_latency = gpu_->stall_latency();
   r.fault_queue_latency = driver_->queue_latency();
   return r;

@@ -29,7 +29,6 @@
 #include "sim/event_queue.h"
 #include "sim/hazards.h"
 #include "sim/rng.h"
-#include "sim/thread_pool.h"
 #include "sim/trace.h"
 #include "uvm/cost_model.h"
 #include "uvm/driver.h"
@@ -162,9 +161,6 @@ class Simulator {
   Interconnect link_;
   DmaEngine dma_;
   std::unique_ptr<GpuEngine> gpu_;
-  /// Intra-run servicing lanes (DriverConfig::service_lanes > 1); declared
-  /// before driver_ so it outlives the driver holding the pointer.
-  std::unique_ptr<ThreadPool> lane_pool_;
   std::unique_ptr<Driver> driver_;
   std::vector<std::unique_ptr<KernelSpec>> kernels_;  ///< stable addresses
   std::size_t kernels_completed_ = 0;

@@ -27,8 +27,9 @@ class PageMask {
   [[nodiscard]] bool test(std::uint32_t i) const {
     return (words_[i / kWordBits] >> (i % kWordBits)) & 1u;
   }
-  /// Raw storage word `w` (bits [w*64, w*64+64)); the word-at-a-time scans
-  /// in the lane pipeline build on this instead of per-bit test() loops.
+  /// Raw storage word `w` (bits [w*64, w*64+64)); word-at-a-time scans
+  /// such as Prefetcher::compute_fast build on this instead of per-bit
+  /// test() loops.
   [[nodiscard]] std::uint64_t word(std::uint32_t w) const { return words_[w]; }
   void set(std::uint32_t i) { words_[i / kWordBits] |= bit(i); }
   void reset(std::uint32_t i) { words_[i / kWordBits] &= ~bit(i); }

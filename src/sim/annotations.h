@@ -9,20 +9,11 @@
 // allocate, do I/O, read clocks, or draw randomness
 // (hot-transitive-{alloc,io,clock,random}).
 //
-// UVMSIM_ORDERED marks ordering-authority functions: the serial walks
-// whose execution order defines the simulator's observable output (e.g.
-// Driver::service_bin, the per-fault resolve loop). uvmsim_lint's
-// ordered-reads-lane-owned rule forbids code reachable from an
-// UVMSIM_ORDERED entry from reading UVMSIM_LANE_OWNED state before the
-// lane merge point — lane accumulators are only meaningful after the
-// serial lane-order merge.
-//
-// UVMSIM_LANE_OWNED marks per-lane accumulator variables (one slot per
-// servicing lane, written only by that lane, merged serially afterwards).
-// The marker is an escape hatch for lane-capture-escape — writes to a
-// UVMSIM_LANE_OWNED target from a lane body are by-construction private —
-// and the subject of ordered-reads-lane-owned above. The macros expand to
-// nothing; they exist purely as a machine-checked contract.
+// Concurrency is confined to ThreadPool::parallel_for bodies (sweeps and
+// campaigns run whole simulations side by side); one simulation's
+// servicing is serial by design. In project mode lane-capture-escape
+// checks that a parallel_for body writes no captured shared state unless
+// it is index-partitioned or std::atomic.
 #pragma once
 
 #if defined(__GNUC__) || defined(__clang__)
@@ -30,6 +21,3 @@
 #else
 #define UVMSIM_HOT
 #endif
-
-#define UVMSIM_ORDERED
-#define UVMSIM_LANE_OWNED

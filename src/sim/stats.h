@@ -53,8 +53,7 @@ class LogHistogram {
   [[nodiscard]] std::string to_string() const;
 
   /// Merges another histogram into this one. Bucket counts are add-order
-  /// independent, so folding per-lane histograms in lane order reproduces
-  /// the serial add sequence's state exactly.
+  /// independent, so the result equals adding both sample sequences.
   void merge(const LogHistogram& other) {
     for (int i = 0; i < kBuckets; ++i) buckets_[i] += other.buckets_[i];
     total_ += other.total_;

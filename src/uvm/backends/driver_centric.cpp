@@ -1,8 +1,5 @@
 #include "uvm/backends/driver_centric.h"
 
-#include <vector>
-
-#include "sim/thread_pool.h"
 #include "uvm/fault_batch.h"
 
 namespace uvmsim {
@@ -11,16 +8,6 @@ SimTime DriverCentricBackend::service_pass() {
   DriverCounters& ctr = counters();
   const CostModel& cm = costs();
   Driver::Deps& d = deps();
-
-  // Intra-run lane pipeline (PR 8): with a lane pool and service_lanes > 1,
-  // the embarrassingly-parallel stages — fetch's sort/bin and the per-bin
-  // prefetch-plan precompute — fan out over lanes. The per-bin service walk
-  // below stays strictly serial and is the single ordering authority; it
-  // applies a plan only while still valid, so the simulated timeline is
-  // byte-identical for every lane count.
-  const std::uint32_t lanes =
-      d.lane_pool != nullptr ? config().service_lanes : 1;
-  ThreadPool* pool = lanes > 1 ? d.lane_pool : nullptr;
 
   SimTime t = d.eq->now() + cm.pass_overhead;
   if (ctr.passes == 1 && cm.driver_cold_start > 0) {
@@ -37,9 +24,7 @@ SimTime DriverCentricBackend::service_pass() {
   SimTime t0 = t;
   FaultBatch batch =
       Preprocessor::fetch(*d.fb, config().batch_size, cm, t,
-                          config().fetch_policy, &queue_latency(), d.tracer,
-                          pool, lanes);
-  if (batch.sharded) ++ctr.lane_sharded_batches;
+                          config().fetch_policy, &queue_latency(), d.tracer);
   ctr.faults_fetched += batch.fetched;
   ctr.duplicate_faults += batch.duplicates;
   ctr.polls += batch.polls;
@@ -51,27 +36,10 @@ SimTime DriverCentricBackend::service_pass() {
 
   if (!batch.empty()) {
     ++ctr.batches;
-    // Lane stage: precompute each bin's prefetch plan from pre-walk block
-    // state. Lanes touch disjoint plan slots and only read shared state
-    // (the walk has not started, so nothing mutates under them).
-    UVMSIM_LANE_OWNED std::vector<BinPlan> plans;
-    if (pool != nullptr && config().prefetch_enabled &&
-        batch.bins.size() > 1) {
-      plans.resize(batch.bins.size());
-      pool->for_lanes(batch.bins.size(), lanes,
-                      [&](std::size_t lane, std::size_t b, std::size_t e) {
-                        (void)lane;
-                        for (std::size_t i = b; i < e; ++i) {
-                          // uvmsim-lint: allow(lane-shared-write, "disjoint per-bin plan slot, preallocated before the fork")
-                          precompute_plan(batch.bins[i], plans[i]);
-                        }
-                      });
-    }
     // --- service, one VABlock bin at a time (the ordering authority) ---
-    for (std::size_t i = 0; i < batch.bins.size(); ++i) {
-      const auto& bin = batch.bins[i];
+    for (const auto& bin : batch.bins) {
       SimTime tb = t;
-      t = service_bin(bin, t, plans.empty() ? nullptr : &plans[i]);
+      t = service_bin(bin, t);
       trace_span(TraceCategory::Service, "service.bin", tb, t, bin.block,
                  "entries", bin.fault_entries, "pages", bin.faulted.count(),
                  "pass", pass_id);

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "sim/thread_pool.h"
-
 namespace uvmsim {
 
 GpuDrivenBackend::GpuDrivenBackend(Driver& drv)
@@ -27,26 +25,12 @@ SimTime GpuDrivenBackend::service_pass() {
   while (auto e = d.fb->pop()) drained.push_back(*e);
   ctr.faults_fetched += drained.size();
 
-  // Lane stage (PR 8): buffer-residence samples are independent per entry,
-  // so lanes fold per-lane histograms that merge in lane order — bucket
-  // counts are add-order independent, so the merged state matches the
-  // serial per-entry adds exactly. Resolution below stays strictly serial
-  // in pop order (the slot queue is the ordering authority here).
-  const std::uint32_t lanes =
-      d.lane_pool != nullptr ? config().service_lanes : 1;
-  LogHistogram residence = lane_reduce<LogHistogram>(
-      lanes > 1 ? d.lane_pool : nullptr, drained.size(), lanes,
-      [] { return LogHistogram{}; },
-      [&](LogHistogram& h, std::size_t i) {
-        h.add(static_cast<std::uint64_t>(
-            std::max<SimTime>(0, std::max(engine_start, drained[i].ready_at) -
-                                     drained[i].raised_at)));
-      },
-      [](LogHistogram& acc, const LogHistogram& other) { acc.merge(other); });
-  queue_latency().merge(residence);
-
+  // Resolution is strictly serial in pop order (the slot queue is the
+  // ordering authority here).
   const std::uint64_t resolved = drained.size();
   for (const FaultEntry& e : drained) {
+    queue_latency().add(static_cast<std::uint64_t>(std::max<SimTime>(
+        0, std::max(engine_start, e.ready_at) - e.raised_at)));
     pass_end = std::max(pass_end, resolve_fault(e, engine_start));
   }
 
@@ -66,7 +50,7 @@ SimTime GpuDrivenBackend::service_pass() {
   return pass_end;
 }
 
-UVMSIM_HOT UVMSIM_ORDERED SimTime GpuDrivenBackend::resolve_fault(
+UVMSIM_HOT SimTime GpuDrivenBackend::resolve_fault(
     const FaultEntry& e, SimTime engine_start) {
   DriverCounters& ctr = counters();
   const CostModel::GpuDrivenCosts& gd = costs().gpu_driven;

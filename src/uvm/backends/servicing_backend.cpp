@@ -11,14 +11,9 @@ FaultLog& ServicingBackend::log() { return drv_.log_; }
 EvictionPolicy& ServicingBackend::eviction() { return *drv_.eviction_; }
 LogHistogram& ServicingBackend::queue_latency() { return drv_.queue_latency_; }
 
-SimTime ServicingBackend::service_bin(const FaultBatch::Bin& bin, SimTime t,
-                                      const BinPlan* plan) {
-  return drv_.service_bin(bin, t, plan);
-}
-
-void ServicingBackend::precompute_plan(const FaultBatch::Bin& bin,
-                                       BinPlan& out) {
-  drv_.precompute_plan(bin, out);
+SimTime ServicingBackend::service_bin(const FaultBatch::Bin& bin,
+                                      SimTime t) {
+  return drv_.service_bin(bin, t);
 }
 
 SimTime ServicingBackend::issue_replay(SimTime t, std::uint64_t groups) {

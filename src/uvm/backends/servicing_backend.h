@@ -56,10 +56,7 @@ class ServicingBackend {
   [[nodiscard]] LogHistogram& queue_latency();
 
   // --- pass building blocks implemented by the driver ---
-  SimTime service_bin(const FaultBatch::Bin& bin, SimTime t,
-                      const BinPlan* plan = nullptr);
-  /// Lane-stage plan precompute (pure read of block state; see BinPlan).
-  void precompute_plan(const FaultBatch::Bin& bin, BinPlan& out);
+  SimTime service_bin(const FaultBatch::Bin& bin, SimTime t);
   SimTime issue_replay(SimTime t, std::uint64_t groups = 1);
   SimTime flush_buffer(SimTime t);
   SimTime drain_access_counters(SimTime t);

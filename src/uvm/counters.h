@@ -69,13 +69,6 @@ struct DriverCounters {
   std::uint64_t gpu_page_fetches = 0;      ///< pages pulled over the RDMA queue
   std::uint64_t gpu_remote_fallback_pages = 0;  ///< unbackable, left host-pinned
 
-  // --- intra-run servicing lanes (all zero when service_lanes <= 1).
-  // Wall-clock instrumentation only: never printed by reports, so output
-  // stays byte-identical across lane counts ---
-  std::uint64_t lane_sharded_batches = 0;  ///< fetches that took the sharded sort/bin
-  std::uint64_t lane_plans_applied = 0;    ///< precomputed prefetch plans used as-is
-  std::uint64_t lane_plans_recomputed = 0; ///< plans invalidated (epoch/threshold/need)
-
   // --- hazard recovery (all zero in hazard-free runs) ---
   std::uint64_t dma_retries = 0;           ///< failed-copy retry rounds
   std::uint64_t dma_runs_retried = 0;      ///< individual runs re-issued

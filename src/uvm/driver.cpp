@@ -1,14 +1,10 @@
 #include "uvm/driver.h"
 
-#include <time.h>
-
 #include <algorithm>
 #include <array>
-#include <chrono>
 #include <vector>
 
 #include "core/errors.h"
-#include "sim/annotations.h"
 #include "uvm/access_counter_eviction.h"
 #include "uvm/backends/driver_centric.h"
 #include "uvm/backends/gpu_driven.h"
@@ -82,34 +78,6 @@ Driver::Driver(const DriverConfig& cfg, const CostModel& cm, const Deps& deps,
 
 Driver::~Driver() = default;
 
-std::uint64_t Driver::thread_cpu_ns() {
-#ifdef CLOCK_THREAD_CPUTIME_ID
-  timespec ts{};
-  // uvmsim-lint: allow(banned-clock, "host-side servicing-path meter; feeds only RunResult::servicing_host_ns, which no report prints — nothing simulated can observe it")
-  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
-  return static_cast<std::uint64_t>(ts.tv_sec) * 1'000'000'000ULL +
-         static_cast<std::uint64_t>(ts.tv_nsec);
-#else
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          // uvmsim-lint: allow(banned-clock, "fallback for the same host-side meter on platforms without thread CPU clocks")
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-#endif
-}
-
-std::uint64_t Driver::process_cpu_ns() {
-#ifdef CLOCK_PROCESS_CPUTIME_ID
-  timespec ts{};
-  // uvmsim-lint: allow(banned-clock, "host-side all-lane work meter; feeds only RunResult::servicing_cpu_ns, which no report prints")
-  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
-  return static_cast<std::uint64_t>(ts.tv_sec) * 1'000'000'000ULL +
-         static_cast<std::uint64_t>(ts.tv_nsec);
-#else
-  return thread_cpu_ns();
-#endif
-}
-
 void Driver::on_gpu_interrupt() {
   if (processing_ || wake_scheduled_) return;
   wake_scheduled_ = true;
@@ -122,9 +90,9 @@ void Driver::on_gpu_interrupt() {
 
 std::uint32_t Driver::effective_threshold() const {
   // Markov policy: the learned predictor owns speculation outright — the
-  // serial walk and the plan precompute both skip the tree stage, so this
-  // value is never consulted. Pinned past 100% anyway so any future reader
-  // sees "tree off", not a live threshold.
+  // bin walk skips the tree stage, so this value is never consulted. Pinned
+  // past 100% anyway so any future reader sees "tree off", not a live
+  // threshold.
   if (markov_) return 101;
   return adaptive_ ? adaptive_->threshold() : cfg_.prefetch_threshold;
 }
@@ -135,17 +103,6 @@ void Driver::run_pass() {
   ++counters_.passes;
   evictions_before_pass_ = counters_.evictions;
 
-  // Host time around the pass body: the servicing-path cost that the lane
-  // pipeline attacks. CPU clocks, not wall — preemption by unrelated load
-  // on a shared CI box would otherwise swamp the measurement. Two meters:
-  // the thread clock sees only the ordering thread (its critical path —
-  // helper-lane work overlaps it on parallel hardware), the process clock
-  // sees every lane's work (total cost). Reads clocks twice per pass
-  // (~100 ns against a ~100 µs pass) and feeds only the RunResult
-  // servicing_* fields; nothing simulated depends on them.
-  const std::uint64_t host_t0 = thread_cpu_ns();
-  const std::uint64_t cpu_t0 = process_cpu_ns();
-
   // The pass body — fetch/resolve mechanism, latency structure, replay
   // charging — belongs to the servicing backend; the shell keeps only the
   // backend-agnostic bookkeeping around it.
@@ -154,9 +111,6 @@ void Driver::run_pass() {
   if (adaptive_) {
     adaptive_->observe_batch(counters_.evictions - evictions_before_pass_);
   }
-
-  servicing_host_ns_ += thread_cpu_ns() - host_t0;
-  servicing_cpu_ns_ += process_cpu_ns() - cpu_t0;
 
   // --- end of pass: resume at cursor time ---
   d_.eq->schedule_at(t, [this] {
@@ -178,40 +132,7 @@ void Driver::run_pass() {
   });
 }
 
-void Driver::precompute_plan(const FaultBatch::Bin& bin, BinPlan& out) {
-  const VaBlock& blk = d_.as->block(bin.block);
-  const PageMask mapped = blk.gpu_resident | blk.remote_mapped;
-  PageMask need = bin.faulted.and_not(mapped);
-  // Mirror service_bin's base-page widening so the need masks compare equal.
-  if (cfg_.base_page_pages > 1 && need.any()) {
-    PageMask widened;
-    for (std::uint32_t i : need.set_bits()) {
-      std::uint32_t lo = i - i % cfg_.base_page_pages;
-      std::uint32_t hi = std::min(lo + cfg_.base_page_pages, blk.num_pages);
-      widened.set_range(lo, hi);
-    }
-    need |= widened.and_not(mapped).and_not(need);
-  }
-  out.eviction_epoch = blk.eviction_count;
-  out.threshold = effective_threshold();
-  out.need = need;
-  out.valid = false;
-  // The Markov policy replaces the tree stage wholesale (service_bin skips
-  // it), so a tree plan would go unused.
-  if (!cfg_.prefetch_enabled || markov_ != nullptr || need.none()) return;
-  // Blocks bound to remote mapping never reach the prefetch stage; a plan
-  // would go unused (the thrash-pin path is rarer and not predictable here —
-  // such plans are simply dropped by the walk).
-  if (d_.as->range(blk.range).advise.remote_map) return;
-  Prefetcher::Result pres =
-      Prefetcher::compute_fast(blk, need, cfg_.big_page_upgrade, out.threshold);
-  out.prefetch = pres.prefetch;
-  out.tree_updates = pres.tree_updates;
-  out.valid = true;
-}
-
-UVMSIM_ORDERED SimTime Driver::service_bin(const FaultBatch::Bin& bin,
-                                           SimTime t, const BinPlan* plan) {
+SimTime Driver::service_bin(const FaultBatch::Bin& bin, SimTime t) {
   VaBlock& blk = d_.as->block(bin.block);
   ++counters_.blocks_serviced;
   blk.service_locked = true;
@@ -329,26 +250,8 @@ UVMSIM_ORDERED SimTime Driver::service_bin(const FaultBatch::Bin& bin,
   PageMask prefetch;
   if (cfg_.prefetch_enabled && !markov_) {
     t0 = t;
-    Prefetcher::Result pres;
-    if (plan != nullptr && plan->valid &&
-        plan->eviction_epoch == blk.eviction_count &&
-        plan->threshold == effective_threshold() && plan->need == need) {
-      pres.prefetch = plan->prefetch;
-      pres.tree_updates = plan->tree_updates;
-      ++counters_.lane_plans_applied;
-    } else {
-      if (plan != nullptr) ++counters_.lane_plans_recomputed;
-      // Stale-plan recompute (and laned runs without precompute) use the
-      // word-level path; serial runs keep the tree-building reference so
-      // lanes=1 exercises the original implementation end to end. The two
-      // return identical Results (differential property test in
-      // prefetcher_test), so this cannot change output.
-      pres = cfg_.service_lanes > 1
-                 ? Prefetcher::compute_fast(blk, need, cfg_.big_page_upgrade,
-                                            effective_threshold())
-                 : Prefetcher::compute(blk, need, cfg_.big_page_upgrade,
-                                       effective_threshold());
-    }
+    const Prefetcher::Result pres = Prefetcher::compute_fast(
+        blk, need, cfg_.big_page_upgrade, effective_threshold());
     prefetch = pres.prefetch;
     t += cm_.prefetch_compute_per_block +
          static_cast<SimDuration>(pres.tree_updates) *

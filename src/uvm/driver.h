@@ -48,25 +48,6 @@
 namespace uvmsim {
 
 class ServicingBackend;
-class ThreadPool;
-
-/// Precomputed servicing plan for one fault bin — the output of the lane
-/// pipeline's parallel stage (PR 8). Lanes compute plans from the block
-/// state as it stands *before* the serial walk; the walk applies a plan
-/// only when nothing invalidated it in the meantime: the block's eviction
-/// epoch, the effective prefetch threshold, and the recomputed need mask
-/// must all still match. A mid-pass eviction of the block bumps its epoch
-/// (evict_victim increments VaBlock::eviction_count unconditionally), so
-/// stale plans are detected exactly and recomputed inline — output is
-/// identical whether a plan was used or not.
-struct BinPlan {
-  bool valid = false;  ///< prefetch fields populated by the precompute
-  std::uint32_t eviction_epoch = 0;  ///< VaBlock::eviction_count at plan time
-  std::uint32_t threshold = 0;       ///< effective_threshold() at plan time
-  PageMask need;       ///< faulted minus mapped (after base-page widening)
-  PageMask prefetch;   ///< Prefetcher result for (need, threshold)
-  std::uint32_t tree_updates = 0;  ///< cost-accounting leaf count
-};
 
 class Driver {
  public:
@@ -85,11 +66,6 @@ class Driver {
     /// Optional pass tracer (null = tracing disabled; the driver then does
     /// zero tracing work — no stores, no allocations).
     Tracer* tracer = nullptr;
-    /// Optional intra-run lane pool (null or DriverConfig::service_lanes
-    /// <= 1 = the historical serial path). Owned by the Simulator, never by
-    /// the sweep/campaign shared pool: nesting fork-join work on a pool
-    /// whose workers all run whole simulations deadlocks.
-    ThreadPool* lane_pool = nullptr;
   };
 
   Driver(const DriverConfig& cfg, const CostModel& cm, const Deps& deps,
@@ -148,24 +124,6 @@ class Driver {
   [[nodiscard]] const LogHistogram& queue_latency() const {
     return queue_latency_;
   }
-  /// Host CPU time (thread clock) the ordering thread spent inside
-  /// fault-servicing passes (fetch, bin, plan, walk). Measurement aid for
-  /// the lane pipeline: this is the path `service_lanes` restructures, so
-  /// speedup claims compare it directly. The thread clock sees only the
-  /// calling thread — helper-lane work overlaps it on parallel hardware —
-  /// so this is the critical path, not total cost (see servicing_cpu_ns).
-  /// CPU clocks rather than wall so preemption by unrelated host load
-  /// doesn't pollute the number. Never printed by any report — host timing
-  /// must not leak into simulated output (determinism).
-  [[nodiscard]] std::uint64_t servicing_host_ns() const {
-    return servicing_host_ns_;
-  }
-  /// Process CPU time (all threads) spent inside fault-servicing passes:
-  /// the total host cost including helper-lane work, the companion
-  /// total-work meter to servicing_host_ns's critical path.
-  [[nodiscard]] std::uint64_t servicing_cpu_ns() const {
-    return servicing_cpu_ns_;
-  }
   /// The servicing backend driving each pass body (selected by
   /// DriverConfig::backend).
   [[nodiscard]] const ServicingBackend& backend() const { return *backend_; }
@@ -187,16 +145,8 @@ class Driver {
   enum class Pressure : std::uint8_t { None, Split, Fine };
 
   void run_pass();
-  /// Services one VABlock bin; returns the advanced time cursor. A non-null
-  /// `plan` substitutes the precomputed prefetch result for the inline
-  /// Prefetcher::compute call when still valid (see BinPlan); every other
-  /// step — and all time charges — is the unchanged serial path.
-  SimTime service_bin(const FaultBatch::Bin& bin, SimTime t,
-                      const BinPlan* plan = nullptr);
-  /// Fills `out` with the servicing plan for `bin` from current block
-  /// state. Pure read of driver/block state (no counters, no detector
-  /// updates, no RNG) so lanes may run it concurrently over disjoint bins.
-  void precompute_plan(const FaultBatch::Bin& bin, BinPlan& out);
+  /// Services one VABlock bin; returns the advanced time cursor.
+  SimTime service_bin(const FaultBatch::Bin& bin, SimTime t);
   /// Guarantees GPU backing for every page in `to_populate`, evicting as
   /// needed. Plentiful memory (or whole-block demand) backs the block with
   /// one 2 MB root chunk — byte-identical to the historical whole-block
@@ -271,8 +221,7 @@ class Driver {
   /// Learned-prefetch step for one serviced bin (Markov policy only):
   /// feeds the block into the delta history, then speculatively populates
   /// the confident chained predictions. Called only from the serial bin
-  /// walk — the single ordering authority — so the predictor sees one
-  /// deterministic trace for every lane count.
+  /// walk, so the predictor sees one deterministic trace.
   SimTime markov_step(const FaultBatch::Bin& bin, SimTime t);
   /// Speculatively backs, fills, migrates, and maps the absent pages of
   /// `blk` covered by `shape` (the triggering bin's fault footprint,
@@ -285,12 +234,6 @@ class Driver {
   /// Density threshold for this pass (config or adaptive; pinned past 100
   /// under the Markov policy, where the tree stage is skipped outright).
   [[nodiscard]] std::uint32_t effective_threshold() const;
-
-  /// Per-thread CPU clock (ns) for servicing-path host accounting — immune
-  /// to preemption by other processes, unlike a wall clock.
-  static std::uint64_t thread_cpu_ns();
-  /// Whole-process CPU clock (ns): all lanes' work, same immunity.
-  static std::uint64_t process_cpu_ns();
 
   /// Tracing shims: single pointer test on the disabled path.
   void trace_span(TraceCategory c, const char* name, SimTime t0, SimTime t1,
@@ -323,8 +266,6 @@ class Driver {
   std::unique_ptr<MarkovPrefetcher> markov_;
   ThrashingDetector thrashing_{ThrashingDetector::Config{}};
   LogHistogram queue_latency_;
-  std::uint64_t servicing_host_ns_ = 0;
-  std::uint64_t servicing_cpu_ns_ = 0;
   Rng rng_{0xD21};  ///< driver-internal stochastic costs (RM jitter)
 
   bool processing_ = false;

@@ -89,7 +89,7 @@ enum class PrefetchPolicyKind : std::uint8_t {
 /// a bounded direct-mapped table over VABlock-delta history with saturating
 /// confidence counters. Integer-only by construction — table indices come
 /// from a multiplicative hash and confidence is a saturating counter, so
-/// the predictor is bit-exact on every host and for every lane count.
+/// the predictor is bit-exact on every host.
 struct MarkovPrefetchConfig {
   /// Direct-mapped table size; must be a power of two in [2, 2^20].
   /// Collisions evict deterministically (last writer wins).
@@ -141,16 +141,6 @@ struct DriverConfig {
 
   /// Faults fetched per batch (driver default 256, paper §III-A).
   std::uint32_t batch_size = 256;
-
-  /// Intra-run servicing lanes (deterministic intra-run parallelism). 1 =
-  /// the legacy inline serial pass, byte-identical to the historical path.
-  /// > 1 activates the batched lane pipeline: sharded fetch binning and
-  /// per-bin plan precomputation fan out over a thread pool, and the serial
-  /// fault-servicing walk stays the single ordering authority that applies
-  /// every plan (or recomputes inline when a mid-pass eviction invalidated
-  /// it). Output is identical for every lane count; only wall-clock moves.
-  /// The CLI seeds this from UVMSIM_THREADS.
-  std::uint32_t service_lanes = 1;
 
   /// Seed for driver-internal stochastic costs (RM-call jitter). The
   /// Simulator derives it from the master seed.

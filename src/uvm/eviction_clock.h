@@ -15,8 +15,8 @@
 // driver must not emit on_slice_touched for speculative backing.
 //
 // Determinism: the hand position and ref bits are pure functions of the
-// notification/pick sequence — no clocks, no randomness — so byte-identical
-// behaviour for any lane count follows from the driver's serial walk.
+// notification/pick sequence — no clocks, no randomness — so behaviour is
+// reproducible because the driver's bin walk is serial.
 #pragma once
 
 #include <cstddef>

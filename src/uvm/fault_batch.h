@@ -20,7 +20,6 @@
 namespace uvmsim {
 
 class Tracer;
-class ThreadPool;
 
 struct FaultBatch {
   /// Faults for one VABlock.
@@ -39,9 +38,6 @@ struct FaultBatch {
   /// (possible with corrupted/reordered entries); clamped to zero rather
   /// than dropped.
   std::uint32_t latency_clamps = 0;
-  /// Whether the sort/bin stage ran sharded over lanes (wall-clock
-  /// instrumentation only; the bins are identical either way).
-  bool sharded = false;
 
   [[nodiscard]] bool empty() const { return fetched == 0; }
 };
@@ -61,22 +57,7 @@ class Preprocessor {
                           const CostModel& cm, SimTime& t,
                           FetchPolicy policy = FetchPolicy::PollReady,
                           LogHistogram* queue_latency = nullptr,
-                          Tracer* tracer = nullptr,
-                          ThreadPool* lane_pool = nullptr,
-                          std::uint32_t lanes = 1);
-
-  /// Minimum entries per lane before fetch() shards the sort/bin stage;
-  /// below this the serial grouping pass wins outright.
-  static constexpr std::uint32_t kShardGrain = 64;
-
-  /// The sharded sort/bin stage: each lane sorts a contiguous slice of the
-  /// popped entries and groups it into per-lane mini-bins; the caller merges
-  /// the lane outputs by ascending block id. Produces bins identical to the
-  /// serial sort-then-group pass for any lane count (fault_batch_test
-  /// cross-checks). Exposed for tests; fetch() calls it when `lanes` > 1 and
-  /// the batch is big enough.
-  static void shard_bins(std::vector<FaultEntry>& entries, FaultBatch& batch,
-                         ThreadPool& pool, std::uint32_t lanes);
+                          Tracer* tracer = nullptr);
 };
 
 }  // namespace uvmsim

@@ -28,9 +28,8 @@
 // PMA capacity on it.
 //
 // Determinism contract: observe() is called only from the driver's serial
-// bin walk (the lane pipeline's single ordering authority), and every
-// operation here is integer arithmetic on that call sequence — the same
-// trace produces bit-identical tables and predictions for any lane count.
+// bin walk, and every operation here is integer arithmetic on that call
+// sequence — the same trace produces bit-identical tables and predictions.
 #pragma once
 
 #include <array>

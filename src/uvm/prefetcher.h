@@ -42,9 +42,9 @@ class Prefetcher {
 
   /// Word-level equivalent of compute(): identical Result for every input,
   /// but built on popcount range scans over a live occupancy mask instead of
-  /// materializing the 1023-node density tree per call. The lane pipeline's
-  /// bin-plan precompute uses this; the serial pass keeps compute() as the
-  /// reference implementation (prefetcher_test cross-checks the two).
+  /// materializing the 1023-node density tree per call. The driver's bin
+  /// walk uses this; compute() stays as the reference implementation that
+  /// prefetcher_test and BM_PrefetcherTwoStage cross-check it against.
   static Result compute_fast(const VaBlock& block, const PageMask& faulted,
                              bool big_page_upgrade,
                              std::uint32_t threshold_percent);

@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "campaign/executor.h"
@@ -79,22 +78,14 @@ constexpr std::size_t kNumCases = sizeof(kCases) / sizeof(kCases[0]);
 
 /// Runs one case and digests everything a user of the run can observe:
 /// the summary table CSV and the ordered fault/prefetch/eviction log.
-/// `lanes` sets DriverConfig::service_lanes — byte-identity across lane
-/// counts is exactly what the lane-pipeline tests below assert. `extended`
-/// additionally mixes the fault queue-latency distribution (count + exact
-/// quantile bit patterns), which the summary CSV does not cover; extended
-/// digests are only ever compared run-vs-run within this build, never
-/// against the pre-refactor golden constants.
 std::uint64_t run_digest(const ParityCase& c,
                          ServicingBackendKind backend =
-                             ServicingBackendKind::DriverCentric,
-                         std::uint32_t lanes = 1, bool extended = false) {
+                             ServicingBackendKind::DriverCentric) {
   SimConfig cfg;
   cfg.set_gpu_memory(c.gpu_mib << 20);
   cfg.enable_fault_log = true;
   if (c.tweak != nullptr) c.tweak(cfg);
   cfg.driver.backend = backend;
-  cfg.driver.service_lanes = lanes;
   Simulator sim(cfg);
   auto wl = make_workload(c.workload, c.size_mib << 20);
   wl->setup(sim);
@@ -111,15 +102,6 @@ std::uint64_t run_digest(const ParityCase& c,
     h = mix_u64(h, e.block);
     h = mix_u64(h, e.range);
     h = mix_u64(h, e.duplicate ? 1u : 0u);
-  }
-  if (extended) {
-    h = mix_u64(h, r.fault_queue_latency.count());
-    for (double q : {0.5, 0.9, 0.99}) {
-      const double v = r.fault_queue_latency.quantile(q);
-      std::uint64_t bits;
-      std::memcpy(&bits, &v, sizeof bits);
-      h = mix_u64(h, bits);
-    }
   }
   return h;
 }
@@ -151,57 +133,27 @@ TEST(BackendParity, ByteIdenticalSerial) { check_with_threads(1); }
 
 TEST(BackendParity, ByteIdenticalFourWorkers) { check_with_threads(4); }
 
-// --- intra-run servicing lanes (PR 8) -------------------------------------
-//
-// service_lanes must never change output: the serial walk stays the
-// ordering authority and lanes only precompute. Every config is pinned at
-// lanes ∈ {1, 2, 4} for BOTH backends — the driver-centric cases against
-// the same pre-refactor goldens as above (so the laned path is transitively
-// byte-identical to the pre-PR tree), the GPU-driven cases against goldens
-// captured from this build's serial path. The extended digest adds the
-// queue-latency histogram, covering the per-lane accumulator merges that
-// the summary CSV cannot see.
+// --- GPU-driven backend ----------------------------------------------------
 
-/// GPU-driven backend digests at service_lanes=1 (capture with
-/// UVMSIM_PARITY_PRINT=1, same recapture rule as kCases).
+/// GPU-driven backend digests (capture with UVMSIM_PARITY_PRINT=1, same
+/// recapture rule as kCases).
 const std::uint64_t kGpuGoldens[kNumCases] = {
     0x109e7861941ac002ULL, 0xa87bad84430c5814ULL, 0x3d8a91c0bedb1c65ULL,
     0xdcc58338ed10fc1dULL, 0x23622d08714b4605ULL, 0x16692230b71d7ac2ULL,
 };
 
-void check_lanes(ServicingBackendKind backend, const std::uint64_t* goldens) {
+TEST(BackendParity, ByteIdenticalGpuDriven) {
   const bool print = std::getenv("UVMSIM_PARITY_PRINT") != nullptr;
   for (std::size_t i = 0; i < kNumCases; ++i) {
-    const std::uint64_t base1 = run_digest(kCases[i], backend, 1);
+    const std::uint64_t got =
+        run_digest(kCases[i], ServicingBackendKind::GpuDriven);
     if (print) {
-      std::printf("parity golden %s %-24s 0x%016llxULL\n",
-                  backend == ServicingBackendKind::GpuDriven ? "gpu" : "drv",
-                  kCases[i].name, static_cast<unsigned long long>(base1));
+      std::printf("parity golden gpu %-24s 0x%016llxULL\n", kCases[i].name,
+                  static_cast<unsigned long long>(got));
     }
-    EXPECT_EQ(goldens[i], base1)
-        << kCases[i].name << ": serial digest diverged from golden";
-    const std::uint64_t ext1 = run_digest(kCases[i], backend, 1, true);
-    for (std::uint32_t lanes : {2u, 4u}) {
-      EXPECT_EQ(base1, run_digest(kCases[i], backend, lanes))
-          << kCases[i].name << ": lanes=" << lanes
-          << " changed observable output";
-      EXPECT_EQ(ext1, run_digest(kCases[i], backend, lanes, true))
-          << kCases[i].name << ": lanes=" << lanes
-          << " changed the queue-latency distribution";
-    }
+    EXPECT_EQ(kGpuGoldens[i], got)
+        << kCases[i].name << ": digest diverged from golden";
   }
-}
-
-TEST(BackendParity, LanesByteIdenticalDriverCentric) {
-  // Reuse the pre-refactor goldens: laned output == serial output == the
-  // historical inline driver, at every lane count.
-  std::uint64_t goldens[kNumCases];
-  for (std::size_t i = 0; i < kNumCases; ++i) goldens[i] = kCases[i].golden;
-  check_lanes(ServicingBackendKind::DriverCentric, goldens);
-}
-
-TEST(BackendParity, LanesByteIdenticalGpuDriven) {
-  check_lanes(ServicingBackendKind::GpuDriven, kGpuGoldens);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 // UVMSIM_CLI_PATH): argument handling, report output, trace round trip.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -83,19 +84,19 @@ TEST(Cli, MarkovRejectsAdaptivePrefetchCombination) {
   EXPECT_NE(r.exit_code, 0);
 }
 
-TEST(Cli, PolicyPanelOutputIsLaneInvariant) {
-  // The PR-10 determinism contract at the CLI level: the learned prefetcher
-  // and the new eviction policies must print byte-identical reports for any
-  // lane count.
-  const std::string base =
-      "--workload strided --size-mib 12 --gpu-mib 8 "
-      "--prefetch-policy markov --eviction ";
-  for (const char* ev : {"clock", "2q"}) {
-    CmdResult one = run_cli(base + ev + " --lanes 1");
-    CmdResult four = run_cli(base + ev + " --lanes 4");
-    EXPECT_EQ(one.exit_code, 0) << one.output;
-    EXPECT_EQ(one.output, four.output) << "eviction=" << ev;
+TEST(Cli, FullScalePresetOutputIsPinned) {
+  // The --full-scale Titan V preset (80 SMs), shrunk to a 128 MiB working
+  // set on a 96 MiB GPU so it runs in milliseconds. The digest is an FNV-1a
+  // 64 over the whole report; it changes only when simulated output does.
+  CmdResult r =
+      run_cli("--full-scale --gpu-mib 96 --size-mib 128 --csv");
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (unsigned char c : r.output) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
   }
+  EXPECT_EQ(h, 0x34990c3898b3f390ULL) << r.output;
 }
 
 TEST(Cli, GpuBackendRuns) {

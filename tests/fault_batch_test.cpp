@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "sim/rng.h"
-#include "sim/thread_pool.h"
 
 namespace uvmsim {
 namespace {
@@ -302,84 +301,6 @@ TEST_F(FaultBatchTest, SmallBatchSizeRespected) {
   auto b = Preprocessor::fetch(fb_, 4, cm_, t);
   EXPECT_EQ(b.fetched, 4u);
   EXPECT_EQ(fb_.size(), 6u);
-}
-
-TEST_F(FaultBatchTest, ShardedFetchMatchesSerialForAnyLaneCount) {
-  // The lane pipeline's sharded sort/bin must be indistinguishable from the
-  // serial pass: identical bins (contents and order), identical duplicate
-  // count, and an identical time cursor (the charges are count-based).
-  Rng rng(123);
-  ThreadPool pool(3);
-  for (std::uint32_t lanes : {2u, 3u, 4u, 8u}) {
-    for (int trial = 0; trial < 6; ++trial) {
-      const std::uint32_t n_entries =
-          lanes * Preprocessor::kShardGrain +
-          static_cast<std::uint32_t>(rng.next_below(100));
-      FaultBuffer fb_serial(buf_cfg());
-      FaultBuffer fb_sharded(buf_cfg());
-      for (std::uint32_t i = 0; i < n_entries; ++i) {
-        const VirtPage block = rng.next_below(7);
-        const VirtPage p = block * kPagesPerBlock + rng.next_below(48);
-        FaultEntry e =
-            entry(p, rng.next_below(4) == 0 ? FaultAccessType::Write
-                                            : FaultAccessType::Read);
-        ASSERT_TRUE(fb_serial.push(e, 0));
-        ASSERT_TRUE(fb_sharded.push(e, 0));
-      }
-      SimTime t_serial = 100000;
-      SimTime t_sharded = 100000;
-      auto serial = Preprocessor::fetch(fb_serial, 1024, cm_, t_serial);
-      auto sharded =
-          Preprocessor::fetch(fb_sharded, 1024, cm_, t_sharded,
-                              FetchPolicy::PollReady, nullptr, nullptr,
-                              &pool, lanes);
-      ASSERT_TRUE(sharded.sharded) << "lanes=" << lanes;
-      EXPECT_FALSE(serial.sharded);
-      EXPECT_EQ(t_serial, t_sharded) << "lanes=" << lanes;
-      EXPECT_EQ(serial.fetched, sharded.fetched);
-      EXPECT_EQ(serial.polls, sharded.polls);
-      ASSERT_EQ(serial.bins.size(), sharded.bins.size())
-          << "lanes=" << lanes;
-      EXPECT_EQ(serial.duplicates, sharded.duplicates) << "lanes=" << lanes;
-      for (std::size_t i = 0; i < serial.bins.size(); ++i) {
-        EXPECT_EQ(serial.bins[i].block, sharded.bins[i].block);
-        EXPECT_EQ(serial.bins[i].fault_entries, sharded.bins[i].fault_entries);
-        EXPECT_EQ(serial.bins[i].strongest_access,
-                  sharded.bins[i].strongest_access);
-        EXPECT_EQ(serial.bins[i].faulted, sharded.bins[i].faulted);
-      }
-    }
-  }
-}
-
-TEST_F(FaultBatchTest, ShardBinsCountsCrossLaneDuplicates) {
-  // Duplicate runs split across lane boundaries are the case per-lane
-  // counting would get wrong; the union-derived count must not.
-  ThreadPool pool(3);
-  std::vector<FaultEntry> entries(300, entry(7));
-  entries[200] = entry(7, FaultAccessType::Write);
-  FaultBatch batch;
-  batch.fetched = 300;
-  Preprocessor::shard_bins(entries, batch, pool, 4);
-  ASSERT_EQ(batch.bins.size(), 1u);
-  EXPECT_EQ(batch.bins[0].faulted.count(), 1u);
-  EXPECT_EQ(batch.bins[0].fault_entries, 300u);
-  EXPECT_EQ(batch.bins[0].strongest_access, FaultAccessType::Write);
-  EXPECT_EQ(batch.duplicates, 299u);
-}
-
-TEST_F(FaultBatchTest, SmallBatchStaysOnSerialPath) {
-  // Below lanes * kShardGrain the serial grouping wins outright; fetch must
-  // not shard it.
-  ThreadPool pool(3);
-  for (std::uint32_t i = 0; i < 32; ++i) {
-    ASSERT_TRUE(fb_.push(entry(i), 0));
-  }
-  SimTime t = 100000;
-  auto b = Preprocessor::fetch(fb_, 1024, cm_, t, FetchPolicy::PollReady,
-                               nullptr, nullptr, &pool, 4);
-  EXPECT_FALSE(b.sharded);
-  EXPECT_EQ(b.fetched, 32u);
 }
 
 }  // namespace

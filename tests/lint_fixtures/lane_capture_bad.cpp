@@ -1,21 +1,20 @@
-// Bad: a for_lanes lane body mutates captured shared state (`total_`, a
-// member) that is neither lane-indexed, std::atomic, nor declared
-// UVMSIM_LANE_OWNED — lanes race on it and the sum depends on scheduling.
+// Bad: a parallel_for body mutates captured shared state (`total_`, a
+// member) that is neither indexed by a body-local nor std::atomic —
+// concurrent chunks race on it and the sum depends on scheduling.
 #include <cstddef>
+#include <functional>
 #include <vector>
 
 namespace fix {
 
 struct Pool {
-  void for_lanes(std::size_t n, std::size_t lanes, const void* body);
+  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 };
 
 struct Stats {
   void run(Pool& pool, const std::vector<int>& items) {
-    pool.for_lanes(items.size(), 4,
-                   [&](std::size_t lane, std::size_t b, std::size_t e) {
-                     for (std::size_t i = b; i < e; ++i) total_ += items[i];
-                   });
+    pool.parallel_for(items.size(),
+                      [&](std::size_t i) { total_ += items[i]; });
   }
   long total_ = 0;
 };

@@ -1,27 +1,25 @@
-// Clean: each lane writes only its own UVMSIM_LANE_OWNED, lane-indexed
-// slot; the accumulators merge serially in lane order after the join.
+// Clean: each index writes only its own slot (subscripted by the body's
+// parameter), and the shared counter is std::atomic.
+#include <atomic>
 #include <cstddef>
+#include <functional>
 #include <vector>
 
 namespace fix {
 
 struct Pool {
-  void for_lanes(std::size_t n, std::size_t lanes, const void* body);
+  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 };
 
 struct Stats {
   void run(Pool& pool, const std::vector<int>& items) {
-    UVMSIM_LANE_OWNED std::vector<long> sums;
-    sums.resize(4);
-    pool.for_lanes(items.size(), 4,
-                   [&](std::size_t lane, std::size_t b, std::size_t e) {
-                     for (std::size_t i = b; i < e; ++i) {
-                       sums[lane] += items[i];
-                     }
-                   });
-    for (std::size_t l = 0; l < 4; ++l) total_ += sums[l];
+    std::vector<long> doubled(items.size());
+    pool.parallel_for(items.size(), [&](std::size_t i) {
+      doubled[i] = 2L * items[i];
+      ++visited_;
+    });
   }
-  long total_ = 0;
+  std::atomic<long> visited_{0};
 };
 
 }  // namespace fix

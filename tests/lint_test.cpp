@@ -80,7 +80,6 @@ const RuleFixture kRuleFixtures[] = {
     {"mutable-static", "mutable_static_bad.cpp", "mutable_static_clean.cpp"},
     {"task-io", "task_io_bad.cpp", "task_io_clean.cpp"},
     {"task-shared-state", "task_shared_bad.cpp", "task_shared_clean.cpp"},
-    {"lane-shared-write", "lane_shared_bad.cpp", "lane_shared_clean.cpp"},
     {"using-namespace-header", "using_namespace_bad.h",
      "using_namespace_clean.h"},
     {"assert-side-effect", "assert_side_effect_bad.cpp",

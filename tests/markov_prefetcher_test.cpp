@@ -1,6 +1,6 @@
 // Markov-prefetcher unit and property tests (PR 10): table semantics,
 // config validation, the determinism contract (same trace => same
-// predictions, any lane count), and the speculative-backing notification
+// predictions), and the speculative-backing notification
 // golden that pins the driver's allocate-without-touch contract for the
 // eviction-policy panel.
 #include "uvm/markov_prefetcher.h"
@@ -16,7 +16,6 @@
 #include "core/simulator.h"
 #include "uvm/driver.h"
 #include "uvm/eviction_lru.h"
-#include "workloads/registry.h"
 
 namespace uvmsim {
 namespace {
@@ -150,41 +149,6 @@ TEST(MarkovPredictor, SameTraceSamePredictions) {
     for (std::size_t i = 0; i < na; ++i) ASSERT_EQ(oa[i], ob[i]);
   }
   EXPECT_EQ(a.observes(), b.observes());
-}
-
-// --- end-to-end determinism: lane count must not leak into the policy ----
-
-RunResult run_strided_markov(std::uint32_t lanes,
-                             EvictionPolicyKind eviction) {
-  SimConfig cfg;
-  cfg.set_gpu_memory(16ull << 20);
-  cfg.enable_fault_log = false;
-  cfg.driver.prefetch_policy = PrefetchPolicyKind::Markov;
-  cfg.driver.eviction_policy = eviction;
-  cfg.driver.service_lanes = lanes;
-  Simulator sim(cfg);
-  make_workload("strided", 24ull << 20)->setup(sim);  // oversubscribed
-  return sim.run();
-}
-
-TEST(MarkovDeterminism, LaneCountInvariantAcrossPolicyPanel) {
-  for (EvictionPolicyKind ev :
-       {EvictionPolicyKind::Lru, EvictionPolicyKind::Clock,
-        EvictionPolicyKind::TwoQ}) {
-    const RunResult one = run_strided_markov(1, ev);
-    const RunResult four = run_strided_markov(4, ev);
-    SCOPED_TRACE(to_string(ev));
-    EXPECT_EQ(one.end_time, four.end_time);
-    EXPECT_EQ(one.counters.faults_fetched, four.counters.faults_fetched);
-    EXPECT_EQ(one.counters.pages_prefetched, four.counters.pages_prefetched);
-    EXPECT_EQ(one.counters.pages_evicted, four.counters.pages_evicted);
-    EXPECT_EQ(one.counters.markov_observes, four.counters.markov_observes);
-    EXPECT_EQ(one.counters.markov_predictions,
-              four.counters.markov_predictions);
-    EXPECT_EQ(one.counters.markov_blocks_prefetched,
-              four.counters.markov_blocks_prefetched);
-    EXPECT_GT(one.counters.markov_observes, 0u);
-  }
 }
 
 // --- speculative-backing notification golden (PR-10 bugfix audit) --------

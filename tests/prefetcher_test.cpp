@@ -144,7 +144,7 @@ INSTANTIATE_TEST_SUITE_P(Thresholds, ThresholdSweep,
                          ::testing::Values(1u, 26u, 51u, 76u, 100u));
 
 TEST(Prefetcher, ComputeFastMatchesReferenceOnRandomInputs) {
-  // Differential property test for the lane pipeline's word-level
+  // Differential property test for the driver's word-level
   // implementation: compute_fast must return the exact Result of the
   // tree-building reference for every (residency, fault set, block size,
   // threshold, upgrade) combination. Random sweep over the whole input

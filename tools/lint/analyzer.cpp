@@ -590,7 +590,7 @@ std::vector<Extent> find_hot_extents(const std::vector<Token>& t) {
 /// i.e. code that runs on pool workers.
 std::vector<Extent> find_task_extents(const std::vector<Token>& t) {
   static const std::set<std::string_view> kTaskCalls = {
-      "submit", "parallel_for", "for_lanes", "map", "sweep"};
+      "submit", "parallel_for", "map", "sweep"};
   std::vector<Extent> out;
   for (std::size_t i = 0; i + 2 < t.size(); ++i) {
     if (!(is_p(t[i], ".") || is_p(t[i], "->"))) continue;
@@ -632,179 +632,6 @@ std::vector<Extent> find_task_extents(const std::vector<Token>& t) {
     }
   }
   return out;
-}
-
-// ---------------------------------------------------------------------------
-// lane-shared-write: servicing-lane bodies (ThreadPool::for_lanes /
-// lane_reduce) must only write lane-local state — per-lane accumulators are
-// merged serially in lane order by the caller.
-// ---------------------------------------------------------------------------
-
-/// One lambda passed to a lane-call site, with enough capture/declaration
-/// context to judge (token-level, heuristically) what is lane-local.
-struct LaneBody {
-  Extent body;
-  bool default_ref_capture = false;
-  std::set<std::string> ref_captures;  ///< names captured by reference
-  std::set<std::string> locals;        ///< parameters + body declarations
-};
-
-/// Collects parameter names and declaration-ish identifiers so writes to
-/// them are recognized as lane-local. Declarations are matched by shape:
-/// an identifier preceded by a type-ish token (identifier / > / * / & / &&)
-/// and followed by = { ; : ( — over-matching here only hides findings, it
-/// never invents one.
-void collect_lane_locals(const std::vector<Token>& t, std::size_t params_open,
-                         LaneBody& lb) {
-  if (params_open != kNpos && is_p(t[params_open], "(")) {
-    const std::size_t close = match_paren(t, params_open);
-    if (close != kNpos) {
-      int pd = 0;
-      std::string last;
-      for (std::size_t k = params_open; k <= close; ++k) {
-        if (t[k].kind == TokKind::Punct) {
-          if (t[k].text == "(") ++pd;
-          if (t[k].text == ")") --pd;
-          if ((t[k].text == "," && pd == 1) || (t[k].text == ")" && pd == 0)) {
-            if (!last.empty()) lb.locals.insert(last);
-            last.clear();
-          }
-        } else if (t[k].kind == TokKind::Identifier) {
-          last = t[k].text;
-        }
-      }
-    }
-  }
-  for (std::size_t k = lb.body.begin + 1; k < lb.body.end; ++k) {
-    if (t[k].kind != TokKind::Identifier || k == 0 || k + 1 >= t.size()) {
-      continue;
-    }
-    const Token& prev = t[k - 1];
-    const Token& next = t[k + 1];
-    const bool typeish_prev =
-        prev.kind == TokKind::Identifier ||
-        (prev.kind == TokKind::Punct &&
-         (prev.text == ">" || prev.text == "*" || prev.text == "&" ||
-          prev.text == "&&"));
-    const bool declish_next =
-        next.kind == TokKind::Punct &&
-        (next.text == "=" || next.text == "{" || next.text == ";" ||
-         next.text == ":" || next.text == "(");
-    if (typeish_prev && declish_next) lb.locals.insert(t[k].text);
-  }
-}
-
-/// Parses the capture list of the lambda whose introducer "[" is at `lb_open`
-/// (matching "]" at `rb`).
-void parse_lane_captures(const std::vector<Token>& t, std::size_t lb_open,
-                         std::size_t rb, LaneBody& lb) {
-  for (std::size_t k = lb_open + 1; k < rb; ++k) {
-    if (!is_p(t[k], "&")) continue;
-    if (k + 1 < rb && t[k + 1].kind == TokKind::Identifier) {
-      lb.ref_captures.insert(t[k + 1].text);
-      ++k;
-    } else {
-      lb.default_ref_capture = true;  // bare [&]
-    }
-  }
-}
-
-/// Lambda bodies passed to ThreadPool::for_lanes(...) (member call) or
-/// lane_reduce(...) (free function) call sites — the code that runs as a
-/// servicing lane.
-std::vector<LaneBody> find_lane_bodies(const std::vector<Token>& t) {
-  std::vector<LaneBody> out;
-  for (std::size_t i = 0; i + 1 < t.size(); ++i) {
-    std::size_t call = kNpos;
-    if (t[i].kind == TokKind::Identifier && t[i].text == "for_lanes" &&
-        i >= 1 && (is_p(t[i - 1], ".") || is_p(t[i - 1], "->")) &&
-        is_p(t[i + 1], "(")) {
-      call = i + 1;
-    } else if (t[i].kind == TokKind::Identifier && t[i].text == "lane_reduce" &&
-               is_p(t[i + 1], "(")) {
-      call = i + 1;
-    }
-    if (call == kNpos) continue;
-    const std::size_t close = match_paren(t, call);
-    if (close == kNpos) continue;
-    for (std::size_t j = call + 1; j < close; ++j) {
-      if (!is_p(t[j], "[")) continue;
-      const std::size_t rb = match_bracket(t, j);
-      if (rb == kNpos || rb >= close) break;
-      // Walk from the capture list to the lambda body; bail on tokens that
-      // show this "[...]" was a subscript, not a lambda introducer.
-      int pd = 0;
-      std::size_t params = kNpos;
-      std::size_t body = kNpos;
-      for (std::size_t k = rb + 1; k < close; ++k) {
-        if (t[k].kind == TokKind::Punct) {
-          if (t[k].text == "(") {
-            if (pd == 0 && params == kNpos) params = k;
-            ++pd;
-          }
-          if (t[k].text == ")") --pd;
-          if (pd < 0) break;
-          if (pd == 0 &&
-              (t[k].text == "," || t[k].text == ";" || t[k].text == "]")) {
-            break;
-          }
-          if (pd == 0 && t[k].text == "{") {
-            body = k;
-            break;
-          }
-        }
-      }
-      if (body == kNpos) continue;
-      const std::size_t bend = match_brace(t, body);
-      if (bend == kNpos || bend > close) continue;
-      LaneBody lb;
-      lb.body = {body, bend};
-      parse_lane_captures(t, j, rb, lb);
-      collect_lane_locals(t, params, lb);
-      out.push_back(std::move(lb));
-      j = bend;
-    }
-  }
-  return out;
-}
-
-/// Base (leftmost) identifier of the postfix expression ending just before
-/// `op` — e.g. for "acc.rows[i].n ++" returns "acc". kNpos-equivalent empty
-/// string when the target is not a plain identifier chain.
-std::string write_target_base(const std::vector<Token>& t, std::size_t op,
-                              std::size_t lo) {
-  std::size_t pos = op;
-  // Compound |= &= ^= lex as two tokens; step over the operator half.
-  if (pos > lo && is_p(t[op], "=") &&
-      (is_p(t[pos - 1], "|") || is_p(t[pos - 1], "&") || is_p(t[pos - 1], "^"))) {
-    --pos;
-  }
-  std::string base;
-  while (pos > lo) {
-    --pos;
-    const Token& tok = t[pos];
-    if (tok.kind == TokKind::Punct && tok.text == "]") {
-      // Reverse-match the subscript.
-      int depth = 0;
-      while (pos > lo) {
-        if (is_p(t[pos], "]")) ++depth;
-        if (is_p(t[pos], "[") && --depth == 0) break;
-        --pos;
-      }
-      continue;
-    }
-    if (tok.kind == TokKind::Identifier) {
-      base = tok.text;
-      if (pos > lo && (is_p(t[pos - 1], ".") || is_p(t[pos - 1], "->") ||
-                       is_p(t[pos - 1], "::"))) {
-        --pos;  // keep walking toward the chain's base
-        continue;
-      }
-      return base;
-    }
-    return "";  // parenthesized / dereferenced target: give up silently
-  }
-  return "";
 }
 
 void check_file(const FileData& fd, const std::set<std::string>& unordered_all,
@@ -1089,40 +916,6 @@ void check_file(const FileData& fd, const std::set<std::string>& unordered_all,
     }
   }
 
-  // ---- C: lane-shared-write -----------------------------------------------
-  // Servicing-lane bodies may only write lane-local state; everything else
-  // must flow through per-lane accumulators merged serially in lane order.
-  for (const LaneBody& lb : find_lane_bodies(t)) {
-    for (std::size_t i = lb.body.begin + 1; i < lb.body.end; ++i) {
-      if (t[i].kind != TokKind::Punct) continue;
-      static const std::set<std::string_view> kAssignOps = {
-          "=", "+=", "-=", "*=", "/=", "%=", "<<=", ">>="};
-      std::string target;
-      if (t[i].text == "++" || t[i].text == "--") {
-        if (i + 1 < lb.body.end && t[i + 1].kind == TokKind::Identifier) {
-          target = t[i + 1].text;  // prefix
-        } else {
-          target = write_target_base(t, i, lb.body.begin);  // postfix
-        }
-      } else if (kAssignOps.count(t[i].text)) {
-        target = write_target_base(t, i, lb.body.begin);
-      }
-      if (target.empty()) continue;
-      const bool member_convention =
-          target.size() > 1 && target.back() == '_';
-      const bool shared =
-          member_convention || lb.ref_captures.count(target) > 0 ||
-          (lb.default_ref_capture && lb.locals.count(target) == 0);
-      if (!shared || lb.locals.count(target) > 0) continue;
-      add(t[i].line, "lane-shared-write",
-          "'" + target +
-              "' written inside a servicing-lane body but is not lane-local "
-              "(member / by-reference capture); write a per-lane accumulator "
-              "and merge in lane order — allow(lane-shared-write, \"...\") "
-              "only on the serial merge step");
-    }
-  }
-
   // ---- H: missing-pragma-once ---------------------------------------------
   if (fd.is_header && !fd.has_pragma_once && !fd.has_include_guard) {
     add(1, "missing-pragma-once",
@@ -1371,17 +1164,15 @@ std::vector<Finding> Linter::run() {
     resolve_scoped(sup[i], indices[i]);
   }
 
-  // Per-file rule pass. Project mode supersedes two token-level rules with
-  // their semantic replacements (the rules stay registered so existing
-  // suppressions of them do not become unknown-rule findings).
+  // Per-file rule pass. Project mode supersedes the token-level
+  // unordered-iteration rule with its semantic replacement (the rule stays
+  // registered so existing suppressions of it do not become unknown-rule
+  // findings).
   for (std::size_t i = 0; i < files.size(); ++i) {
     std::vector<Finding> raw;
     check_file(files[i], merged[i], raw);
     for (Finding& f : raw) {
-      if (impl_->opts.project &&
-          (f.rule == "unordered-iteration" || f.rule == "lane-shared-write")) {
-        continue;
-      }
+      if (impl_->opts.project && f.rule == "unordered-iteration") continue;
       if (is_suppressed(sup[i], f.rule, f.line)) continue;
       findings.push_back(std::move(f));
     }

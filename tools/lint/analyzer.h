@@ -13,9 +13,9 @@
 //
 // With LintOptions::project set, the per-file pass is followed by the
 // whole-program pass (index -> call graph -> dataflow rules, see index.h /
-// callgraph.h / dataflow.h); the per-file unordered-iteration and
-// lane-shared-write rules are superseded by their semantic replacements
-// (unordered-sink-iteration, lane-capture-escape) and skipped.
+// callgraph.h / dataflow.h); the per-file unordered-iteration rule is
+// superseded by its semantic replacement (unordered-sink-iteration) and
+// skipped.
 #pragma once
 
 #include <cstddef>

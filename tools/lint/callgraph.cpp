@@ -179,16 +179,6 @@ std::vector<int> CallGraph::hot_roots() const {
   return out;
 }
 
-std::vector<int> CallGraph::ordered_roots() const {
-  std::vector<int> out;
-  for (std::size_t n = 0; n < nodes_.size(); ++n) {
-    if (symbol(static_cast<int>(n)).is_ordered) {
-      out.push_back(static_cast<int>(n));
-    }
-  }
-  return out;
-}
-
 std::vector<char> CallGraph::reaches_io() const {
   std::vector<char> tainted(nodes_.size(), 0);
   std::deque<int> queue;

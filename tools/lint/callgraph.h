@@ -52,7 +52,6 @@ class CallGraph {
   [[nodiscard]] Reach reachable_from(const std::vector<int>& roots) const;
 
   [[nodiscard]] std::vector<int> hot_roots() const;
-  [[nodiscard]] std::vector<int> ordered_roots() const;
 
   /// reaches_io()[n] != 0 when n (or anything it can call) has an I/O site.
   [[nodiscard]] std::vector<char> reaches_io() const;

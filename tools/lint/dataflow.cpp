@@ -1,7 +1,6 @@
 #include "dataflow.h"
 
 #include <algorithm>
-#include <cctype>
 #include <utility>
 
 namespace uvmsim::lint {
@@ -66,17 +65,12 @@ struct RulePass {
   }
 
   // -------------------------------------------------------------------------
-  // lane-capture-escape: shared state mutated inside a lane lambda.
+  // lane-capture-escape: shared state mutated inside a parallel_for body.
   // -------------------------------------------------------------------------
-  void lane_capture_escape(const std::set<std::string>& lane_owned,
-                           const std::set<std::string>& atomics) {
+  void lane_capture_escape(const std::set<std::string>& atomics) {
     for (std::size_t n = 0; n < graph.node_count(); ++n) {
       const IndexedSymbol& sym = graph.symbol(static_cast<int>(n));
-      if (!sym.is_lambda) continue;
-      if (sym.lane_role != LaneRole::ForLanes &&
-          sym.lane_role != LaneRole::ParallelFor) {
-        continue;
-      }
+      if (!sym.is_lambda || sym.lane_role != LaneRole::ParallelFor) continue;
       const std::set<std::string> locals(sym.locals.begin(),
                                          sym.locals.end());
       const std::set<std::string> refs(sym.ref_captures.begin(),
@@ -87,61 +81,12 @@ struct RulePass {
         const bool captured =
             member || refs.count(w.target) > 0 || sym.default_ref_capture;
         if (!captured) continue;
-        if (w.lane_indexed) continue;            // lane-indexed slot
-        if (lane_owned.count(w.target)) continue;  // UVMSIM_LANE_OWNED
-        if (atomics.count(w.target)) continue;     // std::atomic
+        if (w.lane_indexed) continue;          // indexed by a body-local
+        if (atomics.count(w.target)) continue;  // std::atomic
         add(static_cast<int>(n), w.line, "lane-capture-escape",
             "'" + w.target +
-                "' is captured shared state mutated inside a " +
-                (sym.lane_role == LaneRole::ForLanes ? "for_lanes"
-                                                     : "parallel_for") +
-                " lane body; index it by a lane-local, make it std::atomic, "
-                "or declare it UVMSIM_LANE_OWNED and merge in lane order");
-      }
-    }
-  }
-
-  // -------------------------------------------------------------------------
-  // ordered-reads-lane-owned: the serial walk must not consume lane state
-  // before the merge point.
-  // -------------------------------------------------------------------------
-  /// Same heuristic that defines the merge point at call sites (see the
-  /// indexer's first_merge_line): a function named *merge*, for_lanes, or
-  /// lane_reduce IS the merge machinery — it necessarily reads lane state,
-  /// so it is the consumer, not a leak.
-  static bool is_merge_symbol(const std::string& name) {
-    const std::size_t sep = name.rfind("::");
-    std::string last =
-        sep == std::string::npos ? name : name.substr(sep + 2);
-    for (char& c : last) {
-      c = static_cast<char>(
-          std::tolower(static_cast<unsigned char>(c)));
-    }
-    return last.find("merge") != std::string::npos || last == "for_lanes" ||
-           last == "lane_reduce";
-  }
-
-  void ordered_purity(const std::set<std::string>& lane_owned) {
-    if (lane_owned.empty()) return;
-    const CallGraph::Reach r = graph.reachable_from(graph.ordered_roots());
-    for (std::size_t n = 0; n < graph.node_count(); ++n) {
-      if (r.dist[n] < 0) continue;
-      const int node = static_cast<int>(n);
-      const IndexedSymbol& sym = graph.symbol(node);
-      if (is_merge_symbol(sym.name)) continue;
-      for (const FactSite& use : sym.member_uses) {
-        if (!lane_owned.count(use.what)) continue;
-        if (sym.first_merge_line != 0 && use.line >= sym.first_merge_line) {
-          continue;  // at/after the merge point: the lanes have joined
-        }
-        std::string where =
-            r.dist[n] == 0 ? "a UVMSIM_ORDERED body"
-                           : "code reachable from a UVMSIM_ORDERED entry via " +
-                                 graph.chain_string(r, node);
-        add(node, use.line, "ordered-reads-lane-owned",
-            "UVMSIM_LANE_OWNED state '" + use.what + "' read in " + where +
-                " before the merge point; the serial walk may only consume "
-                "lane accumulators after they are merged in lane order");
+                "' is captured shared state mutated inside a parallel_for "
+                "body; index it by a body-local or make it std::atomic");
       }
     }
   }
@@ -204,19 +149,16 @@ struct RulePass {
 std::vector<ProjectFinding> run_project_rules(
     const std::vector<FileIndex>& files, const CallGraph& graph,
     const std::vector<std::set<std::string>>& unordered_names) {
-  // Annotation escape hatches are whole-program: a name declared
-  // UVMSIM_LANE_OWNED or std::atomic in a header covers uses in every TU.
-  std::set<std::string> lane_owned;
+  // The std::atomic escape hatch is whole-program: a name declared atomic
+  // in a header covers uses in every TU.
   std::set<std::string> atomics;
   for (const FileIndex& fi : files) {
-    lane_owned.insert(fi.lane_owned.begin(), fi.lane_owned.end());
     atomics.insert(fi.atomic_names.begin(), fi.atomic_names.end());
   }
 
   RulePass pass{files, graph, {}};
   pass.hot_transitive();
-  pass.lane_capture_escape(lane_owned, atomics);
-  pass.ordered_purity(lane_owned);
+  pass.lane_capture_escape(atomics);
   pass.unordered_sink(unordered_names);
 
   std::sort(pass.out.begin(), pass.out.end(),

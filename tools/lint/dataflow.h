@@ -7,13 +7,7 @@
 //
 //   lane-capture-escape
 //     A by-reference capture (or captured member state) mutated inside a
-//     for_lanes / parallel_for lambda must be lane-indexed, std::atomic, or
-//     declared UVMSIM_LANE_OWNED.
-//
-//   ordered-reads-lane-owned
-//     Code reachable from a UVMSIM_ORDERED function (the serial per-bin
-//     walk) must not read UVMSIM_LANE_OWNED state before the body's merge
-//     point (the first for_lanes / lane_reduce / *merge* call).
+//     parallel_for lambda must be indexed by a lambda-local or std::atomic.
 //
 //   unordered-sink-iteration
 //     Range-for over an unordered container is flagged only when the loop

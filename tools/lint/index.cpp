@@ -19,7 +19,7 @@ namespace {
 namespace fs = std::filesystem;
 
 constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
-constexpr int kIndexFormatVersion = 1;
+constexpr int kIndexFormatVersion = 2;
 
 bool is_id(const Token& t, std::string_view text) {
   return t.kind == TokKind::Identifier && t.text == text;
@@ -125,23 +125,6 @@ std::string last_component(const std::string& qualified) {
   return pos == std::string::npos ? qualified : qualified.substr(pos + 2);
 }
 
-bool contains_ci(const std::string& hay, std::string_view needle) {
-  if (needle.empty() || hay.size() < needle.size()) return false;
-  for (std::size_t i = 0; i + needle.size() <= hay.size(); ++i) {
-    bool ok = true;
-    for (std::size_t j = 0; j < needle.size(); ++j) {
-      char a = hay[i + j];
-      if (a >= 'A' && a <= 'Z') a = static_cast<char>(a - 'A' + 'a');
-      if (a != needle[j]) {
-        ok = false;
-        break;
-      }
-    }
-    if (ok) return true;
-  }
-  return false;
-}
-
 // ---------------------------------------------------------------------------
 // The token-shape parser.
 // ---------------------------------------------------------------------------
@@ -149,45 +132,20 @@ bool contains_ci(const std::string& hay, std::string_view needle) {
 struct Parser {
   const std::vector<Token>& t;
   FileIndex out;
-  std::set<std::string> lane_owned_set;
   std::set<std::string> atomic_set;
 
   explicit Parser(const LexedFile& lx) : t(lx.tokens) { out.path = lx.path; }
 
   void run() {
-    collect_declared_names();
+    collect_atomic_names();
     scan_scope(0, t.size(), "");
-    out.lane_owned.assign(lane_owned_set.begin(), lane_owned_set.end());
     out.atomic_names.assign(atomic_set.begin(), atomic_set.end());
   }
 
-  /// Pass 1: names declared UVMSIM_LANE_OWNED and names of std::atomic
-  /// variables — both are escape hatches for the lane/ordering rules, so
-  /// they must be known before bodies are judged.
-  void collect_declared_names() {
+  /// Pass 1: names of std::atomic variables — the lane-capture-escape
+  /// rule's escape hatch, so they must be known before bodies are judged.
+  void collect_atomic_names() {
     for (std::size_t i = 0; i < t.size(); ++i) {
-      if (is_id(t[i], "UVMSIM_LANE_OWNED")) {
-        // Declared name: the last identifier before the declaration ends
-        // (';', '=', '{' or '(' initializer, or '[' of an array extent).
-        std::string name;
-        for (std::size_t j = i + 1; j < t.size(); ++j) {
-          if (t[j].kind == TokKind::Punct) {
-            if (t[j].text == "<") {
-              const std::size_t sa = skip_angles(t, j);
-              if (sa == kNpos) break;
-              j = sa - 1;
-              continue;
-            }
-            if (t[j].text == ";" || t[j].text == "=" || t[j].text == "{" ||
-                t[j].text == "[" || t[j].text == "(") {
-              break;
-            }
-            continue;
-          }
-          if (t[j].kind == TokKind::Identifier) name = t[j].text;
-        }
-        if (!name.empty()) lane_owned_set.insert(name);
-      }
       if (is_id(t[i], "atomic") && i + 1 < t.size() && is_p(t[i + 1], "<")) {
         const std::size_t past = skip_angles(t, i + 1);
         if (past == kNpos || past >= t.size()) continue;
@@ -312,7 +270,6 @@ struct Parser {
         sym.body_end_line = t[body_close].line;
         for (std::size_t a = ds; a < i; ++a) {
           if (is_id(t[a], "UVMSIM_HOT")) sym.is_hot = true;
-          if (is_id(t[a], "UVMSIM_ORDERED")) sym.is_ordered = true;
         }
         const int sidx = static_cast<int>(out.symbols.size());
         out.symbols.push_back(std::move(sym));
@@ -520,19 +477,12 @@ struct Parser {
         if (name.rfind("std::", 0) != 0) {
           sym.calls.push_back({name, tok.line, -1});
           const std::string base = last_component(name);
-          if (sym.first_merge_line == 0 &&
-              (contains_ci(base, "merge") || base == "for_lanes" ||
-               base == "lane_reduce")) {
-            sym.first_merge_line = tok.line;
-          }
           LaneRole role = LaneRole::None;
           const bool member_call =
               k >= 1 && (is_p(t[k - 1], ".") || is_p(t[k - 1], "->"));
-          if (base == "for_lanes" && member_call) role = LaneRole::ForLanes;
           if (base == "parallel_for" && member_call) {
             role = LaneRole::ParallelFor;
           }
-          if (base == "lane_reduce") role = LaneRole::LaneReduce;
           if (base == "submit" && member_call) role = LaneRole::Submit;
           if ((base == "map" || base == "sweep") && member_call) {
             role = LaneRole::SweepMap;
@@ -558,14 +508,6 @@ struct Parser {
       }
       if (rng_ids().count(tok.text) || (tok.text == "rand" && next_is_call)) {
         sym.rng_sites.push_back({tok.text, tok.line});
-      }
-      if ((tok.text.size() > 1 && tok.text.back() == '_') ||
-          lane_owned_set.count(tok.text)) {
-        auto& mu = sym.member_uses;
-        if (mu.empty() || mu.back().what != tok.text ||
-            mu.back().line != tok.line) {
-          mu.push_back({tok.text, tok.line});
-        }
       }
     }
   }
@@ -773,15 +715,13 @@ void write_file_index(std::ostream& os, const FileIndex& fi) {
   os << "uvmsim-index " << kIndexFormatVersion << '\n';
   os << "hash " << fi.hash << '\n';
   os << "path " << fi.path << '\n';
-  for (const std::string& n : fi.lane_owned) os << "laneowned " << n << '\n';
   for (const std::string& n : fi.atomic_names) os << "atomic " << n << '\n';
   for (const IndexedSymbol& s : fi.symbols) {
     os << "sym " << s.decl_line << ' ' << s.name_line << ' '
        << s.body_begin_line << ' ' << s.body_end_line << ' '
-       << (s.is_hot ? 1 : 0) << (s.is_ordered ? 1 : 0)
-       << (s.is_lambda ? 1 : 0) << (s.default_ref_capture ? 1 : 0) << ' '
-       << s.parent << ' ' << static_cast<int>(s.lane_role) << ' '
-       << s.first_merge_line << ' ' << s.name << '\n';
+       << (s.is_hot ? 1 : 0) << (s.is_lambda ? 1 : 0)
+       << (s.default_ref_capture ? 1 : 0) << ' ' << s.parent << ' '
+       << static_cast<int>(s.lane_role) << ' ' << s.name << '\n';
     for (const std::string& c : s.ref_captures) os << "cap " << c << '\n';
     for (const std::string& l : s.locals) os << "local " << l << '\n';
     for (const CallSite& c : s.calls) {
@@ -792,7 +732,6 @@ void write_file_index(std::ostream& os, const FileIndex& fi) {
     write_sites(os, "io", s.io_sites);
     write_sites(os, "clock", s.clock_sites);
     write_sites(os, "rng", s.rng_sites);
-    write_sites(os, "muse", s.member_uses);
     for (const LaneWrite& w : s.lane_writes) {
       os << "write " << w.line << ' ' << (w.lane_indexed ? 1 : 0) << ' '
          << w.target << '\n';
@@ -837,10 +776,6 @@ bool read_file_index(std::istream& is, FileIndex& fi) {
       if (!(ls >> fi.hash)) return false;
     } else if (tag == "path") {
       if (!read_rest(ls, fi.path)) return false;
-    } else if (tag == "laneowned") {
-      std::string n;
-      if (!read_rest(ls, n)) return false;
-      fi.lane_owned.push_back(n);
     } else if (tag == "atomic") {
       std::string n;
       if (!read_rest(ls, n)) return false;
@@ -850,15 +785,13 @@ bool read_file_index(std::istream& is, FileIndex& fi) {
       std::string flags;
       int role = 0;
       if (!(ls >> s.decl_line >> s.name_line >> s.body_begin_line >>
-            s.body_end_line >> flags >> s.parent >> role >>
-            s.first_merge_line)) {
+            s.body_end_line >> flags >> s.parent >> role)) {
         return false;
       }
-      if (flags.size() != 4) return false;
+      if (flags.size() != 3) return false;
       s.is_hot = flags[0] == '1';
-      s.is_ordered = flags[1] == '1';
-      s.is_lambda = flags[2] == '1';
-      s.default_ref_capture = flags[3] == '1';
+      s.is_lambda = flags[1] == '1';
+      s.default_ref_capture = flags[2] == '1';
       s.lane_role = static_cast<LaneRole>(role);
       if (!read_rest(ls, s.name)) return false;
       fi.symbols.push_back(std::move(s));
@@ -907,15 +840,14 @@ bool read_file_index(std::istream& is, FileIndex& fi) {
         if (!read_rest(ls, w.target)) return false;
         sym->lane_writes.push_back(std::move(w));
       } else if (tag == "alloc" || tag == "io" || tag == "clock" ||
-                 tag == "rng" || tag == "muse") {
+                 tag == "rng") {
         FactSite s;
         if (!(ls >> s.line)) return false;
         if (!read_rest(ls, s.what)) return false;
         if (tag == "alloc") sym->alloc_sites.push_back(std::move(s));
         else if (tag == "io") sym->io_sites.push_back(std::move(s));
         else if (tag == "clock") sym->clock_sites.push_back(std::move(s));
-        else if (tag == "rng") sym->rng_sites.push_back(std::move(s));
-        else sym->member_uses.push_back(std::move(s));
+        else sym->rng_sites.push_back(std::move(s));
       } else {
         return false;  // unknown tag: treat the entry as corrupt
       }

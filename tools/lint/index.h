@@ -1,12 +1,12 @@
 // Whole-program symbol index for uvmsim_lint's project mode.
 //
 // index_file() parses one lexed TU into symbols — functions, methods, and
-// lambdas — with call edges, lambda capture lists, annotation flags
-// (UVMSIM_HOT / UVMSIM_ORDERED), and the "fact sites" the semantic rules
-// consume (allocation / I/O / clock / RNG identifiers, member uses, writes
-// inside lane bodies, range-for loops). The per-TU result is persisted to an
-// on-disk cache keyed by the file's content hash, so incremental CI runs
-// re-index only edited TUs (index_file_cached + IndexCacheStats).
+// lambdas — with call edges, lambda capture lists, the UVMSIM_HOT flag,
+// and the "fact sites" the semantic rules consume (allocation / I/O /
+// clock / RNG identifiers, writes inside lambda bodies, range-for loops).
+// The per-TU result is persisted to an on-disk cache keyed by the file's
+// content hash, so incremental CI runs re-index only edited TUs
+// (index_file_cached + IndexCacheStats).
 //
 // This is deliberately not a C++ front end: symbols are recognized by token
 // shape (qualified-name + parameter list + body brace), calls by
@@ -37,7 +37,7 @@ struct CallSite {
 };
 
 /// One occurrence of a rule-relevant identifier (an allocation call, an
-/// I/O stream, a clock, an RNG engine, or a member-convention use).
+/// I/O stream, a clock, or an RNG engine).
 struct FactSite {
   std::string what;
   int line = 0;
@@ -45,7 +45,7 @@ struct FactSite {
 
 /// A write (assignment / increment / decrement) inside a lambda body, with
 /// the base identifier of the written chain and whether any subscript along
-/// the chain indexes by a lambda-local (the lane-indexed escape hatch).
+/// the chain indexes by a lambda-local (the index-partitioned escape hatch).
 struct LaneWrite {
   std::string target;
   int line = 0;
@@ -55,21 +55,18 @@ struct LaneWrite {
 /// Which task-spawning call a lambda was passed to, if any.
 enum class LaneRole : std::uint8_t {
   None = 0,
-  ForLanes,
   ParallelFor,
-  LaneReduce,
   Submit,
   SweepMap,
 };
 
 struct IndexedSymbol {
-  std::string name;        ///< best-effort qualified ("ThreadPool::for_lanes")
+  std::string name;        ///< best-effort qualified ("ThreadPool::submit")
   int decl_line = 0;       ///< first line of the declaration (annotations)
   int name_line = 0;       ///< line of the name token / lambda introducer
   int body_begin_line = 0; ///< line of the opening "{"
   int body_end_line = 0;   ///< line of the matching "}"
   bool is_hot = false;     ///< UVMSIM_HOT on the definition
-  bool is_ordered = false; ///< UVMSIM_ORDERED on the definition
   bool is_lambda = false;
   int parent = -1;                       ///< enclosing symbol (lambdas)
   LaneRole lane_role = LaneRole::None;   ///< task call the lambda feeds
@@ -81,15 +78,7 @@ struct IndexedSymbol {
   std::vector<FactSite> io_sites;     ///< cout/printf/ofstream/...
   std::vector<FactSite> clock_sites;  ///< system_clock/steady_clock/...
   std::vector<FactSite> rng_sites;    ///< mt19937/random_device/...
-  /// Uses of member-convention identifiers (trailing '_') and of names the
-  /// file declares UVMSIM_LANE_OWNED — the ordering-authority purity rule's
-  /// read set.
-  std::vector<FactSite> member_uses;
   std::vector<LaneWrite> lane_writes;  ///< writes, lambdas only
-  /// First line at which lane state is considered merged inside this body:
-  /// the first call whose callee names a merge/join/fork-join primitive
-  /// (contains "merge", or is for_lanes/lane_reduce). 0 = no merge point.
-  int first_merge_line = 0;
 };
 
 /// A range-for loop, kept so project mode can re-judge unordered-container
@@ -106,7 +95,6 @@ struct FileIndex {
   std::string path;  ///< display path (diagnostics only; not hashed)
   std::uint64_t hash = 0;
   std::vector<IndexedSymbol> symbols;
-  std::vector<std::string> lane_owned;    ///< UVMSIM_LANE_OWNED declarations
   std::vector<std::string> atomic_names;  ///< names declared std::atomic<...>
   std::vector<UnorderedLoop> loops;
 };

@@ -6,7 +6,7 @@
 //   uvmsim_lint --list-rules [--json]              print the rule table
 //
 // Project mode adds the call-graph/dataflow rules (hot-transitive-*,
-// lane-capture-escape, ordered-reads-lane-owned, unordered-sink-iteration),
+// lane-capture-escape, unordered-sink-iteration),
 // supports an on-disk index cache (--cache-dir), SARIF output (--sarif),
 // and a findings baseline (--baseline / --write-baseline) so CI fails only
 // on new findings.

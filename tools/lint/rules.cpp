@@ -20,11 +20,6 @@ const std::vector<RuleInfo>& all_rules() {
        "range-for over an unordered container whose body prints or calls "
        "code that transitively can; hash order would leak into output "
        "(--project replacement for unordered-iteration)"},
-      {"ordered-reads-lane-owned", "determinism",
-       "code reachable from a UVMSIM_ORDERED function reads "
-       "UVMSIM_LANE_OWNED state before the merge point; the serial walk "
-       "may only consume lane accumulators after the lane-order merge "
-       "(--project only)"},
       {"pointer-keyed-container", "determinism",
        "std::map/std::set keyed by a raw pointer; ordering follows the "
        "allocator and varies run to run — key by a stable id"},
@@ -61,17 +56,10 @@ const std::vector<RuleInfo>& all_rules() {
       {"task-shared-state", "concurrency",
        "Tracer/Profiler touched from a pool task; per-run instances owned by "
        "the task are fine — document that with a typed suppression"},
-      {"lane-shared-write", "concurrency",
-       "write to non-lane-local state (member or by-reference capture) "
-       "inside a for_lanes/lane_reduce lane body; lanes fill per-lane "
-       "accumulators and the caller merges in lane order — suppress only on "
-       "the serial merge step (per-file mode only; --project supersedes it "
-       "with lane-capture-escape)"},
       {"lane-capture-escape", "concurrency",
        "by-reference capture (or captured member state) mutated inside a "
-       "for_lanes/parallel_for lane body without being lane-indexed, "
-       "std::atomic, or UVMSIM_LANE_OWNED (--project replacement for "
-       "lane-shared-write)"},
+       "parallel_for body without being indexed by a body-local or "
+       "std::atomic; concurrent chunks would race on it (--project only)"},
       // -- H: hygiene --------------------------------------------------------
       {"using-namespace-header", "hygiene",
        "using namespace at header scope leaks into every includer"},

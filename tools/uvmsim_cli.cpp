@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "core/atomic_file.h"
-#include "core/env.h"
 #include "core/errors.h"
 #include "core/metrics.h"
 #include "core/pattern_analyzer.h"
@@ -44,9 +43,6 @@ struct CliOptions {
   /// overridden) a 16 GiB oversubscribed working set — millions of 4 KB
   /// pages per run.
   bool full_scale = false;
-  /// Intra-run servicing lanes; -1 = seed from UVMSIM_THREADS (default 1 =
-  /// serial), 0 = hardware concurrency.
-  std::int64_t lanes = -1;
   std::string backend = "driver";  // driver | gpu
   std::string prefetch = "on";  // on | off | adaptive
   std::string prefetch_policy = "tree";  // tree | markov
@@ -86,11 +82,7 @@ options:
   --gpu-mib N          simulated GPU memory (default 128)
   --full-scale         full-fidelity Titan V preset: 12 GB GPU memory,
                        80 SMs, 16 GiB working set (explicit --size-mib /
-                       --gpu-mib still win); servicing lanes default to
-                       UVMSIM_THREADS
-  --lanes N            intra-run servicing lanes (deterministic: output is
-                       byte-identical for every value); 0 = hardware
-                       concurrency (default: UVMSIM_THREADS, i.e. 1)
+                       --gpu-mib still win)
   --backend B          driver | gpu — fault-servicing backend: the CPU
                        driver's batched path, or GPUVM-style per-fault
                        GPU-side resolution (default driver)
@@ -179,17 +171,6 @@ std::optional<CliOptions> parse(int argc, char** argv) {
       o.gpu_set = true;
     } else if (a == "--full-scale") {
       o.full_scale = true;
-    } else if (a == "--lanes") {
-      if (!(v = need_value(i))) return std::nullopt;
-      try {
-        o.lanes = std::stoll(v);
-      } catch (const std::exception&) {
-        o.lanes = -2;
-      }
-      if (o.lanes < 0) {
-        std::cerr << "bad --lanes: " << v << " (want a non-negative integer)\n";
-        return std::nullopt;
-      }
     } else if (a == "--backend") {
       if (!(v = need_value(i))) return std::nullopt;
       o.backend = v;
@@ -289,13 +270,6 @@ std::optional<SimConfig> to_config(const CliOptions& o) {
   cfg.enable_fault_log = o.pattern;
   cfg.driver.batch_size = o.batch_size;
   cfg.driver.prefetch_threshold = o.threshold;
-  // Intra-run lanes: byte-identical output for any value; only wall-clock
-  // changes. Seeded from UVMSIM_THREADS so the sweep knob and the intra-run
-  // knob read the same dial.
-  cfg.driver.service_lanes = static_cast<std::uint32_t>(
-      o.lanes >= 0 ? clamp_thread_count(static_cast<std::uint64_t>(o.lanes),
-                                        "--lanes")
-                   : env_threads());
 
   if (o.backend == "driver") {
     cfg.driver.backend = ServicingBackendKind::DriverCentric;
