@@ -14,6 +14,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <ostream>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -35,6 +36,11 @@ struct PolicyParam {
   const char* name;
   std::unique_ptr<EvictionPolicy> (*make)();
 };
+
+// Print the policy name rather than the struct's bytes. The bytes are two
+// pointers that change with every process under ASLR, and ctest's
+// discovered test names embed the printed parameter.
+void PrintTo(const PolicyParam& p, std::ostream* os) { *os << p.name; }
 
 std::unique_ptr<EvictionPolicy> make_lru() {
   return std::make_unique<LruEviction>();
