@@ -163,6 +163,17 @@ if command -v python3 >/dev/null 2>&1; then
   echo "$BENCH_OUT parses"
 fi
 
+echo "== perfbench (benchmark self-tests + seed-42 golden digests) =="
+# run.py builds the harness into .bench_build/ and exits nonzero when a
+# simulation's digest differs from perfbench/goldens.json, so these runs
+# pin the simulated output of all three benchmark workloads.
+python3 perfbench/test_perfbench.py
+for w in random-oversub random-oversub-gpudriven sgemm-resident; do
+  python3 perfbench/run.py --workload "$w" --seconds 0 > /dev/null \
+    || { echo "perfbench golden FAILED for $w"; exit 1; }
+  echo "$w: golden digest matches"
+done
+
 echo "== campaign kill-and-resume smoke (SIGKILL x resume determinism) =="
 scripts/campaign_smoke.sh build
 

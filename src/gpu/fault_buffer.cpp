@@ -29,13 +29,8 @@ bool FaultBuffer::push(FaultEntry e, SimTime now) {
         break;
     }
   }
-  q_.push_back(e);
-  ++pushed_;
-  if (duplicate && !full()) {
-    q_.push_back(e);
-    ++pushed_;
-  }
-  max_occupancy_ = std::max(max_occupancy_, q_.size());
+  append(e);
+  if (duplicate && !full()) append(e);
   return true;
 }
 
@@ -44,23 +39,40 @@ bool FaultBuffer::push_preserving_timestamps(const FaultEntry& e) {
     ++dropped_;
     return false;
   }
-  q_.push_back(e);
-  ++pushed_;
-  max_occupancy_ = std::max(max_occupancy_, q_.size());
+  append(e);
   return true;
 }
 
+void FaultBuffer::append(const FaultEntry& e) {
+  if (size_ == ring_.size()) {
+    // Grow: unroll the ring into a larger one, oldest entry first.
+    std::vector<FaultEntry> grown(std::min<std::size_t>(
+        cfg_.capacity, std::max<std::size_t>(2 * ring_.size(), 16)));
+    for (std::size_t i = 0; i < size_; ++i) {
+      grown[i] = ring_[(head_ + i) % ring_.size()];
+    }
+    ring_.swap(grown);
+    head_ = 0;
+  }
+  ring_[(head_ + size_) % ring_.size()] = e;
+  ++size_;
+  ++pushed_;
+  max_occupancy_ = std::max(max_occupancy_, size_);
+}
+
 std::optional<FaultEntry> FaultBuffer::pop() {
-  if (q_.empty()) return std::nullopt;
-  FaultEntry e = q_.front();
-  q_.pop_front();
+  if (size_ == 0) return std::nullopt;
+  FaultEntry e = ring_[head_];
+  head_ = (head_ + 1) % ring_.size();
+  --size_;
   return e;
 }
 
 std::uint64_t FaultBuffer::flush() {
-  std::uint64_t n = q_.size();
+  std::uint64_t n = size_;
   flushed_ += n;
-  q_.clear();
+  head_ = 0;
+  size_ = 0;
   return n;
 }
 

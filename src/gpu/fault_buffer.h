@@ -10,8 +10,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <optional>
+#include <vector>
 
 #include "gpu/fault.h"
 #include "sim/hazards.h"
@@ -48,16 +48,16 @@ class FaultBuffer {
 
   /// Oldest entry without removing it.
   [[nodiscard]] const FaultEntry* peek() const {
-    return q_.empty() ? nullptr : &q_.front();
+    return size_ == 0 ? nullptr : &ring_[head_];
   }
 
   /// Discards all entries (batch-flush policy). Returns how many were
   /// discarded.
   std::uint64_t flush();
 
-  [[nodiscard]] std::size_t size() const { return q_.size(); }
-  [[nodiscard]] bool empty() const { return q_.empty(); }
-  [[nodiscard]] bool full() const { return q_.size() >= cfg_.capacity; }
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+  [[nodiscard]] bool full() const { return size_ >= cfg_.capacity; }
 
   // --- statistics ---
   [[nodiscard]] std::uint64_t total_pushed() const { return pushed_; }
@@ -67,9 +67,16 @@ class FaultBuffer {
   [[nodiscard]] const Config& config() const { return cfg_; }
 
  private:
+  /// Appends to the ring; the caller has checked full().
+  void append(const FaultEntry& e);
+
   Config cfg_;
   HazardInjector* hazards_ = nullptr;
-  std::deque<FaultEntry> q_;
+  /// Circular storage, grown by doubling up to `capacity` and then reused,
+  /// so a run in steady state allocates nothing per fault.
+  std::vector<FaultEntry> ring_;
+  std::size_t head_ = 0;  ///< index of the oldest entry
+  std::size_t size_ = 0;
   std::uint64_t pushed_ = 0;
   std::uint64_t dropped_ = 0;
   std::uint64_t flushed_ = 0;

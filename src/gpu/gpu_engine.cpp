@@ -1,27 +1,46 @@
 #include "gpu/gpu_engine.h"
 
+#include <span>
 #include <stdexcept>
+#include <string>
+
+#include "sim/annotations.h"
 
 namespace uvmsim {
 
+namespace {
+
+/// Rejects configs that crash the engine or can never run a kernel.
+const GpuEngine::Config& validated(const GpuEngine::Config& cfg) {
+  auto require = [](bool ok, const char* what) {
+    if (!ok) throw std::invalid_argument(std::string("GpuEngine: ") + what);
+  };
+  require(cfg.num_sms > 0, "num_sms must be positive");
+  require(cfg.max_blocks_per_sm > 0, "max_blocks_per_sm must be positive");
+  require(cfg.sms_per_gpc > 0, "sms_per_gpc must be positive");
+  require(cfg.utlb_entries > 0, "utlb_entries must be positive");
+  require(cfg.utlb_fault_slots > 0, "utlb_fault_slots must be positive");
+  require(cfg.fault_granularity_pages != 0 &&
+              kPagesPerBlock % cfg.fault_granularity_pages == 0,
+          "fault_granularity must divide the 512-page VABlock");
+  return cfg;
+}
+
+}  // namespace
+
 GpuEngine::GpuEngine(const Config& cfg, EventQueue& eq, AddressSpace& as,
-                     PageTable& pt, FaultBuffer& fb, AccessCounters& ac,
+                     PageTable& /*pt*/, FaultBuffer& fb, AccessCounters& ac,
                      Interconnect* link)
-    : cfg_(cfg),
+    : cfg_(validated(cfg)),
       eq_(&eq),
       as_(&as),
-      pt_(&pt),
       fb_(&fb),
       ac_(&ac),
       link_(link),
       rng_(cfg.seed),
       scheduler_(cfg.num_sms, cfg.max_blocks_per_sm),
+      pending_faults_(std::uint64_t{cfg.num_sms} * cfg.utlb_fault_slots),
       sm_outstanding_faults_(cfg.num_sms, 0) {
-  if (cfg_.fault_granularity_pages == 0 ||
-      kPagesPerBlock % cfg_.fault_granularity_pages != 0) {
-    throw std::invalid_argument(
-        "GpuEngine: fault_granularity must divide the 512-page VABlock");
-  }
   sms_.reserve(cfg_.num_sms);
   for (std::uint32_t s = 0; s < cfg_.num_sms; ++s) {
     sms_.emplace_back(s, cfg_.utlb_entries);
@@ -125,7 +144,7 @@ void GpuEngine::schedule_step(WarpRef ref, SimDuration delay) {
   });
 }
 
-void GpuEngine::step_warp(WarpRef ref) {
+UVMSIM_HOT void GpuEngine::step_warp(WarpRef ref) {
   auto it = active_.find(ref.kernel);
   if (it == active_.end()) return;  // stale event for a finished kernel
   ActiveKernel& k = it->second;
@@ -139,100 +158,77 @@ void GpuEngine::step_warp(WarpRef ref) {
   }
 
   const AccessRecord& rec = s.record(w.pos);
-  Sm& sm = sms_[w.sm];
+  Utlb& utlb = sms_[w.sm].utlb;
   KernelStats& ks = stats_[k.stats_index];
+  const SimTime now = eq_->now();
 
-  // First attempt at this record: all lanes pending. On replayed retries
+  // First attempt at this record: every lane accesses. On replayed retries
   // only the previously-missing lanes re-access (per-lane park semantics).
-  if (!w.record_in_flight) {
-    auto pages = s.pages(w.pos);
-    w.pending_pages.assign(pages.begin(), pages.end());
-    w.record_in_flight = true;
-  }
+  const std::span<const VirtPage> lanes =
+      w.record_in_flight ? std::span<const VirtPage>(w.pending_pages)
+                         : s.pages(w.pos);
 
   SimDuration walk_penalty = 0;
   bool pushed_any = false;
-  std::vector<VirtPage> still_missing;
-  for (VirtPage p : w.pending_pages) {
-    bool tlb_hit = sm.utlb.lookup(p);
+  missing_.clear();
+  // Lanes of one access mostly share a VaBlock: look it up once per run.
+  VaBlockId blk_id = ~VaBlockId{0};
+  VaBlock* blk = nullptr;
+  for (VirtPage p : lanes) {
+    const bool tlb_hit = utlb.lookup(p);
     if (tlb_hit) {
       ++utlb_hits_;
     } else {
       ++utlb_misses_;
       walk_penalty += cfg_.page_walk_latency;
     }
-    if (pt_->translate(p)) {
-      if (!tlb_hit) sm.utlb.insert(p);
-      VaBlock& blk = as_->block_of(p);
-      std::uint32_t pi = page_in_block(p);
-      if (pt_->is_remote(p)) {
-        // Zero-copy access over the interconnect: a fixed round-trip
-        // latency plus the cache line's share of the wire, queued behind
-        // other link traffic (bulk migrations and other zero-copy
-        // accesses).
-        walk_penalty += cfg_.remote_access_latency;
-        if (link_ != nullptr) {
-          SimTime done = link_->reserve_pipelined(
-              Direction::HostToDevice, eq_->now(), cfg_.remote_access_bytes,
-              cfg_.remote_link_overhead);
-          walk_penalty += done - eq_->now();
-        }
-        ++remote_accesses_;
+    if (block_of_page(p) != blk_id) {
+      blk_id = block_of_page(p);
+      blk = &as_->block(blk_id);
+    }
+    const std::uint32_t pi = page_in_block(p);
+    const bool remote = blk->remote_mapped.test(pi);
+    if (!remote && !blk->gpu_resident.test(pi)) {
+      missing_.push_back(p);
+      pushed_any |= raise_fault(w, ks, p, rec.write);
+      continue;
+    }
+    if (!tlb_hit) utlb.insert(p);
+    if (remote) {
+      // Zero-copy access over the interconnect: a fixed round-trip
+      // latency plus the cache line's share of the wire, queued behind
+      // other link traffic (bulk migrations and other zero-copy
+      // accesses).
+      walk_penalty += cfg_.remote_access_latency;
+      if (link_ != nullptr) {
+        SimTime done = link_->reserve_pipelined(
+            Direction::HostToDevice, now, cfg_.remote_access_bytes,
+            cfg_.remote_link_overhead);
+        walk_penalty += done - now;
       }
-      // A touched page is no longer "wasted" prefetch (§V-A2 accounting).
-      blk.prefetched_unused.reset(pi);
-      if (rec.write) {
-        blk.dirty.set(pi);
-        blk.ever_populated.set(pi);
-        // A write to a read-duplicated page collapses the duplication:
-        // the host copy is stale from this instant.
-        if (blk.read_duplicated.test(pi)) {
-          blk.read_duplicated.reset(pi);
-          blk.cpu_resident.reset(pi);
-        }
+      ++remote_accesses_;
+    }
+    // A touched page is no longer "wasted" prefetch (§V-A2 accounting).
+    blk->prefetched_unused.reset(pi);
+    if (rec.write) {
+      blk->dirty.set(pi);
+      blk->ever_populated.set(pi);
+      // A write to a read-duplicated page collapses the duplication:
+      // the host copy is stale from this instant.
+      if (blk->read_duplicated.test(pi)) {
+        blk->read_duplicated.reset(pi);
+        blk->cpu_resident.reset(pi);
       }
-      ++ks.page_touches;
-      ac_->on_resident_access(p, eq_->now());
-      continue;
     }
-    still_missing.push_back(p);
-    // Far-fault: park the lane. A new buffer entry is emitted only if no
-    // fault for this base page is already pending (µTLB coalescing at the
-    // host page granularity) and the SM still has a free fault slot
-    // (hardware throttling).
-    VirtPage pending_key = p - (p % cfg_.fault_granularity_pages);
-    if (pending_faults_.contains(pending_key)) {
-      ++faults_coalesced_;
-      continue;
-    }
-    if (sm_outstanding_faults_[w.sm] >= cfg_.utlb_fault_slots) {
-      ++faults_throttled_;
-      continue;
-    }
-    FaultEntry e;
-    e.fault_id = next_fault_id_++;
-    e.page = p;
-    e.block = block_of_page(p);
-    e.range = as_->range_of(p);
-    e.access = rec.write ? FaultAccessType::Write : FaultAccessType::Read;
-    e.gpc_id = w.sm / cfg_.sms_per_gpc;
-    e.origin_sm = w.sm;
-    e.origin_warp = w.id;
-    if (fb_->push(e, eq_->now())) {
-      pushed_any = true;
-      ++w.faults_raised;
-      ++ks.faults_raised;
-      pending_faults_.insert(pending_key);
-      ++sm_outstanding_faults_[w.sm];
-    } else if (fault_dropped_) {
-      fault_dropped_();
-    }
+    ++ks.page_touches;
+    if (ac_->enabled()) ac_->on_resident_access(p, now);
   }
 
-  if (!still_missing.empty()) {
-    w.pending_pages = std::move(still_missing);
+  if (!missing_.empty()) {
+    w.pending_pages.swap(missing_);
+    w.record_in_flight = true;
     w.state = WarpState::Stalled;
-    w.stall_start = eq_->now();
+    w.stall_start = now;
     stalled_.push_back(ref);
     if (pushed_any && interrupt_) interrupt_();
     return;
@@ -244,6 +240,41 @@ void GpuEngine::step_warp(WarpRef ref) {
   ++w.pos;
   schedule_step(ref, rec.compute_ns + cfg_.access_latency + walk_penalty +
                          rng_.next_below(cfg_.jitter_ns + 1));
+}
+
+bool GpuEngine::raise_fault(Warp& w, KernelStats& ks, VirtPage p,
+                            bool write) {
+  // A new buffer entry is emitted only if no fault for this base page is
+  // already pending (µTLB coalescing at the host page granularity, a power
+  // of two) and the SM still has a free fault slot (hardware throttling).
+  const VirtPage pending_key =
+      p & ~VirtPage{cfg_.fault_granularity_pages - 1};
+  if (pending_faults_.contains(pending_key)) {
+    ++faults_coalesced_;
+    return false;
+  }
+  if (sm_outstanding_faults_[w.sm] >= cfg_.utlb_fault_slots) {
+    ++faults_throttled_;
+    return false;
+  }
+  FaultEntry e;
+  e.fault_id = next_fault_id_++;
+  e.page = p;
+  e.block = block_of_page(p);
+  e.range = as_->range_of(p);
+  e.access = write ? FaultAccessType::Write : FaultAccessType::Read;
+  e.gpc_id = w.sm / cfg_.sms_per_gpc;
+  e.origin_sm = w.sm;
+  e.origin_warp = w.id;
+  if (!fb_->push(e, eq_->now())) {
+    if (fault_dropped_) fault_dropped_();
+    return false;
+  }
+  ++w.faults_raised;
+  ++ks.faults_raised;
+  pending_faults_.insert(pending_key);
+  ++sm_outstanding_faults_[w.sm];
+  return true;
 }
 
 void GpuEngine::complete_warp(ActiveKernel& k, Warp& w) {
@@ -273,11 +304,9 @@ void GpuEngine::replay() {
   sm_outstanding_faults_.assign(sm_outstanding_faults_.size(), 0);
   if (stalled_.empty()) return;
 
-  std::vector<WarpRef> to_resume;
-  to_resume.swap(stalled_);
-  // One replay notification per kernel that had parked warps.
-  std::unordered_set<std::uint64_t> kernels_seen;
-  for (WarpRef ref : to_resume) {
+  ++replays_;
+  resuming_.swap(stalled_);  // resuming_ was empty: stalled_ now is
+  for (WarpRef ref : resuming_) {
     auto it = active_.find(ref.kernel);
     if (it == active_.end()) continue;
     ActiveKernel& k = it->second;
@@ -290,9 +319,14 @@ void GpuEngine::replay() {
     ks.stall_ns += stalled_for;
     ++ks.stall_episodes;
     stall_latency_.add(stalled_for);
-    if (kernels_seen.insert(ref.kernel).second) ++ks.replays_seen;
+    // One replay notification per kernel that had parked warps.
+    if (k.last_replay_seen != replays_) {
+      k.last_replay_seen = replays_;
+      ++ks.replays_seen;
+    }
     schedule_step(ref, cfg_.replay_latency + rng_.next_below(cfg_.jitter_ns + 1));
   }
+  resuming_.clear();
 }
 
 void GpuEngine::invalidate_tlbs() {

@@ -28,6 +28,7 @@
 #include "gpu/access_counters.h"
 #include "gpu/block_scheduler.h"
 #include "gpu/fault_buffer.h"
+#include "gpu/pending_fault_set.h"
 #include "gpu/sm.h"
 #include "gpu/warp.h"
 #include "mem/address_space.h"
@@ -109,6 +110,9 @@ class GpuEngine {
 
   /// `link` (optional) is the host-device interconnect zero-copy accesses
   /// travel over; when null, remote accesses pay only the fixed latency.
+  /// Warps read residency straight from `as`'s blocks (the masks `pt`
+  /// maintains), one block lookup per run of same-block pages. Throws
+  /// std::invalid_argument on a config that could never run a kernel.
   GpuEngine(const Config& cfg, EventQueue& eq, AddressSpace& as,
             PageTable& pt, FaultBuffer& fb, AccessCounters& ac,
             Interconnect* link = nullptr);
@@ -186,6 +190,9 @@ class GpuEngine {
     std::vector<std::uint32_t> block_first_warp;
     std::vector<std::uint32_t> block_live_warps;
     std::size_t warps_done = 0;
+    /// Last replay (GpuEngine::replays_) this kernel counted in
+    /// KernelStats::replays_seen.
+    std::uint64_t last_replay_seen = 0;
   };
   /// Handle identifying one warp of one active kernel.
   struct WarpRef {
@@ -198,13 +205,16 @@ class GpuEngine {
   void dispatch_blocks();
   void schedule_step(WarpRef ref, SimDuration delay);
   void step_warp(WarpRef ref);
+  /// Parks one missing lane of `w`'s record: coalesces with a pending fault
+  /// on its base page, is throttled when the SM has no free fault slot, or
+  /// pushes a new fault entry. Returns true if an entry reached the buffer.
+  bool raise_fault(Warp& w, KernelStats& ks, VirtPage p, bool write);
   /// Retires warp `w`; may complete its kernel (invalidating `k`).
   void complete_warp(ActiveKernel& k, Warp& w);
 
   Config cfg_;
   EventQueue* eq_;
   AddressSpace* as_;
-  PageTable* pt_;
   FaultBuffer* fb_;
   AccessCounters* ac_;
   Interconnect* link_;
@@ -218,6 +228,13 @@ class GpuEngine {
   std::vector<Sm> sms_;
   BlockScheduler scheduler_;
   std::vector<WarpRef> stalled_;
+  /// Buffers reused across calls so stepping and replay never allocate in
+  /// steady state: the lanes still missing after a step (swapped into the
+  /// warp), and the warps a replay resumes.
+  std::vector<VirtPage> missing_;
+  std::vector<WarpRef> resuming_;
+  /// Replays that found parked warps; numbers them for last_replay_seen.
+  std::uint64_t replays_ = 0;
 
   std::function<void()> interrupt_;
   std::function<void()> fault_dropped_;
@@ -232,7 +249,7 @@ class GpuEngine {
 
   /// Pages with an in-flight fault entry since the last replay: further
   /// faults on them coalesce (no new entry). Cleared on replay.
-  std::unordered_set<VirtPage> pending_faults_;
+  PendingFaultSet pending_faults_;
   /// Outstanding fault entries per SM since the last replay.
   std::vector<std::uint32_t> sm_outstanding_faults_;
 };

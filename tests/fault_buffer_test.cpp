@@ -31,6 +31,29 @@ TEST(FaultBuffer, PushPopFifo) {
   EXPECT_FALSE(fb.pop().has_value());
 }
 
+TEST(FaultBuffer, FifoAcrossWrapAndGrowth) {
+  // Interleaved pushes and pops wrap the ring's head before it grows, so
+  // growth must unroll the live entries oldest first.
+  FaultBuffer::Config c;
+  c.capacity = 100;
+  FaultBuffer fb(c);
+  VirtPage pushed = 0;
+  VirtPage popped = 0;
+  for (int round = 0; round < 12; ++round) {
+    for (int i = 0; i < 9; ++i) ASSERT_TRUE(fb.push(entry(pushed++), 0));
+    for (int i = 0; i < 5; ++i) {
+      auto e = fb.pop();
+      ASSERT_TRUE(e);
+      EXPECT_EQ(e->page, popped++);
+    }
+    ASSERT_EQ(fb.size(), pushed - popped);
+    EXPECT_EQ(fb.peek()->page, popped);
+  }
+  while (auto e = fb.pop()) EXPECT_EQ(e->page, popped++);
+  EXPECT_EQ(popped, pushed);
+  EXPECT_EQ(fb.max_occupancy(), 11u * 4 + 9);  // peak: before the last pops
+}
+
 TEST(FaultBuffer, TimestampsStamped) {
   FaultBuffer fb(small_cfg());
   fb.push(entry(1), 1000);

@@ -229,5 +229,48 @@ TEST_F(GpuEngineTest, ResidentAccessClearsPrefetchedUnused) {
   EXPECT_TRUE(blk.prefetched_unused.none());
 }
 
+/// Constructs an engine from the default config as changed by `edit`.
+template <typename Edit>
+void construct_with(Edit edit) {
+  EventQueue eq;
+  AddressSpace as;
+  PageTable pt(as);
+  FaultBuffer fb(FaultBuffer::Config{});
+  AccessCounters ac(AccessCounters::Config{});
+  GpuEngine::Config c;
+  edit(c);
+  GpuEngine gpu(c, eq, as, pt, fb, ac);
+}
+
+TEST(GpuEngineConfig, ZeroNumSmsRejected) {
+  EXPECT_THROW(construct_with([](auto& c) { c.num_sms = 0; }),
+               std::invalid_argument);
+}
+
+TEST(GpuEngineConfig, ZeroMaxBlocksPerSmRejected) {
+  EXPECT_THROW(construct_with([](auto& c) { c.max_blocks_per_sm = 0; }),
+               std::invalid_argument);
+}
+
+TEST(GpuEngineConfig, ZeroSmsPerGpcRejected) {
+  EXPECT_THROW(construct_with([](auto& c) { c.sms_per_gpc = 0; }),
+               std::invalid_argument);
+}
+
+TEST(GpuEngineConfig, ZeroUtlbEntriesRejected) {
+  EXPECT_THROW(construct_with([](auto& c) { c.utlb_entries = 0; }),
+               std::invalid_argument);
+}
+
+TEST(GpuEngineConfig, ZeroUtlbFaultSlotsRejected) {
+  EXPECT_THROW(construct_with([](auto& c) { c.utlb_fault_slots = 0; }),
+               std::invalid_argument);
+}
+
+TEST(GpuEngineConfig, BadFaultGranularityRejected) {
+  EXPECT_THROW(construct_with([](auto& c) { c.fault_granularity_pages = 3; }),
+               std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace uvmsim
