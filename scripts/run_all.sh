@@ -7,7 +7,7 @@ set -euo pipefail
 BUILD=${1:-build}
 RESULTS=${2:-results}
 
-cmake -B "$BUILD" -G Ninja
+cmake -B "$BUILD"
 cmake --build "$BUILD"
 
 echo "== tests =="

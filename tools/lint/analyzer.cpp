@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -37,7 +36,6 @@ struct FileData {
   LexedFile lx;
   std::string display;  ///< normalized path used in findings
   std::string key;      ///< canonical path used for include resolution
-  std::uint64_t hash = 0;  ///< FNV-1a of the raw bytes (index cache key)
   bool is_header = false;
   std::vector<std::pair<std::string, int>> project_includes;  ///< "x/y.h",line
   std::set<std::string> system_includes;                      ///< "vector",...
@@ -972,7 +970,6 @@ struct Linter::Impl {
   LintOptions opts;
   std::vector<FileData> files;
   std::map<std::string, std::size_t> by_key;
-  IndexCacheReport cache_report;
 
   bool add_file(const fs::path& p) {
     std::ifstream in(p, std::ios::binary);
@@ -983,7 +980,6 @@ struct Linter::Impl {
     FileData fd;
     fd.display = display_path(p);
     fd.key = file_key(p);
-    fd.hash = content_hash(source);
     fd.lx = lex_file(fd.display, source);
     const std::string& d = fd.display;
     fd.is_header = ends_with(d, ".h") || ends_with(d, ".hpp");
@@ -996,7 +992,7 @@ struct Linter::Impl {
   }
 
   /// Path reported in findings: relative to opts.root when the file lives
-  /// under it, so baselines and golden output are invocation-directory
+  /// under it, so finding ids and golden output are invocation-directory
   /// independent; the normalized spelling otherwise.
   std::string display_path(const fs::path& p) const {
     const std::string rootk = file_key(fs::path(opts.root));
@@ -1141,20 +1137,10 @@ std::vector<Finding> Linter::run() {
 
   // Symbol index per TU — scope suppressions and symbol attribution need it
   // in every mode; project mode additionally feeds it to the call graph.
-  // Only the project pass consults the on-disk cache: per-file runs are
-  // already fast and must not dirty the cache directory.
-  impl_->cache_report = {};
   std::vector<FileIndex> indices(files.size());
-  {
-    IndexCacheStats stats;
-    const std::string& cache =
-        impl_->opts.project ? impl_->opts.cache_dir : std::string();
-    for (std::size_t i = 0; i < files.size(); ++i) {
-      indices[i] = index_file_cached(files[i].lx, files[i].hash, cache,
-                                     &stats);
-      indices[i].path = files[i].display;
-    }
-    impl_->cache_report = {stats.hits, stats.misses};
+  for (std::size_t i = 0; i < files.size(); ++i) {
+    indices[i] = index_file(files[i].lx);
+    indices[i].path = files[i].display;
   }
 
   // Suppressions, with scope comments resolved to function extents.
@@ -1242,8 +1228,6 @@ std::vector<Finding> Linter::run() {
                  findings.end());
   return findings;
 }
-
-IndexCacheReport Linter::cache_report() const { return impl_->cache_report; }
 
 std::string finding_id(const Finding& f, int ordinal) {
   std::string id = f.rule + ":" + f.file + ":" + f.symbol;

@@ -18,7 +18,6 @@
 // skipped.
 #pragma once
 
-#include <cstddef>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -32,7 +31,7 @@ struct Finding {
   std::string category;  ///< rule category, e.g. "determinism"
   std::string message;
   /// Nearest enclosing non-lambda function/method, "" at file scope. Part
-  /// of the stable finding id, so baselines survive line churn.
+  /// of the stable finding id, so ids survive line churn.
   std::string symbol;
 };
 
@@ -43,14 +42,6 @@ struct LintOptions {
   std::string root = ".";
   /// Enables the whole-program pass (call-graph reachability + dataflow).
   bool project = false;
-  /// On-disk index cache directory for the project pass; "" disables
-  /// caching (every TU is re-indexed).
-  std::string cache_dir;
-};
-
-struct IndexCacheReport {
-  std::size_t hits = 0;
-  std::size_t misses = 0;
 };
 
 class Linter {
@@ -71,10 +62,6 @@ class Linter {
   /// their enclosing symbol.
   [[nodiscard]] std::vector<Finding> run();
 
-  /// Index-cache statistics of the last run() (project mode with a cache
-  /// directory only; zeros otherwise).
-  [[nodiscard]] IndexCacheReport cache_report() const;
-
  private:
   struct Impl;
   Impl* impl_;
@@ -89,7 +76,7 @@ class Linter {
 [[nodiscard]] std::vector<std::string> finding_ids(
     const std::vector<Finding>& fs);
 
-/// Minimal JSON string escaping shared by the JSON/SARIF/baseline writers.
+/// Minimal JSON string escaping for the --json writers.
 [[nodiscard]] std::string json_escape(const std::string& s);
 
 /// Serializes findings as a stable JSON document:

@@ -4,21 +4,17 @@
 // lambdas — with call edges, lambda capture lists, the UVMSIM_HOT flag,
 // and the "fact sites" the semantic rules consume (allocation / I/O /
 // clock / RNG identifiers, writes inside lambda bodies, range-for loops).
-// The per-TU result is persisted to an on-disk cache keyed by the file's
-// content hash, so incremental CI runs re-index only edited TUs
-// (index_file_cached + IndexCacheStats).
 //
 // This is deliberately not a C++ front end: symbols are recognized by token
 // shape (qualified-name + parameter list + body brace), calls by
 // `identifier (`, lambdas by a capture introducer in expression position.
 // Over-approximation is fine — the rule passes in callgraph.cpp/dataflow.cpp
-// are tuned so extra edges can only add findings that a typed suppression or
-// the baseline documents, never change simulation behavior.
+// are tuned so extra edges can only add findings, each of which is fixed or
+// documented by a justified suppression; they never change simulation
+// behavior.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -92,36 +88,13 @@ struct UnorderedLoop {
 };
 
 struct FileIndex {
-  std::string path;  ///< display path (diagnostics only; not hashed)
-  std::uint64_t hash = 0;
+  std::string path;  ///< display path (diagnostics only)
   std::vector<IndexedSymbol> symbols;
   std::vector<std::string> atomic_names;  ///< names declared std::atomic<...>
   std::vector<UnorderedLoop> loops;
 };
 
-/// FNV-1a 64 over the raw bytes; the cache key.
-[[nodiscard]] std::uint64_t content_hash(const std::string& content);
-
 /// Parses one lexed TU. Pure function of the token stream.
 [[nodiscard]] FileIndex index_file(const LexedFile& lx);
-
-struct IndexCacheStats {
-  std::size_t hits = 0;    ///< TUs served from the on-disk cache
-  std::size_t misses = 0;  ///< TUs (re-)parsed this run
-};
-
-/// Like index_file, but consults `cache_dir` first: one cache file per TU
-/// (named by a hash of the display path) holding the serialized FileIndex
-/// plus the content hash it was built from. A hash mismatch or version
-/// mismatch re-parses and rewrites just that TU's entry. Empty `cache_dir`
-/// disables caching. Cache I/O failures degrade to a plain parse.
-[[nodiscard]] FileIndex index_file_cached(const LexedFile& lx,
-                                          std::uint64_t hash,
-                                          const std::string& cache_dir,
-                                          IndexCacheStats* stats);
-
-/// Serialization used by the cache (line-oriented text, versioned).
-void write_file_index(std::ostream& os, const FileIndex& fi);
-[[nodiscard]] bool read_file_index(std::istream& is, FileIndex& fi);
 
 }  // namespace uvmsim::lint
