@@ -28,7 +28,7 @@ int main() {
       SimDuration base = 0;
       for (bool pipelined : {false, true}) {
         SimConfig cfg = base_config();
-        cfg.driver.prefetch_enabled = prefetch;
+        cfg.driver.prefetch = prefetch ? PrefetchMode::Tree : PrefetchMode::Off;
         cfg.driver.pipelined_migrations = pipelined;
         RunResult r = run_workload(cfg, wl, target);
         if (!pipelined) base = r.total_kernel_time();

@@ -32,7 +32,7 @@ int main() {
   auto results = runner.sweep(points, [target](const Point& p) {
     SimConfig cfg = base_config();
     cfg.driver.batch_size = p.bs;
-    cfg.driver.prefetch_enabled = false;  // isolate batching effects
+    cfg.driver.prefetch = PrefetchMode::Off;  // isolate batching effects
     return run_workload(cfg, p.wl, target);
   });
 

@@ -31,7 +31,7 @@ int main() {
           ReplayPolicyKind::BatchFlush, ReplayPolicyKind::Once}) {
       SimConfig cfg = base_config();
       cfg.driver.replay_policy = policy;
-      cfg.driver.prefetch_enabled = false;
+      cfg.driver.prefetch = PrefetchMode::Off;
       // Stay in the paper's batch << outstanding-faults regime (see
       // fig05): with the whole buffer fitting in one batch, Batch and Once
       // degenerate to the same schedule.

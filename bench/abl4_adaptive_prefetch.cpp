@@ -4,6 +4,8 @@
 // undersubscribed — where it rivals explicit transfer — and throttled or
 // disabled once eviction pressure appears. Compared against the fixed 51 %
 // default and fixed extremes on both sides of the memory boundary.
+#include <iterator>
+
 #include "bench_common.h"
 #include "core/metrics.h"
 #include "core/report.h"
@@ -12,17 +14,16 @@ int main() {
   using namespace uvmsim;
   using namespace uvmsim::bench;
 
-  struct Mode {
+  struct Row {
     const char* name;
-    bool adaptive;
+    PrefetchMode mode;
     std::uint32_t threshold;
-    bool prefetch;
   };
-  const Mode modes[] = {
-      {"fixed_51 (default)", false, 51, true},
-      {"fixed_1 (aggressive)", false, 1, true},
-      {"prefetch_off", false, 51, false},
-      {"adaptive", true, 51, true},
+  const Row rows[] = {
+      {"fixed_51 (default)", PrefetchMode::Tree, 51},
+      {"fixed_1 (aggressive)", PrefetchMode::Tree, 1},
+      {"prefetch_off", PrefetchMode::Off, 51},
+      {"adaptive", PrefetchMode::Adaptive, 51},
   };
 
   for (const std::string wl : {"regular", "random"}) {
@@ -31,31 +32,20 @@ int main() {
           ratio * static_cast<double>(gpu_bytes()));
       Table t({"mode", "kernel_time", "faults", "prefetched", "evictions",
                "bytes_h2d"});
-      SimDuration best_fixed_under = 0, adaptive_time = 0, aggressive = 0,
-                  off_time = 0;
-      for (const Mode& m : modes) {
+      SimDuration kernel_time[std::size(rows)] = {};
+      for (std::size_t i = 0; i < std::size(rows); ++i) {
         SimConfig cfg = base_config();
-        cfg.driver.adaptive_prefetch = m.adaptive;
-        cfg.driver.prefetch_threshold = m.threshold;
-        cfg.driver.prefetch_enabled = m.prefetch;
+        cfg.driver.prefetch = rows[i].mode;
+        cfg.driver.prefetch_threshold = rows[i].threshold;
         RunResult r = run_workload(cfg, wl, target);
-        if (std::string(m.name) == "adaptive") {
-          adaptive_time = r.total_kernel_time();
-        }
-        if (std::string(m.name) == "fixed_1 (aggressive)") {
-          aggressive = r.total_kernel_time();
-        }
-        if (std::string(m.name) == "prefetch_off") {
-          off_time = r.total_kernel_time();
-        }
-        if (std::string(m.name).starts_with("fixed_51")) {
-          best_fixed_under = r.total_kernel_time();
-        }
-        t.add_row({m.name, format_duration(r.total_kernel_time()),
+        kernel_time[i] = r.total_kernel_time();
+        t.add_row({rows[i].name, format_duration(r.total_kernel_time()),
                    fmt(r.counters.faults_fetched),
                    fmt(r.counters.pages_prefetched),
                    fmt(r.counters.evictions), format_bytes(r.bytes_h2d)});
       }
+      const auto [best_fixed_under, aggressive, off_time, adaptive_time] =
+          kernel_time;
       t.print("Ablation 4 — " + wl + " @ " + fmt(100.0 * ratio, 3) +
               " % of GPU memory");
 

@@ -49,7 +49,7 @@ int main() {
       // Pure demand paging: prefetch-driven population is speculative and
       // backs at root granularity by design, which would mask the
       // allocation-granularity asymmetry this ablation isolates.
-      cfg.driver.prefetch_enabled = false;
+      cfg.driver.prefetch = PrefetchMode::Off;
       cfg.driver.chunking.enabled = p.enabled;
       if (p.split >= 0) cfg.driver.chunking.split_watermark = p.split;
       if (p.fine >= 0) cfg.driver.chunking.fine_watermark = p.fine;

@@ -19,7 +19,7 @@ SimConfig thrash_cfg(std::uint64_t gpu, ThrashMitigation m, bool enabled) {
   SimConfig cfg;
   cfg.set_gpu_memory(gpu);
   cfg.enable_fault_log = false;
-  cfg.driver.prefetch_enabled = false;
+  cfg.driver.prefetch = PrefetchMode::Off;
   cfg.driver.thrashing.enabled = enabled;
   cfg.driver.thrashing.mitigation = m;
   cfg.driver.thrashing.window = 2 * kMillisecond;

@@ -55,7 +55,7 @@ int main() {
         row.explicit_total =
             ExplicitTransfer::run(base_config(), *wl_ex).total;
         SimConfig nopf = base_config();
-        nopf.driver.prefetch_enabled = false;
+        nopf.driver.prefetch = PrefetchMode::Off;
         row.nopf = run_workload(nopf, wl, bytes).total_kernel_time();
         row.pf = run_workload(base_config(), wl, bytes).total_kernel_time();
         return row;
@@ -107,7 +107,7 @@ int main() {
     auto bytes = static_cast<std::uint64_t>(
         2.0 * static_cast<double>(cfg.gpu_memory()));
     SimConfig nopf = cfg;
-    nopf.driver.prefetch_enabled = false;
+    nopf.driver.prefetch = PrefetchMode::Off;
     SimDuration t_pf = run_workload(cfg, "random", bytes).total_kernel_time();
     SimDuration t_nopf =
         run_workload(nopf, "random", bytes).total_kernel_time();

@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
              "faults"});
     for (std::uint64_t bytes : sizes) {
       SimConfig cfg = base_config();
-      cfg.driver.prefetch_enabled = false;
+      cfg.driver.prefetch = PrefetchMode::Off;
       cfg.costs.replay_per_group = replay_per_group;
       RunResult r = run_workload(cfg, wl, bytes);
 
@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
   std::uint64_t mid = std::max<std::uint64_t>(sizes[sizes.size() - 2],
                                               32ull << 20);
   SimConfig cfg = base_config();
-  cfg.driver.prefetch_enabled = false;
+  cfg.driver.prefetch = PrefetchMode::Off;
   cfg.costs.replay_per_group = replay_per_group;
   RunResult rr = run_workload(cfg, "regular", mid);
   RunResult rn = run_workload(cfg, "random", mid);
@@ -105,7 +105,7 @@ int main(int argc, char** argv) {
     // One traced re-run of the representative configuration, so the fault
     // cost breakdown can be inspected span by span in Perfetto.
     SimConfig tc = base_config();
-    tc.driver.prefetch_enabled = false;
+    tc.driver.prefetch = PrefetchMode::Off;
     run_workload_traced(tc, "regular", mid, path);
   }
   return 0;

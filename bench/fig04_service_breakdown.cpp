@@ -27,7 +27,7 @@ int main() {
              "pma_share_pct"});
     for (std::uint64_t bytes : sizes) {
       SimConfig cfg = base_config();
-      cfg.driver.prefetch_enabled = false;
+      cfg.driver.prefetch = PrefetchMode::Off;
       // Steady-state service costs are the subject here; the one-time
       // cold-start floor belongs to Fig. 3.
       cfg.costs.driver_cold_start = 0;
@@ -58,7 +58,7 @@ int main() {
 
   // Coalescing claim: same page count, one VABlock vs many VABlocks.
   SimConfig cfg = base_config();
-  cfg.driver.prefetch_enabled = false;
+  cfg.driver.prefetch = PrefetchMode::Off;
   RunResult reg = run_workload(cfg, "regular", 2ull << 20);
   RunResult rnd = run_workload(cfg, "random", 2ull << 20);
   shape_check("scattered service (random) costs more migrate time than "

@@ -20,7 +20,7 @@ int main() {
 
   auto run_policy = [&](ReplayPolicyKind policy, std::uint64_t bytes) {
     SimConfig cfg = base_config();
-    cfg.driver.prefetch_enabled = false;
+    cfg.driver.prefetch = PrefetchMode::Off;
     cfg.driver.replay_policy = policy;
     // The testbed GPU keeps far more faults outstanding than one batch
     // (80 SMs vs a 256-entry batch). The scaled simulator generates fewer

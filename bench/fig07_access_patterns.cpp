@@ -34,7 +34,7 @@ int main() {
 
   for (const auto& name : workload_names()) {
     SimConfig cfg = base_config(/*fault_log=*/true);
-    cfg.driver.prefetch_enabled = false;
+    cfg.driver.prefetch = PrefetchMode::Off;
 
     Simulator sim(cfg);
     auto wl = make_workload(name, target);

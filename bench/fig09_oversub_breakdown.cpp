@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
   SweepRunner runner;
   auto results = runner.sweep(points, [&cfg](const Point& p) {
     SimConfig c = cfg;
-    c.driver.prefetch_enabled = p.prefetch;
+    c.driver.prefetch = p.prefetch ? PrefetchMode::Tree : PrefetchMode::Off;
     auto target = static_cast<std::uint64_t>(
         p.ratio * static_cast<double>(cfg.gpu_memory()));
     return run_workload(c, p.wl, target);

@@ -33,23 +33,8 @@ namespace {
 using namespace uvmsim;
 using namespace uvmsim::bench;
 
-enum class Mode { Off, Tree, Markov };
-constexpr std::array<Mode, 3> kModes = {Mode::Off, Mode::Tree, Mode::Markov};
-
-const char* mode_name(Mode m) {
-  switch (m) {
-    case Mode::Off: return "off";
-    case Mode::Tree: return "tree";
-    case Mode::Markov: return "markov";
-  }
-  return "?";
-}
-
-void apply_mode(SimConfig& c, Mode m) {
-  c.driver.prefetch_enabled = m != Mode::Off;
-  c.driver.prefetch_policy =
-      m == Mode::Markov ? PrefetchPolicyKind::Markov : PrefetchPolicyKind::Tree;
-}
+constexpr std::array<PrefetchMode, 3> kModes = {
+    PrefetchMode::Off, PrefetchMode::Tree, PrefetchMode::Markov};
 
 }  // namespace
 
@@ -65,7 +50,7 @@ int main() {
   struct Point {
     double ratio;    ///< footprint (range bytes) / GPU memory
     std::string wl;
-    Mode mode;
+    PrefetchMode mode;
   };
   const std::vector<double> ratios = fast_mode()
                                          ? std::vector<double>{0.5, 2.0}
@@ -73,14 +58,14 @@ int main() {
   std::vector<Point> points;
   for (double ratio : ratios) {
     for (const std::string& wl : patterns) {
-      for (Mode m : kModes) points.push_back({ratio, wl, m});
+      for (PrefetchMode m : kModes) points.push_back({ratio, wl, m});
     }
   }
 
   SweepRunner runner;
   auto results = runner.sweep(points, [&cfg](const Point& p) {
     SimConfig c = cfg;
-    apply_mode(c, p.mode);
+    c.driver.prefetch = p.mode;
     auto target = static_cast<std::uint64_t>(
         p.ratio * static_cast<double>(cfg.gpu_memory()));
     return run_workload(c, p.wl, target);
@@ -99,12 +84,14 @@ int main() {
       const auto wi = static_cast<std::size_t>(
           std::find(patterns.begin(), patterns.end(), p.wl) -
           patterns.begin());
-      deep[wi][static_cast<std::size_t>(p.mode)] = r.total_kernel_time();
-      if (p.mode == Mode::Markov) {
+      const auto mi = static_cast<std::size_t>(
+          std::find(kModes.begin(), kModes.end(), p.mode) - kModes.begin());
+      deep[wi][mi] = r.total_kernel_time();
+      if (p.mode == PrefetchMode::Markov) {
         deep_markov_blocks[wi] = r.counters.markov_blocks_prefetched;
       }
     }
-    t.add_row({fmt(100.0 * p.ratio, 3) + "%", p.wl, mode_name(p.mode),
+    t.add_row({fmt(100.0 * p.ratio, 3) + "%", p.wl, to_string(p.mode),
                format_duration(r.total_kernel_time()),
                fmt(r.counters.faults_fetched), fmt(r.counters.pages_prefetched),
                fmt(r.counters.markov_blocks_prefetched),
@@ -112,9 +99,7 @@ int main() {
   }
   t.print("Policy crossover — prefetch policy x oversubscription x pattern");
 
-  const auto off = static_cast<std::size_t>(Mode::Off);
-  const auto tree = static_cast<std::size_t>(Mode::Tree);
-  const auto markov = static_cast<std::size_t>(Mode::Markov);
+  const std::size_t off = 0, tree = 1, markov = 2;  // kModes order
   // patterns[] indices: 0 = regular, 1 = strided, 2 = random.
   shape_check(
       "strided oversubscription reproduces PR 5: the tree's amplification "
@@ -149,7 +134,7 @@ int main() {
       ratios.back() * static_cast<double>(cfg.gpu_memory()));
   auto ev_results = runner.sweep(ev_points, [&](const EvPoint& p) {
     SimConfig c = cfg;
-    apply_mode(c, Mode::Markov);
+    c.driver.prefetch = PrefetchMode::Markov;
     c.driver.eviction_policy = p.kind;
     return run_workload(c, "strided", crossover_target);
   });

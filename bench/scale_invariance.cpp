@@ -31,7 +31,7 @@ ShapeMetrics measure(std::uint64_t gpu_bytes, std::uint32_t num_sms) {
     cfg.set_gpu_memory(gpu_bytes);
     cfg.gpu.num_sms = num_sms;
     cfg.enable_fault_log = false;
-    cfg.driver.prefetch_enabled = prefetch;
+    cfg.driver.prefetch = prefetch ? PrefetchMode::Tree : PrefetchMode::Off;
     // The one-time cold start amortizes differently across scales by
     // construction; exclude it so composition shares compare like for
     // like (every remaining component scales with page count).

@@ -48,7 +48,7 @@ int main() {
     jobs.emplace_back([name, target] {
       Row row;
       SimConfig nopf = base_config();
-      nopf.driver.prefetch_enabled = false;
+      nopf.driver.prefetch = PrefetchMode::Off;
       row.faults_nopf = run_workload(nopf, name, target).counters.faults_fetched;
       row.faults_pf =
           run_workload(base_config(), name, target).counters.faults_fetched;

@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
   SimConfig cfg;
   cfg.set_gpu_memory(128ull << 20);
   cfg.enable_fault_log = true;
-  cfg.driver.prefetch_enabled = prefetch;
+  cfg.driver.prefetch = prefetch ? PrefetchMode::Tree : PrefetchMode::Off;
 
   Simulator sim(cfg);
   auto wl = make_workload(name, bytes);

@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
 
   {
     SimConfig cfg = base;
-    cfg.driver.prefetch_enabled = false;
+    cfg.driver.prefetch = PrefetchMode::Off;
     row("prefetch off", cfg);
   }
   {
@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
   }
   {
     SimConfig cfg = base;
-    cfg.driver.adaptive_prefetch = true;
+    cfg.driver.prefetch = PrefetchMode::Adaptive;
     row("adaptive", cfg);
   }
 

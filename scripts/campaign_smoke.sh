@@ -10,7 +10,9 @@
 #      everything except the (order-dependent) journal and tmp/ scratch must
 #      be byte-identical,
 #   4. check the poisoned request was quarantined after exactly RETRIES
-#      attempts in total, however many sessions those attempts spanned.
+#      attempts in total, however many sessions those attempts spanned,
+#   5. check the invalid request was quarantined as a config error after
+#      exactly one attempt (the child CLI exits 2 for a bad knob value).
 #
 #   scripts/campaign_smoke.sh [build-dir]
 set -euo pipefail
@@ -35,6 +37,7 @@ workload=sgemm size-mib=6 gpu-mib=8 batch-size=64
 workload=stream size-mib=6 gpu-mib=8 batch-size=64
 workload=regular size-mib=4 gpu-mib=8 batch-size=64   # duplicate of line 1
 workload=regular size-mib=4 gpu-mib=8 batch-size=64 sabotage=crash
+workload=regular size-mib=4 gpu-mib=8 prefetch=sideways
 EOF
 RETRIES=3
 # Retry backoff keeps the poison request in flight long enough that the
@@ -63,6 +66,11 @@ check_store() { # <store> <reference> <label>
   attempts=$(awk -F'\t' '$2 == "crash" { print $3 }' "$store/failures.tsv")
   [ "$attempts" = "$RETRIES" ] \
     || { echo "campaign_smoke: quarantine after '$attempts' attempts, want $RETRIES ($label)";
+         cat "$store/failures.tsv"; exit 1; }
+  # A config error is never retried.
+  attempts=$(awk -F'\t' '$2 == "config" { print $3 }' "$store/failures.tsv")
+  [ "$attempts" = "1" ] \
+    || { echo "campaign_smoke: config quarantine after '$attempts' attempts, want 1 ($label)";
          cat "$store/failures.tsv"; exit 1; }
 }
 

@@ -1,11 +1,14 @@
 #include "campaign/request.h"
 
+#include <cerrno>
 #include <cstdlib>
 #include <fstream>
 #include <iomanip>
 #include <istream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "core/errors.h"
 #include "workloads/registry.h"
@@ -15,19 +18,25 @@ namespace uvmsim::campaign {
 
 namespace {
 
-std::uint64_t parse_u64(const std::string& key, const std::string& v) {
-  if (v.empty() || v[0] == '-') {
-    throw ConfigError("request." + key, "wants a non-negative integer, got '" +
-                                            v + "'");
-  }
+/// The one parser for unsigned knobs: decimal digits only (no sign, no
+/// whitespace, no trailing junk), and the value must fit the field (`max`).
+std::uint64_t parse_u64(
+    const std::string& key, const std::string& v,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
   errno = 0;
-  char* end = nullptr;
-  const unsigned long long n = std::strtoull(v.c_str(), &end, 10);
-  if (end == v.c_str() || *end != '\0' || errno == ERANGE) {
+  const unsigned long long n = std::strtoull(v.c_str(), nullptr, 10);
+  if (v.empty() || v.find_first_not_of("0123456789") != std::string::npos ||
+      errno == ERANGE || n > max) {
     throw ConfigError("request." + key,
-                      "wants a non-negative integer, got '" + v + "'");
+                      "wants a non-negative integer <= " +
+                          std::to_string(max) + ", got '" + v + "'");
   }
-  return static_cast<std::uint64_t>(n);
+  return n;
+}
+
+std::uint32_t parse_u32(const std::string& key, const std::string& v) {
+  return static_cast<std::uint32_t>(
+      parse_u64(key, v, std::numeric_limits<std::uint32_t>::max()));
 }
 
 double parse_rate(const std::string& key, const std::string& v) {
@@ -63,7 +72,88 @@ std::string hex16(std::uint64_t v) {
   return os.str();
 }
 
+/// Maps an enum knob's string to its value; the error lists every legal
+/// spelling in table order.
+template <typename T, std::size_t N>
+T lookup(const char* key, const std::string& v,
+         const std::pair<const char*, T> (&table)[N]) {
+  std::string legal;
+  for (const auto& [name, value] : table) {
+    if (v == name) return value;
+    legal += (legal.empty() ? "" : "|") + std::string(name);
+  }
+  throw ConfigError(std::string("request.") + key,
+                    "wants " + legal + ", got '" + v + "'");
+}
+
+/// The one mapping from the (prefetch, prefetch-policy) knob pair to the
+/// driver's prefetch mode.
+PrefetchMode prefetch_mode(const RunRequest& req) {
+  const PrefetchMode mode = lookup("prefetch", req.prefetch,
+                                   {std::pair{"on", PrefetchMode::Tree},
+                                    {"off", PrefetchMode::Off},
+                                    {"adaptive", PrefetchMode::Adaptive}});
+  const bool markov = lookup("prefetch-policy", req.prefetch_policy,
+                             {std::pair{"tree", false}, {"markov", true}});
+  if (!markov || mode == PrefetchMode::Off) return mode;
+  if (mode == PrefetchMode::Adaptive) {
+    throw ConfigError("request.prefetch-policy",
+                      "markov cannot combine with prefetch=adaptive");
+  }
+  return PrefetchMode::Markov;
+}
+
 }  // namespace
+
+void set_request_key(RunRequest& req, const std::string& key,
+                     const std::string& val) {
+  if (key == "workload") {
+    req.workload = val;
+  } else if (key == "trace") {
+    req.trace_file = val;
+  } else if (key == "size-mib") {
+    req.size_mib = parse_u64(key, val);
+  } else if (key == "gpu-mib") {
+    req.gpu_mib = parse_u64(key, val);
+  } else if (key == "backend") {
+    req.backend = val;
+  } else if (key == "prefetch") {
+    req.prefetch = val;
+  } else if (key == "prefetch-policy") {
+    req.prefetch_policy = val;
+  } else if (key == "threshold") {
+    req.threshold = parse_u32(key, val);
+  } else if (key == "policy") {
+    req.policy = val;
+  } else if (key == "eviction") {
+    req.eviction = val;
+  } else if (key == "chunking") {
+    req.chunking = val;
+  } else if (key == "batch-size") {
+    req.batch_size = parse_u32(key, val);
+  } else if (key == "thrash") {
+    req.thrash = val;
+  } else if (key == "seed") {
+    req.seed = parse_u64(key, val);
+  } else if (key == "hazard-dma") {
+    req.hazard_dma = parse_rate(key, val);
+  } else if (key == "hazard-fb") {
+    req.hazard_fb = parse_rate(key, val);
+  } else if (key == "hazard-pma") {
+    req.hazard_pma = parse_rate(key, val);
+  } else if (key == "hazard-ac") {
+    req.hazard_ac = parse_rate(key, val);
+  } else if (key == "hazard-seed") {
+    req.hazard_seed = parse_u64(key, val);
+  } else if (key == "sabotage") {
+    req.sabotage = lookup("sabotage", val,
+                          {std::pair{"none", WorkerSabotage::None},
+                           {"crash", WorkerSabotage::Crash},
+                           {"hang", WorkerSabotage::Hang}});
+  } else {
+    throw ConfigError("request", "unknown key '" + key + "'");
+  }
+}
 
 RunRequest parse_request_line(const std::string& line) {
   RunRequest req;
@@ -75,60 +165,7 @@ RunRequest parse_request_line(const std::string& line) {
       throw ConfigError("request", "token '" + tok +
                                        "' is not of the form key=value");
     }
-    const std::string key = tok.substr(0, eq);
-    const std::string val = tok.substr(eq + 1);
-    if (key == "workload") {
-      req.workload = val;
-    } else if (key == "trace") {
-      req.trace_file = val;
-    } else if (key == "size-mib") {
-      req.size_mib = parse_u64(key, val);
-    } else if (key == "gpu-mib") {
-      req.gpu_mib = parse_u64(key, val);
-    } else if (key == "backend") {
-      req.backend = val;
-    } else if (key == "prefetch") {
-      req.prefetch = val;
-    } else if (key == "prefetch-policy") {
-      req.prefetch_policy = val;
-    } else if (key == "threshold") {
-      req.threshold = static_cast<std::uint32_t>(parse_u64(key, val));
-    } else if (key == "policy") {
-      req.policy = val;
-    } else if (key == "eviction") {
-      req.eviction = val;
-    } else if (key == "chunking") {
-      req.chunking = val;
-    } else if (key == "batch-size") {
-      req.batch_size = static_cast<std::uint32_t>(parse_u64(key, val));
-    } else if (key == "thrash") {
-      req.thrash = val;
-    } else if (key == "seed") {
-      req.seed = parse_u64(key, val);
-    } else if (key == "hazard-dma") {
-      req.hazard_dma = parse_rate(key, val);
-    } else if (key == "hazard-fb") {
-      req.hazard_fb = parse_rate(key, val);
-    } else if (key == "hazard-pma") {
-      req.hazard_pma = parse_rate(key, val);
-    } else if (key == "hazard-ac") {
-      req.hazard_ac = parse_rate(key, val);
-    } else if (key == "hazard-seed") {
-      req.hazard_seed = parse_u64(key, val);
-    } else if (key == "sabotage") {
-      if (val == "none") {
-        req.sabotage = WorkerSabotage::None;
-      } else if (val == "crash") {
-        req.sabotage = WorkerSabotage::Crash;
-      } else if (val == "hang") {
-        req.sabotage = WorkerSabotage::Hang;
-      } else {
-        throw ConfigError("request.sabotage",
-                          "wants none|crash|hang, got '" + val + "'");
-      }
-    } else {
-      throw ConfigError("request", "unknown key '" + key + "'");
-    }
+    set_request_key(req, tok.substr(0, eq), tok.substr(eq + 1));
   }
   if (req.workload == "trace") {
     if (req.trace_file.empty()) {
@@ -235,92 +272,36 @@ SimConfig request_sim_config(const RunRequest& req) {
   cfg.driver.batch_size = req.batch_size;
   cfg.driver.prefetch_threshold = req.threshold;
 
-  if (req.backend == "driver") {
-    cfg.driver.backend = ServicingBackendKind::DriverCentric;
-  } else if (req.backend == "gpu") {
-    cfg.driver.backend = ServicingBackendKind::GpuDriven;
-  } else {
-    throw ConfigError("request.backend",
-                      "wants driver|gpu, got '" + req.backend + "'");
-  }
-
-  if (req.prefetch == "on") {
-    cfg.driver.prefetch_enabled = true;
-  } else if (req.prefetch == "off") {
-    cfg.driver.prefetch_enabled = false;
-  } else if (req.prefetch == "adaptive") {
-    cfg.driver.prefetch_enabled = true;
-    cfg.driver.adaptive_prefetch = true;
-  } else {
-    throw ConfigError("request.prefetch",
-                      "wants on|off|adaptive, got '" + req.prefetch + "'");
-  }
-
-  if (req.prefetch_policy == "tree") {
-    cfg.driver.prefetch_policy = PrefetchPolicyKind::Tree;
-  } else if (req.prefetch_policy == "markov") {
-    cfg.driver.prefetch_policy = PrefetchPolicyKind::Markov;
-    if (cfg.driver.adaptive_prefetch) {
-      throw ConfigError("request.prefetch-policy",
-                        "markov cannot combine with prefetch=adaptive");
-    }
-  } else {
-    throw ConfigError("request.prefetch-policy",
-                      "wants tree|markov, got '" + req.prefetch_policy + "'");
-  }
-
-  if (req.policy == "block") {
-    cfg.driver.replay_policy = ReplayPolicyKind::Block;
-  } else if (req.policy == "batch") {
-    cfg.driver.replay_policy = ReplayPolicyKind::Batch;
-  } else if (req.policy == "batch_flush") {
-    cfg.driver.replay_policy = ReplayPolicyKind::BatchFlush;
-  } else if (req.policy == "once") {
-    cfg.driver.replay_policy = ReplayPolicyKind::Once;
-  } else {
-    throw ConfigError("request.policy",
-                      "wants block|batch|batch_flush|once, got '" +
-                          req.policy + "'");
-  }
-
-  if (req.eviction == "lru") {
-    cfg.driver.eviction_policy = EvictionPolicyKind::Lru;
-  } else if (req.eviction == "access_counter") {
-    cfg.driver.eviction_policy = EvictionPolicyKind::AccessCounter;
+  cfg.driver.backend =
+      lookup("backend", req.backend,
+             {std::pair{"driver", ServicingBackendKind::DriverCentric},
+              {"gpu", ServicingBackendKind::GpuDriven}});
+  cfg.driver.prefetch = prefetch_mode(req);
+  cfg.driver.replay_policy =
+      lookup("policy", req.policy,
+             {std::pair{"block", ReplayPolicyKind::Block},
+              {"batch", ReplayPolicyKind::Batch},
+              {"batch_flush", ReplayPolicyKind::BatchFlush},
+              {"once", ReplayPolicyKind::Once}});
+  cfg.driver.eviction_policy =
+      lookup("eviction", req.eviction,
+             {std::pair{"lru", EvictionPolicyKind::Lru},
+              {"access_counter", EvictionPolicyKind::AccessCounter},
+              {"clock", EvictionPolicyKind::Clock},
+              {"2q", EvictionPolicyKind::TwoQ}});
+  if (cfg.driver.eviction_policy == EvictionPolicyKind::AccessCounter) {
     cfg.access_counters.enabled = true;
-  } else if (req.eviction == "clock") {
-    cfg.driver.eviction_policy = EvictionPolicyKind::Clock;
-  } else if (req.eviction == "2q") {
-    cfg.driver.eviction_policy = EvictionPolicyKind::TwoQ;
-  } else {
-    throw ConfigError("request.eviction",
-                      "wants lru|access_counter|clock|2q, got '" +
-                          req.eviction + "'");
   }
-
-  if (req.chunking == "on") {
-    cfg.driver.chunking.enabled = true;
-  } else if (req.chunking == "off") {
-    cfg.driver.chunking.enabled = false;
-  } else {
-    throw ConfigError("request.chunking",
-                      "wants on|off, got '" + req.chunking + "'");
-  }
-
-  if (req.thrash != "off") {
-    cfg.driver.thrashing.enabled = true;
-    if (req.thrash == "detect") {
-      cfg.driver.thrashing.mitigation = ThrashMitigation::None;
-    } else if (req.thrash == "pin") {
-      cfg.driver.thrashing.mitigation = ThrashMitigation::Pin;
-    } else if (req.thrash == "throttle") {
-      cfg.driver.thrashing.mitigation = ThrashMitigation::Throttle;
-    } else {
-      throw ConfigError("request.thrash",
-                        "wants off|detect|pin|throttle, got '" + req.thrash +
-                            "'");
-    }
-  }
+  cfg.driver.chunking.enabled =
+      lookup("chunking", req.chunking, {std::pair{"on", true}, {"off", false}});
+  // "off" keeps the detector's default mitigation (inert while disabled).
+  cfg.driver.thrashing.mitigation =
+      lookup("thrash", req.thrash,
+             {std::pair{"off", cfg.driver.thrashing.mitigation},
+              {"detect", ThrashMitigation::None},
+              {"pin", ThrashMitigation::Pin},
+              {"throttle", ThrashMitigation::Throttle}});
+  cfg.driver.thrashing.enabled = req.thrash != "off";
 
   cfg.hazards.seed = req.hazard_seed;
   cfg.hazards.dma_fail_rate = req.hazard_dma;

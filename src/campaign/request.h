@@ -61,9 +61,16 @@ struct RunRequest {
   WorkerSabotage sabotage = WorkerSabotage::None;
 };
 
-/// Parses one queue line of `key=value` tokens. Unknown keys and malformed
-/// values raise ConfigError naming the key. Does NOT load trace content —
-/// the campaign loader resolves trace paths (see load_trace_content).
+/// Sets one knob from its queue-line spelling (`key`=`value`). Unknown keys
+/// and malformed numbers raise ConfigError naming the key; enum values are
+/// checked later, by request_sim_config. Both front ends parse through this:
+/// queue lines here, uvmsim_cli flags via its flag-to-key table.
+void set_request_key(RunRequest& req, const std::string& key,
+                     const std::string& value);
+
+/// Parses one queue line of `key=value` tokens (see set_request_key), then
+/// checks the cross-key constraints. Does NOT load trace content — the
+/// campaign loader resolves trace paths (see load_trace_content).
 [[nodiscard]] RunRequest parse_request_line(const std::string& line);
 
 /// Parses a whole queue file ('#' comments and blank lines skipped).
@@ -88,7 +95,8 @@ void load_trace_content(RunRequest& req);
 [[nodiscard]] std::string request_id(const RunRequest& req);
 
 /// Builds the SimConfig this request describes. Throws ConfigError on
-/// invalid knob values (same validation as the uvmsim_cli front end).
+/// invalid knob values. uvmsim_cli builds its config through this too, so
+/// both front ends validate every shared knob identically.
 [[nodiscard]] SimConfig request_sim_config(const RunRequest& req);
 
 /// Builds the workload (registry lookup or trace replay). Throws

@@ -50,19 +50,17 @@ Driver::Driver(const DriverConfig& cfg, const CostModel& cm, const Deps& deps,
       eviction_ = std::make_unique<TwoQEviction>();
       break;
   }
-  if (cfg_.prefetch_policy == PrefetchPolicyKind::Markov) {
-    if (cfg_.adaptive_prefetch) {
-      throw ConfigError("Driver.prefetch_policy",
-                        "markov replaces the density tree whose threshold "
-                        "adaptive_prefetch tunes; the two cannot combine");
-    }
-    // MarkovPrefetcher's ctor validates the table/confidence knobs.
-    if (cfg_.prefetch_enabled) {
+  switch (cfg_.prefetch) {
+    case PrefetchMode::Off:
+    case PrefetchMode::Tree:
+      break;
+    case PrefetchMode::Adaptive:
+      adaptive_ = std::make_unique<AdaptivePrefetcher>();
+      break;
+    case PrefetchMode::Markov:
+      // MarkovPrefetcher's ctor validates the table/confidence knobs.
       markov_ = std::make_unique<MarkovPrefetcher>(cfg_.markov);
-    }
-  }
-  if (cfg_.adaptive_prefetch) {
-    adaptive_ = std::make_unique<AdaptivePrefetcher>();
+      break;
   }
   thrashing_ = ThrashingDetector(cfg_.thrashing);
   rng_ = Rng(cfg_.seed);
@@ -248,7 +246,8 @@ SimTime Driver::service_bin(const FaultBatch::Bin& bin, SimTime t) {
   // speculation happens in markov_step below, shaped by the observed fault
   // footprint instead of by local density.
   PageMask prefetch;
-  if (cfg_.prefetch_enabled && !markov_) {
+  if (cfg_.prefetch == PrefetchMode::Tree ||
+      cfg_.prefetch == PrefetchMode::Adaptive) {
     t0 = t;
     const Prefetcher::Result pres = Prefetcher::compute_fast(
         blk, need, cfg_.big_page_upgrade, effective_threshold());

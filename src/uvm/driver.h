@@ -109,11 +109,11 @@ class Driver {
   void set_eviction_policy(std::unique_ptr<EvictionPolicy> policy) {
     eviction_ = std::move(policy);
   }
-  /// Non-null only when adaptive prefetching is enabled.
+  /// Non-null only under PrefetchMode::Adaptive.
   [[nodiscard]] const AdaptivePrefetcher* adaptive() const {
     return adaptive_.get();
   }
-  /// Non-null only under PrefetchPolicyKind::Markov with prefetching on.
+  /// Non-null only under PrefetchMode::Markov.
   [[nodiscard]] const MarkovPrefetcher* markov() const {
     return markov_.get();
   }

@@ -75,17 +75,21 @@ enum class EvictionPolicyKind : std::uint8_t {
 
 [[nodiscard]] const char* to_string(EvictionPolicyKind k);
 
-/// Which predictor drives speculative population while prefetching is
-/// enabled (`prefetch_enabled`); `prefetch_enabled = false` is the third
-/// "off" mode of the prefetch-policy axis.
-enum class PrefetchPolicyKind : std::uint8_t {
-  Tree,    ///< the paper's static two-stage density tree (default)
-  Markov,  ///< deterministic online-learned delta-Markov predictor
+/// The driver's prefetch mode (uvm_perf_prefetch_enable plus the predictor
+/// that speculates while it is on).
+enum class PrefetchMode : std::uint8_t {
+  Off,       ///< demand paging only: no upgrade, no speculation
+  Tree,      ///< the paper's two-stage density tree at a fixed threshold
+             ///< (default)
+  Adaptive,  ///< the tree with its threshold auto-tuned from the observed
+             ///< fault/eviction load (paper §VI-B)
+  Markov,    ///< deterministic online-learned delta-Markov predictor in
+             ///< place of the tree
 };
 
-[[nodiscard]] const char* to_string(PrefetchPolicyKind k);
+[[nodiscard]] const char* to_string(PrefetchMode m);
 
-/// Knobs for the online-learned prefetcher (PrefetchPolicyKind::Markov):
+/// Knobs for the online-learned prefetcher (PrefetchMode::Markov):
 /// a bounded direct-mapped table over VABlock-delta history with saturating
 /// confidence counters. Integer-only by construction — table indices come
 /// from a multiplicative hash and confidence is a saturating counter, so
@@ -166,15 +170,13 @@ struct DriverConfig {
   /// migration — keep false to reproduce the paper.
   bool pipelined_migrations = false;
 
-  /// Master prefetch switch (uvm_perf_prefetch_enable).
-  bool prefetch_enabled = true;
-  /// Which predictor speculates when prefetching is enabled. Markov
-  /// replaces the density tree with the online-learned delta predictor
-  /// (stage-1 big-page upgrade of faulted pages still applies).
-  PrefetchPolicyKind prefetch_policy = PrefetchPolicyKind::Tree;
-  /// Learned-prefetcher knobs (PrefetchPolicyKind::Markov only).
+  /// Prefetch mode. Markov replaces the density tree with the online-learned
+  /// delta predictor (stage-1 big-page upgrade is off with it).
+  PrefetchMode prefetch = PrefetchMode::Tree;
+  /// Learned-prefetcher knobs (PrefetchMode::Markov only).
   MarkovPrefetchConfig markov;
-  /// Density threshold percent (uvm_perf_prefetch_threshold, default 51).
+  /// Density threshold percent (uvm_perf_prefetch_threshold, default 51;
+  /// PrefetchMode::Adaptive tunes it at run time instead).
   std::uint32_t prefetch_threshold = 51;
   /// Stage-1 upgrade of each faulted 4 KB page to its 64 KB big page.
   bool big_page_upgrade = true;
@@ -184,10 +186,6 @@ struct DriverConfig {
   /// GpuEngine::Config::fault_granularity_pages. SimConfig::set_host_page_
   /// size() sets both.
   std::uint32_t base_page_pages = 1;
-  /// §VI-B adaptive prefetching: auto-tunes the threshold from the observed
-  /// fault/eviction load (overrides prefetch_threshold when enabled).
-  bool adaptive_prefetch = false;
-
   EvictionPolicyKind eviction_policy = EvictionPolicyKind::Lru;
 
   /// Extension (the driver's uvm_perf_access_counters path, paper §VI-B):

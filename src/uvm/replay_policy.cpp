@@ -44,10 +44,12 @@ const char* to_string(EvictionPolicyKind k) {
   return "unknown";
 }
 
-const char* to_string(PrefetchPolicyKind k) {
-  switch (k) {
-    case PrefetchPolicyKind::Tree: return "tree";
-    case PrefetchPolicyKind::Markov: return "markov";
+const char* to_string(PrefetchMode m) {
+  switch (m) {
+    case PrefetchMode::Off: return "off";
+    case PrefetchMode::Tree: return "tree";
+    case PrefetchMode::Adaptive: return "adaptive";
+    case PrefetchMode::Markov: return "markov";
   }
   return "unknown";
 }

@@ -59,18 +59,18 @@ const ParityCase kCases[] = {
     {"regular-default", "regular", 24, 64, nullptr, 0x5f4033a422753b47ULL},
     {"random-oversub", "random", 48, 32, nullptr, 0x7f99233882838422ULL},
     {"sgemm-prefetch-off", "sgemm", 24, 32,
-     [](SimConfig& c) { c.driver.prefetch_enabled = false; },
+     [](SimConfig& c) { c.driver.prefetch = PrefetchMode::Off; },
      0x6aa4bf0106287609ULL},
     {"stream-replay-batch", "stream", 16, 64,
      [](SimConfig& c) { c.driver.replay_policy = ReplayPolicyKind::Batch; },
      0xf92de0381bfc3af6ULL},
     {"tealeaf-adaptive", "tealeaf", 24, 32,
-     [](SimConfig& c) { c.driver.adaptive_prefetch = true; },
+     [](SimConfig& c) { c.driver.prefetch = PrefetchMode::Adaptive; },
      0x14cde0a26b039608ULL},
     {"hpgmg-oversub-nochunk", "hpgmg", 40, 32,
      [](SimConfig& c) {
        c.driver.chunking.enabled = false;
-       c.driver.prefetch_enabled = false;
+       c.driver.prefetch = PrefetchMode::Off;
      },
      0x826af726f0117d47ULL},
 };

@@ -32,7 +32,7 @@ TEST(Calibration, SmallKernelFloor400To600us) {
   // Paper §III-C: total cost "relatively constant in the order of
   // 400-600 us for data volume less than 100KB".
   SimConfig cfg = cfg_128();
-  cfg.driver.prefetch_enabled = false;
+  cfg.driver.prefetch = PrefetchMode::Off;
   double t8k = to_us(run(cfg, "regular", 8 << 10).total_kernel_time());
   double t64k = to_us(run(cfg, "regular", 64 << 10).total_kernel_time());
   EXPECT_GE(t8k, 300.0);
@@ -48,7 +48,7 @@ TEST(Calibration, SteadyStateFarFault30To45us) {
   // as the marginal cost of one additional isolated fault cycle at steady
   // state (prefetch off, cold start excluded).
   SimConfig cfg = cfg_128();
-  cfg.driver.prefetch_enabled = false;
+  cfg.driver.prefetch = PrefetchMode::Off;
   cfg.costs.driver_cold_start = 0;
 
   Simulator sim(cfg);
@@ -74,7 +74,7 @@ TEST(Calibration, SteadyStateFarFault30To45us) {
 
 TEST(Calibration, TableIRegularCoverageNear82Percent) {
   SimConfig with = cfg_128(), without = cfg_128();
-  without.driver.prefetch_enabled = false;
+  without.driver.prefetch = PrefetchMode::Off;
   const std::uint64_t target = 77ull << 20;  // ~60 % of GPU memory
   double red = fault_reduction_percent(
       run(without, "regular", target).counters.faults_fetched,
@@ -85,7 +85,7 @@ TEST(Calibration, TableIRegularCoverageNear82Percent) {
 
 TEST(Calibration, TableIRandomCoverageNear98Percent) {
   SimConfig with = cfg_128(), without = cfg_128();
-  without.driver.prefetch_enabled = false;
+  without.driver.prefetch = PrefetchMode::Off;
   const std::uint64_t target = 77ull << 20;
   double red = fault_reduction_percent(
       run(without, "random", target).counters.faults_fetched,
@@ -96,7 +96,7 @@ TEST(Calibration, TableIRandomCoverageNear98Percent) {
 TEST(Calibration, UvmNoPrefetchOrderOfMagnitudeOverExplicit) {
   // Paper Fig. 1 claim (1), at a representative undersubscribed size.
   SimConfig cfg = cfg_128();
-  cfg.driver.prefetch_enabled = false;
+  cfg.driver.prefetch = PrefetchMode::Off;
   RegularTouch wl(32ull << 20);
   ExplicitResult ex = ExplicitTransfer::run(cfg_128(), wl);
   RunResult r = run(cfg, "regular", 32ull << 20);

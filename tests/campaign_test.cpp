@@ -167,8 +167,7 @@ TEST_F(CampaignTest, PrefetchPolicyKeyPreservesLegacyContentAddresses) {
 
 TEST_F(CampaignTest, PrefetchPolicyKeyMapsToConfigAndCliArgs) {
   const RunRequest markov = parse_request_line(tiny("prefetch-policy=markov"));
-  EXPECT_EQ(request_sim_config(markov).driver.prefetch_policy,
-            PrefetchPolicyKind::Markov);
+  EXPECT_EQ(request_sim_config(markov).driver.prefetch, PrefetchMode::Markov);
   const auto args = request_cli_args(markov);
   bool forwarded = false;
   for (std::size_t i = 0; i + 1 < args.size(); ++i) {
@@ -216,6 +215,30 @@ TEST_F(CampaignTest, RequestParsingRejectsMalformedLines) {
   EXPECT_THROW(parse_request_line("workload=regular size-mib=0"), ConfigError);
   EXPECT_THROW(parse_request_line("gpu-mib=0"), ConfigError);
   EXPECT_THROW(parse_request_line("sabotage=maybe"), ConfigError);
+  // Unsigned knobs take no sign, no junk, and must fit their field.
+  for (const std::string bad : {"-1", "-5", "4294967297", "abc", "+5", "5x"}) {
+    EXPECT_THROW(parse_request_line("batch-size=" + bad), ConfigError) << bad;
+    EXPECT_THROW(parse_request_line("threshold=" + bad), ConfigError) << bad;
+  }
+  EXPECT_THROW(parse_request_line("seed=18446744073709551616"), ConfigError);
+  EXPECT_EQ(parse_request_line("seed=18446744073709551615").seed,
+            18446744073709551615ull);
+}
+
+TEST_F(CampaignTest, LegacyPrefetchRequestIdsArePinned) {
+  // Content addresses of requests stored before the prefetch knobs mapped
+  // to one driver mode: they must never move, or cached results are lost.
+  const std::string base = "workload=regular size-mib=4 gpu-mib=16 ";
+  const std::pair<const char*, const char*> pinned[] = {
+      {"", "2334de0e3c164850"},
+      {"prefetch=off", "0534077219eb6f86"},
+      {"prefetch=adaptive", "a65e3d8033ce33e6"},
+      {"prefetch-policy=markov", "0d474a5789b374cd"},
+      {"prefetch=off prefetch-policy=markov", "30a72df10632c841"},
+  };
+  for (const auto& [suffix, id] : pinned) {
+    EXPECT_EQ(request_id(parse_request_line(base + suffix)), id) << suffix;
+  }
 }
 
 TEST_F(CampaignTest, QueueFileErrorsCarryLineNumber) {
@@ -664,6 +687,37 @@ TEST_F(CampaignTest, ProcessIsolationMatchesInProcessResults) {
   (void)Campaign(thread_cfg, queue_of(q)).run();
   (void)Campaign(process_cfg(store("proc")), queue_of(q)).run();
   EXPECT_EQ(store_snapshot(store("thr")), store_snapshot(store("proc")));
+}
+
+TEST_F(CampaignTest, InvalidRequestsClassifyAlikeUnderBothIsolations) {
+  // A bad enum value, the adaptive+markov pair and an unknown workload are
+  // config errors in either worker: quarantined after one attempt, never
+  // retried as if the child had hit an I/O problem.
+  const std::string q = tiny("prefetch=sideways") + "\n" +
+                        tiny("prefetch=adaptive prefetch-policy=markov") +
+                        "\n" + tiny("workload=nope");
+  CampaignConfig thread_cfg;
+  thread_cfg.store_dir = store("thr");
+  thread_cfg.workers = 1;
+  thread_cfg.retry.max_attempts = 3;
+  thread_cfg.retry.backoff_base_ms = 1;
+  CampaignConfig proc_cfg = process_cfg(store("proc"));
+  proc_cfg.retry.max_attempts = 3;
+  for (const CampaignConfig& cfg : {thread_cfg, proc_cfg}) {
+    const CampaignReport rep = Campaign(cfg, queue_of(q)).run();
+    EXPECT_EQ(rep.quarantined, 3u);
+    EXPECT_EQ(rep.retried, 0u);
+    for (const std::string& line : rep.quarantine_lines) {
+      // id \t kind \t attempts \t detail
+      std::istringstream ls(line);
+      std::string id, kind, attempts;
+      std::getline(ls, id, '\t');
+      std::getline(ls, kind, '\t');
+      std::getline(ls, attempts, '\t');
+      EXPECT_EQ(kind, "config") << line;
+      EXPECT_EQ(attempts, "1") << line;
+    }
+  }
 }
 
 TEST_F(CampaignTest, ProcessIsolationClassifiesRealCrash) {

@@ -135,7 +135,7 @@ TEST(Chunking, SplitsUnderPressureAndAccountingHolds) {
   SimConfig cfg;
   cfg.set_gpu_memory(16ull << 20);
   cfg.enable_fault_log = false;
-  cfg.driver.prefetch_enabled = false;  // scattered demand stays scattered
+  cfg.driver.prefetch = PrefetchMode::Off;  // scattered demand stays scattered
   Simulator sim(cfg);
   auto wl = make_workload("random", 24ull << 20);  // 150 %
   wl->setup(sim);
@@ -168,7 +168,7 @@ TEST(Chunking, RecoalesceOnFullResidency) {
   cfg.enable_fault_log = false;
   cfg.driver.chunking.split_watermark = 2.0;
   cfg.driver.chunking.fine_watermark = 2.0;
-  cfg.driver.prefetch_enabled = false;  // scattered demand, partial bins
+  cfg.driver.prefetch = PrefetchMode::Off;  // scattered demand, partial bins
   Simulator sim(cfg);
   auto wl = make_workload("random", 8ull << 20);  // 4 full blocks, fits
   wl->setup(sim);
@@ -194,7 +194,7 @@ TEST(Chunking, NoRecoalesceWhenDisabled) {
   cfg.driver.chunking.split_watermark = 2.0;
   cfg.driver.chunking.fine_watermark = 2.0;
   cfg.driver.chunking.coalesce = false;
-  cfg.driver.prefetch_enabled = false;
+  cfg.driver.prefetch = PrefetchMode::Off;
   Simulator sim(cfg);
   auto wl = make_workload("random", 8ull << 20);
   wl->setup(sim);
@@ -215,7 +215,7 @@ TEST(Chunking, EvictionFreesOnlyDemandedChunks) {
   cfg.enable_fault_log = false;
   cfg.driver.chunking.split_watermark = 2.0;
   cfg.driver.chunking.fine_watermark = 2.0;
-  cfg.driver.prefetch_enabled = false;
+  cfg.driver.prefetch = PrefetchMode::Off;
   cfg.costs.driver_cold_start = 0;
 
   Simulator sim(cfg);
@@ -263,7 +263,7 @@ TEST(Chunking, PrefetchOffWinsUnderRandomOversubscription) {
     SimConfig cfg;
     cfg.set_gpu_memory(32ull << 20);
     cfg.enable_fault_log = false;
-    cfg.driver.prefetch_enabled = prefetch;
+    cfg.driver.prefetch = prefetch ? PrefetchMode::Tree : PrefetchMode::Off;
     Simulator sim(cfg);
     auto wl = make_workload("random", 64ull << 20);  // 200 %
     wl->setup(sim);

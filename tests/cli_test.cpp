@@ -54,13 +54,20 @@ TEST(Cli, BadWorkloadFails) {
 }
 
 TEST(Cli, BadEnumValuesFail) {
-  EXPECT_NE(run_cli("--prefetch sideways").exit_code, 0);
-  EXPECT_NE(run_cli("--prefetch-policy oracle").exit_code, 0);
-  EXPECT_NE(run_cli("--policy yolo").exit_code, 0);
-  EXPECT_NE(run_cli("--eviction fifo").exit_code, 0);
-  EXPECT_NE(run_cli("--eviction-policy fifo").exit_code, 0);
-  EXPECT_NE(run_cli("--thrash maybe").exit_code, 0);
-  EXPECT_NE(run_cli("--backend fpga").exit_code, 0);
+  // Bad knob values are config errors (exit 2), as in a campaign request.
+  EXPECT_EQ(run_cli("--prefetch sideways").exit_code, 2);
+  EXPECT_EQ(run_cli("--prefetch-policy oracle").exit_code, 2);
+  EXPECT_EQ(run_cli("--policy yolo").exit_code, 2);
+  EXPECT_EQ(run_cli("--eviction fifo").exit_code, 2);
+  EXPECT_EQ(run_cli("--eviction-policy fifo").exit_code, 2);
+  EXPECT_EQ(run_cli("--thrash maybe").exit_code, 2);
+  EXPECT_EQ(run_cli("--backend fpga").exit_code, 2);
+  // Unsigned knobs take no sign, no junk, and must fit their field.
+  for (const std::string bad : {"-1", "-5", "4294967297", "abc"}) {
+    EXPECT_EQ(run_cli("--batch-size " + bad).exit_code, 2) << bad;
+    EXPECT_EQ(run_cli("--threshold " + bad).exit_code, 2) << bad;
+  }
+  EXPECT_EQ(run_cli("--seed -1").exit_code, 2);
 }
 
 TEST(Cli, PolicyPanelRunsAndReportsMarkovCounters) {
@@ -81,7 +88,8 @@ TEST(Cli, MarkovRejectsAdaptivePrefetchCombination) {
   CmdResult r = run_cli(
       "--workload regular --size-mib 4 --prefetch adaptive "
       "--prefetch-policy markov");
-  EXPECT_NE(r.exit_code, 0);
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find("markov cannot combine"), std::string::npos);
 }
 
 TEST(Cli, FullScalePresetOutputIsPinned) {
@@ -244,17 +252,18 @@ TEST(Cli, ExitCodeMatrix) {
   // 0: a successful run.
   EXPECT_EQ(run_cli("--workload regular --size-mib 4 --gpu-mib 16").exit_code,
             0);
-  // 1: usage problems (bad flag, bad workload name) and I/O failures share
-  // the generic error code.
+  // 1: usage problems (bad flag, missing value) and I/O failures share the
+  // generic error code.
   EXPECT_EQ(run_cli("--frobnicate").exit_code, 1);
   EXPECT_EQ(run_cli("--workload").exit_code, 1);
-  EXPECT_EQ(run_cli("--workload nope --size-mib 4").exit_code, 1);
   // A missing replay trace is an I/O-class failure, not a config error.
   EXPECT_EQ(run_cli("--replay-trace /does/not/exist.trace").exit_code, 1);
   // 2: ConfigError — deterministic, never retried by the campaign.
   EXPECT_EQ(run_cli("--workload regular --size-mib 4 --batch-size 0")
                 .exit_code,
             2);
+  // An unknown workload name is a bad knob value like any other.
+  EXPECT_EQ(run_cli("--workload nope --size-mib 4").exit_code, 2);
   // 3 (SimulationError) has no benign deterministic trigger from flags;
   // the mapping is pinned at the unit level (campaign_test exit-matrix
   // round trip) and exercised end-to-end by the campaign worker tests.

@@ -80,7 +80,7 @@ TEST(EdgeCases, OnePageOverCapacityEvicts) {
 
 TEST(EdgeCases, AdaptivePrefetchEscalatesUnderPressure) {
   SimConfig cfg = base();
-  cfg.driver.adaptive_prefetch = true;
+  cfg.driver.prefetch = PrefetchMode::Adaptive;
   Simulator sim(cfg);
   auto wl = make_workload("regular", 24ull << 20);  // 150 %
   wl->setup(sim);
@@ -92,7 +92,7 @@ TEST(EdgeCases, AdaptivePrefetchEscalatesUnderPressure) {
 
 TEST(EdgeCases, AdaptiveStaysAggressiveUndersubscribed) {
   SimConfig cfg = base();
-  cfg.driver.adaptive_prefetch = true;
+  cfg.driver.prefetch = PrefetchMode::Adaptive;
   Simulator sim(cfg);
   auto wl = make_workload("regular", 4ull << 20);
   wl->setup(sim);
@@ -140,7 +140,7 @@ TEST(EdgeCases, ManyRangesInterleaved) {
   SimConfig cfg = base();
   // Demand paging only: each access then faults exactly once, independent
   // of how the backing policy shapes residency under pressure.
-  cfg.driver.prefetch_enabled = false;
+  cfg.driver.prefetch = PrefetchMode::Off;
   Simulator sim(cfg);
   // 16 small allocations, one kernel touching them all round-robin.
   std::vector<const VaRange*> ranges;

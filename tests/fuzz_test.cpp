@@ -26,11 +26,16 @@ FuzzCase make_config(Rng& rng) {
   cfg.enable_fault_log = rng.next_below(2) == 0;
 
   cfg.driver.batch_size = static_cast<std::uint32_t>(1 + rng.next_below(512));
-  cfg.driver.prefetch_enabled = rng.next_below(4) != 0;
+  // Two separate draws pick the prefetch mode, in this order, so every seed
+  // keeps building the run it always has.
+  const bool prefetch_on = rng.next_below(4) != 0;
   cfg.driver.prefetch_threshold =
       static_cast<std::uint32_t>(1 + rng.next_below(100));
   cfg.driver.big_page_upgrade = rng.next_below(2) == 0;
-  cfg.driver.adaptive_prefetch = rng.next_below(4) == 0;
+  const bool adaptive = rng.next_below(4) == 0;
+  cfg.driver.prefetch = !prefetch_on ? PrefetchMode::Off
+                        : adaptive   ? PrefetchMode::Adaptive
+                                     : PrefetchMode::Tree;
   cfg.driver.replay_policy = static_cast<ReplayPolicyKind>(rng.next_below(4));
   cfg.driver.fetch_policy = rng.next_below(2) == 0
                                 ? FetchPolicy::PollReady

@@ -62,7 +62,7 @@ TEST(HostPageSize, Power9RaisesFarFewerFaults) {
     SimConfig cfg;
     cfg.set_gpu_memory(32ull << 20);
     if (p9) cfg.set_host_page_size(64 << 10);
-    cfg.driver.prefetch_enabled = false;  // isolate base-page effects
+    cfg.driver.prefetch = PrefetchMode::Off;  // isolate base-page effects
     cfg.enable_fault_log = false;
     Simulator sim(cfg);
     RegularTouch wl(8ull << 20);

@@ -176,7 +176,7 @@ TEST(SpeculativeBacking, EmitsAllocateWithoutTouch) {
   SimConfig cfg;
   cfg.set_gpu_memory(64ull << 20);  // undersubscribed: no eviction noise
   cfg.costs.driver_cold_start = 0;
-  cfg.driver.prefetch_policy = PrefetchPolicyKind::Markov;
+  cfg.driver.prefetch = PrefetchMode::Markov;
   Simulator sim(cfg);
   sim.malloc_managed(16ull << 20, "data");  // 8 blocks
 

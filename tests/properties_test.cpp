@@ -18,7 +18,7 @@ class SystemProperties : public ::testing::TestWithParam<Param> {
     SimConfig cfg;
     cfg.set_gpu_memory(24ull << 20);
     cfg.driver.replay_policy = policy;
-    cfg.driver.prefetch_enabled = prefetch;
+    cfg.driver.prefetch = prefetch ? PrefetchMode::Tree : PrefetchMode::Off;
     cfg.enable_fault_log = false;
     return cfg;
   }

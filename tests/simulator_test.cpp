@@ -65,7 +65,7 @@ TEST(Simulator, DifferentSeedsDifferentInterleave) {
 
 TEST(Simulator, PrefetchOffServicesEveryPageAsFault) {
   SimConfig cfg = small_cfg();
-  cfg.driver.prefetch_enabled = false;
+  cfg.driver.prefetch = PrefetchMode::Off;
   Simulator sim(cfg);
   RegularTouch wl(4ull << 20);  // 1024 pages
   wl.setup(sim);
@@ -77,7 +77,7 @@ TEST(Simulator, PrefetchOffServicesEveryPageAsFault) {
 TEST(Simulator, PrefetchReducesFaults) {
   auto faults = [](bool prefetch) {
     SimConfig cfg = small_cfg();
-    cfg.driver.prefetch_enabled = prefetch;
+    cfg.driver.prefetch = prefetch ? PrefetchMode::Tree : PrefetchMode::Off;
     Simulator sim(cfg);
     RegularTouch wl(8ull << 20);
     wl.setup(sim);

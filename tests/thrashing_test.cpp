@@ -102,7 +102,7 @@ class ThrashingDriverTest : public ::testing::Test {
     SimConfig cfg;
     cfg.set_gpu_memory(16ull << 20);
     cfg.enable_fault_log = false;
-    cfg.driver.prefetch_enabled = false;  // maximize block churn
+    cfg.driver.prefetch = PrefetchMode::Off;  // maximize block churn
     cfg.driver.thrashing.enabled = enabled;
     cfg.driver.thrashing.mitigation = m;
     cfg.driver.thrashing.window = 2 * kMillisecond;

@@ -49,12 +49,12 @@ TEST_P(AllWorkloads, FootprintNearTarget) {
 TEST_P(AllWorkloads, PrefetchingCutsFaults) {
   SimConfig with = cfg_64mib();
   SimConfig without = cfg_64mib();
-  without.driver.prefetch_enabled = false;
+  without.driver.prefetch = PrefetchMode::Off;
   if (GetParam() == "strided") {
     // Strided is built to starve the density tree (per-block density stays
     // below its threshold) — that is the PR 10 crossover premise. The learned
     // predictor is the policy that must cut its faults.
-    with.driver.prefetch_policy = PrefetchPolicyKind::Markov;
+    with.driver.prefetch = PrefetchMode::Markov;
   }
   std::uint64_t f_with =
       run_workload(GetParam(), 16ull << 20, with).counters.faults_fetched;
@@ -102,7 +102,7 @@ TEST(Workloads, RandomSlowerThanRegular) {
   // same size — scattered faults bin into many VABlocks and fragment the
   // migration into many small DMA runs.
   SimConfig cfg = cfg_64mib();
-  cfg.driver.prefetch_enabled = false;
+  cfg.driver.prefetch = PrefetchMode::Off;
   RunResult reg = run_workload("regular", 16ull << 20, cfg);
   RunResult rnd = run_workload("random", 16ull << 20, cfg);
   EXPECT_GT(rnd.total_kernel_time(), reg.total_kernel_time());
@@ -114,7 +114,7 @@ TEST(Workloads, RandomPrefetchBeatsRegularReduction) {
   // scattered faults tip tree subtrees sooner.
   auto reduction = [](const std::string& name) {
     SimConfig without = cfg_64mib();
-    without.driver.prefetch_enabled = false;
+    without.driver.prefetch = PrefetchMode::Off;
     std::uint64_t f_without =
         run_workload(name, 16ull << 20, without).counters.faults_fetched;
     std::uint64_t f_with =

@@ -8,15 +8,17 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "campaign/request.h"
 #include "core/atomic_file.h"
 #include "core/errors.h"
 #include "core/metrics.h"
@@ -25,8 +27,6 @@
 #include "core/report.h"
 #include "baseline/explicit_transfer.h"
 #include "core/simulator.h"
-#include "uvm/replay_policy.h"
-#include "workloads/registry.h"
 #include "workloads/trace_io.h"
 
 namespace {
@@ -34,32 +34,17 @@ namespace {
 using namespace uvmsim;
 
 struct CliOptions {
-  std::string workload = "regular";
-  std::uint64_t size_mib = 64;
-  std::uint64_t gpu_mib = 128;
+  /// The knobs uvmsim_cli shares with campaign queue lines; parsed, checked
+  /// and mapped to a SimConfig by the same code as a campaign request.
+  campaign::RunRequest req;
   bool size_set = false;  ///< --size-mib given (--full-scale keeps it then)
   bool gpu_set = false;   ///< --gpu-mib given
   /// Full-fidelity Titan V preset: 12 GB GPU memory, 80 SMs, and (unless
   /// overridden) a 16 GiB oversubscribed working set — millions of 4 KB
   /// pages per run.
   bool full_scale = false;
-  std::string backend = "driver";  // driver | gpu
-  std::string prefetch = "on";  // on | off | adaptive
-  std::string prefetch_policy = "tree";  // tree | markov
-  std::uint32_t threshold = 51;
-  std::string policy = "batch_flush";
-  std::string eviction = "lru";  // lru | access_counter | clock | 2q
-  std::string chunking = "on";  // on | off
   double split_watermark = -1.0;  // < 0 = keep DriverConfig default
   double fine_watermark = -1.0;
-  std::uint32_t batch_size = 256;
-  std::string thrash = "off";  // off | detect | pin | throttle
-  std::uint64_t seed = 42;
-  std::uint64_t hazard_seed = 0;  // 0 = derive from --seed
-  double hazard_dma = 0.0;
-  double hazard_fb = 0.0;
-  double hazard_pma = 0.0;
-  double hazard_ac = 0.0;
   bool pattern = false;
   bool csv = false;
   bool pipelined = false;
@@ -71,6 +56,36 @@ struct CliOptions {
   std::uint64_t trace_cap = TraceConfig{}.capacity;
   std::string hazard_self;  // "" | abort | hang — self-sabotage test hook
 };
+
+/// The flags that set a shared knob, with the request key each one sets.
+constexpr std::pair<std::string_view, const char*> kRequestFlags[] = {
+    {"--workload", "workload"},
+    {"--size-mib", "size-mib"},
+    {"--gpu-mib", "gpu-mib"},
+    {"--backend", "backend"},
+    {"--prefetch", "prefetch"},
+    {"--prefetch-policy", "prefetch-policy"},
+    {"--threshold", "threshold"},
+    {"--policy", "policy"},
+    {"--eviction", "eviction"},
+    {"--eviction-policy", "eviction"},
+    {"--chunking", "chunking"},
+    {"--batch-size", "batch-size"},
+    {"--thrash", "thrash"},
+    {"--seed", "seed"},
+    {"--hazard-seed", "hazard-seed"},
+    {"--hazard-dma-fail-rate", "hazard-dma"},
+    {"--hazard-fb-corrupt-rate", "hazard-fb"},
+    {"--hazard-pma-fail-rate", "hazard-pma"},
+    {"--hazard-ac-drop-rate", "hazard-ac"},
+};
+
+const char* request_key_for(std::string_view flag) {
+  for (const auto& [f, key] : kRequestFlags) {
+    if (f == flag) return key;
+  }
+  return nullptr;
+}
 
 void print_help() {
   std::cout <<
@@ -86,11 +101,13 @@ options:
   --backend B          driver | gpu — fault-servicing backend: the CPU
                        driver's batched path, or GPUVM-style per-fault
                        GPU-side resolution (default driver)
-  --prefetch MODE      on | off | adaptive (default on)
-  --prefetch-policy P  tree | markov — which predictor speculates while
-                       prefetching is on: the paper's static density tree,
-                       or the online-learned delta-Markov table (default
-                       tree; markov cannot combine with --prefetch adaptive)
+  --prefetch MODE      on | off | adaptive (default on); adaptive tunes the
+                       density threshold from the observed eviction load
+  --prefetch-policy P  tree | markov — the predictor behind --prefetch on:
+                       the paper's density tree or the online-learned
+                       delta-Markov table (default tree). Together the two
+                       flags pick one prefetch mode: off, tree, adaptive or
+                       markov; adaptive with markov is a config error
   --threshold P        density threshold percent 1..100 (default 51)
   --policy P           block | batch | batch_flush | once (default batch_flush)
   --eviction P         lru | access_counter | clock | 2q (default lru);
@@ -132,6 +149,9 @@ driver-pass tracing (viewable in Perfetto / chrome://tracing):
   --dump-trace FILE    capture the workload's access trace to FILE and exit
   --replay-trace FILE  run a captured trace instead of a named workload
   --help               this text
+
+exit codes: 0 ok, 1 usage or I/O error, 2 config error (including a bad
+value for any knob above), 3 simulation error
 )";
 }
 
@@ -158,70 +178,19 @@ std::optional<CliOptions> parse(int argc, char** argv) {
       o.csv = true;
     } else if (a == "--baseline") {
       o.explicit_baseline = true;
-    } else if (a == "--workload") {
+    } else if (const char* key = request_key_for(a)) {
       if (!(v = need_value(i))) return std::nullopt;
-      o.workload = v;
-    } else if (a == "--size-mib") {
-      if (!(v = need_value(i))) return std::nullopt;
-      o.size_mib = std::stoull(v);
-      o.size_set = true;
-    } else if (a == "--gpu-mib") {
-      if (!(v = need_value(i))) return std::nullopt;
-      o.gpu_mib = std::stoull(v);
-      o.gpu_set = true;
+      campaign::set_request_key(o.req, key, v);
+      o.size_set |= a == "--size-mib";
+      o.gpu_set |= a == "--gpu-mib";
     } else if (a == "--full-scale") {
       o.full_scale = true;
-    } else if (a == "--backend") {
-      if (!(v = need_value(i))) return std::nullopt;
-      o.backend = v;
-    } else if (a == "--prefetch") {
-      if (!(v = need_value(i))) return std::nullopt;
-      o.prefetch = v;
-    } else if (a == "--prefetch-policy") {
-      if (!(v = need_value(i))) return std::nullopt;
-      o.prefetch_policy = v;
-    } else if (a == "--threshold") {
-      if (!(v = need_value(i))) return std::nullopt;
-      o.threshold = static_cast<std::uint32_t>(std::stoul(v));
-    } else if (a == "--policy") {
-      if (!(v = need_value(i))) return std::nullopt;
-      o.policy = v;
-    } else if (a == "--eviction" || a == "--eviction-policy") {
-      if (!(v = need_value(i))) return std::nullopt;
-      o.eviction = v;
-    } else if (a == "--chunking") {
-      if (!(v = need_value(i))) return std::nullopt;
-      o.chunking = v;
     } else if (a == "--split-watermark") {
       if (!(v = need_value(i))) return std::nullopt;
       o.split_watermark = std::stod(v);
     } else if (a == "--fine-watermark") {
       if (!(v = need_value(i))) return std::nullopt;
       o.fine_watermark = std::stod(v);
-    } else if (a == "--batch-size") {
-      if (!(v = need_value(i))) return std::nullopt;
-      o.batch_size = static_cast<std::uint32_t>(std::stoul(v));
-    } else if (a == "--thrash") {
-      if (!(v = need_value(i))) return std::nullopt;
-      o.thrash = v;
-    } else if (a == "--seed") {
-      if (!(v = need_value(i))) return std::nullopt;
-      o.seed = std::stoull(v);
-    } else if (a == "--hazard-seed") {
-      if (!(v = need_value(i))) return std::nullopt;
-      o.hazard_seed = std::stoull(v);
-    } else if (a == "--hazard-dma-fail-rate") {
-      if (!(v = need_value(i))) return std::nullopt;
-      o.hazard_dma = std::stod(v);
-    } else if (a == "--hazard-fb-corrupt-rate") {
-      if (!(v = need_value(i))) return std::nullopt;
-      o.hazard_fb = std::stod(v);
-    } else if (a == "--hazard-pma-fail-rate") {
-      if (!(v = need_value(i))) return std::nullopt;
-      o.hazard_pma = std::stod(v);
-    } else if (a == "--hazard-ac-drop-rate") {
-      if (!(v = need_value(i))) return std::nullopt;
-      o.hazard_ac = std::stod(v);
     } else if (a == "--hazard-self") {
       if (!(v = need_value(i))) return std::nullopt;
       o.hazard_self = v;
@@ -254,108 +223,27 @@ std::optional<CliOptions> parse(int argc, char** argv) {
       return std::nullopt;
     }
   }
+  if (o.full_scale) {
+    // Titan V fidelity mode (the paper's hardware): 12 GB HBM2 and a
+    // 16 GiB working set unless given explicitly; 80 SMs in to_config.
+    if (!o.gpu_set) o.req.gpu_mib = 12 * 1024;
+    if (!o.size_set) o.req.size_mib = 16 * 1024;
+  }
   return o;
 }
 
+/// The request's SimConfig plus the settings only the CLI has.
 std::optional<SimConfig> to_config(const CliOptions& o) {
-  SimConfig cfg;
-  std::uint64_t gpu_mib = o.gpu_mib;
-  if (o.full_scale) {
-    // Titan V fidelity mode (the paper's hardware): 12 GB HBM2, 80 SMs.
-    if (!o.gpu_set) gpu_mib = 12 * 1024;
-    cfg.gpu.num_sms = 80;
-  }
-  cfg.set_gpu_memory(gpu_mib << 20);
-  cfg.seed = o.seed;
+  SimConfig cfg = campaign::request_sim_config(o.req);
+  if (o.full_scale) cfg.gpu.num_sms = 80;
   cfg.enable_fault_log = o.pattern;
-  cfg.driver.batch_size = o.batch_size;
-  cfg.driver.prefetch_threshold = o.threshold;
-
-  if (o.backend == "driver") {
-    cfg.driver.backend = ServicingBackendKind::DriverCentric;
-  } else if (o.backend == "gpu") {
-    cfg.driver.backend = ServicingBackendKind::GpuDriven;
-  } else {
-    std::cerr << "bad --backend: " << o.backend << " (driver | gpu)\n";
-    return std::nullopt;
-  }
-
-  if (o.prefetch == "on") {
-    cfg.driver.prefetch_enabled = true;
-  } else if (o.prefetch == "off") {
-    cfg.driver.prefetch_enabled = false;
-  } else if (o.prefetch == "adaptive") {
-    cfg.driver.prefetch_enabled = true;
-    cfg.driver.adaptive_prefetch = true;
-  } else {
-    std::cerr << "bad --prefetch: " << o.prefetch << "\n";
-    return std::nullopt;
-  }
-
-  if (o.prefetch_policy == "tree") {
-    cfg.driver.prefetch_policy = PrefetchPolicyKind::Tree;
-  } else if (o.prefetch_policy == "markov") {
-    cfg.driver.prefetch_policy = PrefetchPolicyKind::Markov;
-    if (cfg.driver.adaptive_prefetch) {
-      std::cerr << "bad --prefetch-policy: markov cannot combine with "
-                   "--prefetch adaptive\n";
-      return std::nullopt;
-    }
-  } else {
-    std::cerr << "bad --prefetch-policy: " << o.prefetch_policy
-              << " (tree | markov)\n";
-    return std::nullopt;
-  }
-
-  if (o.policy == "block") {
-    cfg.driver.replay_policy = ReplayPolicyKind::Block;
-  } else if (o.policy == "batch") {
-    cfg.driver.replay_policy = ReplayPolicyKind::Batch;
-  } else if (o.policy == "batch_flush") {
-    cfg.driver.replay_policy = ReplayPolicyKind::BatchFlush;
-  } else if (o.policy == "once") {
-    cfg.driver.replay_policy = ReplayPolicyKind::Once;
-  } else {
-    std::cerr << "bad --policy: " << o.policy << "\n";
-    return std::nullopt;
-  }
-
-  if (o.eviction == "lru") {
-    cfg.driver.eviction_policy = EvictionPolicyKind::Lru;
-  } else if (o.eviction == "access_counter") {
-    cfg.driver.eviction_policy = EvictionPolicyKind::AccessCounter;
-    cfg.access_counters.enabled = true;
-  } else if (o.eviction == "clock") {
-    cfg.driver.eviction_policy = EvictionPolicyKind::Clock;
-  } else if (o.eviction == "2q") {
-    cfg.driver.eviction_policy = EvictionPolicyKind::TwoQ;
-  } else {
-    std::cerr << "bad --eviction: " << o.eviction
-              << " (lru | access_counter | clock | 2q)\n";
-    return std::nullopt;
-  }
-
   cfg.driver.pipelined_migrations = o.pipelined;
-  if (o.chunking == "on") {
-    cfg.driver.chunking.enabled = true;
-  } else if (o.chunking == "off") {
-    cfg.driver.chunking.enabled = false;
-  } else {
-    std::cerr << "bad --chunking: " << o.chunking << "\n";
-    return std::nullopt;
-  }
   if (o.split_watermark >= 0.0) {
     cfg.driver.chunking.split_watermark = o.split_watermark;
   }
   if (o.fine_watermark >= 0.0) {
     cfg.driver.chunking.fine_watermark = o.fine_watermark;
   }
-
-  cfg.hazards.seed = o.hazard_seed;
-  cfg.hazards.dma_fail_rate = o.hazard_dma;
-  cfg.hazards.fb_corrupt_rate = o.hazard_fb;
-  cfg.hazards.pma_fail_rate = o.hazard_pma;
-  cfg.hazards.ac_drop_rate = o.hazard_ac;
 
   if (!o.trace_out.empty()) {
     auto mask = parse_trace_categories(o.trace_categories);
@@ -370,20 +258,6 @@ std::optional<SimConfig> to_config(const CliOptions& o) {
     cfg.trace.enabled = true;
     cfg.trace.categories = *mask;
     cfg.trace.capacity = o.trace_cap;
-  }
-
-  if (o.thrash != "off") {
-    cfg.driver.thrashing.enabled = true;
-    if (o.thrash == "detect") {
-      cfg.driver.thrashing.mitigation = ThrashMitigation::None;
-    } else if (o.thrash == "pin") {
-      cfg.driver.thrashing.mitigation = ThrashMitigation::Pin;
-    } else if (o.thrash == "throttle") {
-      cfg.driver.thrashing.mitigation = ThrashMitigation::Throttle;
-    } else {
-      std::cerr << "bad --thrash: " << o.thrash << "\n";
-      return std::nullopt;
-    }
   }
   return cfg;
 }
@@ -408,9 +282,6 @@ int run_cli(int argc, char** argv) {
   // ConfigError / SimulationError from trace parsing or workload lookup
   // propagate to main for the distinct exit codes; only plain open/write
   // failures are handled here as usage errors.
-  std::uint64_t size_mib = opts->size_mib;
-  if (opts->full_scale && !opts->size_set) size_mib = 16 * 1024;
-
   std::unique_ptr<Workload> wl;
   if (!opts->replay_trace.empty()) {
     std::ifstream in(opts->replay_trace);
@@ -421,7 +292,7 @@ int run_cli(int argc, char** argv) {
     wl = std::make_unique<TraceWorkload>(parse_trace(in),
                                          opts->replay_trace);
   } else {
-    wl = make_workload(opts->workload, size_mib << 20);
+    wl = campaign::request_workload(opts->req);
   }
   if (!opts->dump_trace.empty()) {
     std::ostringstream out;
@@ -510,7 +381,7 @@ int run_cli(int argc, char** argv) {
   }
 
   if (opts->explicit_baseline) {
-    auto wl2 = make_workload(opts->workload, size_mib << 20);
+    auto wl2 = campaign::request_workload(opts->req);
     ExplicitResult ex = ExplicitTransfer::run(*cfg, *wl2);
     std::cout << "\nexplicit-transfer baseline: "
               << format_duration(ex.total) << " (UVM is "
