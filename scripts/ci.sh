@@ -38,6 +38,15 @@ echo "== plain build =="
 cmake --build build -j"$JOBS"
 ctest --test-dir build -j"$JOBS" --output-on-failure
 
+echo "== memory guard (1 GiB sgemm under a 256 MiB address-space cap) =="
+# sgemm's grid is generated one resident block at a time from strided
+# records, so its memory must not grow with the grid. A 1 GiB sgemm stored
+# as page lists needs ~1.08 GB and fails here with std::bad_alloc.
+(ulimit -v 262144
+ ./build/tools/uvmsim_cli --workload sgemm --size-mib 1024 --gpu-mib 2048 \
+   --csv > /dev/null) || { echo "memory guard FAILED"; exit 1; }
+echo "memory guard: sgemm 1 GiB fits in 256 MiB"
+
 echo "== clang-tidy (best effort) =="
 if command -v clang-tidy >/dev/null 2>&1; then
   # Advisory: report generic bug patterns without failing CI; the enforced

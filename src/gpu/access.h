@@ -6,12 +6,20 @@
 // plus the compute time spent before the access. The GPU engine replays
 // these streams, faulting on non-resident pages.
 //
-// Storage is flattened (one page vector + index records per stream) so large
-// kernels stay cache- and allocation-friendly.
+// A record is stored in one of two forms. An explicit record lists its
+// pages (one flattened page vector per stream). A strided record describes
+// them: `rows` byte segments at a fixed byte stride, which is how a tiled
+// kernel walks a row-major matrix. Its pages are generated when the record
+// executes, so regular kernels cost a few words per record, not a word per
+// page.
+//
+// A kernel's blocks are stored, or generated one block at a time when the
+// engine dispatches them; a generated grid never exists all at once.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -21,13 +29,26 @@
 
 namespace uvmsim {
 
-/// One warp-wide access: `page_count` pages starting at index `page_begin`
-/// into the owning stream's page vector.
+/// One warp-wide access of `page_count` distinct pages. An explicit
+/// record's pages start at index `page_begin` of the owning stream's page
+/// vector; a strided record's descriptor is the stream's StridedAccess
+/// number `page_begin`.
 struct AccessRecord {
   std::uint32_t page_begin = 0;
   std::uint16_t page_count = 0;
   bool write = false;
+  bool strided = false;
   std::uint32_t compute_ns = 0;  ///< compute preceding this access
+};
+
+/// The pages of `rows` byte segments of `seg_bytes` bytes, row i starting at
+/// byte `offset + i * stride` of the range whose first page is `first`.
+struct StridedAccess {
+  VirtPage first = 0;
+  std::uint64_t offset = 0;
+  std::uint64_t stride = 0;
+  std::uint32_t seg_bytes = 0;
+  std::uint32_t rows = 0;
 };
 
 /// The ordered accesses of a single warp.
@@ -38,25 +59,44 @@ class AccessStream {
   void add(std::span<const VirtPage> pages, bool write,
            std::uint32_t compute_ns);
 
-  /// Appends a record touching the contiguous pages [first, first+count).
+  /// Appends a record touching the contiguous pages [first, first+count):
+  /// a strided record of one-page rows.
   void add_run(VirtPage first, std::uint32_t count, bool write,
                std::uint32_t compute_ns);
+
+  /// Appends a strided record (see StridedAccess). Its lanes are the pages
+  /// of each row in row order, skipping a page already touched by an
+  /// earlier row: exactly what add() keeps of the concatenated row pages,
+  /// since the rows ascend.
+  void add_strided(VirtPage first, std::uint64_t offset,
+                   std::uint32_t seg_bytes, std::uint64_t stride,
+                   std::uint32_t rows, bool write, std::uint32_t compute_ns);
+
+  /// Drops every record, keeping the storage for the next fill.
+  void clear();
 
   [[nodiscard]] std::size_t size() const { return records_.size(); }
   [[nodiscard]] bool empty() const { return records_.empty(); }
   [[nodiscard]] const AccessRecord& record(std::size_t i) const {
     return records_[i];
   }
-  /// Pages of record i.
-  [[nodiscard]] std::span<const VirtPage> pages(std::size_t i) const {
+  /// Pages of record i in lane order. An explicit record's span points into
+  /// the stream; a strided record is expanded into `buf`.
+  [[nodiscard]] std::span<const VirtPage> pages(
+      std::size_t i, std::vector<VirtPage>& buf) const {
     const AccessRecord& r = records_[i];
-    return {pages_.data() + r.page_begin, r.page_count};
+    if (!r.strided) return {pages_.data() + r.page_begin, r.page_count};
+    expand(strided_[r.page_begin], buf);
+    return buf;
   }
   /// Total page-touches across all records.
-  [[nodiscard]] std::size_t total_page_touches() const { return pages_.size(); }
+  [[nodiscard]] std::size_t total_page_touches() const;
 
  private:
+  static void expand(const StridedAccess& s, std::vector<VirtPage>& out);
+
   std::vector<VirtPage> pages_;
+  std::vector<StridedAccess> strided_;
   std::vector<AccessRecord> records_;
 };
 
@@ -65,19 +105,29 @@ struct ThreadBlockSpec {
   std::vector<AccessStream> warps;
 };
 
-/// A full kernel launch.
+/// A full kernel launch: a stored grid (`blocks`), or a generated one of
+/// `num_blocks` blocks of `warps_per_block` warps that `make_block` builds
+/// on demand.
 struct KernelSpec {
   std::string name;
   std::vector<ThreadBlockSpec> blocks;
+  std::uint32_t num_blocks = 0;
+  std::uint32_t warps_per_block = 0;
+  /// Fills block `b`'s warps into `blk`, whose `warps_per_block` streams
+  /// arrive empty. Must be a pure function of `b`.
+  std::function<void(std::uint32_t b, ThreadBlockSpec& blk)> make_block;
   /// Abstract useful-work units performed by the kernel (e.g. 2*n^3 for
   /// sgemm); used for compute-rate metrics (Fig. 10).
   double work_units = 0.0;
 
-  [[nodiscard]] std::size_t total_warps() const {
-    std::size_t n = 0;
-    for (const auto& b : blocks) n += b.warps.size();
-    return n;
+  [[nodiscard]] std::uint32_t block_count() const {
+    return make_block ? num_blocks
+                      : static_cast<std::uint32_t>(blocks.size());
   }
+  [[nodiscard]] std::size_t total_warps() const;
+  /// Block `b`: the stored block, or block `b` generated into `slot`
+  /// (whose streams keep their storage from earlier fills).
+  const ThreadBlockSpec& block(std::uint32_t b, ThreadBlockSpec& slot) const;
 };
 
 }  // namespace uvmsim

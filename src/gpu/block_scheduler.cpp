@@ -40,8 +40,10 @@ void BlockScheduler::end_grid(std::uint64_t grid_id) {
   throw std::logic_error("BlockScheduler: ending unknown grid");
 }
 
-std::vector<BlockScheduler::Dispatch> BlockScheduler::dispatch_available() {
-  std::vector<Dispatch> out;
+const std::vector<BlockScheduler::Dispatch>&
+BlockScheduler::dispatch_available() {
+  std::vector<Dispatch>& out = dispatched_;
+  out.clear();
   if (grids_.empty()) return out;
 
   for (;;) {

@@ -37,7 +37,8 @@ class BlockScheduler {
 
   /// Greedily fills free SM slots: active grids take turns (round-robin),
   /// each contributing its lowest pending block onto the least-loaded SM.
-  std::vector<Dispatch> dispatch_available();
+  /// The list is reused: it stays valid until the next call.
+  const std::vector<Dispatch>& dispatch_available();
 
   /// Releases the slot held by a completed block on `sm`.
   void on_block_complete(std::uint32_t sm);
@@ -64,6 +65,7 @@ class BlockScheduler {
   std::vector<std::uint32_t> sm_load_;  ///< resident blocks per SM
   std::vector<Grid> grids_;             ///< active grids, registration order
   std::size_t rr_cursor_ = 0;           ///< round-robin position
+  std::vector<Dispatch> dispatched_;    ///< dispatch_available's result
 };
 
 }  // namespace uvmsim

@@ -39,11 +39,16 @@ GpuEngine::GpuEngine(const Config& cfg, EventQueue& eq, AddressSpace& as,
       link_(link),
       rng_(cfg.seed),
       scheduler_(cfg.num_sms, cfg.max_blocks_per_sm),
+      slots_(std::size_t{cfg.num_sms} * cfg.max_blocks_per_sm),
       pending_faults_(std::uint64_t{cfg.num_sms} * cfg.utlb_fault_slots),
       sm_outstanding_faults_(cfg.num_sms, 0) {
   sms_.reserve(cfg_.num_sms);
   for (std::uint32_t s = 0; s < cfg_.num_sms; ++s) {
     sms_.emplace_back(s, cfg_.utlb_entries);
+  }
+  free_slots_.reserve(slots_.size());
+  for (std::size_t i = slots_.size(); i-- > 0;) {
+    free_slots_.push_back(static_cast<std::uint32_t>(i));
   }
 }
 
@@ -58,8 +63,14 @@ bool GpuEngine::busy() const {
 void GpuEngine::launch(const KernelSpec* spec,
                        std::function<void()> on_complete,
                        std::uint32_t stream) {
-  if (spec == nullptr || spec->blocks.empty()) {
+  if (spec == nullptr || spec->block_count() == 0) {
     throw std::invalid_argument("GpuEngine::launch: empty kernel");
+  }
+  if (spec->make_block &&
+      (!spec->blocks.empty() || spec->warps_per_block == 0)) {
+    throw std::invalid_argument(
+        "GpuEngine::launch: a generated kernel needs warps_per_block and no "
+        "stored blocks");
   }
   stream_queues_[stream].push_back(
       PendingKernel{spec, std::move(on_complete), stream});
@@ -92,24 +103,9 @@ void GpuEngine::activate(PendingKernel pk) {
   ks.work_units = k.spec->work_units;
   stats_.push_back(ks);
 
-  // Materialize warps.
-  k.block_first_warp.assign(k.spec->blocks.size(), 0);
-  k.block_live_warps.assign(k.spec->blocks.size(), 0);
-  std::uint32_t wid = 0;
-  for (std::uint32_t b = 0; b < k.spec->blocks.size(); ++b) {
-    k.block_first_warp[b] = wid;
-    const auto& blk = k.spec->blocks[b];
-    k.block_live_warps[b] = static_cast<std::uint32_t>(blk.warps.size());
-    for (const auto& stream : blk.warps) {
-      Warp w;
-      w.id = wid++;
-      w.block_index = b;
-      w.stream = &stream;
-      k.warps.push_back(w);
-    }
-  }
+  k.total_warps = k.spec->total_warps();
 
-  scheduler_.begin_grid(id, static_cast<std::uint32_t>(k.spec->blocks.size()));
+  scheduler_.begin_grid(id, k.spec->block_count());
   eq_->schedule_in(cfg_.kernel_launch_overhead, [this] { dispatch_blocks(); });
 }
 
@@ -120,53 +116,66 @@ void GpuEngine::dispatch_blocks() {
       throw std::logic_error("GpuEngine: dispatch for unknown kernel");
     }
     ActiveKernel& k = it->second;
-    std::uint32_t first = k.block_first_warp[d.block_index];
-    std::uint32_t count = k.block_live_warps[d.block_index];
+    const std::uint32_t si = free_slots_.back();
+    free_slots_.pop_back();
+    BlockSlot& slot = slots_[si];
+    const ThreadBlockSpec& blk = k.spec->block(d.block_index, slot.generated);
+    const auto count = static_cast<std::uint32_t>(blk.warps.size());
+    slot.kernel = &k;
+    slot.live_warps = count;
+    slot.warps.resize(count);
     for (std::uint32_t i = 0; i < count; ++i) {
-      Warp& w = k.warps[first + i];
+      // A retired warp has no pending lanes, so only these fields carry
+      // over from the slot's previous block.
+      Warp& w = slot.warps[i];
+      w.id = k.next_warp_id++;
       w.sm = d.sm;
+      w.stream = &blk.warps[i];
+      w.pos = 0;
       w.state = WarpState::Runnable;
-      schedule_step(WarpRef{k.id, w.id},
+      schedule_step(WarpRef{si, i},
                     cfg_.dispatch_latency + rng_.next_below(cfg_.jitter_ns + 1));
     }
     // A block with zero warps retires immediately.
-    if (count == 0) scheduler_.on_block_complete(d.sm);
+    if (count == 0) {
+      free_slots_.push_back(si);
+      scheduler_.on_block_complete(d.sm);
+    }
   }
 }
 
 void GpuEngine::schedule_step(WarpRef ref, SimDuration delay) {
-  // Pack (kernel, warp) into one word so the closure is 16 bytes and fits
+  // Pack (slot, warp) into one word so the closure is 16 bytes and fits
   // std::function's small buffer — this event fires once per warp step, and
   // the unpacked 24-byte capture heap-allocated every time.
-  const std::uint64_t packed = (ref.kernel << 32) | ref.warp;
+  const std::uint64_t packed = (std::uint64_t{ref.slot} << 32) | ref.warp;
   eq_->schedule_in(delay, [this, packed] {
-    step_warp(WarpRef{packed >> 32, static_cast<std::uint32_t>(packed)});
+    step_warp(WarpRef{static_cast<std::uint32_t>(packed >> 32),
+                      static_cast<std::uint32_t>(packed)});
   });
 }
 
 UVMSIM_HOT void GpuEngine::step_warp(WarpRef ref) {
-  auto it = active_.find(ref.kernel);
-  if (it == active_.end()) return;  // stale event for a finished kernel
-  ActiveKernel& k = it->second;
-  Warp& w = k.warps[ref.warp];
+  BlockSlot& slot = slots_[ref.slot];
+  Warp& w = slot.warps[ref.warp];
   if (w.state != WarpState::Runnable) return;  // stale event
 
   const AccessStream& s = *w.stream;
   if (w.pos >= s.size()) {
-    complete_warp(k, w);  // may invalidate k
+    complete_warp(ref.slot, w);  // may recycle the slot
     return;
   }
 
   const AccessRecord& rec = s.record(w.pos);
   Utlb& utlb = sms_[w.sm].utlb;
-  KernelStats& ks = stats_[k.stats_index];
+  KernelStats& ks = stats_[slot.kernel->stats_index];
   const SimTime now = eq_->now();
 
   // First attempt at this record: every lane accesses. On replayed retries
   // only the previously-missing lanes re-access (per-lane park semantics).
   const std::span<const VirtPage> lanes =
       w.record_in_flight ? std::span<const VirtPage>(w.pending_pages)
-                         : s.pages(w.pos);
+                         : s.pages(w.pos, lanes_);
 
   SimDuration walk_penalty = 0;
   bool pushed_any = false;
@@ -270,28 +279,30 @@ bool GpuEngine::raise_fault(Warp& w, KernelStats& ks, VirtPage p,
     if (fault_dropped_) fault_dropped_();
     return false;
   }
-  ++w.faults_raised;
   ++ks.faults_raised;
   pending_faults_.insert(pending_key);
   ++sm_outstanding_faults_[w.sm];
   return true;
 }
 
-void GpuEngine::complete_warp(ActiveKernel& k, Warp& w) {
+void GpuEngine::complete_warp(std::uint32_t si, Warp& w) {
   w.state = WarpState::Done;
+  BlockSlot& slot = slots_[si];
+  ActiveKernel& k = *slot.kernel;
   ++k.warps_done;
-  if (--k.block_live_warps[w.block_index] == 0) {
+  if (--slot.live_warps == 0) {
+    free_slots_.push_back(si);
     scheduler_.on_block_complete(w.sm);
-    dispatch_blocks();
+    dispatch_blocks();  // may refill the slot: slot and w dangle from here
   }
-  if (k.warps_done != k.warps.size()) return;
+  if (k.warps_done != k.total_warps) return;
 
   // Kernel complete.
   stats_[k.stats_index].completed_at = eq_->now();
   scheduler_.end_grid(k.id);
   std::uint32_t stream = k.stream;
   auto cb = std::move(k.on_complete);
-  active_.erase(k.id);  // k and w are dangling from here on
+  active_.erase(k.id);  // k is dangling from here on
   if (cb) cb();
   stream_busy_.erase(stream);
   try_activate_stream(stream);
@@ -307,13 +318,11 @@ void GpuEngine::replay() {
   ++replays_;
   resuming_.swap(stalled_);  // resuming_ was empty: stalled_ now is
   for (WarpRef ref : resuming_) {
-    auto it = active_.find(ref.kernel);
-    if (it == active_.end()) continue;
-    ActiveKernel& k = it->second;
-    Warp& w = k.warps[ref.warp];
+    BlockSlot& slot = slots_[ref.slot];
+    Warp& w = slot.warps[ref.warp];
     if (w.state != WarpState::Stalled) continue;
     w.state = WarpState::Runnable;
-    ++w.replays_survived;
+    ActiveKernel& k = *slot.kernel;
     KernelStats& ks = stats_[k.stats_index];
     SimDuration stalled_for = eq_->now() - w.stall_start;
     ks.stall_ns += stalled_for;

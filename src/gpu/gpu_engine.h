@@ -186,17 +186,27 @@ class GpuEngine {
     std::function<void()> on_complete;
     std::uint32_t stream = 0;
     std::size_t stats_index = 0;
-    std::vector<Warp> warps;
-    std::vector<std::uint32_t> block_first_warp;
-    std::vector<std::uint32_t> block_live_warps;
+    std::size_t total_warps = 0;
     std::size_t warps_done = 0;
+    /// Id of the next dispatched warp: a grid's blocks dispatch in
+    /// ascending order, so warp ids number the grid's warps in block order.
+    std::uint32_t next_warp_id = 0;
     /// Last replay (GpuEngine::replays_) this kernel counted in
     /// KernelStats::replays_seen.
     std::uint64_t last_replay_seen = 0;
   };
-  /// Handle identifying one warp of one active kernel.
+  /// One resident thread block: its warps and, for a generated kernel, its
+  /// streams. A slot is recycled when its block retires, so warp state and
+  /// generated streams take memory for the resident blocks only.
+  struct BlockSlot {
+    ActiveKernel* kernel = nullptr;  ///< map nodes are stable
+    std::uint32_t live_warps = 0;
+    std::vector<Warp> warps;
+    ThreadBlockSpec generated;
+  };
+  /// Handle identifying one warp of one resident block.
   struct WarpRef {
-    std::uint64_t kernel;
+    std::uint32_t slot;
     std::uint32_t warp;
   };
 
@@ -209,8 +219,9 @@ class GpuEngine {
   /// on its base page, is throttled when the SM has no free fault slot, or
   /// pushes a new fault entry. Returns true if an entry reached the buffer.
   bool raise_fault(Warp& w, KernelStats& ks, VirtPage p, bool write);
-  /// Retires warp `w`; may complete its kernel (invalidating `k`).
-  void complete_warp(ActiveKernel& k, Warp& w);
+  /// Retires warp `w` of `slot`; may recycle the slot and complete its
+  /// kernel (invalidating both).
+  void complete_warp(std::uint32_t slot, Warp& w);
 
   Config cfg_;
   EventQueue* eq_;
@@ -227,10 +238,15 @@ class GpuEngine {
 
   std::vector<Sm> sms_;
   BlockScheduler scheduler_;
+  /// One slot per block the SM array can hold; free_slots_ is a stack.
+  std::vector<BlockSlot> slots_;
+  std::vector<std::uint32_t> free_slots_;
   std::vector<WarpRef> stalled_;
   /// Buffers reused across calls so stepping and replay never allocate in
-  /// steady state: the lanes still missing after a step (swapped into the
-  /// warp), and the warps a replay resumes.
+  /// steady state: a strided record's expanded lanes, the lanes still
+  /// missing after a step (swapped into the warp), and the warps a replay
+  /// resumes.
+  std::vector<VirtPage> lanes_;
   std::vector<VirtPage> missing_;
   std::vector<WarpRef> resuming_;
   /// Replays that found parked warps; numbers them for last_replay_seen.

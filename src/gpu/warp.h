@@ -17,19 +17,17 @@
 namespace uvmsim {
 
 enum class WarpState : std::uint8_t {
-  Waiting,   ///< block not yet dispatched to an SM
   Runnable,  ///< dispatched; will execute its next access
   Stalled,   ///< parked on a far-fault, waiting for replay
-  Done,      ///< stream exhausted
+  Done,      ///< stream exhausted, or a block slot's unused warp
 };
 
 struct Warp {
   std::uint32_t id = 0;           ///< global warp id within the kernel
-  std::uint32_t block_index = 0;  ///< grid-block this warp belongs to
   std::uint32_t sm = 0;           ///< SM the block is resident on
   const AccessStream* stream = nullptr;
   std::size_t pos = 0;            ///< index of the next record to execute
-  WarpState state = WarpState::Waiting;
+  WarpState state = WarpState::Done;
 
   /// Lanes of the in-flight record still waiting for their page. Hardware
   /// parks only the missing lanes: a lane that completed never re-faults,
@@ -40,8 +38,6 @@ struct Warp {
   bool record_in_flight = false;
 
   SimTime stall_start = 0;        ///< when the warp parked (for stall stats)
-  std::uint64_t faults_raised = 0;
-  std::uint64_t replays_survived = 0;
 };
 
 }  // namespace uvmsim

@@ -251,7 +251,10 @@ SimTime Driver::service_bin(const FaultBatch::Bin& bin, SimTime t) {
     t0 = t;
     const Prefetcher::Result pres = Prefetcher::compute_fast(
         blk, need, cfg_.big_page_upgrade, effective_threshold());
-    prefetch = pres.prefetch;
+    // A remote-mapped page (thrash Pin, advise.remote_map, no-victim
+    // degradation) stays zero-copy: migrating it too would leave it both
+    // remote and resident.
+    prefetch = pres.prefetch.and_not(blk.remote_mapped);
     t += cm_.prefetch_compute_per_block +
          static_cast<SimDuration>(pres.tree_updates) *
              cm_.prefetch_compute_per_fault;

@@ -21,55 +21,45 @@ void SgemmWorkload::setup(Simulator& sim) {
   RangeId ra = sim.malloc_managed(bytes, "A");
   RangeId rb = sim.malloc_managed(bytes, "B");
   RangeId rc = sim.malloc_managed(bytes, "C");
-  const VaRange& a = sim.address_space().range(ra);
-  const VaRange& b = sim.address_space().range(rb);
-  const VaRange& c = sim.address_space().range(rc);
+  const VirtPage a = sim.address_space().range(ra).first_page;
+  const VirtPage b = sim.address_space().range(rb).first_page;
+  const VirtPage c = sim.address_space().range(rc).first_page;
 
-  const std::uint64_t nt = n_ / kTile;        // tiles per dimension
-  const std::uint64_t rows_per_warp = kTile / 8;  // 8 warps per block
-
-  GridBuilder g("sgemm");
-  std::vector<VirtPage> pages;
-  for (std::uint64_t by = 0; by < nt; ++by) {
-    for (std::uint64_t bx = 0; bx < nt; ++bx) {
-      for (std::uint32_t w = 0; w < 8; ++w) {
-        AccessStream& s = g.new_warp();
-        const std::uint64_t r0 = w * rows_per_warp;
-        for (std::uint64_t kk = 0; kk < nt; ++kk) {
-          // A tile rows [by*T + r0, +rows_per_warp), cols [kk*T, +T).
-          pages.clear();
-          for (std::uint64_t r = 0; r < rows_per_warp; ++r) {
-            auto ps = pages_for_row_segment(a.first_page, n_, sizeof(float),
-                                            by * kTile + r0 + r, kk * kTile,
-                                            (kk + 1) * kTile);
-            pages.insert(pages.end(), ps.begin(), ps.end());
-          }
-          s.add(pages, /*write=*/false, compute_ns_);
-          // B tile rows [kk*T + r0, +rows_per_warp), cols [bx*T, +T).
-          pages.clear();
-          for (std::uint64_t r = 0; r < rows_per_warp; ++r) {
-            auto ps = pages_for_row_segment(b.first_page, n_, sizeof(float),
-                                            kk * kTile + r0 + r, bx * kTile,
-                                            (bx + 1) * kTile);
-            pages.insert(pages.end(), ps.begin(), ps.end());
-          }
-          s.add(pages, /*write=*/false, compute_ns_);
-        }
-        // C tile write, rows [by*T + r0, +rows_per_warp), cols [bx*T, +T).
-        pages.clear();
-        for (std::uint64_t r = 0; r < rows_per_warp; ++r) {
-          auto ps = pages_for_row_segment(c.first_page, n_, sizeof(float),
-                                          by * kTile + r0 + r, bx * kTile,
-                                          (bx + 1) * kTile);
-          pages.insert(pages.end(), ps.begin(), ps.end());
-        }
-        s.add(pages, /*write=*/true, 500);
-      }
-    }
-  }
-  double flops = 2.0 * static_cast<double>(n_) * static_cast<double>(n_) *
+  const std::uint64_t nt = n_ / kTile;  // tiles per dimension
+  KernelSpec k;
+  k.name = "sgemm";
+  k.num_blocks = static_cast<std::uint32_t>(nt * nt);
+  k.warps_per_block = kWarpsPerBlock;
+  k.work_units = 2.0 * static_cast<double>(n_) * static_cast<double>(n_) *
                  static_cast<double>(n_);
-  sim.launch(g.build(flops));
+  // Block by * nt + bx computes output tile (by, bx); warp w owns its rows
+  // [w * kRowsPerWarp, +kRowsPerWarp). Each access reads or writes those
+  // rows' kTile-float segment of one tile: a strided record of
+  // kRowsPerWarp rows, one matrix row apart.
+  k.make_block = [a, b, c, nt, n = n_, compute_ns = compute_ns_](
+                     std::uint32_t blk, ThreadBlockSpec& tb) {
+    const std::uint64_t by = blk / nt;
+    const std::uint64_t bx = blk % nt;
+    const std::uint64_t row = n * sizeof(float);
+    constexpr auto kSeg = static_cast<std::uint32_t>(kTile * sizeof(float));
+    // Byte offset of tile (ty, tx)'s first row of warp w.
+    const auto tile = [row](std::uint64_t ty, std::uint64_t tx,
+                            std::uint32_t w) {
+      return (ty * kTile + w * kRowsPerWarp) * row + tx * kSeg;
+    };
+    for (std::uint32_t w = 0; w < kWarpsPerBlock; ++w) {
+      AccessStream& s = tb.warps[w];
+      for (std::uint64_t kk = 0; kk < nt; ++kk) {
+        s.add_strided(a, tile(by, kk, w), kSeg, row, kRowsPerWarp,
+                      /*write=*/false, compute_ns);
+        s.add_strided(b, tile(kk, bx, w), kSeg, row, kRowsPerWarp,
+                      /*write=*/false, compute_ns);
+      }
+      s.add_strided(c, tile(by, bx, w), kSeg, row, kRowsPerWarp,
+                    /*write=*/true, 500);
+    }
+  };
+  sim.launch(std::move(k));
 }
 
 }  // namespace uvmsim

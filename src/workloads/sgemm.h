@@ -3,7 +3,8 @@
 // tiles per thread block, k-panel loop reading row panels of A and column
 // panels of B. The driver sees the tile sweeps; the heavy on-GPU register
 // and shared-memory reuse is invisible to it — exactly the situation the
-// paper points out for sgemm in §IV-B.
+// paper points out for sgemm in §IV-B. The grid is generated one block at a
+// time as the GPU dispatches it, so full-scale grids fit in memory.
 #pragma once
 
 #include <cstdint>
@@ -29,6 +30,8 @@ class SgemmWorkload final : public Workload {
   void setup(Simulator& sim) override;
 
   static constexpr std::uint64_t kTile = 128;
+  static constexpr std::uint32_t kWarpsPerBlock = 8;
+  static constexpr std::uint32_t kRowsPerWarp = kTile / kWarpsPerBlock;
 
  private:
   std::uint64_t n_;

@@ -211,12 +211,14 @@ TraceData capture_trace(Workload& workload, const SimConfig& cfg) {
     trace.ranges.push_back(TraceData::Range{r.name, r.bytes, populated});
   }
 
+  ThreadBlockSpec slot;  // generated blocks are built here, one at a time
+  std::vector<VirtPage> lanes;
   for (const KernelSpec* spec : sim.queued_kernels()) {
     TraceData::Kernel k;
     k.name = spec->name;
     k.work_units = spec->work_units;
-    for (const auto& blk : spec->blocks) {
-      for (const auto& stream : blk.warps) {
+    for (std::uint32_t b = 0; b < spec->block_count(); ++b) {
+      for (const auto& stream : spec->block(b, slot).warps) {
         std::vector<TraceData::Access> warp;
         warp.reserve(stream.size());
         for (std::size_t i = 0; i < stream.size(); ++i) {
@@ -224,7 +226,7 @@ TraceData capture_trace(Workload& workload, const SimConfig& cfg) {
           TraceData::Access a;
           a.write = rec.write;
           a.compute_ns = rec.compute_ns;
-          for (VirtPage p : stream.pages(i)) {
+          for (VirtPage p : stream.pages(i, lanes)) {
             RangeId rid = as.range_of(p);
             if (rid == kInvalidRange) {
               throw std::logic_error("capture_trace: access outside ranges");

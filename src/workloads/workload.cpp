@@ -47,13 +47,4 @@ std::vector<VirtPage> pages_for_bytes(VirtPage range_first_page,
   return out;
 }
 
-std::vector<VirtPage> pages_for_row_segment(VirtPage range_first_page,
-                                            std::uint64_t cols,
-                                            std::uint64_t elem_bytes,
-                                            std::uint64_t r, std::uint64_t c0,
-                                            std::uint64_t c1) {
-  return pages_for_bytes(range_first_page, (r * cols + c0) * elem_bytes,
-                         (c1 - c0) * elem_bytes);
-}
-
 }  // namespace uvmsim

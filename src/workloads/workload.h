@@ -59,10 +59,4 @@ class GridBuilder {
                                                     std::uint64_t offset,
                                                     std::uint64_t len);
 
-/// Pages covered by columns [c0, c1) of row `r` of a row-major matrix with
-/// `cols` elements of `elem_bytes` per row.
-[[nodiscard]] std::vector<VirtPage> pages_for_row_segment(
-    VirtPage range_first_page, std::uint64_t cols, std::uint64_t elem_bytes,
-    std::uint64_t r, std::uint64_t c0, std::uint64_t c1);
-
 }  // namespace uvmsim

@@ -77,6 +77,31 @@ TEST_F(AdviseTest, RemoteMapSkipsPrefetcher) {
   EXPECT_EQ(sim_.driver().counters().pages_prefetched, 0u);
 }
 
+TEST_F(AdviseTest, FaultPrefetchSkipsRemoteMappedPages) {
+  // A page remote-mapped earlier (here by advise; thrash Pin and no-victim
+  // degradation leave the same state) must stay out of the density tree's
+  // prefetch when a later fault in its big page migrates.
+  ASSERT_EQ(sim_.config().driver.prefetch, PrefetchMode::Tree);
+  ASSERT_EQ(sim_.config().driver.backend,
+            ServicingBackendKind::DriverCentric);
+  RangeId rid = make_range();
+  MemAdvise a;
+  a.remote_map = true;
+  sim_.mem_advise(rid, a);
+  const VirtPage first = sim_.address_space().range(rid).first_page;
+  push_fault(first);
+  interrupt_and_run();
+  sim_.mem_advise(rid, MemAdvise{});
+  push_fault(first + 1);
+  interrupt_and_run();
+
+  const VaBlock& blk = sim_.address_space().block_of(first);
+  EXPECT_GT(sim_.driver().counters().pages_prefetched, 0u);
+  EXPECT_TRUE(blk.gpu_resident.test(1));
+  EXPECT_TRUE(blk.remote_mapped.test(0));
+  EXPECT_TRUE((blk.remote_mapped & blk.gpu_resident).none());
+}
+
 TEST_F(AdviseTest, RemoteAccessesConsumeLinkBandwidth) {
   RangeId rid = make_range();
   MemAdvise a;

@@ -143,20 +143,24 @@ TEST(Cli, BaselineComparison) {
 }
 
 TEST(Cli, TraceDumpAndReplayRoundTrip) {
-  std::string trace = std::string(::testing::TempDir()) + "/cli_test.trace";
-  CmdResult dump = run_cli("--workload stream --size-mib 6 --dump-trace " +
-                           trace);
-  ASSERT_EQ(dump.exit_code, 0) << dump.output;
-  std::ifstream f(trace);
-  ASSERT_TRUE(f.good());
-  std::string header;
-  std::getline(f, header);
-  EXPECT_EQ(header, "uvmsim-trace v1");
+  // stream stores its grid; sgemm generates each block at dispatch.
+  for (const char* workload : {"stream", "sgemm"}) {
+    SCOPED_TRACE(workload);
+    std::string trace = std::string(::testing::TempDir()) + "/cli_test.trace";
+    CmdResult dump = run_cli(std::string("--workload ") + workload +
+                             " --size-mib 6 --dump-trace " + trace);
+    ASSERT_EQ(dump.exit_code, 0) << dump.output;
+    std::ifstream f(trace);
+    ASSERT_TRUE(f.good());
+    std::string header;
+    std::getline(f, header);
+    EXPECT_EQ(header, "uvmsim-trace v1");
 
-  CmdResult replay = run_cli("--replay-trace " + trace);
-  EXPECT_EQ(replay.exit_code, 0) << replay.output;
-  EXPECT_NE(replay.output.find("faults_serviced"), std::string::npos);
-  std::remove(trace.c_str());
+    CmdResult replay = run_cli("--replay-trace " + trace);
+    EXPECT_EQ(replay.exit_code, 0) << replay.output;
+    EXPECT_NE(replay.output.find("faults_serviced"), std::string::npos);
+    std::remove(trace.c_str());
+  }
 }
 
 TEST(Cli, DriverTraceOutWritesChromeJson) {

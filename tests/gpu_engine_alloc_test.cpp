@@ -1,8 +1,10 @@
 // Proves GpuEngine's warp stepping allocates nothing per step: the heap
-// allocations made while a kernel runs depend on its shape (warps, blocks,
-// concurrent events, fault-buffer depth), never on how many records each
-// warp executes. The whole binary's operator new/delete are replaced with
-// counting wrappers; this file must stay its own test executable.
+// allocations made while a kernel runs depend on its shape (warps per
+// block, resident blocks, concurrent events, fault-buffer depth), never on
+// how many records each warp executes, whether records list or describe
+// their pages, or how many blocks a generated grid has beyond those the
+// GPU holds at once. The whole binary's operator new/delete are replaced
+// with counting wrappers; this file must stay its own test executable.
 #include "gpu/gpu_engine.h"
 
 #include <gtest/gtest.h>
@@ -10,6 +12,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
 #include "mem/page_table.h"
 
@@ -46,18 +49,28 @@ constexpr std::uint32_t kBlocks = 2;
 constexpr std::uint32_t kWarpsPerBlock = 4;
 constexpr std::uint32_t kLanes = 4;  ///< pages per record
 
+/// How the rig's kernel holds its records.
+enum class Form {
+  Explicit,   ///< stored blocks, page lists
+  Strided,    ///< stored blocks, strided records
+  Generated,  ///< strided records, each block generated at dispatch
+};
+
 /// One engine plus an instant driver stub: on interrupt it drains the fault
 /// buffer, maps every faulted page and replays.
 class Rig {
  public:
-  explicit Rig(std::uint32_t records)
+  explicit Rig(std::uint32_t records, Form form = Form::Explicit,
+               std::uint32_t blocks = kBlocks)
       : pt_(as_),
         fb_(FaultBuffer::Config{}),
         ac_(AccessCounters::Config{}),
         gpu_(cfg(), eq_, as_, pt_, fb_, ac_),
-        records_(records) {
+        records_(records),
+        form_(form),
+        blocks_(blocks) {
     const std::uint64_t pages =
-        std::uint64_t{kBlocks} * kWarpsPerBlock * records * kLanes;
+        std::uint64_t{blocks} * kWarpsPerBlock * records * kLanes;
     rid_ = as_.create_range(pages * kPageSize, "data");
     gpu_.set_interrupt_handler([this] {
       if (service_scheduled_) return;
@@ -84,18 +97,43 @@ class Rig {
   /// record touches, then counts the allocations of running it.
   std::uint64_t run_allocs() {
     const VirtPage first = as_.range(rid_).first_page;
-    std::uint64_t next = 0;
+    const std::uint32_t records = records_;
+    const Form form = form_;
+    // Warp w's record r: kLanes consecutive pages, every lane a row.
+    const auto fill = [first, records, form](std::uint64_t w,
+                                             AccessStream& s) {
+      for (std::uint32_t r = 0; r < records; ++r) {
+        const VirtPage p = first + (w * records + r) * kLanes;
+        if (form == Form::Explicit) {
+          std::vector<VirtPage> lanes;
+          for (VirtPage l = p; l < p + kLanes; ++l) lanes.push_back(l);
+          s.add(lanes, r % 2 == 0, 200);
+        } else {
+          s.add_strided(p, 0, kPageSize, kPageSize, kLanes, r % 2 == 0, 200);
+        }
+      }
+    };
     kernel_.name = "lanes";
-    kernel_.blocks.resize(kBlocks);
-    for (auto& blk : kernel_.blocks) {
-      blk.warps.resize(kWarpsPerBlock);
-      for (auto& s : blk.warps) {
-        for (std::uint32_t r = 0; r < records_; ++r) {
-          s.add_run(first + next, kLanes, r % 2 == 0, 200);
-          next += kLanes;
+    if (form_ == Form::Generated) {
+      kernel_.num_blocks = blocks_;
+      kernel_.warps_per_block = kWarpsPerBlock;
+      kernel_.make_block = [fill](std::uint32_t b, ThreadBlockSpec& blk) {
+        for (std::uint32_t w = 0; w < kWarpsPerBlock; ++w) {
+          fill(std::uint64_t{b} * kWarpsPerBlock + w, blk.warps[w]);
+        }
+      };
+    } else {
+      kernel_.blocks.resize(blocks_);
+      for (std::uint32_t b = 0; b < blocks_; ++b) {
+        kernel_.blocks[b].warps.resize(kWarpsPerBlock);
+        for (std::uint32_t w = 0; w < kWarpsPerBlock; ++w) {
+          fill(std::uint64_t{b} * kWarpsPerBlock + w,
+               kernel_.blocks[b].warps[w]);
         }
       }
     }
+    const std::uint64_t next =
+        std::uint64_t{blocks_} * kWarpsPerBlock * records_ * kLanes;
     bool done = false;
     gpu_.launch(&kernel_, [&done] { done = true; });
     const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
@@ -124,6 +162,8 @@ class Rig {
   AccessCounters ac_;
   GpuEngine gpu_;
   std::uint32_t records_;
+  Form form_;
+  std::uint32_t blocks_;
   RangeId rid_ = 0;
   KernelSpec kernel_;
   bool service_scheduled_ = false;
@@ -150,6 +190,31 @@ TEST(GpuEngineAlloc, FaultingStepsAllocateNothing) {
   EXPECT_EQ(ks.faults_raised, ks.page_touches);
   EXPECT_GT(large.gpu().faults_throttled(), 0u);
   EXPECT_EQ(allocs, base);
+}
+
+TEST(GpuEngineAlloc, StridedStepsAllocateNothing) {
+  Rig small(kRecords, Form::Strided);
+  small.make_resident();
+  const std::uint64_t base = small.run_allocs();
+  Rig large(4 * kRecords, Form::Strided);
+  large.make_resident();
+  EXPECT_EQ(large.run_allocs(), base);
+
+  Rig small_faulting(kRecords, Form::Strided);
+  const std::uint64_t faulting_base = small_faulting.run_allocs();
+  Rig large_faulting(4 * kRecords, Form::Strided);
+  EXPECT_EQ(large_faulting.run_allocs(), faulting_base);
+}
+
+TEST(GpuEngineAlloc, GeneratedGridAllocatesPerResidentBlock) {
+  // 4 SMs x 2 slots hold 8 blocks: both grids fill every slot, so each
+  // slot's streams grow on its first fill and are reused after that.
+  Rig small(kRecords, Form::Generated, 16);
+  small.make_resident();
+  const std::uint64_t base = small.run_allocs();
+  Rig large(kRecords, Form::Generated, 64);
+  large.make_resident();
+  EXPECT_EQ(large.run_allocs(), base);
 }
 
 }  // namespace

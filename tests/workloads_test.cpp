@@ -6,6 +6,9 @@
 
 #include "core/metrics.h"
 #include "core/simulator.h"
+#include "workloads/regular.h"
+#include "workloads/sgemm.h"
+#include "workloads/strided.h"
 
 namespace uvmsim {
 namespace {
@@ -181,6 +184,140 @@ TEST(Workloads, CusparseHasConversionAndSpmm) {
   RunResult r = sim.run();
   EXPECT_EQ(r.kernels.size(), 2u);
   EXPECT_EQ(sim.address_space().num_ranges(), 4u);
+}
+
+
+// --- strided records against the explicit page lists they replace ---
+
+/// One record as the engine sees it: flags plus pages in lane order.
+struct FlatRecord {
+  bool write;
+  std::uint32_t compute_ns;
+  std::vector<VirtPage> pages;
+  bool operator==(const FlatRecord&) const = default;
+};
+/// blocks -> warps -> records, walking generated blocks in order.
+using FlatKernel = std::vector<std::vector<std::vector<FlatRecord>>>;
+
+FlatKernel flatten(const KernelSpec& k) {
+  FlatKernel out;
+  ThreadBlockSpec slot;
+  std::vector<VirtPage> buf;
+  for (std::uint32_t b = 0; b < k.block_count(); ++b) {
+    auto& blk = out.emplace_back();
+    for (const AccessStream& s : k.block(b, slot).warps) {
+      auto& warp = blk.emplace_back();
+      for (std::size_t i = 0; i < s.size(); ++i) {
+        const auto pages = s.pages(i, buf);
+        EXPECT_EQ(pages.size(), s.record(i).page_count);
+        warp.push_back({s.record(i).write, s.record(i).compute_ns,
+                        {pages.begin(), pages.end()}});
+      }
+    }
+  }
+  return out;
+}
+
+/// Sets `wl` up on a fresh simulator and flattens its only kernel; `first`
+/// receives each range's first page.
+FlatKernel generated(Workload& wl, std::vector<VirtPage>& first) {
+  Simulator sim(cfg_64mib());
+  wl.setup(sim);
+  for (const auto& r : sim.address_space().ranges()) {
+    first.push_back(r.first_page);
+  }
+  EXPECT_EQ(sim.queued_kernels().size(), 1u);
+  return flatten(*sim.queued_kernels().at(0));
+}
+
+/// The explicit-list sgemm grid: each access concatenates the pages of its
+/// rows' segments and add() drops repeats.
+FlatKernel sgemm_reference(std::uint64_t n, const std::vector<VirtPage>& m) {
+  constexpr std::uint64_t kT = SgemmWorkload::kTile;
+  const std::uint64_t nt = n / kT;
+  GridBuilder g("sgemm");
+  std::vector<VirtPage> pages;
+  const auto tile = [&](VirtPage first, std::uint64_t r0, std::uint64_t c0) {
+    pages.clear();
+    for (std::uint64_t r = r0; r < r0 + kT / 8; ++r) {
+      auto ps = pages_for_bytes(first, (r * n + c0) * 4, kT * 4);
+      pages.insert(pages.end(), ps.begin(), ps.end());
+    }
+    return std::span<const VirtPage>(pages);
+  };
+  for (std::uint64_t by = 0; by < nt; ++by) {
+    for (std::uint64_t bx = 0; bx < nt; ++bx) {
+      for (std::uint64_t w = 0; w < 8; ++w) {
+        AccessStream& s = g.new_warp();
+        const std::uint64_t r0 = w * (kT / 8);
+        for (std::uint64_t kk = 0; kk < nt; ++kk) {
+          s.add(tile(m[0], by * kT + r0, kk * kT), false, 1500);
+          s.add(tile(m[1], kk * kT + r0, bx * kT), false, 1500);
+        }
+        s.add(tile(m[2], by * kT + r0, bx * kT), true, 500);
+      }
+    }
+  }
+  return flatten(g.build());
+}
+
+TEST(StridedRecords, SgemmMatchesExplicitPageLists) {
+  // n = 128..896: a 512-byte tile row shares its page with the next rows,
+  // so the dedup is exercised; n >= 1024: each row is a page or more apart.
+  for (std::uint64_t n : {128u, 256u, 384u, 896u, 1024u, 1152u}) {
+    SgemmWorkload wl(n);
+    std::vector<VirtPage> first;
+    const FlatKernel got = generated(wl, first);
+    ASSERT_EQ(first.size(), 3u);
+    EXPECT_EQ(got, sgemm_reference(n, first)) << "n=" << n;
+  }
+}
+
+TEST(StridedRecords, RegularMatchesExplicitRuns) {
+  RegularTouch wl(100 * kPageSize);  // 3 full 32-page runs + a 4-page tail
+  std::vector<VirtPage> first;
+  const FlatKernel got = generated(wl, first);
+  GridBuilder g("regular_touch");
+  for (std::uint64_t p0 = 0; p0 < 100; p0 += 32) {
+    std::vector<VirtPage> run;
+    for (std::uint64_t p = p0; p < std::min<std::uint64_t>(p0 + 32, 100); ++p) {
+      run.push_back(first.at(0) + p);
+    }
+    g.new_warp().add(run, true, 500);
+  }
+  EXPECT_EQ(got, flatten(g.build()));
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].back()[0].pages.size(), 4u);
+}
+
+TEST(StridedRecords, StridedMatchesExplicitLanes) {
+  // 600 pages at stride 16: one full warp plus a 6-lane tail. Stride 1000
+  // is past the range end after one lane.
+  for (std::uint32_t stride : {1u, 16u, 1000u}) {
+    StridedTouch wl(600 * kPageSize, stride);
+    std::vector<VirtPage> first;
+    const FlatKernel got = generated(wl, first);
+    GridBuilder g("strided_touch");
+    for (std::uint64_t p = 0; p < 600;) {
+      std::vector<VirtPage> lanes;
+      for (int lane = 0; lane < 32 && p < 600; ++lane, p += stride) {
+        lanes.push_back(first.at(0) + p);
+      }
+      g.new_warp().add(lanes, true, 500);
+    }
+    EXPECT_EQ(got, flatten(g.build())) << "stride=" << stride;
+  }
+}
+
+TEST(StridedRecords, SgemmGridIsGeneratedPerBlock) {
+  Simulator sim(cfg_64mib());
+  SgemmWorkload wl(384);
+  wl.setup(sim);
+  const KernelSpec& k = *sim.queued_kernels().at(0);
+  EXPECT_TRUE(k.blocks.empty());
+  EXPECT_EQ(k.block_count(), 9u);
+  EXPECT_EQ(k.total_warps(), 72u);
+  sim.run();
 }
 
 }  // namespace

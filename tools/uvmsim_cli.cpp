@@ -92,7 +92,8 @@ void print_help() {
       R"(uvmsim_cli — UVM demand-paging simulator front end
 
 options:
-  --workload NAME      regular|random|sgemm|stream|cufft|tealeaf|hpgmg|cusparse|bfs
+  --workload NAME      regular|random|strided|sgemm|stream|cufft|tealeaf|hpgmg|
+                       cusparse|bfs
   --size-mib N         managed data footprint (default 64)
   --gpu-mib N          simulated GPU memory (default 128)
   --full-scale         full-fidelity Titan V preset: 12 GB GPU memory,
