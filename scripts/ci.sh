@@ -149,15 +149,19 @@ fi
 echo "policy-crossover gate: green"
 rm -rf "$BENCH_TMP"
 
-echo "== perfbench (benchmark self-tests + seed-42 golden digests) =="
+echo "== perfbench (benchmark self-tests + golden digests, seeds 42/0/31) =="
 # run.py builds the harness into .bench_build/ and exits nonzero when a
 # simulation's digest differs from perfbench/goldens.json, so these runs
-# pin the simulated output of all three benchmark workloads.
+# pin the simulated output of all three benchmark workloads. Seed 42 is the
+# benchmark's; seeds 0 and 31 check a change on seeds it was not tuned on.
 python3 perfbench/test_perfbench.py
 for w in random-oversub random-oversub-gpudriven sgemm-resident; do
-  python3 perfbench/run.py --workload "$w" --seconds 0 > /dev/null \
-    || { echo "perfbench golden FAILED for $w"; exit 1; }
-  echo "$w: golden digest matches"
+  for seed in 42 0 31; do
+    python3 perfbench/run.py --workload "$w" --seed "$seed" --seconds 0 \
+      > /dev/null \
+      || { echo "perfbench golden FAILED for $w seed $seed"; exit 1; }
+    echo "$w seed $seed: golden digest matches"
+  done
 done
 
 echo "== campaign kill-and-resume smoke (SIGKILL x resume determinism) =="

@@ -103,6 +103,27 @@ PrefetchMode prefetch_mode(const RunRequest& req) {
   return PrefetchMode::Markov;
 }
 
+/// The constraints that span keys (or a whole request): trace pairing and
+/// non-zero sizes. Queue lines are checked as they parse; uvmsim_cli builds
+/// its request key by key, so request_sim_config checks them again.
+void check_cross_keys(const RunRequest& req) {
+  if (req.workload == "trace") {
+    if (req.trace_file.empty()) {
+      throw ConfigError("request.trace",
+                        "workload=trace needs trace=<file>");
+    }
+  } else if (!req.trace_file.empty()) {
+    throw ConfigError("request.trace",
+                      "trace= is only valid with workload=trace");
+  }
+  if (req.workload != "trace" && req.size_mib == 0) {
+    throw ConfigError("request.size-mib", "must be >= 1");
+  }
+  if (req.gpu_mib == 0) {
+    throw ConfigError("request.gpu-mib", "must be >= 1");
+  }
+}
+
 }  // namespace
 
 void set_request_key(RunRequest& req, const std::string& key,
@@ -167,21 +188,7 @@ RunRequest parse_request_line(const std::string& line) {
     }
     set_request_key(req, tok.substr(0, eq), tok.substr(eq + 1));
   }
-  if (req.workload == "trace") {
-    if (req.trace_file.empty()) {
-      throw ConfigError("request.trace",
-                        "workload=trace needs trace=<file>");
-    }
-  } else if (!req.trace_file.empty()) {
-    throw ConfigError("request.trace",
-                      "trace= is only valid with workload=trace");
-  }
-  if (req.workload != "trace" && req.size_mib == 0) {
-    throw ConfigError("request.size-mib", "must be >= 1");
-  }
-  if (req.gpu_mib == 0) {
-    throw ConfigError("request.gpu-mib", "must be >= 1");
-  }
+  check_cross_keys(req);
   return req;
 }
 
@@ -265,6 +272,7 @@ std::string request_id(const RunRequest& req) {
 }
 
 SimConfig request_sim_config(const RunRequest& req) {
+  check_cross_keys(req);
   SimConfig cfg;
   cfg.set_gpu_memory(req.gpu_mib << 20);
   cfg.seed = req.seed;

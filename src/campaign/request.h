@@ -95,8 +95,9 @@ void load_trace_content(RunRequest& req);
 [[nodiscard]] std::string request_id(const RunRequest& req);
 
 /// Builds the SimConfig this request describes. Throws ConfigError on
-/// invalid knob values. uvmsim_cli builds its config through this too, so
-/// both front ends validate every shared knob identically.
+/// invalid knob values or cross-key constraints (those parse_request_line
+/// checks). uvmsim_cli builds its config through this too, so both front
+/// ends validate every shared knob identically.
 [[nodiscard]] SimConfig request_sim_config(const RunRequest& req);
 
 /// Builds the workload (registry lookup or trace replay). Throws

@@ -1,5 +1,6 @@
 #include "gpu/gpu_engine.h"
 
+#include <cassert>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -40,8 +41,8 @@ GpuEngine::GpuEngine(const Config& cfg, EventQueue& eq, AddressSpace& as,
       rng_(cfg.seed),
       scheduler_(cfg.num_sms, cfg.max_blocks_per_sm),
       slots_(std::size_t{cfg.num_sms} * cfg.max_blocks_per_sm),
-      pending_faults_(std::uint64_t{cfg.num_sms} * cfg.utlb_fault_slots),
       sm_outstanding_faults_(cfg.num_sms, 0) {
+  pending_used_.reserve(std::size_t{cfg_.num_sms} * cfg_.utlb_fault_slots);
   sms_.reserve(cfg_.num_sms);
   for (std::uint32_t s = 0; s < cfg_.num_sms; ++s) {
     sms_.emplace_back(s, cfg_.utlb_entries);
@@ -72,6 +73,9 @@ void GpuEngine::launch(const KernelSpec* spec,
         "GpuEngine::launch: a generated kernel needs warps_per_block and no "
         "stored blocks");
   }
+  // Sized once per launch, never per step: a lane indexes its block's
+  // pending mask directly.
+  if (pending_.size() < as_->num_blocks()) pending_.resize(as_->num_blocks());
   stream_queues_[stream].push_back(
       PendingKernel{spec, std::move(on_complete), stream});
   try_activate_stream(stream);
@@ -194,12 +198,24 @@ UVMSIM_HOT void GpuEngine::step_warp(WarpRef ref) {
     if (block_of_page(p) != blk_id) {
       blk_id = block_of_page(p);
       blk = &as_->block(blk_id);
+      assert(blk_id < pending_.size());  // the block existed at launch
     }
     const std::uint32_t pi = page_in_block(p);
     const bool remote = blk->remote_mapped.test(pi);
     if (!remote && !blk->gpu_resident.test(pi)) {
+      // The lane parks. It emits a new buffer entry only if no fault for
+      // its base page is pending (µTLB coalescing at the host page
+      // granularity, which divides the block) and the SM still has a free
+      // fault slot (hardware throttling).
       missing_.push_back(p);
-      pushed_any |= raise_fault(w, ks, p, rec.write);
+      const std::uint32_t base_pi = pi & ~(cfg_.fault_granularity_pages - 1);
+      if (pending_[blk_id].test(base_pi)) {
+        ++faults_coalesced_;
+      } else if (sm_outstanding_faults_[w.sm] >= cfg_.utlb_fault_slots) {
+        ++faults_throttled_;
+      } else {
+        pushed_any |= raise_fault(w, ks, p, rec.write, blk_id, base_pi);
+      }
       continue;
     }
     if (!tlb_hit) utlb.insert(p);
@@ -251,25 +267,12 @@ UVMSIM_HOT void GpuEngine::step_warp(WarpRef ref) {
                          rng_.next_below(cfg_.jitter_ns + 1));
 }
 
-bool GpuEngine::raise_fault(Warp& w, KernelStats& ks, VirtPage p,
-                            bool write) {
-  // A new buffer entry is emitted only if no fault for this base page is
-  // already pending (µTLB coalescing at the host page granularity, a power
-  // of two) and the SM still has a free fault slot (hardware throttling).
-  const VirtPage pending_key =
-      p & ~VirtPage{cfg_.fault_granularity_pages - 1};
-  if (pending_faults_.contains(pending_key)) {
-    ++faults_coalesced_;
-    return false;
-  }
-  if (sm_outstanding_faults_[w.sm] >= cfg_.utlb_fault_slots) {
-    ++faults_throttled_;
-    return false;
-  }
+bool GpuEngine::raise_fault(Warp& w, KernelStats& ks, VirtPage p, bool write,
+                            VaBlockId blk, std::uint32_t base_pi) {
   FaultEntry e;
   e.fault_id = next_fault_id_++;
   e.page = p;
-  e.block = block_of_page(p);
+  e.block = blk;
   e.range = as_->range_of(p);
   e.access = write ? FaultAccessType::Write : FaultAccessType::Read;
   e.gpc_id = w.sm / cfg_.sms_per_gpc;
@@ -279,8 +282,13 @@ bool GpuEngine::raise_fault(Warp& w, KernelStats& ks, VirtPage p,
     if (fault_dropped_) fault_dropped_();
     return false;
   }
+  if (pending_used_.size() ==
+      std::size_t{cfg_.num_sms} * cfg_.utlb_fault_slots) {
+    throw std::logic_error("GpuEngine: more pending faults than fault slots");
+  }
   ++ks.faults_raised;
-  pending_faults_.insert(pending_key);
+  pending_[blk].set(base_pi);
+  pending_used_.push_back(p);
   ++sm_outstanding_faults_[w.sm];
   return true;
 }
@@ -311,7 +319,11 @@ void GpuEngine::complete_warp(std::uint32_t si, Warp& w) {
 void GpuEngine::replay() {
   // The replay retries every parked access; pending-fault markers and SM
   // fault slots reset (unsatisfied accesses will raise fresh entries).
-  pending_faults_.clear();
+  for (VirtPage p : pending_used_) {
+    pending_[block_of_page(p)].reset(
+        page_in_block(p) & ~(cfg_.fault_granularity_pages - 1));
+  }
+  pending_used_.clear();
   sm_outstanding_faults_.assign(sm_outstanding_faults_.size(), 0);
   if (stalled_.empty()) return;
 

@@ -28,11 +28,11 @@
 #include "gpu/access_counters.h"
 #include "gpu/block_scheduler.h"
 #include "gpu/fault_buffer.h"
-#include "gpu/pending_fault_set.h"
 #include "gpu/sm.h"
 #include "gpu/warp.h"
 #include "mem/address_space.h"
 #include "mem/interconnect.h"
+#include "mem/page_mask.h"
 #include "mem/page_table.h"
 #include "sim/event_queue.h"
 #include "sim/rng.h"
@@ -215,10 +215,11 @@ class GpuEngine {
   void dispatch_blocks();
   void schedule_step(WarpRef ref, SimDuration delay);
   void step_warp(WarpRef ref);
-  /// Parks one missing lane of `w`'s record: coalesces with a pending fault
-  /// on its base page, is throttled when the SM has no free fault slot, or
-  /// pushes a new fault entry. Returns true if an entry reached the buffer.
-  bool raise_fault(Warp& w, KernelStats& ks, VirtPage p, bool write);
+  /// Pushes a fault entry for missing page `p` of `w`'s record, whose base
+  /// page is `base_pi` of `blk`, and takes one of the SM's fault slots.
+  /// Returns true if the entry reached the buffer.
+  bool raise_fault(Warp& w, KernelStats& ks, VirtPage p, bool write,
+                   VaBlockId blk, std::uint32_t base_pi);
   /// Retires warp `w` of `slot`; may recycle the slot and complete its
   /// kernel (invalidating both).
   void complete_warp(std::uint32_t slot, Warp& w);
@@ -263,9 +264,13 @@ class GpuEngine {
   std::uint64_t remote_accesses_ = 0;
   LogHistogram stall_latency_;
 
-  /// Pages with an in-flight fault entry since the last replay: further
-  /// faults on them coalesce (no new entry). Cleared on replay.
-  PendingFaultSet pending_faults_;
+  /// Per VA block, the base pages with an in-flight fault entry since the
+  /// last replay: further faults on them coalesce (no new entry). launch()
+  /// grows it to the address space; replay() clears the bits listed in
+  /// pending_used_, which never holds more than num_sms × utlb_fault_slots
+  /// pages (each entry takes an SM fault slot).
+  std::vector<PageMask> pending_;
+  std::vector<VirtPage> pending_used_;
   /// Outstanding fault entries per SM since the last replay.
   std::vector<std::uint32_t> sm_outstanding_faults_;
 };

@@ -252,6 +252,17 @@ TEST(Cli, ConfigErrorGetsDistinctExitCode) {
 // exits with the same table (plus 4 = quarantined) and ProcessWorker
 // classifies child exits by inverting it, so drift here silently corrupts
 // fleet retry policy.
+TEST(Cli, ZeroSizeRejected) {
+  // The whole-request checks of a campaign queue line apply to the CLI's
+  // request too.
+  CmdResult r = run_cli("--workload regular --size-mib 0");
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find("size-mib"), std::string::npos);
+  CmdResult r2 = run_cli("--workload regular --size-mib 4 --gpu-mib 0");
+  EXPECT_EQ(r2.exit_code, 2) << r2.output;
+  EXPECT_NE(r2.output.find("gpu-mib"), std::string::npos);
+}
+
 TEST(Cli, ExitCodeMatrix) {
   // 0: a successful run.
   EXPECT_EQ(run_cli("--workload regular --size-mib 4 --gpu-mib 16").exit_code,

@@ -60,15 +60,17 @@ enum class Form {
 /// buffer, maps every faulted page and replays.
 class Rig {
  public:
+  /// With `paired`, warps 2i and 2i+1 touch the same pages.
   explicit Rig(std::uint32_t records, Form form = Form::Explicit,
-               std::uint32_t blocks = kBlocks)
+               std::uint32_t blocks = kBlocks, bool paired = false)
       : pt_(as_),
         fb_(FaultBuffer::Config{}),
         ac_(AccessCounters::Config{}),
         gpu_(cfg(), eq_, as_, pt_, fb_, ac_),
         records_(records),
         form_(form),
-        blocks_(blocks) {
+        blocks_(blocks),
+        paired_(paired) {
     const std::uint64_t pages =
         std::uint64_t{blocks} * kWarpsPerBlock * records * kLanes;
     rid_ = as_.create_range(pages * kPageSize, "data");
@@ -99,11 +101,13 @@ class Rig {
     const VirtPage first = as_.range(rid_).first_page;
     const std::uint32_t records = records_;
     const Form form = form_;
+    const bool paired = paired_;
     // Warp w's record r: kLanes consecutive pages, every lane a row.
-    const auto fill = [first, records, form](std::uint64_t w,
-                                             AccessStream& s) {
+    const auto fill = [first, records, form, paired](std::uint64_t w,
+                                                     AccessStream& s) {
+      const std::uint64_t owner = paired ? w / 2 : w;
       for (std::uint32_t r = 0; r < records; ++r) {
-        const VirtPage p = first + (w * records + r) * kLanes;
+        const VirtPage p = first + (owner * records + r) * kLanes;
         if (form == Form::Explicit) {
           std::vector<VirtPage> lanes;
           for (VirtPage l = p; l < p + kLanes; ++l) lanes.push_back(l);
@@ -164,6 +168,7 @@ class Rig {
   std::uint32_t records_;
   Form form_;
   std::uint32_t blocks_;
+  bool paired_;
   RangeId rid_ = 0;
   KernelSpec kernel_;
   bool service_scheduled_ = false;
@@ -190,6 +195,14 @@ TEST(GpuEngineAlloc, FaultingStepsAllocateNothing) {
   EXPECT_EQ(ks.faults_raised, ks.page_touches);
   EXPECT_GT(large.gpu().faults_throttled(), 0u);
   EXPECT_EQ(allocs, base);
+
+  // Warp pairs on the same pages: the later warp's lanes coalesce.
+  Rig small_paired(kRecords, Form::Explicit, kBlocks, true);
+  const std::uint64_t paired_base = small_paired.run_allocs();
+  Rig large_paired(4 * kRecords, Form::Explicit, kBlocks, true);
+  const std::uint64_t paired_allocs = large_paired.run_allocs();
+  EXPECT_GT(large_paired.gpu().faults_coalesced(), 0u);
+  EXPECT_EQ(paired_allocs, paired_base);
 }
 
 TEST(GpuEngineAlloc, StridedStepsAllocateNothing) {

@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
+#include "core/simulator.h"
 #include "mem/page_table.h"
+#include "workloads/registry.h"
 
 namespace uvmsim {
 namespace {
@@ -28,9 +32,11 @@ class GpuEngineTest : public ::testing::Test {
     return c;
   }
 
-  /// Installs the instant-service stub driver.
-  void install_instant_driver() {
-    gpu_.set_interrupt_handler([this] {
+  /// Installs the instant-service stub driver. `on_interrupt`, if set,
+  /// runs first on every interrupt.
+  void install_instant_driver(std::function<void()> on_interrupt = {}) {
+    gpu_.set_interrupt_handler([this, on_interrupt] {
+      if (on_interrupt) on_interrupt();
       if (service_scheduled_) return;
       service_scheduled_ = true;
       eq_.schedule_in(1000, [this] {
@@ -227,6 +233,83 @@ TEST_F(GpuEngineTest, ResidentAccessClearsPrefetchedUnused) {
   gpu_.launch(&k);
   eq_.run();
   EXPECT_TRUE(blk.prefetched_unused.none());
+}
+
+TEST_F(GpuEngineTest, AddressSpaceGrowsAfterLaunch) {
+  KernelSpec a = touch_kernel(256);
+  KernelSpec b;
+  bool a_done = false;
+  bool b_done = false;
+  VirtPage b_first = 0;
+  // On A's first interrupt, while its faults are pending, a new range
+  // appears and a kernel on it launches in another stream. Its two warps
+  // touch the same four pages of the range's second block, so the later
+  // warp's lanes coalesce.
+  install_instant_driver([&] {
+    if (b_first != 0) return;
+    EXPECT_TRUE(gpu_.has_stalled_warps());
+    const RangeId rid_b = as_.create_range(4ull << 20, "b");  // 2 blocks
+    b_first = as_.range(rid_b).first_page + kPagesPerBlock;
+    b.name = "b";
+    b.blocks.emplace_back();
+    for (int w = 0; w < 2; ++w) {
+      AccessStream s;
+      s.add_run(b_first, 4, false, 100);
+      b.blocks.back().warps.push_back(std::move(s));
+    }
+    gpu_.launch(&b, [&] { b_done = true; }, 1);
+  });
+  gpu_.launch(&a, [&] { a_done = true; });
+  eq_.run();
+  EXPECT_TRUE(a_done);
+  ASSERT_TRUE(b_done);
+  ASSERT_EQ(gpu_.kernel_stats().size(), 2u);
+  EXPECT_EQ(gpu_.kernel_stats()[1].faults_raised, 4u);
+  EXPECT_EQ(gpu_.kernel_stats()[1].page_touches, 8u);
+  for (VirtPage p = b_first; p < b_first + 4; ++p) {
+    EXPECT_TRUE(pt_.translate(p));
+  }
+  // A's warps touch distinct pages, so B's later warp's four lanes are the
+  // only ones that coalesce. The throttle count was recorded with the
+  // hash-set pending-fault implementation this engine replaced.
+  EXPECT_EQ(gpu_.faults_coalesced(), 4u);
+  EXPECT_EQ(gpu_.faults_throttled(), 3968u);
+}
+
+/// Exact GPU fault counters of small simulations with two fault slots per
+/// SM, at 4 KB and 64 KB fault granularity. The values were recorded with
+/// the hash-set pending-fault implementation this engine replaced; any
+/// change to how lanes coalesce, throttle or raise shows up here.
+TEST(GpuEngineCounters, CoalescingCountsArePinned) {
+  struct Case {
+    const char* workload;
+    std::uint32_t granularity;
+    std::uint64_t raised, coalesced, throttled, utlb_hits, utlb_misses;
+  };
+  const Case cases[] = {
+      {"random", 1, 256, 0, 24064, 1751, 25641},
+      {"random", 16, 112, 1580, 12276, 1751, 15289},
+      {"regular", 1, 350, 0, 46946, 2880, 47488},
+      {"regular", 16, 112, 1680, 15200, 2880, 17184},
+  };
+  for (const Case& c : cases) {
+    SimConfig cfg;
+    cfg.set_gpu_memory(8ull << 20);
+    cfg.set_host_page_size(std::uint64_t{c.granularity} * kPageSize);
+    cfg.gpu.utlb_fault_slots = 2;
+    cfg.enable_fault_log = false;
+    Simulator sim(cfg);
+    auto wl = make_workload(c.workload, 12ull << 20);
+    wl->setup(sim);
+    const RunResult r = sim.run();
+    const std::string at =
+        std::string(c.workload) + " @" + std::to_string(c.granularity);
+    EXPECT_EQ(r.total_faults_raised(), c.raised) << at;
+    EXPECT_EQ(sim.gpu().faults_coalesced(), c.coalesced) << at;
+    EXPECT_EQ(sim.gpu().faults_throttled(), c.throttled) << at;
+    EXPECT_EQ(r.utlb_hits, c.utlb_hits) << at;
+    EXPECT_EQ(r.utlb_misses, c.utlb_misses) << at;
+  }
 }
 
 /// Constructs an engine from the default config as changed by `edit`.
