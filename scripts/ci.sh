@@ -36,6 +36,20 @@ fi
 
 echo "== plain build =="
 cmake --build build -j"$JOBS"
+
+echo "== hardware popcount (x86-64: no libgcc __popcountdi2 in libuvmsim) =="
+# src/CMakeLists.txt builds the library with -mpopcnt when the build host
+# runs POPCNT. Without it every PageMask count is a call into libgcc's
+# software popcount; an undefined __popcountdi2 means the flag was lost.
+case "$(uname -m)" in
+  x86_64|amd64|AMD64)
+    if nm -A build/src/libuvmsim.a | grep ' U __popcountdi2$'; then
+      echo "popcount guard FAILED: libuvmsim.a calls __popcountdi2"; exit 1
+    fi
+    echo "popcount guard: libuvmsim.a uses the popcnt instruction"
+    ;;
+  *) echo "popcount guard: not x86-64; skipped" ;;
+esac
 ctest --test-dir build -j"$JOBS" --output-on-failure
 
 echo "== memory guard (1 GiB sgemm under a 256 MiB address-space cap) =="

@@ -103,9 +103,11 @@ PrefetchMode prefetch_mode(const RunRequest& req) {
   return PrefetchMode::Markov;
 }
 
-/// The constraints that span keys (or a whole request): trace pairing and
-/// non-zero sizes. Queue lines are checked as they parse; uvmsim_cli builds
-/// its request key by key, so request_sim_config checks them again.
+/// The constraints that span keys (or a whole request): trace pairing,
+/// non-zero sizes and the density threshold's 1..100 range. Queue lines are
+/// checked as they parse; uvmsim_cli builds its request key by key, and a
+/// campaign may be handed requests built in code, so request_sim_config
+/// checks them again.
 void check_cross_keys(const RunRequest& req) {
   if (req.workload == "trace") {
     if (req.trace_file.empty()) {
@@ -121,6 +123,13 @@ void check_cross_keys(const RunRequest& req) {
   }
   if (req.gpu_mib == 0) {
     throw ConfigError("request.gpu-mib", "must be >= 1");
+  }
+  // DriverConfig also takes 101 (big-page upgrade with no density stage);
+  // a request keeps to the documented percent range.
+  if (req.threshold == 0 || req.threshold > 100) {
+    throw ConfigError("request.threshold",
+                      "wants a percent in 1..100, got " +
+                          std::to_string(req.threshold));
   }
 }
 

@@ -43,7 +43,7 @@ struct RunRequest {
   /// delta predictor). Appended to the canonical line only when non-default
   /// — same legacy-preserving rule as `backend`.
   std::string prefetch_policy = "tree";
-  std::uint32_t threshold = 51;
+  std::uint32_t threshold = 51;      ///< density percent, 1..100
   std::string policy = "batch_flush";///< block | batch | batch_flush | once
   std::string eviction = "lru";      ///< lru | access_counter | clock | 2q
   std::string chunking = "on";       ///< on | off

@@ -192,9 +192,7 @@ SimTime Driver::service_bin(const FaultBatch::Bin& bin, SimTime t) {
   // (allocate and touch both mean "move to MRU") but CLOCK/2Q would have
   // seen every freshly faulted block as never-demanded (PR-10 audit).
   const auto touch_faulted = [&] {
-    for (std::uint32_t s : touched_slices(bin.faulted, kPagesPerBlock)) {
-      eviction_->on_slice_touched(SliceKey{blk.id, s});
-    }
+    if (bin.faulted.any()) eviction_->on_slice_touched(SliceKey{blk.id, 0});
   };
 
   if (need.none()) {
@@ -1038,9 +1036,7 @@ SimTime Driver::promote_hot_region(const AccessCounterNotification& n,
   prof_.add(CostCategory::ServiceMap, t - t0);
 
   counters_.counter_promoted_pages += remote.count();
-  for (std::uint32_t s : touched_slices(remote, kPagesPerBlock)) {
-    eviction_->on_slice_touched(SliceKey{blk.id, s});
-  }
+  if (remote.any()) eviction_->on_slice_touched(SliceKey{blk.id, 0});
   t = maybe_coalesce(blk, t);
   blk.service_locked = false;
   return t;

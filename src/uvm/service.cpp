@@ -37,7 +37,7 @@ UVMSIM_HOT PageMask slice_mask(std::uint32_t slice,
 
 UVMSIM_HOT std::vector<std::uint32_t> touched_slices(
     const PageMask& mask, std::uint32_t pages_per_slice) {
-  // uvmsim-lint: allow(hot-local-container, "slice list is tiny (<= slices/block) and callers cache it per service pass")
+  // uvmsim-lint: allow(hot-local-container, "one list per chunk-backing plan, at most kBigPagesPerBlock entries")
   std::vector<std::uint32_t> out;
   std::uint32_t prev = ~0u;
   for (std::uint32_t i : mask.set_bits()) {

@@ -220,6 +220,11 @@ TEST_F(CampaignTest, RequestParsingRejectsMalformedLines) {
     EXPECT_THROW(parse_request_line("batch-size=" + bad), ConfigError) << bad;
     EXPECT_THROW(parse_request_line("threshold=" + bad), ConfigError) << bad;
   }
+  // The density threshold is a percent in 1..100.
+  EXPECT_THROW(parse_request_line("threshold=0"), ConfigError);
+  EXPECT_THROW(parse_request_line("threshold=101"), ConfigError);
+  EXPECT_EQ(parse_request_line("threshold=1").threshold, 1u);
+  EXPECT_EQ(parse_request_line("threshold=100").threshold, 100u);
   EXPECT_THROW(parse_request_line("seed=18446744073709551616"), ConfigError);
   EXPECT_EQ(parse_request_line("seed=18446744073709551615").seed,
             18446744073709551615ull);
@@ -690,12 +695,19 @@ TEST_F(CampaignTest, ProcessIsolationMatchesInProcessResults) {
 }
 
 TEST_F(CampaignTest, InvalidRequestsClassifyAlikeUnderBothIsolations) {
-  // A bad enum value, the adaptive+markov pair and an unknown workload are
-  // config errors in either worker: quarantined after one attempt, never
-  // retried as if the child had hit an I/O problem.
-  const std::string q = tiny("prefetch=sideways") + "\n" +
-                        tiny("prefetch=adaptive prefetch-policy=markov") +
-                        "\n" + tiny("workload=nope");
+  // A bad enum value, the adaptive+markov pair, an unknown workload and an
+  // out-of-range threshold are config errors in either worker: quarantined
+  // after one attempt, never retried as if the child had hit an I/O problem.
+  std::vector<RunRequest> queue =
+      queue_of(tiny("prefetch=sideways") + "\n" +
+               tiny("prefetch=adaptive prefetch-policy=markov") + "\n" +
+               tiny("workload=nope"));
+  // A queue line cannot carry threshold=0 or 101 (parsing rejects it), but
+  // a request built in code can.
+  for (const std::uint32_t threshold : {0u, 101u}) {
+    queue.push_back(queue_of(tiny())[0]);
+    queue.back().threshold = threshold;
+  }
   CampaignConfig thread_cfg;
   thread_cfg.store_dir = store("thr");
   thread_cfg.workers = 1;
@@ -704,8 +716,8 @@ TEST_F(CampaignTest, InvalidRequestsClassifyAlikeUnderBothIsolations) {
   CampaignConfig proc_cfg = process_cfg(store("proc"));
   proc_cfg.retry.max_attempts = 3;
   for (const CampaignConfig& cfg : {thread_cfg, proc_cfg}) {
-    const CampaignReport rep = Campaign(cfg, queue_of(q)).run();
-    EXPECT_EQ(rep.quarantined, 3u);
+    const CampaignReport rep = Campaign(cfg, queue).run();
+    EXPECT_EQ(rep.quarantined, 5u);
     EXPECT_EQ(rep.retried, 0u);
     for (const std::string& line : rep.quarantine_lines) {
       // id \t kind \t attempts \t detail

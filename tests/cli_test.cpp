@@ -70,6 +70,20 @@ TEST(Cli, BadEnumValuesFail) {
   EXPECT_EQ(run_cli("--seed -1").exit_code, 2);
 }
 
+TEST(Cli, ThresholdOutOfRangeRejected) {
+  // --help documents 1..100. Only DriverConfig takes 101 (big-page upgrade
+  // with the density stage off); a request must not reach it.
+  const std::string run = "--workload regular --size-mib 4 --gpu-mib 16 ";
+  for (const std::string bad : {"0", "101", "4294967295"}) {
+    CmdResult r = run_cli(run + "--threshold " + bad);
+    EXPECT_EQ(r.exit_code, 2) << bad << "\n" << r.output;
+    EXPECT_NE(r.output.find("threshold"), std::string::npos) << r.output;
+  }
+  for (const std::string good : {"1", "100"}) {
+    EXPECT_EQ(run_cli(run + "--threshold " + good).exit_code, 0) << good;
+  }
+}
+
 TEST(Cli, PolicyPanelRunsAndReportsMarkovCounters) {
   CmdResult r = run_cli(
       "--workload strided --size-mib 8 --gpu-mib 4 "
