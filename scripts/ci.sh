@@ -84,6 +84,16 @@ if command -v python3 >/dev/null 2>&1; then
 else
   echo "python3 unavailable; skipped JSON parse check"
 fi
+# The GPU-driven pass body traces its own spans; export them end to end.
+./build/tools/uvmsim_cli --backend gpu --workload random --size-mib 24 \
+  --gpu-mib 16 --trace-out "$TRACE_OUT" > /dev/null
+test -s "$TRACE_OUT"
+grep -q '"gpu.resolve"' "$TRACE_OUT" \
+  || { echo "GPU-driven trace has no gpu.resolve spans"; exit 1; }
+if command -v python3 >/dev/null 2>&1; then
+  python3 -m json.tool "$TRACE_OUT" > /dev/null
+  echo "GPU-driven trace JSON parses and has gpu.resolve"
+fi
 rm -f "$TRACE_OUT"
 
 echo "== sweep determinism (UVMSIM_THREADS=1 vs 4 stdout must match) =="
@@ -130,9 +140,9 @@ fi
 echo "shape gate: fig01 + fig09 all green"
 
 echo "== backend-crossover shape gate (driver vs GPU-driven servicing) =="
-# The ServicingBackend seam must show both sides of the trade: batching
-# wins dense sequential access, per-fault GPU-side resolution wins sparse
-# oversubscribed access.
+# The two pass bodies DriverConfig::backend selects must show both sides of
+# the trade: batching wins dense sequential access, per-fault GPU-side
+# resolution wins sparse oversubscribed access.
 XOVER="$BENCH_TMP/fig_backend_crossover.txt"
 grep -q '^\[SHAPE PASS\] dense sequential access favors the batching driver' \
   "$XOVER" \

@@ -16,37 +16,33 @@
 
 namespace uvmsim::campaign {
 
-namespace {
-
-/// The one parser for unsigned knobs: decimal digits only (no sign, no
-/// whitespace, no trailing junk), and the value must fit the field (`max`).
-std::uint64_t parse_u64(
-    const std::string& key, const std::string& v,
-    std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
+std::uint64_t parse_u64(const std::string& param, const std::string& v,
+                        std::uint64_t max) {
   errno = 0;
   const unsigned long long n = std::strtoull(v.c_str(), nullptr, 10);
   if (v.empty() || v.find_first_not_of("0123456789") != std::string::npos ||
       errno == ERANGE || n > max) {
-    throw ConfigError("request." + key,
-                      "wants a non-negative integer <= " +
-                          std::to_string(max) + ", got '" + v + "'");
+    throw ConfigError(param, "wants a non-negative integer <= " +
+                                 std::to_string(max) + ", got '" + v + "'");
   }
   return n;
 }
 
-std::uint32_t parse_u32(const std::string& key, const std::string& v) {
-  return static_cast<std::uint32_t>(
-      parse_u64(key, v, std::numeric_limits<std::uint32_t>::max()));
-}
-
-double parse_rate(const std::string& key, const std::string& v) {
+double parse_double(const std::string& param, const std::string& v) {
   errno = 0;
   char* end = nullptr;
   const double d = std::strtod(v.c_str(), &end);
   if (end == v.c_str() || *end != '\0' || errno == ERANGE) {
-    throw ConfigError("request." + key, "wants a number, got '" + v + "'");
+    throw ConfigError(param, "wants a number, got '" + v + "'");
   }
   return d;
+}
+
+namespace {
+
+std::uint32_t parse_u32(const std::string& param, const std::string& v) {
+  return static_cast<std::uint32_t>(
+      parse_u64(param, v, std::numeric_limits<std::uint32_t>::max()));
 }
 
 /// Deterministic, round-trip-exact double rendering for canonical lines
@@ -137,14 +133,15 @@ void check_cross_keys(const RunRequest& req) {
 
 void set_request_key(RunRequest& req, const std::string& key,
                      const std::string& val) {
+  const std::string param = "request." + key;
   if (key == "workload") {
     req.workload = val;
   } else if (key == "trace") {
     req.trace_file = val;
   } else if (key == "size-mib") {
-    req.size_mib = parse_u64(key, val);
+    req.size_mib = parse_u64(param, val);
   } else if (key == "gpu-mib") {
-    req.gpu_mib = parse_u64(key, val);
+    req.gpu_mib = parse_u64(param, val);
   } else if (key == "backend") {
     req.backend = val;
   } else if (key == "prefetch") {
@@ -152,7 +149,7 @@ void set_request_key(RunRequest& req, const std::string& key,
   } else if (key == "prefetch-policy") {
     req.prefetch_policy = val;
   } else if (key == "threshold") {
-    req.threshold = parse_u32(key, val);
+    req.threshold = parse_u32(param, val);
   } else if (key == "policy") {
     req.policy = val;
   } else if (key == "eviction") {
@@ -160,21 +157,21 @@ void set_request_key(RunRequest& req, const std::string& key,
   } else if (key == "chunking") {
     req.chunking = val;
   } else if (key == "batch-size") {
-    req.batch_size = parse_u32(key, val);
+    req.batch_size = parse_u32(param, val);
   } else if (key == "thrash") {
     req.thrash = val;
   } else if (key == "seed") {
-    req.seed = parse_u64(key, val);
+    req.seed = parse_u64(param, val);
   } else if (key == "hazard-dma") {
-    req.hazard_dma = parse_rate(key, val);
+    req.hazard_dma = parse_double(param, val);
   } else if (key == "hazard-fb") {
-    req.hazard_fb = parse_rate(key, val);
+    req.hazard_fb = parse_double(param, val);
   } else if (key == "hazard-pma") {
-    req.hazard_pma = parse_rate(key, val);
+    req.hazard_pma = parse_double(param, val);
   } else if (key == "hazard-ac") {
-    req.hazard_ac = parse_rate(key, val);
+    req.hazard_ac = parse_double(param, val);
   } else if (key == "hazard-seed") {
-    req.hazard_seed = parse_u64(key, val);
+    req.hazard_seed = parse_u64(param, val);
   } else if (key == "sabotage") {
     req.sabotage = lookup("sabotage", val,
                           {std::pair{"none", WorkerSabotage::None},

@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -60,6 +61,16 @@ struct RunRequest {
   /// used to exercise retry + quarantine. Part of the canonical form.
   WorkerSabotage sabotage = WorkerSabotage::None;
 };
+
+/// The strict number parsers every front end shares. `param` names the knob
+/// in the ConfigError raised for a bad value. parse_u64 takes decimal digits
+/// only (no sign, no whitespace, no trailing junk) and the value must fit
+/// the field (`max`); parse_double takes one whole strtod number.
+[[nodiscard]] std::uint64_t parse_u64(
+    const std::string& param, const std::string& v,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
+[[nodiscard]] double parse_double(const std::string& param,
+                                  const std::string& v);
 
 /// Sets one knob from its queue-line spelling (`key`=`value`). Unknown keys
 /// and malformed numbers raise ConfigError naming the key; enum values are

@@ -6,8 +6,6 @@
 
 #include "core/errors.h"
 #include "uvm/access_counter_eviction.h"
-#include "uvm/backends/driver_centric.h"
-#include "uvm/backends/gpu_driven.h"
 #include "uvm/eviction_2q.h"
 #include "uvm/eviction_clock.h"
 #include "uvm/eviction_lru.h"
@@ -64,23 +62,23 @@ Driver::Driver(const DriverConfig& cfg, const CostModel& cm, const Deps& deps,
   }
   thrashing_ = ThrashingDetector(cfg_.thrashing);
   rng_ = Rng(cfg_.seed);
-  switch (cfg_.backend) {
-    case ServicingBackendKind::DriverCentric:
-      backend_ = std::make_unique<DriverCentricBackend>(*this);
-      break;
-    case ServicingBackendKind::GpuDriven:
-      backend_ = std::make_unique<GpuDrivenBackend>(*this);
-      break;
+  if (cfg_.backend == ServicingBackendKind::GpuDriven) {
+    slot_free_.assign(std::max<std::uint32_t>(1, cm_.gpu_driven.queue_slots),
+                      0);
   }
 }
 
-Driver::~Driver() = default;
+SimDuration Driver::wake_latency() const {
+  return cfg_.backend == ServicingBackendKind::GpuDriven
+             ? cm_.gpu_driven.queue_wake
+             : cm_.interrupt_latency;
+}
 
 void Driver::on_gpu_interrupt() {
   if (processing_ || wake_scheduled_) return;
   wake_scheduled_ = true;
   ++counters_.wakeups;
-  d_.eq->schedule_in(backend_->wake_latency(), [this] {
+  d_.eq->schedule_in(wake_latency(), [this] {
     wake_scheduled_ = false;
     run_pass();
   });
@@ -101,23 +99,21 @@ void Driver::run_pass() {
   ++counters_.passes;
   evictions_before_pass_ = counters_.evictions;
 
-  // The pass body — fetch/resolve mechanism, latency structure, replay
-  // charging — belongs to the servicing backend; the shell keeps only the
-  // backend-agnostic bookkeeping around it.
-  SimTime t = backend_->service_pass();
+  const bool driver_centric =
+      cfg_.backend == ServicingBackendKind::DriverCentric;
+  SimTime t = driver_centric ? driver_pass() : gpu_driven_pass();
 
   if (adaptive_) {
     adaptive_->observe_batch(counters_.evictions - evictions_before_pass_);
   }
 
   // --- end of pass: resume at cursor time ---
-  d_.eq->schedule_at(t, [this] {
+  d_.eq->schedule_at(t, [this, driver_centric] {
     processing_ = false;
-    // Once-policy end-of-run replay is a driver-centric concept (the GPU
-    // backend resumes warps itself after every drain).
-    if (cfg_.backend == ServicingBackendKind::DriverCentric &&
-        cfg_.replay_policy == ReplayPolicyKind::Once && d_.fb->empty() &&
-        d_.gpu->has_stalled_warps()) {
+    // Once-policy end-of-run replay belongs to the batched path (the
+    // GPU-driven body resumes warps itself after every drain).
+    if (driver_centric && cfg_.replay_policy == ReplayPolicyKind::Once &&
+        d_.fb->empty() && d_.gpu->has_stalled_warps()) {
       prof_.add(CostCategory::ReplayPolicy, cm_.replay_issue);
       ++counters_.replays_issued;
       SimTime fire_at = std::max(d_.eq->now() + cm_.replay_issue,
@@ -128,6 +124,63 @@ void Driver::run_pass() {
     }
     if (!d_.fb->empty()) run_pass();
   });
+}
+
+SimTime Driver::driver_pass() {
+  SimTime t = d_.eq->now() + cm_.pass_overhead;
+  if (counters_.passes == 1 && cm_.driver_cold_start > 0) {
+    // First-fault path: channels, VA-space structures, cold caches.
+    t += cm_.driver_cold_start;
+    prof_.add(CostCategory::ServiceOther, cm_.driver_cold_start);
+  }
+
+  // Access-counter notifications (extension path; zero cost when disabled).
+  t = drain_access_counters(t);
+
+  // --- pre-processing ---
+  const std::uint64_t pass_id = counters_.passes;
+  SimTime t0 = t;
+  FaultBatch batch =
+      Preprocessor::fetch(*d_.fb, cfg_.batch_size, cm_, t, cfg_.fetch_policy,
+                          &queue_latency_, d_.tracer);
+  counters_.faults_fetched += batch.fetched;
+  counters_.duplicate_faults += batch.duplicates;
+  counters_.polls += batch.polls;
+  counters_.queue_latency_clamped += batch.latency_clamps;
+  prof_.add(CostCategory::PreProcess, t - t0);
+  trace_span(TraceCategory::Fetch, "driver.fetch", t0, t, pass_id, "fetched",
+             batch.fetched, "dups", batch.duplicates, "bins",
+             batch.bins.size());
+
+  if (!batch.empty()) {
+    ++counters_.batches;
+    // --- service, one VABlock bin at a time (the ordering authority) ---
+    for (const auto& bin : batch.bins) {
+      SimTime tb = t;
+      t = service_bin(bin, t);
+      trace_span(TraceCategory::Service, "service.bin", tb, t, bin.block,
+                 "entries", bin.fault_entries, "pages", bin.faulted.count(),
+                 "pass", pass_id);
+      if (effective_replay_policy(t) == ReplayPolicyKind::Block) {
+        t = issue_replay(t);
+      }
+    }
+    // --- end-of-batch replay policy ---
+    switch (effective_replay_policy(t)) {
+      case ReplayPolicyKind::Block:
+        break;  // replays already issued per block
+      case ReplayPolicyKind::Batch:
+        t = issue_replay(t, batch.bins.size());
+        break;
+      case ReplayPolicyKind::BatchFlush:
+        t = flush_buffer(t);
+        t = issue_replay(t, batch.bins.size());
+        break;
+      case ReplayPolicyKind::Once:
+        break;  // issued by run_pass's continuation at pass end
+    }
+  }
+  return t;
 }
 
 SimTime Driver::service_bin(const FaultBatch::Bin& bin, SimTime t) {

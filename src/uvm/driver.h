@@ -15,6 +15,12 @@
 // real module); its work is simulated by advancing a time cursor through the
 // cost model and scheduling the externally visible effects (replays, buffer
 // flushes, pass continuation) on the event queue.
+//
+// DriverConfig::backend picks the body of each pass: the paper's batched
+// loop above (driver_pass) or GPUVM-style per-fault resolution on the GPU
+// (gpu_driven_pass, in gpu_driven.cpp). Everything around the body — the
+// processing guard, pass bookkeeping, adaptive feedback, and the pass
+// continuation — is shared.
 #pragma once
 
 #include <cstdint>
@@ -22,6 +28,7 @@
 #include <span>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "core/fault_log.h"
 #include "core/profiler.h"
@@ -47,8 +54,6 @@
 
 namespace uvmsim {
 
-class ServicingBackend;
-
 class Driver {
  public:
   /// External subsystems the driver talks to; all outlive the driver.
@@ -70,7 +75,6 @@ class Driver {
 
   Driver(const DriverConfig& cfg, const CostModel& cm, const Deps& deps,
          bool enable_fault_log = true);
-  ~Driver();  // out of line: ServicingBackend is incomplete here
 
   /// GPU interrupt line: schedules a wakeup unless the driver is already
   /// processing or a wakeup is in flight.
@@ -124,15 +128,8 @@ class Driver {
   [[nodiscard]] const LogHistogram& queue_latency() const {
     return queue_latency_;
   }
-  /// The servicing backend driving each pass body (selected by
-  /// DriverConfig::backend).
-  [[nodiscard]] const ServicingBackend& backend() const { return *backend_; }
 
  private:
-  /// The single friend surface into driver internals: backends reach state
-  /// and pass building blocks only through ServicingBackend's protected
-  /// shims, never via their own friendship.
-  friend class ServicingBackend;
   /// Outcome of a hazard-hardened copy: the completion time plus how much
   /// of the elapsed span was recovery (already charged to ErrorRecovery —
   /// callers subtract it from their own category charge).
@@ -144,7 +141,27 @@ class Driver {
   /// Memory-pressure level at the PMA, from the chunking watermarks.
   enum class Pressure : std::uint8_t { None, Split, Fine };
 
+  /// Runs one pass: the guard and bookkeeping around the body that
+  /// DriverConfig::backend selects, then the end-of-pass continuation.
   void run_pass();
+  /// The paper's pass body: pass overhead and cold start, batch fetch with
+  /// preprocessing, per-VABlock service, and the configured replay policy.
+  /// Returns the advanced time cursor.
+  SimTime driver_pass();
+  /// The GPUVM-style pass body: drains the fault buffer and resolves each
+  /// fault on the bounded slot queue, then rings one resume doorbell.
+  SimTime gpu_driven_pass();
+  /// Resolves one fault entry on the GPU-driven path; returns its
+  /// completion time.
+  SimTime resolve_fault(const FaultEntry& e, SimTime engine_start);
+  /// Backs page `i` of `blk` with one 4 KB chunk, evicting under pressure.
+  /// Returns false when no eviction victim was available (caller degrades
+  /// the page to a remote mapping).
+  bool back_page(VaBlock& blk, std::uint32_t i, SimTime& t);
+  /// Delay from the GPU raising its first fault signal to the pass body
+  /// running: interrupt latency for the CPU driver, queue visibility for
+  /// GPU-side resolution.
+  [[nodiscard]] SimDuration wake_latency() const;
   /// Services one VABlock bin; returns the advanced time cursor.
   SimTime service_bin(const FaultBatch::Bin& bin, SimTime t);
   /// Guarantees GPU backing for every page in `to_populate`, evicting as
@@ -257,7 +274,6 @@ class Driver {
   DriverConfig cfg_;
   CostModel cm_;
   Deps d_;
-  std::unique_ptr<ServicingBackend> backend_;
   DriverCounters counters_;
   Profiler prof_;
   FaultLog log_;
@@ -274,6 +290,11 @@ class Driver {
   /// Completion time of the latest asynchronously issued migration
   /// (pipelined-migration extension); replays never fire before it.
   SimTime migrations_inflight_until_ = 0;
+
+  // --- GPU-driven resolution queue (sized only under GpuDriven) ---
+  /// slot_free_[s] = when resolution slot s finishes its current fault.
+  std::vector<SimTime> slot_free_;
+  std::uint64_t next_slot_ = 0;
 
   // --- hazard recovery state ---
   bool watchdog_armed_ = false;

@@ -108,7 +108,7 @@ struct MarkovPrefetchConfig {
   std::uint32_t degree = 2;
 };
 
-/// Fault-servicing backend selector (the ServicingBackend seam).
+/// Fault-servicing backend selector: which pass body Driver::run_pass runs.
 enum class ServicingBackendKind : std::uint8_t {
   DriverCentric,  ///< the paper's CPU-driver path (default; byte-identical
                   ///< to the historical inline implementation)

@@ -1,13 +1,13 @@
-// Backend-parity suite: pins the servicing path's observable output.
+// Backend-parity suite: pins the observable output of both pass bodies,
+// Driver::driver_pass and Driver::gpu_driven_pass.
 //
-// The golden digests below were captured from the pre-refactor tree, where
-// the driver-centric servicing pass lived inline in uvm::Driver. After the
-// ServicingBackend seam, DriverCentricBackend must reproduce that output
-// byte-for-byte: each case hashes the run summary CSV (what uvmsim_cli
-// prints) plus the complete FaultLog, across six standard workload configs,
-// executed through campaign::TaskExecutor at 1 and 4 workers (the two
-// UVMSIM_THREADS settings the suite guarantees; the executor's `threads`
-// argument is exactly what default_workers() resolves the env var to).
+// Each case hashes the run summary CSV (what uvmsim_cli prints) plus the
+// complete FaultLog. The batched pass runs every case through
+// campaign::TaskExecutor at 1 and 4 workers (the two UVMSIM_THREADS
+// settings the suite guarantees; the executor's `threads` argument is
+// exactly what default_workers() resolves the env var to); the GPU-driven
+// pass runs each case once against kGpuGoldens. Any refactor of either
+// body must keep every digest.
 //
 // To re-capture after an *intentional* output change, run with
 // UVMSIM_PARITY_PRINT=1 and paste the printed constants.
@@ -49,12 +49,14 @@ struct ParityCase {
   std::uint64_t size_mib;
   std::uint64_t gpu_mib;
   void (*tweak)(SimConfig&);  ///< null = stock config
-  std::uint64_t golden;       ///< pre-refactor digest
+  std::uint64_t golden;       ///< batched-pass digest
 };
 
-// Six standard configs spanning the servicing path's policy space: stock
+// Seven configs spanning the servicing path's policy space: stock
 // undersubscribed, oversubscribed random access, prefetch off, per-batch
-// replay, adaptive prefetch, and oversubscription with chunking disabled.
+// replay, adaptive prefetch, oversubscription with chunking disabled, and
+// Once replay under PMA and DMA hazards (the end-of-run replay in
+// run_pass's continuation and back_page's transient-retry loop).
 const ParityCase kCases[] = {
     {"regular-default", "regular", 24, 64, nullptr, 0x5f4033a422753b47ULL},
     {"random-oversub", "random", 48, 32, nullptr, 0x7f99233882838422ULL},
@@ -73,6 +75,13 @@ const ParityCase kCases[] = {
        c.driver.prefetch = PrefetchMode::Off;
      },
      0x826af726f0117d47ULL},
+    {"random-oversub-once-hazards", "random", 48, 32,
+     [](SimConfig& c) {
+       c.driver.replay_policy = ReplayPolicyKind::Once;
+       c.hazards.pma_fail_rate = 0.1;
+       c.hazards.dma_fail_rate = 0.1;
+     },
+     0xa0db28e4aa8248b7ULL},
 };
 constexpr std::size_t kNumCases = sizeof(kCases) / sizeof(kCases[0]);
 
@@ -140,6 +149,7 @@ TEST(BackendParity, ByteIdenticalFourWorkers) { check_with_threads(4); }
 const std::uint64_t kGpuGoldens[kNumCases] = {
     0x109e7861941ac002ULL, 0xa87bad84430c5814ULL, 0x3d8a91c0bedb1c65ULL,
     0xdcc58338ed10fc1dULL, 0x23622d08714b4605ULL, 0x16692230b71d7ac2ULL,
+    0x5df76fad8ac06ff1ULL,
 };
 
 TEST(BackendParity, ByteIdenticalGpuDriven) {

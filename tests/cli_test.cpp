@@ -216,6 +216,27 @@ TEST(Cli, TraceCategoriesFilterAndValidation) {
   EXPECT_NE(bad.output.find("bad --trace-categories"), std::string::npos);
 }
 
+TEST(Cli, LocalNumericFlagsParseStrictly) {
+  // The flags uvmsim_cli parses itself go through the same strict parsers
+  // as the shared knobs: junk, signs and zero caps are config errors.
+  for (const char* args :
+       {"--split-watermark abc", "--split-watermark 0.05junk",
+        "--trace-out x.json --trace-cap -5", "--trace-cap 12abc",
+        "--trace-cap 0"}) {
+    CmdResult r = run_cli(args);
+    EXPECT_EQ(r.exit_code, 2) << args << "\n" << r.output;
+  }
+  std::string trace = std::string(::testing::TempDir()) + "/cap.trace.json";
+  CmdResult capped = run_cli("--workload regular --size-mib 4 --gpu-mib 16 "
+                             "--trace-out " + trace + " --trace-cap 64");
+  EXPECT_EQ(capped.exit_code, 0) << capped.output;
+  std::remove(trace.c_str());
+  CmdResult marks = run_cli(
+      "--workload regular --size-mib 4 --gpu-mib 16 "
+      "--split-watermark 0.1 --fine-watermark 0.02");
+  EXPECT_EQ(marks.exit_code, 0) << marks.output;
+}
+
 TEST(Cli, NoTraceFlagsNoTraceOutput) {
   CmdResult r = run_cli("--workload regular --size-mib 4 --gpu-mib 16");
   EXPECT_EQ(r.exit_code, 0);

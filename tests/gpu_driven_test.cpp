@@ -1,4 +1,5 @@
-// GpuDrivenBackend behaviour: per-fault GPU-side resolution (GPUVM model).
+// GPU-driven pass body (DriverConfig::backend = GpuDriven): per-fault
+// GPU-side resolution, the GPUVM model in src/uvm/gpu_driven.cpp.
 #include <gtest/gtest.h>
 
 #include "core/simulator.h"

@@ -12,6 +12,7 @@
 
 #include "core/simulator.h"
 #include "workloads/random_access.h"
+#include "workloads/regular.h"
 
 namespace uvmsim {
 namespace {
@@ -236,6 +237,44 @@ TEST(TraceEndToEnd, AllFiveDriverCategoriesHaveSpans) {
               std::string::npos)
         << "missing spans for category " << cat;
   }
+}
+
+/// Counts the recorded events named `name` (spans or instants per `instant`).
+std::size_t count_events(const Tracer& tr, const std::string& name,
+                         bool instant) {
+  auto evs = tr.events();
+  return static_cast<std::size_t>(
+      std::count_if(evs.begin(), evs.end(), [&](const TraceEvent& e) {
+        return e.instant == instant && name == e.name;
+      }));
+}
+
+TEST(TraceEndToEnd, GpuDrivenRunRecordsResolveAndResume) {
+  SimConfig cfg = traced_cfg();
+  cfg.driver.backend = ServicingBackendKind::GpuDriven;
+  Simulator sim(cfg);
+  RandomTouch wl(24ull << 20);
+  wl.setup(sim);
+  sim.run();
+  ASSERT_NE(sim.tracer(), nullptr);
+  EXPECT_GT(count_events(*sim.tracer(), "gpu.resolve", false), 0u);
+  EXPECT_GT(count_events(*sim.tracer(), "gpu.resume", true), 0u);
+  // No batch machinery on this path.
+  EXPECT_EQ(count_events(*sim.tracer(), "driver.fetch", false), 0u);
+}
+
+TEST(TraceEndToEnd, GpuDrivenDegradationIsTraced) {
+  // GpuDriven.DegradesToRemoteMappingWithoutVictims's setup: 2 MB of demand
+  // on a 1 MB GPU leaves no eviction victim for the overflow pages.
+  SimConfig cfg = traced_cfg();
+  cfg.set_gpu_memory(1ull << 20);
+  cfg.driver.backend = ServicingBackendKind::GpuDriven;
+  Simulator sim(cfg);
+  RegularTouch wl(2ull << 20);
+  wl.setup(sim);
+  sim.run();
+  ASSERT_NE(sim.tracer(), nullptr);
+  EXPECT_GT(count_events(*sim.tracer(), "gpu.degraded_remote", false), 0u);
 }
 
 TEST(TraceEndToEnd, DisabledConfigBuildsNoTracer) {

@@ -43,8 +43,8 @@ struct CliOptions {
   /// overridden) a 16 GiB oversubscribed working set — millions of 4 KB
   /// pages per run.
   bool full_scale = false;
-  double split_watermark = -1.0;  // < 0 = keep DriverConfig default
-  double fine_watermark = -1.0;
+  std::optional<double> split_watermark;  // unset = DriverConfig default
+  std::optional<double> fine_watermark;
   bool pattern = false;
   bool csv = false;
   bool pipelined = false;
@@ -156,6 +156,8 @@ value for any knob above), 3 simulation error
 )";
 }
 
+/// Parses argv; nullopt after --help or a usage error. A bad knob value
+/// throws ConfigError (exit 2).
 std::optional<CliOptions> parse(int argc, char** argv) {
   CliOptions o;
   auto need_value = [&](int& i) -> const char* {
@@ -188,10 +190,10 @@ std::optional<CliOptions> parse(int argc, char** argv) {
       o.full_scale = true;
     } else if (a == "--split-watermark") {
       if (!(v = need_value(i))) return std::nullopt;
-      o.split_watermark = std::stod(v);
+      o.split_watermark = campaign::parse_double(a, v);
     } else if (a == "--fine-watermark") {
       if (!(v = need_value(i))) return std::nullopt;
-      o.fine_watermark = std::stod(v);
+      o.fine_watermark = campaign::parse_double(a, v);
     } else if (a == "--hazard-self") {
       if (!(v = need_value(i))) return std::nullopt;
       o.hazard_self = v;
@@ -213,12 +215,8 @@ std::optional<CliOptions> parse(int argc, char** argv) {
       o.trace_categories = v;
     } else if (a == "--trace-cap") {
       if (!(v = need_value(i))) return std::nullopt;
-      try {
-        o.trace_cap = std::stoull(v);
-      } catch (const std::exception&) {
-        std::cerr << "bad --trace-cap: " << v << "\n";
-        return std::nullopt;
-      }
+      o.trace_cap = campaign::parse_u64(a, v);
+      if (o.trace_cap == 0) throw ConfigError(a, "must be >= 1");
     } else {
       std::cerr << "unknown option: " << a << " (try --help)\n";
       return std::nullopt;
@@ -239,21 +237,17 @@ std::optional<SimConfig> to_config(const CliOptions& o) {
   if (o.full_scale) cfg.gpu.num_sms = 80;
   cfg.enable_fault_log = o.pattern;
   cfg.driver.pipelined_migrations = o.pipelined;
-  if (o.split_watermark >= 0.0) {
-    cfg.driver.chunking.split_watermark = o.split_watermark;
+  if (o.split_watermark) {
+    cfg.driver.chunking.split_watermark = *o.split_watermark;
   }
-  if (o.fine_watermark >= 0.0) {
-    cfg.driver.chunking.fine_watermark = o.fine_watermark;
+  if (o.fine_watermark) {
+    cfg.driver.chunking.fine_watermark = *o.fine_watermark;
   }
 
   if (!o.trace_out.empty()) {
     auto mask = parse_trace_categories(o.trace_categories);
     if (!mask) {
       std::cerr << "bad --trace-categories: " << o.trace_categories << "\n";
-      return std::nullopt;
-    }
-    if (o.trace_cap == 0) {
-      std::cerr << "bad --trace-cap: must be >= 1\n";
       return std::nullopt;
     }
     cfg.trace.enabled = true;
