@@ -27,7 +27,7 @@ struct DriverCounters {
   std::uint64_t evictions = 0;          ///< eviction operations performed
   std::uint64_t pages_evicted = 0;      ///< pages written back device->host
   std::uint64_t prefetched_evicted_unused = 0;  ///< prefetched, never touched, evicted
-  std::uint64_t service_restarts = 0;   ///< fault paths restarted by eviction
+  std::uint64_t service_restarts = 0;   ///< fault-path restarts forced by eviction
   std::uint64_t access_notifications = 0;  ///< access-counter records drained
 
   // --- access-behaviour extensions (paper §III-A behaviours 2 and 3) ---

@@ -14,6 +14,29 @@
 
 namespace uvmsim {
 
+namespace {
+
+/// Calls `fn(block, window)` for each VA block's share of the pages
+/// [first, first + npages), in ascending order.
+template <typename Fn>
+void for_each_block_window(AddressSpace& as, VirtPage first,
+                           std::uint64_t npages, Fn&& fn) {
+  const VirtPage end = first + npages;
+  for (VirtPage p = first; p < end;) {
+    VaBlock& blk = as.block_of(p);
+    const std::uint32_t lo = page_in_block(p);
+    const auto hi = static_cast<std::uint32_t>(
+        std::min<std::uint64_t>(blk.num_pages, lo + (end - p)));
+    if (hi <= lo) break;  // defensive: past the block's valid pages
+    PageMask window;
+    window.set_range(lo, hi);
+    p += hi - lo;
+    fn(blk, window);
+  }
+}
+
+}  // namespace
+
 Driver::Driver(const DriverConfig& cfg, const CostModel& cm, const Deps& deps,
                bool enable_fault_log)
     : cfg_(cfg), cm_(cm), d_(deps), log_(enable_fault_log) {
@@ -247,12 +270,13 @@ SimTime Driver::service_bin(const FaultBatch::Bin& bin, SimTime t) {
   const auto touch_faulted = [&] {
     if (bin.faulted.any()) eviction_->on_slice_touched(SliceKey{blk.id, 0});
   };
-
-  if (need.none()) {
+  const auto finish_early = [&] {
     touch_faulted();
     blk.service_locked = false;
     return t;
-  }
+  };
+
+  if (need.none()) return finish_early();
 
   const MemAdvise& advise = d_.as->range(blk.range).advise;
 
@@ -262,15 +286,9 @@ SimTime Driver::service_bin(const FaultBatch::Bin& bin, SimTime t) {
   if (thrash_advice == ThrashingDetector::Advice::Pin) {
     // Stop bouncing the data: serve this block's faults via remote
     // mapping until the thrash score decays.
-    t0 = t;
-    d_.pt->map_remote(blk, need);
-    t += cm_.map_membar +
-         static_cast<SimDuration>(need.count()) * cm_.map_per_page;
+    t = map_remote(blk, need, t, CostCategory::ServiceMap);
     counters_.thrash_pinned_pages += need.count();
-    prof_.add(CostCategory::ServiceMap, t - t0);
-    touch_faulted();
-    blk.service_locked = false;
-    return t;
+    return finish_early();
   }
   if (thrash_advice == ThrashingDetector::Advice::Throttle) {
     t += cfg_.thrashing.throttle_delay;
@@ -280,15 +298,9 @@ SimTime Driver::service_bin(const FaultBatch::Bin& bin, SimTime t) {
 
   // --- remote mapping (paper §III-A behaviour 2): map, never migrate ---
   if (advise.remote_map) {
-    t0 = t;
-    d_.pt->map_remote(blk, need);
-    t += cm_.map_membar +
-         static_cast<SimDuration>(need.count()) * cm_.map_per_page;
+    t = map_remote(blk, need, t, CostCategory::ServiceMap);
     counters_.pages_remote_mapped += need.count();
-    prof_.add(CostCategory::ServiceMap, t - t0);
-    touch_faulted();
-    blk.service_locked = false;
-    return t;
+    return finish_early();
   }
 
   // --- prefetch computation (density-tree policy) ---
@@ -317,9 +329,8 @@ SimTime Driver::service_bin(const FaultBatch::Bin& bin, SimTime t) {
   PageMask to_populate = need | prefetch;
 
   // --- physical backing (may evict, may restart) ---
-  bool restarted = false;
   PageMask unbacked;
-  t = ensure_backing(blk, to_populate, t, restarted, unbacked,
+  t = ensure_backing(blk, to_populate, t, unbacked,
                      /*speculative=*/prefetch.any());
 
   if (unbacked.any()) {
@@ -330,45 +341,25 @@ SimTime Driver::service_bin(const FaultBatch::Bin& bin, SimTime t) {
     PageMask degraded = need & unbacked;
     to_populate = to_populate.and_not(unbacked);
     prefetch = prefetch.and_not(unbacked);
-    need = need.and_not(unbacked);
     if (degraded.any()) {
-      SimTime tr = t;
-      d_.pt->map_remote(blk, degraded);
-      t += cm_.map_membar + static_cast<SimDuration>(degraded.count()) *
-                                cm_.map_per_page;
+      const SimTime tr = t;
+      t = map_remote(blk, degraded, t, CostCategory::ErrorRecovery);
       counters_.degraded_remote_pages += degraded.count();
-      prof_.add(CostCategory::ErrorRecovery, t - tr);
       trace_span(TraceCategory::Recovery, "recover.degraded_remote", tr, t,
                  blk.id, "pages", degraded.count());
-      if (log_.enabled()) {
-        for (std::uint32_t i : degraded.set_bits()) {
-          log_.record(FaultLogEntry{0, t, FaultLogKind::Hazard,
-                                    blk.first_page + i, blk.id, blk.range,
-                                    false});
-        }
-      }
+      log_pages(blk, degraded, t, FaultLogKind::Hazard);
     }
-    if (to_populate.none()) {
-      touch_faulted();
-      blk.service_locked = false;
-      return t;
-    }
+    if (to_populate.none()) return finish_early();
   }
   // The faulted slice is backed and tracked from here on: record the demand
   // touch before any speculative allocations this pass may append.
   touch_faulted();
 
-  // --- zero-fill never-populated pages (data born on the GPU) ---
-  PageMask zero = to_populate.and_not(blk.ever_populated);
-  if (zero.any()) {
-    t0 = t;
-    t = d_.dma->zero_fill(t, static_cast<std::uint64_t>(zero.count()) * kPageSize);
-    blk.ever_populated |= zero;
-    counters_.pages_zeroed += zero.count();
-    prof_.add(CostCategory::ServiceZero, t - t0);
-  }
+  t = zero_fill(blk, to_populate, t);
 
   // --- migrate host-resident data, coalesced into contiguous runs ---
+  // Only demand migration pipelines or read-duplicates, so it is not
+  // populate()'s.
   PageMask migrate = to_populate & blk.cpu_resident & blk.ever_populated;
   if (migrate.any()) {
     t0 = t;
@@ -400,26 +391,12 @@ SimTime Driver::service_bin(const FaultBatch::Bin& bin, SimTime t) {
     prof_.add(CostCategory::ServiceMigrate, (t - t0) - recovery);
   }
 
-  // --- map everything we populated ---
-  t0 = t;
-  d_.pt->map_pages(blk, to_populate);
-  t += cm_.map_membar + static_cast<SimDuration>(to_populate.count()) *
-                            cm_.map_per_page;
-  prof_.add(CostCategory::ServiceMap, t - t0);
+  t = map_local(blk, to_populate, t);
 
   // Prefetch bookkeeping.
-  if (prefetch.any()) {
-    counters_.pages_prefetched += prefetch.count();
-    blk.prefetched_unused |= prefetch;
-    if (log_.enabled()) {
-      for (std::uint32_t i : prefetch.set_bits()) {
-        log_.record(FaultLogEntry{0, t, FaultLogKind::Prefetch,
-                                  blk.first_page + i, blk.id, blk.range,
-                                  false});
-      }
-    }
-  }
-  (void)restarted;
+  counters_.pages_prefetched += prefetch.count();
+  blk.prefetched_unused |= prefetch;
+  log_pages(blk, prefetch, t, FaultLogKind::Prefetch);
   t = maybe_coalesce(blk, t);
 
   // --- learned prefetch (Markov policy): observe the transition, then
@@ -524,82 +501,102 @@ SimTime Driver::populate_speculative(VaBlock& blk, const PageMask& shape,
                                      SimTime t) {
   PageMask window;
   window.set_range(0, blk.num_pages);
-  PageMask want =
+  const PageMask want =
       (shape & window).and_not(blk.gpu_resident).and_not(blk.remote_mapped);
-  if (want.none()) return t;
-
-  // The stride path speculates on the block being serviced, which is
-  // already locked; restore rather than clear so service_bin's unlock stays
-  // the single release point for that block.
-  const bool was_locked = blk.service_locked;
-  blk.service_locked = true;
-  bool restarted = false;
-  PageMask unbacked;
+  const SimTime t0 = t;
   // speculative=false on purpose: the tree path's root-granularity
   // speculative backing is exactly the 2 MB-per-prediction amplification
   // the paper blames for "prefetching aggravates oversubscription". The
   // learned path backs its projected footprint at demand-chunk granularity
   // instead, so a speculation costs what the equivalent demand would.
-  t = ensure_backing(blk, want, t, restarted, unbacked, /*speculative=*/false);
-  (void)restarted;  // speculation is not a fault path; no restart penalty
-  if (unbacked.any()) {
-    // Advisory: pages that cannot be backed are simply not speculated on.
-    want = want.and_not(unbacked);
-    if (want.none()) {
-      blk.service_locked = was_locked;
-      return t;
-    }
-  }
-
-  SimTime t0 = t;
-  PageMask zero = want.and_not(blk.ever_populated);
-  if (zero.any()) {
-    t0 = t;
-    t = d_.dma->zero_fill(
-        t, static_cast<std::uint64_t>(zero.count()) * kPageSize);
-    blk.ever_populated |= zero;
-    counters_.pages_zeroed += zero.count();
-    prof_.add(CostCategory::ServiceZero, t - t0);
-  }
-
-  PageMask migrate = want & blk.cpu_resident & blk.ever_populated;
-  if (migrate.any()) {
-    t0 = t;
-    CopyOutcome rc =
-        robust_copy(Direction::HostToDevice, t, runs_to_bytes(migrate));
-    t = rc.done;
-    blk.cpu_resident &= ~migrate;  // paged migration unmaps the source
-    counters_.pages_migrated_h2d += migrate.count();
-    prof_.add(CostCategory::ServiceMigrate, (t - t0) - rc.recovery);
-  }
-
-  t0 = t;
-  d_.pt->map_pages(blk, want);
-  t += cm_.map_membar +
-       static_cast<SimDuration>(want.count()) * cm_.map_per_page;
-  prof_.add(CostCategory::ServiceMap, t - t0);
-
-  counters_.pages_prefetched += want.count();
+  // Advisory: pages that cannot be backed are simply not speculated on.
+  const Population pop = populate(blk, want, t, /*speculative=*/false);
+  if (pop.pages.none()) return t;
+  counters_.pages_prefetched += pop.pages.count();
   ++counters_.markov_blocks_prefetched;
-  blk.prefetched_unused |= want;
-  if (log_.enabled()) {
-    for (std::uint32_t i : want.set_bits()) {
-      log_.record(FaultLogEntry{0, t, FaultLogKind::Prefetch,
-                                blk.first_page + i, blk.id, blk.range, false});
-    }
-  }
+  blk.prefetched_unused |= pop.pages;
+  log_pages(blk, pop.pages, pop.mapped_at, FaultLogKind::Prefetch);
   trace_span(TraceCategory::Prefetch, "prefetch.markov", t0, t, blk.id,
-             "pages", want.count());
+             "pages", pop.pages.count());
   // Deliberately NO on_slice_touched: ensure_backing already emitted
   // on_slice_allocated, and speculation is not a use — CLOCK/2Q must see
   // never-demanded prefetch as first-choice eviction fodder.
-  t = maybe_coalesce(blk, t);
-  blk.service_locked = was_locked;
   return t;
 }
 
+Driver::Population Driver::populate(VaBlock& blk, PageMask want, SimTime& t,
+                                    bool speculative) {
+  if (want.none()) return {};
+  // The stride path speculates on the block being serviced, which is
+  // already locked; restore rather than clear so service_bin's unlock stays
+  // the single release point for that block.
+  const bool was_locked = blk.service_locked;
+  blk.service_locked = true;
+  PageMask unbacked;
+  t = ensure_backing(blk, want, t, unbacked, speculative);
+  Population pop{want.and_not(unbacked)};
+  if (pop.pages.any()) {
+    t = zero_fill(blk, pop.pages, t);
+    const PageMask migrate = pop.pages & blk.cpu_resident & blk.ever_populated;
+    if (migrate.any()) {
+      const SimTime t0 = t;
+      const CopyOutcome rc =
+          robust_copy(Direction::HostToDevice, t, runs_to_bytes(migrate));
+      t = rc.done;
+      blk.cpu_resident &= ~migrate;  // paged migration unmaps the source
+      counters_.pages_migrated_h2d += migrate.count();
+      prof_.add(CostCategory::ServiceMigrate, (t - t0) - rc.recovery);
+    }
+    t = map_local(blk, pop.pages, t);
+    pop.mapped_at = t;
+    t = maybe_coalesce(blk, t);
+  }
+  blk.service_locked = was_locked;
+  return pop;
+}
+
+SimTime Driver::zero_fill(VaBlock& blk, const PageMask& pages, SimTime t) {
+  const PageMask zero = pages.and_not(blk.ever_populated);
+  if (zero.none()) return t;
+  const SimTime t0 = t;
+  t = d_.dma->zero_fill(t,
+                        static_cast<std::uint64_t>(zero.count()) * kPageSize);
+  blk.ever_populated |= zero;
+  counters_.pages_zeroed += zero.count();
+  prof_.add(CostCategory::ServiceZero, t - t0);
+  return t;
+}
+
+SimTime Driver::map_local(VaBlock& blk, const PageMask& pages, SimTime t) {
+  d_.pt->map_pages(blk, pages);
+  const SimDuration cost =
+      cm_.map_membar +
+      static_cast<SimDuration>(pages.count()) * cm_.map_per_page;
+  prof_.add(CostCategory::ServiceMap, cost);
+  return t + cost;
+}
+
+SimTime Driver::map_remote(VaBlock& blk, const PageMask& pages, SimTime t,
+                           CostCategory category) {
+  d_.pt->map_remote(blk, pages);
+  const SimDuration cost =
+      cm_.map_membar +
+      static_cast<SimDuration>(pages.count()) * cm_.map_per_page;
+  prof_.add(category, cost);
+  return t + cost;
+}
+
+void Driver::log_pages(const VaBlock& blk, const PageMask& pages, SimTime t,
+                       FaultLogKind kind) {
+  if (!log_.enabled()) return;
+  for (std::uint32_t i : pages.set_bits()) {
+    log_.record(FaultLogEntry{0, t, kind, blk.first_page + i, blk.id,
+                              blk.range, false});
+  }
+}
+
 SimTime Driver::ensure_backing(VaBlock& blk, const PageMask& to_populate,
-                               SimTime t, bool& restarted, PageMask& unbacked,
+                               SimTime t, PageMask& unbacked,
                                bool speculative) {
   // Victim eligibility is stable for the duration of this call (the
   // faulting block is fixed and no service_locked flag flips), so the
@@ -620,9 +617,9 @@ SimTime Driver::ensure_backing(VaBlock& blk, const PageMask& to_populate,
     if (!blk.backing.fragmented() &&
         (!cfg_.chunking.enabled || whole_block_demand || speculative ||
          pressure() == Pressure::None)) {
-      t = back_block_root(blk, to_populate, t, restarted, unbacked);
+      t = back_block_root(blk, to_populate, t, unbacked);
     } else {
-      t = back_block_chunks(blk, missing, t, restarted, unbacked);
+      t = back_block_chunks(blk, missing, t, unbacked);
     }
   }
   eviction_->end_victim_round();
@@ -630,9 +627,8 @@ SimTime Driver::ensure_backing(VaBlock& blk, const PageMask& to_populate,
 }
 
 SimTime Driver::back_block_root(VaBlock& blk, const PageMask& to_populate,
-                                SimTime t, bool& restarted,
-                                PageMask& unbacked) {
-  if (!alloc_backing_bytes(blk, kVaBlockSize, kVaBlockSize, t, restarted)) {
+                                SimTime t, PageMask& unbacked) {
+  if (!alloc_backing_bytes(blk, kVaBlockSize, kVaBlockSize, t)) {
     // No eligible victim (every resident block is the faulting one or a
     // locked one): leave the block unbacked and let the caller degrade its
     // pages to remote mapping.
@@ -645,8 +641,7 @@ SimTime Driver::back_block_root(VaBlock& blk, const PageMask& to_populate,
 }
 
 SimTime Driver::back_block_chunks(VaBlock& blk, const PageMask& missing,
-                                  SimTime t, bool& restarted,
-                                  PageMask& unbacked) {
+                                  SimTime t, PageMask& unbacked) {
   const bool fine = pressure() == Pressure::Fine;
   bool first_chunk = !blk.backing.any();
 
@@ -657,11 +652,12 @@ SimTime Driver::back_block_chunks(VaBlock& blk, const PageMask& missing,
   // groups that already fragmented down to base chunks.
   std::uint32_t plan_big = 0;
   PageMask plan_base;
-  for (std::uint32_t g : touched_slices(missing, kPagesPerBigPage)) {
+  for (std::uint32_t g = 0; g < kBigPagesPerBlock; ++g) {
     const std::uint32_t lo = g * kPagesPerBigPage;
     PageMask group;
     group.set_range(lo, lo + kPagesPerBigPage);
     const PageMask want = missing & group;
+    if (want.none()) continue;
     if (!blk.backing.has_base_in(g) &&
         (!fine || want.count() == kPagesPerBigPage)) {
       plan_big |= std::uint32_t{1} << g;
@@ -679,7 +675,7 @@ SimTime Driver::back_block_chunks(VaBlock& blk, const PageMask& missing,
     const std::uint32_t lo = g * kPagesPerBigPage;
     const std::uint32_t hi = lo + kPagesPerBigPage;
     if (big) {
-      if (!alloc_backing_bytes(blk, kBigPageSize, remaining, t, restarted)) {
+      if (!alloc_backing_bytes(blk, kBigPageSize, remaining, t)) {
         unbacked |= missing.and_not(blk.backing.backed_pages());
         return t;
       }
@@ -693,7 +689,7 @@ SimTime Driver::back_block_chunks(VaBlock& blk, const PageMask& missing,
     } else {
       for (std::uint32_t p = plan_base.find_next_set(lo); p < hi;
            p = plan_base.find_next_set(p + 1)) {
-        if (!alloc_backing_bytes(blk, kPageSize, remaining, t, restarted)) {
+        if (!alloc_backing_bytes(blk, kPageSize, remaining, t)) {
           unbacked |= missing.and_not(blk.backing.backed_pages());
           return t;
         }
@@ -711,8 +707,7 @@ SimTime Driver::back_block_chunks(VaBlock& blk, const PageMask& missing,
 }
 
 bool Driver::alloc_backing_bytes(VaBlock& blk, std::uint64_t bytes,
-                                 std::uint64_t plan_remaining, SimTime& t,
-                                 bool& restarted) {
+                                 std::uint64_t plan_remaining, SimTime& t) {
   std::uint32_t transient_failures = 0;
   for (;;) {
     auto res = d_.pma->alloc_bytes(bytes, t);
@@ -736,17 +731,7 @@ bool Driver::alloc_backing_bytes(VaBlock& blk, std::uint64_t bytes,
       return true;
     }
     if (res.transient) {
-      // Transient RM failure (injected hazard): exponential backoff with
-      // a capped exponent, then retry the call.
-      std::uint32_t shift =
-          std::min(transient_failures, cfg_.recovery.pma_backoff_cap);
-      SimDuration backoff = cfg_.recovery.pma_backoff_base << shift;
-      trace_span(TraceCategory::Recovery, "recover.pma_backoff", t,
-                 t + backoff, blk.id, "attempt", transient_failures + 1);
-      t += backoff;
-      prof_.add(CostCategory::ErrorRecovery, backoff);
-      ++counters_.pma_alloc_retries;
-      ++transient_failures;
+      pma_backoff(blk.id, transient_failures, t);
       continue;
     }
     // Exhausted: evict and retry. Every eviction drops the faulting
@@ -756,15 +741,28 @@ bool Driver::alloc_backing_bytes(VaBlock& blk, std::uint64_t bytes,
       ++counters_.eviction_victim_unavailable;
       return false;
     }
-    restarted = true;
     t += cm_.service_restart;
     prof_.add(CostCategory::Eviction, cm_.service_restart);
     ++counters_.service_restarts;
   }
 }
 
+void Driver::pma_backoff(VaBlockId block, std::uint32_t& failures,
+                         SimTime& t) {
+  // Transient RM failure (injected hazard): exponential backoff with a
+  // capped exponent before the caller retries the call.
+  const std::uint32_t shift = std::min(failures, cfg_.recovery.pma_backoff_cap);
+  const SimDuration backoff = cfg_.recovery.pma_backoff_base << shift;
+  trace_span(TraceCategory::Recovery, "recover.pma_backoff", t, t + backoff,
+             block, "attempt", failures + 1);
+  t += backoff;
+  prof_.add(CostCategory::ErrorRecovery, backoff);
+  ++counters_.pma_alloc_retries;
+  ++failures;
+}
+
 SimTime Driver::maybe_coalesce(VaBlock& blk, SimTime t) {
-  if (!cfg_.chunking.enabled || !cfg_.chunking.coalesce) return t;
+  if (!cfg_.chunking.enabled) return t;
   if (!blk.backing.fragmented()) return t;
   if (blk.num_pages != kPagesPerBlock) return t;  // partial blocks stay split
   if (blk.backing.backed_bytes() != kVaBlockSize) return t;
@@ -881,20 +879,11 @@ bool Driver::evict_victim(SimTime& t, VaBlockId faulting_block,
 SimTime Driver::service_cpu_access(VirtPage first, std::uint64_t npages,
                                    bool write) {
   SimTime t = d_.eq->now();
-  VirtPage end = first + npages;
-  for (VirtPage p = first; p < end;) {
-    VaBlock& blk = d_.as->block_of(p);
-    std::uint32_t lo = page_in_block(p);
-    std::uint32_t hi = static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(blk.num_pages, lo + (end - p)));
-    if (hi <= lo) break;  // defensive: past the block's valid pages
-    PageMask window;
-    window.set_range(lo, hi);
-    p += hi - lo;
-
+  for_each_block_window(*d_.as, first, npages, [&](VaBlock& blk,
+                                                   const PageMask& window) {
     // Pages valid on the host already (resident or duplicated) are free.
     PageMask gpu_only = (blk.gpu_resident & window).and_not(blk.cpu_resident);
-    if (gpu_only.none() && !write) continue;
+    if (gpu_only.none() && !write) return;
 
     SimTime t0 = t;
     SimDuration recovery = 0;
@@ -921,70 +910,33 @@ SimTime Driver::service_cpu_access(VirtPage first, std::uint64_t npages,
       blk.ever_populated |= window;
     }
     prof_.add(CostCategory::ServiceMigrate, (t - t0) - recovery);
-  }
+  });
   return t;
 }
 
 SimTime Driver::prefetch_pages(VirtPage first, std::uint64_t npages) {
   SimTime t = d_.eq->now();
-  VirtPage end = first + npages;
-  for (VirtPage p = first; p < end;) {
-    VaBlock& blk = d_.as->block_of(p);
-    std::uint32_t lo = page_in_block(p);
-    std::uint32_t hi = static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(blk.num_pages, lo + (end - p)));
-    if (hi <= lo) break;  // defensive: past the block's valid pages
-    PageMask window;
-    window.set_range(lo, hi);
-    p += hi - lo;
-
+  for_each_block_window(*d_.as, first, npages, [&](VaBlock& blk,
+                                                   const PageMask& window) {
     // Remote-mapped pages are pinned to the host by design; bulk prefetch
-    // must not migrate them.
-    PageMask to_move = (window & blk.cpu_resident & blk.ever_populated)
-                           .and_not(blk.gpu_resident)
-                           .and_not(blk.remote_mapped);
-    if (to_move.none()) continue;
-
-    blk.service_locked = true;
-    bool restarted = false;
-    PageMask unbacked;
-    t = ensure_backing(blk, to_move, t, restarted, unbacked,
-                       /*speculative=*/true);
-    if (unbacked.any()) {
-      // Bulk prefetch is advisory: pages on slices that cannot be backed
-      // (no eligible victim) are simply skipped.
-      to_move = to_move.and_not(unbacked);
-      if (to_move.none()) {
-        blk.service_locked = false;
-        continue;
-      }
-    }
-
-    SimTime t0 = t;
-    CopyOutcome rc = robust_copy(Direction::HostToDevice, t,
-                                 runs_to_bytes(to_move));
-    t = rc.done;
-    blk.cpu_resident &= ~to_move;
-    counters_.pages_migrated_h2d += to_move.count();
-    counters_.prefetch_async_pages += to_move.count();
-    prof_.add(CostCategory::ServiceMigrate, (t - t0) - rc.recovery);
+    // must not migrate them. Bulk prefetch is advisory: pages on slices
+    // that cannot be backed (no eligible victim) are simply skipped.
+    const PageMask to_move = (window & blk.cpu_resident & blk.ever_populated)
+                                 .and_not(blk.gpu_resident)
+                                 .and_not(blk.remote_mapped);
+    const SimTime t0 = t;
+    const PageMask moved =
+        populate(blk, to_move, t, /*speculative=*/true).pages;
+    if (moved.none()) return;
+    counters_.prefetch_async_pages += moved.count();
     trace_span(TraceCategory::Prefetch, "prefetch.bulk", t0, t, blk.id,
-               "pages", to_move.count());
-
-    t0 = t;
-    d_.pt->map_pages(blk, to_move);
-    t += cm_.map_membar +
-         static_cast<SimDuration>(to_move.count()) * cm_.map_per_page;
-    prof_.add(CostCategory::ServiceMap, t - t0);
-
+               "pages", moved.count());
     // No on_slice_touched here (PR-10 bugfix audit): speculative backing
     // emits exactly on_slice_allocated (inside ensure_backing). Bulk
     // prefetch is speculation, not a use — the stock LRU masked the
     // difference (allocation already MRU-inserts), but CLOCK/2Q would have
     // promoted never-demanded data.
-    t = maybe_coalesce(blk, t);
-    blk.service_locked = false;
-  }
+  });
   return t;
 }
 
@@ -1042,56 +994,22 @@ SimTime Driver::drain_access_counters(SimTime t) {
 SimTime Driver::promote_hot_region(const AccessCounterNotification& n,
                                    SimTime t) {
   VaBlock& blk = d_.as->block(n.block);
-  std::uint32_t lo = n.big_page * kPagesPerBigPage;
-  std::uint32_t hi = std::min(lo + kPagesPerBigPage, blk.num_pages);
+  const std::uint32_t lo = n.big_page * kPagesPerBigPage;
   if (lo >= blk.num_pages) return t;
   PageMask window;
-  window.set_range(lo, hi);
+  window.set_range(lo, std::min(lo + kPagesPerBigPage, blk.num_pages));
 
-  PageMask remote = blk.remote_mapped & window;
-  if (remote.none()) return t;
-
-  blk.service_locked = true;
-  bool restarted = false;
-  PageMask unbacked;
-  t = ensure_backing(blk, remote, t, restarted, unbacked);
-  if (unbacked.any()) {
-    // Promotion is opportunistic: hot pages whose slices cannot be backed
-    // stay remote-mapped and may promote later.
-    remote = remote.and_not(unbacked);
-    if (remote.none()) {
-      blk.service_locked = false;
-      return t;
-    }
-  }
-
-  SimTime t0 = t;
-  SimDuration recovery = 0;
-  // Drop the remote view, migrate the data local, and re-map resident (the
-  // PTE rewrite + membar are charged with the map below).
-  blk.remote_mapped &= ~remote;
-  PageMask migrate = remote & blk.cpu_resident & blk.ever_populated;
-  if (migrate.any()) {
-    CopyOutcome rc = robust_copy(Direction::HostToDevice, t,
-                                 runs_to_bytes(migrate));
-    t = rc.done;
-    recovery = rc.recovery;
-    blk.cpu_resident &= ~migrate;
-    counters_.pages_migrated_h2d += migrate.count();
-  }
-  prof_.add(CostCategory::ServiceMigrate, (t - t0) - recovery);
-
-  t0 = t;
-  d_.pt->map_pages(blk, remote);
-  t += cm_.map_membar +
-       static_cast<SimDuration>(remote.count()) * cm_.map_per_page;
-  d_.gpu->invalidate_tlbs();  // the translation kind changed
-  prof_.add(CostCategory::ServiceMap, t - t0);
-
-  counters_.counter_promoted_pages += remote.count();
-  if (remote.any()) eviction_->on_slice_touched(SliceKey{blk.id, 0});
-  t = maybe_coalesce(blk, t);
-  blk.service_locked = false;
+  // Promotion is opportunistic: hot pages whose slices cannot be backed
+  // stay remote-mapped and may promote later.
+  const PageMask promoted =
+      populate(blk, blk.remote_mapped & window, t, /*speculative=*/false)
+          .pages;
+  if (promoted.none()) return t;
+  // Drop the remote view: the translation kind changed.
+  blk.remote_mapped &= ~promoted;
+  d_.gpu->invalidate_tlbs();
+  counters_.counter_promoted_pages += promoted.count();
+  eviction_->on_slice_touched(SliceKey{blk.id, 0});
   return t;
 }
 

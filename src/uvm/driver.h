@@ -158,12 +158,44 @@ class Driver {
   /// Returns false when no eviction victim was available (caller degrades
   /// the page to a remote mapping).
   bool back_page(VaBlock& blk, std::uint32_t i, SimTime& t);
+  /// One transient-PMA-failure backoff for `block`: exponential in
+  /// `failures` (capped), charged to ErrorRecovery and traced. Advances `t`
+  /// and `failures`.
+  void pma_backoff(VaBlockId block, std::uint32_t& failures, SimTime& t);
   /// Delay from the GPU raising its first fault signal to the pass body
   /// running: interrupt latency for the CPU driver, queue visibility for
   /// GPU-side resolution.
   [[nodiscard]] SimDuration wake_latency() const;
   /// Services one VABlock bin; returns the advanced time cursor.
   SimTime service_bin(const FaultBatch::Bin& bin, SimTime t);
+  /// What populate() backed and mapped, and when the map landed (before
+  /// any re-coalesce charge; callers stamp their fault-log records there).
+  struct Population {
+    PageMask pages;
+    SimTime mapped_at = 0;
+  };
+  /// The per-VABlock population step (paper §III-D) shared by speculation,
+  /// bulk prefetch and counter promotion: locks `blk` (restoring its old
+  /// lock state after), backs `want` via ensure_backing, drops the pages
+  /// that could not be backed, zero-fills never-populated pages, migrates
+  /// host-resident ones in coalesced runs, maps the result with one membar
+  /// and re-coalesces the block's chunks. Advances `t`; callers do their
+  /// own bookkeeping on the returned pages. Demand service (service_bin)
+  /// keeps its own migrate, the only one that pipelines or duplicates.
+  Population populate(VaBlock& blk, PageMask want, SimTime& t,
+                      bool speculative);
+  /// Zero-fills the never-populated pages of `pages` (data born on the
+  /// GPU) and marks them populated.
+  SimTime zero_fill(VaBlock& blk, const PageMask& pages, SimTime t);
+  /// Maps `pages` GPU-resident: PTE writes plus one membar (ServiceMap).
+  SimTime map_local(VaBlock& blk, const PageMask& pages, SimTime t);
+  /// Maps `pages` remote (zero-copy): PTE writes plus one membar, charged
+  /// to `category`.
+  SimTime map_remote(VaBlock& blk, const PageMask& pages, SimTime t,
+                     CostCategory category);
+  /// Appends one `kind` fault-log record per page of `pages`.
+  void log_pages(const VaBlock& blk, const PageMask& pages, SimTime t,
+                 FaultLogKind kind);
   /// Guarantees GPU backing for every page in `to_populate`, evicting as
   /// needed. Plentiful memory (or whole-block demand) backs the block with
   /// one 2 MB root chunk — byte-identical to the historical whole-block
@@ -171,29 +203,27 @@ class Driver {
   /// sub-chunks instead. `speculative` demand (the prefetcher betting on
   /// density) also takes the root chunk: the real driver's prefetch path
   /// populates at block granularity, which is exactly why prefetching can
-  /// aggravate oversubscription. Sets `restarted` when an eviction forced
-  /// the fault path to restart. Pages that cannot be backed (no eligible
+  /// aggravate oversubscription. Pages that cannot be backed (no eligible
   /// eviction victim) accumulate in `unbacked` for the caller to degrade
-  /// to remote mapping.
+  /// to remote mapping or skip.
   SimTime ensure_backing(VaBlock& blk, const PageMask& to_populate, SimTime t,
-                         bool& restarted, PageMask& unbacked,
-                         bool speculative = false);
+                         PageMask& unbacked, bool speculative);
   /// Root-chunk backing for a block with no prior backing (stock path).
   SimTime back_block_root(VaBlock& blk, const PageMask& to_populate, SimTime t,
-                          bool& restarted, PageMask& unbacked);
+                          PageMask& unbacked);
   /// Sub-chunk backing for `missing` under memory pressure: 64 KB chunks
   /// for fully-wanted big pages (or all groups above the fine watermark),
   /// 4 KB chunks for the rest.
   SimTime back_block_chunks(VaBlock& blk, const PageMask& missing, SimTime t,
-                            bool& restarted, PageMask& unbacked);
+                            PageMask& unbacked);
   /// Allocates `bytes` of PMA backing for `blk`, retrying through transient
   /// RM failures (backoff) and capacity exhaustion (eviction + restart
-  /// penalty). `plan_remaining` is the total still needed by the caller's
-  /// backing plan, so one eviction can free enough for the whole remainder.
-  /// Returns false when no eviction victim was available.
+  /// penalty, counted in service_restarts). `plan_remaining` is the total
+  /// still needed by the caller's backing plan, so one eviction can free
+  /// enough for the whole remainder. Returns false when no eviction victim
+  /// was available.
   bool alloc_backing_bytes(VaBlock& blk, std::uint64_t bytes,
-                           std::uint64_t plan_remaining, SimTime& t,
-                           bool& restarted);
+                           std::uint64_t plan_remaining, SimTime& t);
   /// Re-merges a fully-backed full block's sub-chunks into one root chunk
   /// (PMA bytes unchanged: 512 backed pages == 2 MB exactly).
   SimTime maybe_coalesce(VaBlock& blk, SimTime t);
@@ -233,7 +263,7 @@ class Driver {
   /// Drains access-counter notifications into the eviction policy (and the
   /// promotion path when access_counter_migration is on).
   SimTime drain_access_counters(SimTime t);
-  /// Migrates a hot remote-mapped big page to local GPU memory.
+  /// Populates a hot remote-mapped big page in local GPU memory.
   SimTime promote_hot_region(const AccessCounterNotification& n, SimTime t);
   /// Learned-prefetch step for one serviced bin (Markov policy only):
   /// feeds the block into the delta history, then speculatively populates

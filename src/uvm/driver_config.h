@@ -134,8 +134,6 @@ struct ChunkedBackingConfig {
   /// 4 KB chunks. Values > 1 force the level unconditionally (useful for
   /// ablations); must be <= split_watermark.
   double fine_watermark = 1.0 / 64.0;
-  /// Re-merge a fully-backed block's sub-chunks into its root chunk.
-  bool coalesce = true;
 };
 
 struct DriverConfig {

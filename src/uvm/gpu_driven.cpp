@@ -169,13 +169,7 @@ UVMSIM_HOT SimTime Driver::resolve_fault(const FaultEntry& e,
     prof_.add(CostCategory::ErrorRecovery, t - tr);
     trace_span(TraceCategory::Recovery, "gpu.degraded_remote", tr, t, blk.id,
                "pages", unbacked.count());
-    if (log_.enabled()) {
-      for (std::uint32_t i : unbacked.set_bits()) {
-        log_.record(FaultLogEntry{0, t, FaultLogKind::Hazard,
-                                  blk.first_page + i, blk.id, blk.range,
-                                  false});
-      }
-    }
+    log_pages(blk, unbacked, t, FaultLogKind::Hazard);
     if (to_populate.none()) {
       if (log_.enabled()) {
         log_.record(FaultLogEntry{0, t, FaultLogKind::Fault, e.page, blk.id,
@@ -187,16 +181,7 @@ UVMSIM_HOT SimTime Driver::resolve_fault(const FaultEntry& e,
     }
   }
 
-  // --- zero-fill pages born on the GPU ---
-  PageMask zero = to_populate.and_not(blk.ever_populated);
-  if (zero.any()) {
-    SimTime t0 = t;
-    t = d_.dma->zero_fill(
-        t, static_cast<std::uint64_t>(zero.count()) * kPageSize);
-    blk.ever_populated |= zero;
-    counters_.pages_zeroed += zero.count();
-    prof_.add(CostCategory::ServiceZero, t - t0);
-  }
+  t = zero_fill(blk, to_populate, t);  // pages born on the GPU
 
   // --- pull host-resident data as page-sized RDMA reads ---
   // reserve_pipelined: no bulk-transfer setup latency, but each 4 KB read
@@ -250,13 +235,7 @@ UVMSIM_HOT bool Driver::back_page(VaBlock& blk, std::uint32_t i, SimTime& t) {
       return true;
     }
     if (res.transient) {
-      const std::uint32_t shift =
-          std::min(transient_failures, cfg_.recovery.pma_backoff_cap);
-      const SimDuration backoff = cfg_.recovery.pma_backoff_base << shift;
-      t += backoff;
-      prof_.add(CostCategory::ErrorRecovery, backoff);
-      ++counters_.pma_alloc_retries;
-      ++transient_failures;
+      pma_backoff(blk.id, transient_failures, t);
       continue;
     }
     // Exhausted: reuse the driver's chunk-granular eviction machinery.

@@ -8,20 +8,8 @@
 
 namespace uvmsim {
 
-/// Converts contiguous page runs to per-run byte sizes (one DMA op each).
-[[nodiscard]] std::vector<std::uint64_t> runs_to_bytes(
-    const std::vector<PageMask::Run>& runs);
-
-/// Same, straight off the mask's run iterator (skips the runs() vector).
+/// Converts the mask's contiguous page runs to per-run byte sizes (one DMA
+/// op each).
 [[nodiscard]] std::vector<std::uint64_t> runs_to_bytes(const PageMask& mask);
-
-/// Mask covering allocation slice `slice` (clamped to `num_pages`).
-[[nodiscard]] PageMask slice_mask(std::uint32_t slice,
-                                  std::uint32_t pages_per_slice,
-                                  std::uint32_t num_pages);
-
-/// Ascending indices of the slices touched by any set page in `mask`.
-[[nodiscard]] std::vector<std::uint32_t> touched_slices(
-    const PageMask& mask, std::uint32_t pages_per_slice);
 
 }  // namespace uvmsim

@@ -9,6 +9,12 @@
 // pass runs each case once against kGpuGoldens. Any refactor of either
 // body must keep every digest.
 //
+// kPopulationCases cover every caller of the driver's page-population step
+// (Markov speculation, thrash pinning, remote-map advice, bulk prefetch,
+// access-counter promotion, pipelined read-duplicated migration); their
+// digests also fold in every Profiler category total, so a charge that
+// moves between ServiceZero, ServiceMigrate and ServiceMap shows up.
+//
 // To re-capture after an *intentional* output change, run with
 // UVMSIM_PARITY_PRINT=1 and paste the printed constants.
 #include <gtest/gtest.h>
@@ -16,6 +22,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <span>
 #include <string>
 
 #include "campaign/executor.h"
@@ -50,6 +57,9 @@ struct ParityCase {
   std::uint64_t gpu_mib;
   void (*tweak)(SimConfig&);  ///< null = stock config
   std::uint64_t golden;       ///< batched-pass digest
+  /// Advice and prefetch calls made after the workload's setup (null =
+  /// none).
+  void (*post_setup)(Simulator&) = nullptr;
 };
 
 // Seven configs spanning the servicing path's policy space: stock
@@ -85,11 +95,69 @@ const ParityCase kCases[] = {
 };
 constexpr std::size_t kNumCases = sizeof(kCases) / sizeof(kCases[0]);
 
+/// Applies `advise` to every managed range of `sim`.
+void advise_all(Simulator& sim, const MemAdvise& advise) {
+  for (RangeId i = 0; i < sim.address_space().num_ranges(); ++i) {
+    sim.mem_advise(i, advise);
+  }
+}
+
+// One case per caller of the page-population step, each under the pressure
+// or hazard that drives its edge paths.
+const ParityCase kPopulationCases[] = {
+    {"regular-oversub-markov", "regular", 48, 32,
+     [](SimConfig& c) { c.driver.prefetch = PrefetchMode::Markov; },
+     0x84ec7336cf0d4da2ULL, nullptr},
+    {"random-oversub-thrash-pin", "random", 48, 32,
+     [](SimConfig& c) { c.driver.thrashing.enabled = true; },
+     0x9c454617df246552ULL, nullptr},
+    {"random-remote-map", "random", 24, 32, nullptr, 0xe9add32d012a3bb3ULL,
+     [](Simulator& s) {
+       MemAdvise a;
+       a.remote_map = true;
+       advise_all(s, a);
+     }},
+    {"random-oversub-prefetch-async", "random", 48, 32, nullptr,
+     0x7673a7fda481b884ULL,
+     [](Simulator& s) {
+       for (RangeId i = 0; i < s.address_space().num_ranges(); ++i) {
+         s.prefetch_async(i);
+       }
+     }},
+    // A 1 MB GPU cannot hold the 2 MB root chunk bulk prefetch asks for
+    // and has no victim to evict: every block is skipped.
+    {"regular-prefetch-async-no-victim", "regular", 4, 1, nullptr,
+     0xb1ed4e615778dfb6ULL,
+     [](Simulator& s) { s.prefetch_async(0); }},
+    {"hpgmg-counter-promotion", "hpgmg", 16, 32,
+     [](SimConfig& c) {
+       c.access_counters.enabled = true;
+       c.access_counters.threshold = 48;
+       c.driver.access_counter_migration = true;
+     },
+     0x0b05b88de518692aULL,
+     [](Simulator& s) {
+       MemAdvise a;
+       a.remote_map = true;
+       advise_all(s, a);
+     }},
+    {"sgemm-oversub-pipelined-read-mostly", "sgemm", 48, 32,
+     [](SimConfig& c) { c.driver.pipelined_migrations = true; },
+     0xa03f9844ebefb135ULL,
+     [](Simulator& s) {
+       MemAdvise a;
+       a.read_mostly = true;
+       advise_all(s, a);
+     }},
+};
+constexpr std::size_t kNumPopulationCases =
+    sizeof(kPopulationCases) / sizeof(kPopulationCases[0]);
+
 /// Runs one case and digests everything a user of the run can observe:
-/// the summary table CSV and the ordered fault/prefetch/eviction log.
-std::uint64_t run_digest(const ParityCase& c,
-                         ServicingBackendKind backend =
-                             ServicingBackendKind::DriverCentric) {
+/// the summary table CSV and the ordered fault/prefetch/eviction log, plus
+/// (with `with_profile`) every Profiler category total.
+std::uint64_t run_digest(const ParityCase& c, ServicingBackendKind backend,
+                         bool with_profile) {
   SimConfig cfg;
   cfg.set_gpu_memory(c.gpu_mib << 20);
   cfg.enable_fault_log = true;
@@ -98,6 +166,7 @@ std::uint64_t run_digest(const ParityCase& c,
   Simulator sim(cfg);
   auto wl = make_workload(c.workload, c.size_mib << 20);
   wl->setup(sim);
+  if (c.post_setup != nullptr) c.post_setup(sim);
   RunResult r = sim.run();
 
   std::uint64_t h = kFnvOffset;
@@ -112,19 +181,28 @@ std::uint64_t run_digest(const ParityCase& c,
     h = mix_u64(h, e.range);
     h = mix_u64(h, e.duplicate ? 1u : 0u);
   }
+  if (with_profile) {
+    for (std::size_t k = 0; k < Profiler::kNumCategories; ++k) {
+      h = mix_u64(h, static_cast<std::uint64_t>(sim.driver().profiler().total(
+                         static_cast<CostCategory>(k))));
+    }
+  }
   return h;
 }
 
-void check_with_threads(std::size_t threads) {
+void check_with_threads(std::span<const ParityCase> cases, bool with_profile,
+                        std::size_t threads) {
   const bool print = std::getenv("UVMSIM_PARITY_PRINT") != nullptr;
   campaign::TaskExecutor ex(threads);
-  auto outs =
-      ex.map_capture(kNumCases, [](std::size_t i) { return run_digest(kCases[i]); });
-  for (std::size_t i = 0; i < kNumCases; ++i) {
-    ASSERT_TRUE(outs[i].ok()) << kCases[i].name << ": " << outs[i].error;
+  auto outs = ex.map_capture(cases.size(), [&](std::size_t i) {
+    return run_digest(cases[i], ServicingBackendKind::DriverCentric,
+                      with_profile);
+  });
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    ASSERT_TRUE(outs[i].ok()) << cases[i].name << ": " << outs[i].error;
     const std::uint64_t got = *outs[i].value;
     if (print) {
-      std::printf("parity golden %-24s 0x%016llxULL\n", kCases[i].name,
+      std::printf("parity golden %-24s 0x%016llxULL\n", cases[i].name,
                   static_cast<unsigned long long>(got));
     }
     char buf[32];
@@ -132,15 +210,43 @@ void check_with_threads(std::size_t threads) {
                   static_cast<unsigned long long>(got));
     char want[32];
     std::snprintf(want, sizeof want, "0x%016llx",
-                  static_cast<unsigned long long>(kCases[i].golden));
-    EXPECT_STREQ(want, buf) << kCases[i].name << " (threads=" << threads
+                  static_cast<unsigned long long>(cases[i].golden));
+    EXPECT_STREQ(want, buf) << cases[i].name << " (threads=" << threads
                             << ") diverged from the pre-refactor output";
   }
 }
 
-TEST(BackendParity, ByteIdenticalSerial) { check_with_threads(1); }
+void check_gpu_driven(std::span<const ParityCase> cases,
+                      std::span<const std::uint64_t> goldens,
+                      bool with_profile) {
+  const bool print = std::getenv("UVMSIM_PARITY_PRINT") != nullptr;
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const std::uint64_t got =
+        run_digest(cases[i], ServicingBackendKind::GpuDriven, with_profile);
+    if (print) {
+      std::printf("parity golden gpu %-24s 0x%016llxULL\n", cases[i].name,
+                  static_cast<unsigned long long>(got));
+    }
+    EXPECT_EQ(goldens[i], got)
+        << cases[i].name << ": digest diverged from golden";
+  }
+}
 
-TEST(BackendParity, ByteIdenticalFourWorkers) { check_with_threads(4); }
+TEST(BackendParity, ByteIdenticalSerial) {
+  check_with_threads(kCases, false, 1);
+}
+
+TEST(BackendParity, ByteIdenticalFourWorkers) {
+  check_with_threads(kCases, false, 4);
+}
+
+TEST(BackendParity, PopulationCallersSerial) {
+  check_with_threads(kPopulationCases, true, 1);
+}
+
+TEST(BackendParity, PopulationCallersFourWorkers) {
+  check_with_threads(kPopulationCases, true, 4);
+}
 
 // --- GPU-driven backend ----------------------------------------------------
 
@@ -152,18 +258,18 @@ const std::uint64_t kGpuGoldens[kNumCases] = {
     0x5df76fad8ac06ff1ULL,
 };
 
+const std::uint64_t kPopulationGpuGoldens[kNumPopulationCases] = {
+    0x11e53d70ddf89806ULL, 0x8a9ece21b8ed7a58ULL, 0x2d68a6adb1ec8e31ULL,
+    0x0c22be0d03fc8fa7ULL, 0x66aa5f67440827caULL, 0x94171055c54870a7ULL,
+    0x18d5b736a7913d39ULL,
+};
+
 TEST(BackendParity, ByteIdenticalGpuDriven) {
-  const bool print = std::getenv("UVMSIM_PARITY_PRINT") != nullptr;
-  for (std::size_t i = 0; i < kNumCases; ++i) {
-    const std::uint64_t got =
-        run_digest(kCases[i], ServicingBackendKind::GpuDriven);
-    if (print) {
-      std::printf("parity golden gpu %-24s 0x%016llxULL\n", kCases[i].name,
-                  static_cast<unsigned long long>(got));
-    }
-    EXPECT_EQ(kGpuGoldens[i], got)
-        << kCases[i].name << ": digest diverged from golden";
-  }
+  check_gpu_driven(kCases, kGpuGoldens, false);
+}
+
+TEST(BackendParity, PopulationCallersGpuDriven) {
+  check_gpu_driven(kPopulationCases, kPopulationGpuGoldens, true);
 }
 
 }  // namespace

@@ -187,22 +187,6 @@ TEST(Chunking, RecoalesceOnFullResidency) {
   EXPECT_GT(roots, 0u);
 }
 
-TEST(Chunking, NoRecoalesceWhenDisabled) {
-  SimConfig cfg;
-  cfg.set_gpu_memory(16ull << 20);
-  cfg.enable_fault_log = false;
-  cfg.driver.chunking.split_watermark = 2.0;
-  cfg.driver.chunking.fine_watermark = 2.0;
-  cfg.driver.chunking.coalesce = false;
-  cfg.driver.prefetch = PrefetchMode::Off;
-  Simulator sim(cfg);
-  auto wl = make_workload("random", 8ull << 20);
-  wl->setup(sim);
-  RunResult r = sim.run();
-  EXPECT_GT(r.counters.blocks_split, 0u);
-  EXPECT_EQ(r.counters.blocks_coalesced, 0u);
-}
-
 // --- chunk-granularity eviction ------------------------------------------
 
 TEST(Chunking, EvictionFreesOnlyDemandedChunks) {

@@ -77,6 +77,29 @@ TEST(CounterMigration, PromotedPagesBecomeLocallyResident) {
   EXPECT_GT(blk.remote_mapped.count(), 0u);
 }
 
+TEST(CounterMigration, PromotionZeroFillsNeverPopulatedPages) {
+  // A range born on the GPU (no host initialisation): its remote mappings
+  // point at never-populated pages, so promoting them must zero-fill like
+  // every other population path instead of mapping garbage as resident.
+  Simulator sim(promo_cfg(true));
+  RangeId rid = sim.malloc_managed(4ull << 20, "scratch",
+                                   /*host_populated=*/false);
+  MemAdvise a;
+  a.remote_map = true;
+  sim.mem_advise(rid, a);
+  const VaRange& r = sim.address_space().range(rid);
+  sim.launch(hot_cold_kernel(r, 64));
+  RunResult res = sim.run();
+
+  EXPECT_GT(res.counters.counter_promoted_pages, 0u);
+  EXPECT_GE(res.counters.pages_zeroed, res.counters.counter_promoted_pages);
+  for (std::uint64_t p = 0; p < r.num_pages; p += kPagesPerBlock) {
+    const VaBlock& blk = sim.address_space().block_of(r.first_page + p);
+    EXPECT_TRUE(blk.gpu_resident.and_not(blk.ever_populated).none())
+        << "block " << blk.id << " maps never-populated pages as resident";
+  }
+}
+
 TEST(CounterMigration, PromotionSpeedsUpHotAccess) {
   // With enough re-reads, paying one migration beats paying the remote
   // latency on every access.

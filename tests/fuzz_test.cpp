@@ -55,7 +55,7 @@ FuzzCase make_config(Rng& rng) {
   cfg.driver.chunking.fine_watermark =
       cfg.driver.chunking.split_watermark *
       (rng.next_below(2) == 0 ? 1.0 : 0.25);
-  cfg.driver.chunking.coalesce = rng.next_below(2) == 0;
+  (void)rng.next_below(2);  // unused draw: keeps each seed's config stream
   cfg.pma.slab_chunks = static_cast<std::uint32_t>(1 + rng.next_below(32));
 
   cfg.fault_buffer.capacity =

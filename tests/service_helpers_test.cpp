@@ -6,62 +6,19 @@ namespace uvmsim {
 namespace {
 
 TEST(ServiceHelpers, RunsToBytes) {
-  std::vector<PageMask::Run> runs = {{0, 1}, {10, 16}, {100, 512}};
-  auto bytes = runs_to_bytes(runs);
+  PageMask m;
+  m.set(0);
+  m.set_range(10, 26);
+  m.set_range(100, 512);
+  auto bytes = runs_to_bytes(m);
   ASSERT_EQ(bytes.size(), 3u);
   EXPECT_EQ(bytes[0], kPageSize);
   EXPECT_EQ(bytes[1], 16 * kPageSize);
-  EXPECT_EQ(bytes[2], 512 * kPageSize);
+  EXPECT_EQ(bytes[2], 412 * kPageSize);
 }
 
 TEST(ServiceHelpers, RunsToBytesEmpty) {
-  EXPECT_TRUE(runs_to_bytes(std::vector<PageMask::Run>{}).empty());
   EXPECT_TRUE(runs_to_bytes(PageMask{}).empty());
-}
-
-TEST(ServiceHelpers, SliceMaskFullBlockGranularity) {
-  PageMask m = slice_mask(0, kPagesPerBlock, kPagesPerBlock);
-  EXPECT_EQ(m.count(), kPagesPerBlock);
-}
-
-TEST(ServiceHelpers, SliceMaskSubBlock) {
-  // 128-page slices: slice 2 covers [256, 384).
-  PageMask m = slice_mask(2, 128, kPagesPerBlock);
-  EXPECT_EQ(m.count(), 128u);
-  EXPECT_FALSE(m.test(255));
-  EXPECT_TRUE(m.test(256));
-  EXPECT_TRUE(m.test(383));
-  EXPECT_FALSE(m.test(384));
-}
-
-TEST(ServiceHelpers, SliceMaskClampsToValidPages) {
-  // Partial block with 300 valid pages: slice 2 of 128 -> [256, 300).
-  PageMask m = slice_mask(2, 128, 300);
-  EXPECT_EQ(m.count(), 44u);
-  // Slice 3 would start past the end: empty.
-  EXPECT_TRUE(slice_mask(3, 128, 300).none());
-}
-
-TEST(ServiceHelpers, TouchedSlices) {
-  PageMask m;
-  m.set(0);
-  m.set(127);   // slice 0
-  m.set(128);   // slice 1
-  m.set(400);   // slice 3
-  auto slices = touched_slices(m, 128);
-  EXPECT_EQ(slices, (std::vector<std::uint32_t>{0, 1, 3}));
-}
-
-TEST(ServiceHelpers, TouchedSlicesWholeBlockGranularity) {
-  PageMask m;
-  m.set(5);
-  m.set(500);
-  auto slices = touched_slices(m, kPagesPerBlock);
-  EXPECT_EQ(slices, (std::vector<std::uint32_t>{0}));
-}
-
-TEST(ServiceHelpers, TouchedSlicesEmpty) {
-  EXPECT_TRUE(touched_slices(PageMask{}, 128).empty());
 }
 
 }  // namespace

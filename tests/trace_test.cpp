@@ -277,6 +277,21 @@ TEST(TraceEndToEnd, GpuDrivenDegradationIsTraced) {
   EXPECT_GT(count_events(*sim.tracer(), "gpu.degraded_remote", false), 0u);
 }
 
+TEST(TraceEndToEnd, GpuDrivenPmaBackoffIsTraced) {
+  // Transient PMA failures on the GPU-driven path back off exactly like the
+  // driver path's, and the backoff shows up as the same recovery span.
+  SimConfig cfg = traced_cfg();
+  cfg.driver.backend = ServicingBackendKind::GpuDriven;
+  cfg.hazards.pma_fail_rate = 0.1;
+  Simulator sim(cfg);
+  RandomTouch wl(24ull << 20);
+  wl.setup(sim);
+  sim.run();
+  ASSERT_NE(sim.tracer(), nullptr);
+  EXPECT_GT(sim.driver().counters().pma_alloc_retries, 0u);
+  EXPECT_GT(count_events(*sim.tracer(), "recover.pma_backoff", false), 0u);
+}
+
 TEST(TraceEndToEnd, DisabledConfigBuildsNoTracer) {
   SimConfig cfg = traced_cfg();
   cfg.trace.enabled = false;
