@@ -73,7 +73,6 @@ int main() {
 
   for (const Mode& m : modes) {
     SimConfig cfg = base;
-    cfg.access_counters.enabled = m.promotion;
     cfg.access_counters.threshold = 64;
     cfg.driver.access_counter_migration = m.promotion;
 

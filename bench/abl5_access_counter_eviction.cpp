@@ -17,8 +17,6 @@ namespace {
 // Builds the hot/cold workload directly against the Simulator API.
 uvmsim::RunResult run_hot_cold(uvmsim::SimConfig cfg, std::uint32_t iters) {
   using namespace uvmsim;
-  cfg.access_counters.enabled =
-      cfg.driver.eviction_policy == EvictionPolicyKind::AccessCounter;
   cfg.access_counters.threshold = 16;
   Simulator sim(cfg);
 

@@ -9,7 +9,6 @@
 #include "mem/page_mask.h"
 #include "sim/event_queue.h"
 #include "sim/rng.h"
-#include "sim/thread_pool.h"
 #include "uvm/eviction_lru.h"
 #include "uvm/fault_batch.h"
 #include "uvm/prefetch_tree.h"
@@ -260,31 +259,6 @@ void BM_EventQueueCancelHeavy(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EventQueueCancelHeavy);
-
-void BM_ParallelFor(benchmark::State& state) {
-  // Chunked-submission crossover: sweep the grain at fixed n and a cheap
-  // body. Tiny grains drown in per-task dispatch (queue mutex + one future
-  // per chunk); the curve flattens once each chunk amortizes that overhead
-  // — the recorded crossover justifies parallel_for's default grain
-  // (~4 chunks per worker).
-  ThreadPool pool(2);
-  const std::size_t n = 1 << 14;
-  const std::size_t grain = static_cast<std::size_t>(state.range(0));
-  std::vector<std::uint64_t> out(n);
-  for (auto _ : state) {
-    pool.parallel_for(
-        n,
-        [&out](std::size_t i) {
-          out[i] = i * 0x9E3779B97F4A7C15ULL;
-        },
-        grain);
-    benchmark::DoNotOptimize(out.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_ParallelFor)->Arg(1)->Arg(16)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
 
 void BM_PrefetcherComputeFast(benchmark::State& state) {
   // The driver's prefetch path vs the tree-building reference:

@@ -34,6 +34,21 @@ if command -v python3 >/dev/null 2>&1; then
   echo "lint JSON parses"
 fi
 
+echo "== config checks live in SimConfig::validate() =="
+# Every SimConfig field constraint is checked in one function
+# (core/simulator.cpp); component constructors only assert. The other
+# ConfigError sites validate run-time input: campaign queues, traces and
+# the workload registry, and managed-range creation.
+STRAY=$(grep -rn 'throw ConfigError' src \
+  | grep -v -e '^src/core/simulator\.cpp:' -e '^src/campaign/' \
+            -e '^src/workloads/' -e '^src/mem/address_space\.cpp:' || true)
+if [ -n "$STRAY" ]; then
+  echo "$STRAY"
+  echo "config-check gate FAILED: ConfigError thrown outside validate()"
+  exit 1
+fi
+echo "config-check gate: ConfigError only at its four homes"
+
 echo "== plain build =="
 cmake --build build -j"$JOBS"
 

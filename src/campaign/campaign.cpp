@@ -25,6 +25,12 @@ struct Entry {
   bool quarantined = false;
 };
 
+void check_rate(double rate, const char* param) {
+  if (!(rate >= 0.0) || rate >= 1.0) {
+    throw ConfigError(param, "must be in [0, 1)");
+  }
+}
+
 std::string quarantine_line(const std::string& id, FailureKind kind,
                             std::uint32_t attempts,
                             const std::string& detail) {
@@ -46,9 +52,17 @@ Campaign::Campaign(CampaignConfig cfg, std::vector<RunRequest> queue)
   if (cfg_.retry.max_attempts == 0) {
     throw ConfigError("RetryPolicy.max_attempts", "must be >= 1");
   }
-  // Validate hazard rates eagerly (the injector constructor throws).
-  CampaignHazardInjector probe(cfg_.hazards);
-  (void)probe;
+  const CampaignHazardConfig& h = cfg_.hazards;
+  check_rate(h.worker_crash_rate, "CampaignHazardConfig.worker_crash_rate");
+  check_rate(h.worker_hang_rate, "CampaignHazardConfig.worker_hang_rate");
+  check_rate(h.journal_truncate_rate,
+             "CampaignHazardConfig.journal_truncate_rate");
+  if (h.worker_crash_rate + h.worker_hang_rate >= 1.0) {
+    throw ConfigError(
+        "CampaignHazardConfig.worker_crash_rate",
+        "crash + hang rates must sum below 1 so an attempt can succeed "
+        "(use a request's sabotage field for an always-failing run)");
+  }
 }
 
 CampaignReport Campaign::run() {

@@ -303,9 +303,6 @@ SimConfig request_sim_config(const RunRequest& req) {
               {"access_counter", EvictionPolicyKind::AccessCounter},
               {"clock", EvictionPolicyKind::Clock},
               {"2q", EvictionPolicyKind::TwoQ}});
-  if (cfg.driver.eviction_policy == EvictionPolicyKind::AccessCounter) {
-    cfg.access_counters.enabled = true;
-  }
   cfg.driver.chunking.enabled =
       lookup("chunking", req.chunking, {std::pair{"on", true}, {"off", false}});
   // "off" keeps the detector's default mitigation (inert while disabled).

@@ -1,10 +1,28 @@
 #include "core/simulator.h"
 
 #include "core/errors.h"
+#include "uvm/markov_prefetcher.h"
 
 namespace uvmsim {
 
 namespace {
+
+void require(bool ok, const char* param, const char* problem) {
+  if (!ok) throw ConfigError(param, problem);
+}
+
+void require_rate(double rate, const char* param) {
+  require(rate >= 0.0 && rate < 1.0, param,
+          "must be in [0, 1) — at a rate of 1 every retry would fail and "
+          "the recovery loops could not terminate");
+}
+
+bool is_pow2(std::uint64_t x) { return x != 0 && (x & (x - 1)) == 0; }
+
+const SimConfig& validated(const SimConfig& cfg) {
+  cfg.validate();
+  return cfg;
+}
 
 /// SplitMix64-style finalizer: derives the hazard seed from the master seed
 /// WITHOUT drawing from the simulator's Rng — an extra draw would shift the
@@ -19,12 +37,70 @@ std::uint64_t derive_hazard_seed(std::uint64_t master_seed) {
 
 }  // namespace
 
+void SimConfig::validate() const {
+  require(gpu.num_sms > 0, "gpu.num_sms", "must be positive");
+  require(gpu.max_blocks_per_sm > 0, "gpu.max_blocks_per_sm",
+          "must be positive");
+  require(gpu.sms_per_gpc > 0, "gpu.sms_per_gpc", "must be positive");
+  require(gpu.utlb_entries > 0, "gpu.utlb_entries", "must be positive");
+  require(gpu.utlb_fault_slots > 0, "gpu.utlb_fault_slots",
+          "must be positive");
+  require(gpu.fault_granularity_pages != 0 &&
+              kPagesPerBlock % gpu.fault_granularity_pages == 0,
+          "gpu.fault_granularity_pages",
+          "must divide the 512-page VABlock (1 = x86 4 KB pages, 16 = "
+          "Power9 64 KB pages)");
+  require(fault_buffer.capacity >= 1, "fault_buffer.capacity",
+          "must be >= 1 — a zero-entry buffer drops every fault");
+  require(pma.chunk_bytes != 0 && pma.chunk_bytes % kPageSize == 0,
+          "pma.chunk_bytes",
+          "must be a positive multiple of the 4 KB page size");
+  require(pma.capacity_bytes >= kPageSize, "pma.capacity_bytes",
+          "must hold at least one 4 KB page");
+  require(pma.slab_chunks >= 1, "pma.slab_chunks", "must be >= 1");
+  require(interconnect.bandwidth_Bps > 0.0, "interconnect.bandwidth_Bps",
+          "must be positive");
+  require(driver.batch_size >= 1, "driver.batch_size",
+          "must be >= 1 — the driver fetches at least one fault per pass");
+  require(driver.chunking.fine_watermark >= 0.0,
+          "driver.chunking.fine_watermark", "must be >= 0");
+  require(driver.chunking.split_watermark >= driver.chunking.fine_watermark,
+          "driver.chunking.split_watermark",
+          "must be >= fine_watermark");
+  if (driver.prefetch == PrefetchMode::Markov) {
+    const MarkovPrefetchConfig& m = driver.markov;
+    require(is_pow2(m.table_entries) && m.table_entries >= 2 &&
+                m.table_entries <= (1u << 20),
+            "driver.markov.table_entries",
+            "must be a power of two in [2, 2^20] (direct-mapped index "
+            "masking)");
+    require(m.degree >= 1 && m.degree <= MarkovPrefetcher::kMaxDegree,
+            "driver.markov.degree", "must be in [1, kMaxDegree (8)]");
+    require(m.confidence_emit >= 1 && m.confidence_emit <= m.confidence_max,
+            "driver.markov.confidence_emit",
+            "must be in [1, confidence_max]; 0 would emit untrained "
+            "predictions");
+  }
+  if (hazards.any()) {
+    require_rate(hazards.dma_fail_rate, "hazards.dma_fail_rate");
+    require_rate(hazards.fb_corrupt_rate, "hazards.fb_corrupt_rate");
+    require_rate(hazards.pma_fail_rate, "hazards.pma_fail_rate");
+    require_rate(hazards.ac_drop_rate, "hazards.ac_drop_rate");
+    require(hazards.window_end == 0 ||
+                hazards.window_end > hazards.window_start,
+            "hazards.window_end",
+            "must be 0 (open-ended) or greater than window_start");
+  }
+}
+
 Simulator::Simulator(const SimConfig& cfg)
-    : cfg_(cfg),
+    : cfg_(validated(cfg)),
       rng_(cfg.seed),
       pt_(as_),
       fb_(cfg.fault_buffer),
-      ac_(cfg.access_counters),
+      ac_(cfg.access_counters,
+          cfg.driver.eviction_policy == EvictionPolicyKind::AccessCounter ||
+              cfg.driver.access_counter_migration),
       pma_(cfg.pma),
       link_(cfg.interconnect),
       dma_(cfg.dma, link_) {
@@ -42,19 +118,15 @@ Simulator::Simulator(const SimConfig& cfg)
     tracer_ = std::make_unique<Tracer>(cfg_.trace);
   }
 
-  GpuEngine::Config gcfg = cfg_.gpu;
-  gcfg.seed = rng_.next_u64();
-  gpu_ = std::make_unique<GpuEngine>(gcfg, eq_, as_, pt_, fb_, ac_, &link_);
+  const std::uint64_t gpu_seed = rng_.next_u64();
+  gpu_ = std::make_unique<GpuEngine>(cfg_.gpu, gpu_seed, eq_, as_, pt_, fb_,
+                                     ac_, &link_);
 
   Driver::Deps deps{&eq_,  &as_,  &pt_, &fb_,           gpu_.get(),
                     &pma_, &dma_, &ac_, hazards_.get(), tracer_.get()};
-  DriverConfig dcfg = cfg_.driver;
-  dcfg.seed = rng_.next_u64();
-  // Hazard runs can drop fault entries and spin up replay storms; the
-  // storm watchdog is part of surviving them.
-  if (hazards_) dcfg.storm.enabled = true;
-  driver_ = std::make_unique<Driver>(dcfg, cfg_.costs, deps,
-                                     cfg_.enable_fault_log);
+  const std::uint64_t driver_seed = rng_.next_u64();
+  driver_ = std::make_unique<Driver>(cfg_.driver, driver_seed, cfg_.costs,
+                                     deps, cfg_.enable_fault_log);
   gpu_->set_interrupt_handler([this] { driver_->on_gpu_interrupt(); });
   if (hazards_) {
     gpu_->set_fault_drop_handler([this] { driver_->on_fault_dropped(); });

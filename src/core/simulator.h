@@ -61,15 +61,20 @@ struct SimConfig {
   void set_gpu_memory(std::uint64_t bytes) { pma.capacity_bytes = bytes; }
 
   /// Host base-page size (4 KB = x86 default, 64 KB = Power9): sets the
-  /// GPU's fault coalescing granularity and the driver's service
-  /// granularity together, and disables the now-redundant big-page upgrade
-  /// when the base page already is 64 KB.
+  /// fault granularity the GPU coalesces at and the driver services at,
+  /// and disables the now-redundant big-page upgrade when the base page
+  /// already is 64 KB.
   void set_host_page_size(std::uint64_t bytes) {
     auto pages = static_cast<std::uint32_t>(bytes / kPageSize);
     gpu.fault_granularity_pages = pages;
-    driver.base_page_pages = pages;
     if (pages >= kPagesPerBigPage) driver.big_page_upgrade = false;
   }
+
+  /// Throws the first violated constraint as a ConfigError whose param is
+  /// the field path (e.g. "driver.batch_size"). The Simulator calls it
+  /// before building anything; it is the only place a SimConfig field is
+  /// checked.
+  void validate() const;
 };
 
 class Simulator {

@@ -3,7 +3,7 @@
 namespace uvmsim {
 
 void AccessCounters::on_resident_access(VirtPage page, SimTime now) {
-  if (!cfg_.enabled) return;
+  if (!enabled_) return;
   VaBlockId blk = block_of_page(page);
   std::uint32_t bp = big_page_of(page_in_block(page));
   std::uint64_t key = blk * kBigPagesPerBlock + bp;

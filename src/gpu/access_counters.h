@@ -33,14 +33,17 @@ struct AccessCounterNotification {
 class AccessCounters {
  public:
   struct Config {
-    bool enabled = false;
     /// Counter value that triggers a notification (then the counter clears).
     std::uint32_t threshold = 256;
     /// Maximum queued notifications (hardware buffer); overflow drops.
     std::uint32_t queue_capacity = 1024;
   };
 
-  explicit AccessCounters(const Config& cfg) : cfg_(cfg) {}
+  /// Disabled counters never count or notify. The Simulator enables them
+  /// exactly when the driver consumes notifications (access-counter
+  /// eviction or access-counter migration).
+  AccessCounters(const Config& cfg, bool enabled)
+      : cfg_(cfg), enabled_(enabled) {}
 
   /// Records a resident (non-faulting) access to `page` at time `now`.
   void on_resident_access(VirtPage page, SimTime now);
@@ -51,13 +54,14 @@ class AccessCounters {
   /// Attaches the hazard injector (null = notifications never get lost).
   void set_hazard_injector(HazardInjector* h) { hazards_ = h; }
 
-  [[nodiscard]] bool enabled() const { return cfg_.enabled; }
+  [[nodiscard]] bool enabled() const { return enabled_; }
   [[nodiscard]] std::uint64_t notifications_raised() const { return raised_; }
   [[nodiscard]] std::uint64_t notifications_dropped() const { return dropped_; }
   [[nodiscard]] std::size_t pending() const { return queue_.size(); }
 
  private:
   Config cfg_;
+  bool enabled_;
   HazardInjector* hazards_ = nullptr;
   /// key = block * 32 + big_page
   std::unordered_map<std::uint64_t, std::uint32_t> counters_;

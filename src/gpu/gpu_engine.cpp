@@ -3,45 +3,29 @@
 #include <cassert>
 #include <span>
 #include <stdexcept>
-#include <string>
 
 #include "sim/annotations.h"
 
 namespace uvmsim {
 
-namespace {
-
-/// Rejects configs that crash the engine or can never run a kernel.
-const GpuEngine::Config& validated(const GpuEngine::Config& cfg) {
-  auto require = [](bool ok, const char* what) {
-    if (!ok) throw std::invalid_argument(std::string("GpuEngine: ") + what);
-  };
-  require(cfg.num_sms > 0, "num_sms must be positive");
-  require(cfg.max_blocks_per_sm > 0, "max_blocks_per_sm must be positive");
-  require(cfg.sms_per_gpc > 0, "sms_per_gpc must be positive");
-  require(cfg.utlb_entries > 0, "utlb_entries must be positive");
-  require(cfg.utlb_fault_slots > 0, "utlb_fault_slots must be positive");
-  require(cfg.fault_granularity_pages != 0 &&
-              kPagesPerBlock % cfg.fault_granularity_pages == 0,
-          "fault_granularity must divide the 512-page VABlock");
-  return cfg;
-}
-
-}  // namespace
-
-GpuEngine::GpuEngine(const Config& cfg, EventQueue& eq, AddressSpace& as,
-                     PageTable& /*pt*/, FaultBuffer& fb, AccessCounters& ac,
-                     Interconnect* link)
-    : cfg_(validated(cfg)),
+GpuEngine::GpuEngine(const Config& cfg, std::uint64_t seed, EventQueue& eq,
+                     AddressSpace& as, PageTable& /*pt*/, FaultBuffer& fb,
+                     AccessCounters& ac, Interconnect* link)
+    : cfg_(cfg),
       eq_(&eq),
       as_(&as),
       fb_(&fb),
       ac_(&ac),
       link_(link),
-      rng_(cfg.seed),
+      rng_(seed),
       scheduler_(cfg.num_sms, cfg.max_blocks_per_sm),
       slots_(std::size_t{cfg.num_sms} * cfg.max_blocks_per_sm),
       sm_outstanding_faults_(cfg.num_sms, 0) {
+  // SimConfig::validate() rejects these before any engine is built.
+  assert(cfg_.num_sms > 0 && cfg_.max_blocks_per_sm > 0 &&
+         cfg_.utlb_fault_slots > 0);
+  assert(cfg_.fault_granularity_pages != 0 &&
+         kPagesPerBlock % cfg_.fault_granularity_pages == 0);
   pending_used_.reserve(std::size_t{cfg_.num_sms} * cfg_.utlb_fault_slots);
   sms_.reserve(cfg_.num_sms);
   for (std::uint32_t s = 0; s < cfg_.num_sms; ++s) {

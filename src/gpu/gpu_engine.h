@@ -87,8 +87,8 @@ class GpuEngine {
     /// Host base-page granularity of fault generation, in 4 KB pages:
     /// 1 = x86 (4 KB pages); 16 = Power9 (64 KB pages), where one fault
     /// covers the whole 64 KB region so further misses in it coalesce
-    /// (paper §IV-A / [14]). Must divide 512 and pair with
-    /// DriverConfig::base_page_pages.
+    /// (paper §IV-A / [14]). The driver services faults at the same
+    /// granularity. Must divide 512.
     std::uint32_t fault_granularity_pages = 1;
     SimDuration access_latency = 400;    ///< ns, resident coalesced access
     SimDuration page_walk_latency = 600; ///< ns, µTLB miss walk
@@ -105,17 +105,19 @@ class GpuEngine {
     SimDuration dispatch_latency = 1 * kMicrosecond;
     SimDuration kernel_launch_overhead = 8 * kMicrosecond;
     std::uint32_t jitter_ns = 200;       ///< per-access scheduling jitter
-    std::uint64_t seed = 0x5EED;
   };
 
   /// `link` (optional) is the host-device interconnect zero-copy accesses
   /// travel over; when null, remote accesses pay only the fixed latency.
   /// Warps read residency straight from `as`'s blocks (the masks `pt`
-  /// maintains), one block lookup per run of same-block pages. Throws
-  /// std::invalid_argument on a config that could never run a kernel.
-  GpuEngine(const Config& cfg, EventQueue& eq, AddressSpace& as,
-            PageTable& pt, FaultBuffer& fb, AccessCounters& ac,
-            Interconnect* link = nullptr);
+  /// maintains), one block lookup per run of same-block pages. `seed`
+  /// drives the per-access scheduling jitter. `cfg` must have passed
+  /// SimConfig::validate().
+  GpuEngine(const Config& cfg, std::uint64_t seed, EventQueue& eq,
+            AddressSpace& as, PageTable& pt, FaultBuffer& fb,
+            AccessCounters& ac, Interconnect* link = nullptr);
+
+  [[nodiscard]] const Config& config() const { return cfg_; }
 
   /// Enqueues a kernel on `stream`. Kernels in the same stream execute in
   /// launch order; different streams run concurrently. `on_complete` fires

@@ -1,24 +1,15 @@
 #include "mem/pma.h"
 
 #include <algorithm>
+#include <cassert>
 #include <stdexcept>
-
-#include "core/errors.h"
 
 namespace uvmsim {
 
 PhysicalMemoryAllocator::PhysicalMemoryAllocator(const Config& cfg) : cfg_(cfg) {
-  if (cfg_.chunk_bytes == 0 || cfg_.chunk_bytes % kPageSize != 0) {
-    throw ConfigError("PMA.chunk_bytes",
-                      "must be a positive multiple of the 4 KB page size");
-  }
-  if (cfg_.capacity_bytes < kPageSize) {
-    throw ConfigError("PMA.capacity_bytes",
-                      "must hold at least one 4 KB page");
-  }
-  if (cfg_.slab_chunks == 0) {
-    throw ConfigError("PMA.slab_chunks", "must be >= 1");
-  }
+  // SimConfig::validate() rejects these before any allocator is built.
+  assert(cfg_.chunk_bytes != 0 && cfg_.chunk_bytes % kPageSize == 0);
+  assert(cfg_.capacity_bytes >= kPageSize && cfg_.slab_chunks >= 1);
   usable_bytes_ = cfg_.capacity_bytes - cfg_.capacity_bytes % kPageSize;
 }
 

@@ -8,12 +8,6 @@
 // reachable from a UVMSIM_HOT entry through the call graph must not
 // allocate, do I/O, read clocks, or draw randomness
 // (hot-transitive-{alloc,io,clock,random}).
-//
-// Concurrency is confined to ThreadPool::parallel_for bodies (sweeps and
-// campaigns run whole simulations side by side); one simulation's
-// servicing is serial by design. In project mode lane-capture-escape
-// checks that a parallel_for body writes no captured shared state unless
-// it is index-partitioned or std::atomic.
 #pragma once
 
 #if defined(__GNUC__) || defined(__clang__)

@@ -1,30 +1,8 @@
 #include "sim/hazards.h"
 
-#include "core/errors.h"
-
 namespace uvmsim {
 
-namespace {
-
-void check_rate(const char* name, double rate) {
-  if (!(rate >= 0.0) || rate >= 1.0) {
-    throw ConfigError(name,
-                      "must be in [0, 1) — at a rate of 1 every retry would "
-                      "fail and the recovery loops could not terminate");
-  }
-}
-
-}  // namespace
-
 HazardInjector::HazardInjector(const HazardConfig& cfg) : cfg_(cfg) {
-  check_rate("HazardConfig.dma_fail_rate", cfg_.dma_fail_rate);
-  check_rate("HazardConfig.fb_corrupt_rate", cfg_.fb_corrupt_rate);
-  check_rate("HazardConfig.pma_fail_rate", cfg_.pma_fail_rate);
-  check_rate("HazardConfig.ac_drop_rate", cfg_.ac_drop_rate);
-  if (cfg_.window_end != 0 && cfg_.window_end <= cfg_.window_start) {
-    throw ConfigError("HazardConfig.window_end",
-                      "must be 0 (open-ended) or greater than window_start");
-  }
   Rng root(cfg_.seed);
   dma_rng_ = root.fork();
   fb_rng_ = root.fork();
@@ -101,18 +79,7 @@ constexpr std::uint64_t kSaltJournal = 0x10c4a1ull;
 }  // namespace
 
 CampaignHazardInjector::CampaignHazardInjector(const CampaignHazardConfig& cfg)
-    : cfg_(cfg) {
-  check_rate("CampaignHazardConfig.worker_crash_rate", cfg_.worker_crash_rate);
-  check_rate("CampaignHazardConfig.worker_hang_rate", cfg_.worker_hang_rate);
-  check_rate("CampaignHazardConfig.journal_truncate_rate",
-             cfg_.journal_truncate_rate);
-  if (cfg_.worker_crash_rate + cfg_.worker_hang_rate >= 1.0) {
-    throw ConfigError(
-        "CampaignHazardConfig.worker_crash_rate",
-        "crash + hang rates must sum below 1 so an attempt can succeed "
-        "(use a request's sabotage field for an always-failing run)");
-  }
-}
+    : cfg_(cfg) {}
 
 WorkerSabotage CampaignHazardInjector::worker_sabotage(
     std::uint64_t request_hash, std::uint32_t attempt) const {

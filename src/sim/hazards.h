@@ -55,7 +55,7 @@ struct HazardConfig {
   SimDuration fb_stall_extra = 20 * kMicrosecond;
 
   /// True when any rate is set (including invalid negative/NaN values, so
-  /// the injector gets constructed and its validation rejects them).
+  /// SimConfig::validate() checks and rejects them).
   [[nodiscard]] bool any() const {
     return dma_fail_rate != 0.0 || fb_corrupt_rate != 0.0 ||
            pma_fail_rate != 0.0 || ac_drop_rate != 0.0;
@@ -82,9 +82,8 @@ struct HazardStats {
 
 class HazardInjector {
  public:
-  /// Validates rates (each must lie in [0, 1) — at 1 the recovery loops
-  /// could retry forever) and forks one Rng stream per hazard class.
-  /// Throws ConfigError on invalid rates or an inverted window.
+  /// Forks one Rng stream per hazard class. `cfg` must have passed
+  /// SimConfig::validate() (each rate in [0, 1), an ordered window).
   explicit HazardInjector(const HazardConfig& cfg);
 
   [[nodiscard]] bool enabled() const { return cfg_.any(); }
@@ -162,9 +161,9 @@ struct CampaignHazardConfig {
 /// result store byte-identical to an uninterrupted one even with hazards on.
 class CampaignHazardInjector {
  public:
-  /// Validates rates (each in [0, 1); crash + hang < 1 so an attempt can
-  /// always succeed eventually unless deliberately poisoned). Throws
-  /// ConfigError on invalid rates.
+  /// `cfg` must have passed the Campaign constructor's checks: each rate
+  /// in [0, 1) and crash + hang < 1, so an attempt can always succeed
+  /// eventually unless deliberately poisoned.
   explicit CampaignHazardInjector(const CampaignHazardConfig& cfg);
 
   [[nodiscard]] bool enabled() const { return cfg_.any(); }

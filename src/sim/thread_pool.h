@@ -1,8 +1,7 @@
 // A small thread pool used to run independent simulations (parameter-sweep
-// points, campaign requests) in parallel. parallel_for chunks are disjoint
-// index ranges and every task owns its own simulation, so results are
-// identical regardless of pool size, host load, or which thread executed
-// which chunk.
+// points, campaign requests) in parallel. Every task owns its own
+// simulation, so results are identical regardless of pool size, host load,
+// or which thread executed which task.
 #pragma once
 
 #include <condition_variable>
@@ -44,15 +43,6 @@ class ThreadPool {
     cv_.notify_one();
     return fut;
   }
-
-  /// Runs fn(i) for i in [0, n) across the pool and waits for completion.
-  /// Indices are submitted in contiguous chunks of `grain` (0 = pick a
-  /// grain that gives each worker a few chunks) so fine-grained bodies
-  /// amortize the queue mutex + future machinery over many indices instead
-  /// of paying it per index. Every chunk finishes before the call returns;
-  /// then the first chunk's exception, in index order, is rethrown.
-  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
-                    std::size_t grain = 0);
 
   [[nodiscard]] std::size_t size() const { return workers_.size(); }
 

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <cassert>
 #include <vector>
 
-#include "core/errors.h"
 #include "uvm/access_counter_eviction.h"
 #include "uvm/eviction_2q.h"
 #include "uvm/eviction_clock.h"
@@ -37,26 +37,14 @@ void for_each_block_window(AddressSpace& as, VirtPage first,
 
 }  // namespace
 
-Driver::Driver(const DriverConfig& cfg, const CostModel& cm, const Deps& deps,
-               bool enable_fault_log)
-    : cfg_(cfg), cm_(cm), d_(deps), log_(enable_fault_log) {
-  if (cfg_.batch_size == 0) {
-    throw ConfigError("Driver.batch_size",
-                      "must be >= 1 — the driver fetches at least one fault "
-                      "per pass");
-  }
-  if (!(cfg_.chunking.fine_watermark >= 0.0) ||
-      !(cfg_.chunking.split_watermark >= cfg_.chunking.fine_watermark)) {
-    throw ConfigError("Driver.chunking",
-                      "watermarks must satisfy 0 <= fine_watermark <= "
-                      "split_watermark");
-  }
-  if (cfg_.base_page_pages == 0 ||
-      kPagesPerBlock % cfg_.base_page_pages != 0) {
-    throw ConfigError("Driver.base_page_pages",
-                      "must divide the 512-page VABlock (1 = x86 4 KB pages, "
-                      "16 = Power9 64 KB pages)");
-  }
+Driver::Driver(const DriverConfig& cfg, std::uint64_t seed, const CostModel& cm,
+               const Deps& deps, bool enable_fault_log)
+    : cfg_(cfg),
+      cm_(cm),
+      d_(deps),
+      log_(enable_fault_log),
+      rng_(seed) {
+  assert(cfg_.batch_size >= 1);  // SimConfig::validate() rejects 0
   switch (cfg_.eviction_policy) {
     case EvictionPolicyKind::Lru:
       eviction_ = std::make_unique<LruEviction>();
@@ -79,12 +67,10 @@ Driver::Driver(const DriverConfig& cfg, const CostModel& cm, const Deps& deps,
       adaptive_ = std::make_unique<AdaptivePrefetcher>();
       break;
     case PrefetchMode::Markov:
-      // MarkovPrefetcher's ctor validates the table/confidence knobs.
       markov_ = std::make_unique<MarkovPrefetcher>(cfg_.markov);
       break;
   }
   thrashing_ = ThrashingDetector(cfg_.thrashing);
-  rng_ = Rng(cfg_.seed);
   if (cfg_.backend == ServicingBackendKind::GpuDriven) {
     slot_free_.assign(std::max<std::uint32_t>(1, cm_.gpu_driven.queue_slots),
                       0);
@@ -221,7 +207,7 @@ SimTime Driver::service_bin(const FaultBatch::Bin& bin, SimTime t) {
   PageMask need = bin.faulted.and_not(mapped);
   counters_.stale_faults += stale.count();
 
-  if (cfg_.storm.enabled) {
+  if (hazards_active()) {
     // Stale faults and intra-bin duplicates are the re-fault signature a
     // replay storm leaves; feed them to the watchdog.
     std::uint64_t refaults =
@@ -237,12 +223,12 @@ SimTime Driver::service_bin(const FaultBatch::Bin& bin, SimTime t) {
   // service granularity widens to aligned base-page groups (§IV-A / [14]).
   // The widened remainder is accounted separately so fault conservation
   // (fetched == serviced + duplicate + stale) holds at every granularity.
-  if (cfg_.base_page_pages > 1 && need.any()) {
+  const std::uint32_t base = d_.gpu->config().fault_granularity_pages;
+  if (base > 1 && need.any()) {
     PageMask widened;
     for (std::uint32_t i : need.set_bits()) {
-      std::uint32_t lo = i - i % cfg_.base_page_pages;
-      std::uint32_t hi =
-          std::min(lo + cfg_.base_page_pages, blk.num_pages);
+      std::uint32_t lo = i - i % base;
+      std::uint32_t hi = std::min(lo + base, blk.num_pages);
       widened.set_range(lo, hi);
     }
     PageMask fill = widened.and_not(mapped).and_not(need);
@@ -919,11 +905,12 @@ SimTime Driver::prefetch_pages(VirtPage first, std::uint64_t npages) {
   for_each_block_window(*d_.as, first, npages, [&](VaBlock& blk,
                                                    const PageMask& window) {
     // Remote-mapped pages are pinned to the host by design; bulk prefetch
-    // must not migrate them. Bulk prefetch is advisory: pages on slices
-    // that cannot be backed (no eligible victim) are simply skipped.
-    const PageMask to_move = (window & blk.cpu_resident & blk.ever_populated)
-                                 .and_not(blk.gpu_resident)
-                                 .and_not(blk.remote_mapped);
+    // must not migrate them. Never-populated pages are zero-filled on the
+    // GPU, as cudaMemPrefetchAsync populates them there. Bulk prefetch is
+    // advisory: pages on slices that cannot be backed (no eligible victim)
+    // are simply skipped.
+    const PageMask to_move =
+        window.and_not(blk.gpu_resident).and_not(blk.remote_mapped);
     const SimTime t0 = t;
     const PageMask moved =
         populate(blk, to_move, t, /*speculative=*/true).pages;
@@ -1088,7 +1075,7 @@ SimTime Driver::storm_observe(VaBlockId block, std::uint64_t refaults,
 }
 
 ReplayPolicyKind Driver::effective_replay_policy(SimTime t) const {
-  if (cfg_.storm.enabled && t < storm_until_) {
+  if (hazards_active() && t < storm_until_) {
     return ReplayPolicyKind::BatchFlush;
   }
   return cfg_.replay_policy;

@@ -73,8 +73,10 @@ class Driver {
     Tracer* tracer = nullptr;
   };
 
-  Driver(const DriverConfig& cfg, const CostModel& cm, const Deps& deps,
-         bool enable_fault_log = true);
+  /// `cfg` must have passed SimConfig::validate(); `seed` drives the
+  /// driver's stochastic costs (RM-call jitter).
+  Driver(const DriverConfig& cfg, std::uint64_t seed, const CostModel& cm,
+         const Deps& deps, bool enable_fault_log = true);
 
   /// GPU interrupt line: schedules a wakeup unless the driver is already
   /// processing or a wakeup is in flight.
@@ -95,7 +97,8 @@ class Driver {
                              bool write);
 
   /// Explicit bulk prefetch (cudaMemPrefetchAsync equivalent): backs,
-  /// migrates, and maps every host-resident page of [first, first+npages)
+  /// migrates (or zero-fills, if never populated) and maps every page of
+  /// [first, first+npages) that is neither GPU-resident nor remote-mapped,
   /// in coalesced block-sized transfers, evicting as needed. Returns the
   /// completion time.
   SimTime prefetch_pages(VirtPage first, std::uint64_t npages);
@@ -312,7 +315,7 @@ class Driver {
   std::unique_ptr<MarkovPrefetcher> markov_;
   ThrashingDetector thrashing_{ThrashingDetector::Config{}};
   LogHistogram queue_latency_;
-  Rng rng_{0xD21};  ///< driver-internal stochastic costs (RM jitter)
+  Rng rng_;  ///< driver-internal stochastic costs (RM jitter)
 
   bool processing_ = false;
   bool wake_scheduled_ = false;

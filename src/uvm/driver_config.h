@@ -34,10 +34,9 @@ struct ErrorRecoveryConfig {
 /// and intra-batch duplicates) in a sliding window; when a block's rate
 /// crosses the threshold the driver escalates the replay policy to
 /// BatchFlush for the cooldown period and forces a buffer flush, draining
-/// the duplicate entries that feed the storm. Off by default — the
-/// Simulator enables it automatically when hazard injection is active.
+/// the duplicate entries that feed the storm. It runs exactly when hazard
+/// injection is active.
 struct ReplayStormConfig {
-  bool enabled = false;
   /// Re-faults per block within `window` that trigger escalation.
   std::uint32_t refault_threshold = 64;
   SimDuration window = 500 * kMicrosecond;
@@ -144,10 +143,6 @@ struct DriverConfig {
   /// Faults fetched per batch (driver default 256, paper §III-A).
   std::uint32_t batch_size = 256;
 
-  /// Seed for driver-internal stochastic costs (RM-call jitter). The
-  /// Simulator derives it from the master seed.
-  std::uint64_t seed = 0xD21;
-
   FetchPolicy fetch_policy = FetchPolicy::PollReady;
 
   ReplayPolicyKind replay_policy = ReplayPolicyKind::BatchFlush;
@@ -159,7 +154,7 @@ struct DriverConfig {
   /// Retry/backoff/watchdog knobs for hazard recovery.
   ErrorRecoveryConfig recovery;
 
-  /// Replay-storm watchdog (auto-enabled under hazard injection).
+  /// Replay-storm watchdog (active under hazard injection).
   ReplayStormConfig storm;
 
   /// Extension: issue H2D migrations asynchronously and keep servicing
@@ -178,18 +173,13 @@ struct DriverConfig {
   std::uint32_t prefetch_threshold = 51;
   /// Stage-1 upgrade of each faulted 4 KB page to its 64 KB big page.
   bool big_page_upgrade = true;
-  /// Host base-page size in 4 KB pages: 1 = x86, 16 = Power9 (64 KB OS
-  /// pages — each fault is serviced at full base-page granularity and the
-  /// upgrade stage is redundant). Must divide 512 and pair with
-  /// GpuEngine::Config::fault_granularity_pages. SimConfig::set_host_page_
-  /// size() sets both.
-  std::uint32_t base_page_pages = 1;
   EvictionPolicyKind eviction_policy = EvictionPolicyKind::Lru;
 
   /// Extension (the driver's uvm_perf_access_counters path, paper §VI-B):
   /// when a Volta access-counter notification reports a hot *remote-mapped*
   /// region, migrate it to GPU memory — promoting frequently-accessed
-  /// zero-copy data to local. Requires SimConfig::access_counters.enabled.
+  /// zero-copy data to local. The Simulator turns the access counters on
+  /// for it (and for EvictionPolicyKind::AccessCounter).
   bool access_counter_migration = false;
 
   /// Chunked PMA backing with split-under-pressure (replaces the former

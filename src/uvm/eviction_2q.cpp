@@ -1,14 +1,12 @@
 #include "uvm/eviction_2q.h"
 
+#include <cassert>
+
 namespace uvmsim {
 
 TwoQEviction::TwoQEviction(unsigned protected_percent)
     : protected_percent_(protected_percent) {
-  if (protected_percent_ == 0 || protected_percent_ >= 100) {
-    throw ConfigError("TwoQEviction.protected_percent",
-                      "must be in [1, 99]; 0 disables the protected segment "
-                      "and 100 would starve probation entirely");
-  }
+  assert(protected_percent_ >= 1 && protected_percent_ <= 99);
 }
 
 std::uint32_t TwoQEviction::acquire_node() {

@@ -34,7 +34,7 @@ namespace uvmsim {
 
 class TwoQEviction : public EvictionPolicy {
  public:
-  /// `protected_percent` caps the protected segment at that share of the
+  /// `protected_percent` (1..99) caps the protected segment at that share of the
   /// tracked slice count (minimum one slice once anything is promoted).
   explicit TwoQEviction(unsigned protected_percent = 50);
 

@@ -114,7 +114,7 @@ UVMSIM_HOT SimTime Driver::resolve_fault(const FaultEntry& e,
   // Service granularity: the host base page (one fault covers the whole
   // aligned base-page group, as on the driver path) — but never the 2 MB
   // block; GPU-driven paging is page-granular by design.
-  const std::uint32_t group = cfg_.base_page_pages;
+  const std::uint32_t group = d_.gpu->config().fault_granularity_pages;
   const std::uint32_t lo = pi - pi % group;
   const std::uint32_t hi = std::min(lo + group, blk.num_pages);
   PageMask need;

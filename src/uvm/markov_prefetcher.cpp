@@ -1,29 +1,17 @@
 #include "uvm/markov_prefetcher.h"
 
-#include "core/errors.h"
+#include <cassert>
 
 namespace uvmsim {
 
-namespace {
-[[nodiscard]] bool is_pow2(std::uint64_t x) { return x != 0 && (x & (x - 1)) == 0; }
-}  // namespace
-
 MarkovPrefetcher::MarkovPrefetcher(const MarkovPrefetchConfig& cfg)
     : cfg_(cfg) {
-  if (!is_pow2(cfg.table_entries) || cfg.table_entries < 2 ||
-      cfg.table_entries > (1u << 20)) {
-    throw ConfigError("Markov.table_entries",
-                      "must be a power of two in [2, 2^20] (direct-mapped "
-                      "index masking)");
-  }
-  if (cfg.degree == 0 || cfg.degree > kMaxDegree) {
-    throw ConfigError("Markov.degree", "must be in [1, kMaxDegree (8)]");
-  }
-  if (cfg.confidence_emit == 0 || cfg.confidence_emit > cfg.confidence_max) {
-    throw ConfigError("Markov.confidence_emit",
-                      "must be in [1, confidence_max]; 0 would emit "
-                      "untrained predictions");
-  }
+  // SimConfig::validate() rejects these before any predictor is built.
+  assert(cfg.table_entries >= 2 &&
+         (cfg.table_entries & (cfg.table_entries - 1)) == 0);
+  assert(cfg.degree >= 1 && cfg.degree <= kMaxDegree);
+  assert(cfg.confidence_emit >= 1 &&
+         cfg.confidence_emit <= cfg.confidence_max);
   table_.resize(cfg.table_entries);
 }
 

@@ -47,7 +47,7 @@ class MarkovPrefetcher {
   /// Hard ceiling on chained predictions per observe step.
   static constexpr std::size_t kMaxDegree = 8;
 
-  /// Validates `cfg` (throws ConfigError) and allocates the table.
+  /// Allocates the table. `cfg` must have passed SimConfig::validate().
   explicit MarkovPrefetcher(const MarkovPrefetchConfig& cfg);
 
   /// Feeds one serviced fault bin's block ID into the delta history.

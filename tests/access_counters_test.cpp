@@ -5,23 +5,22 @@
 namespace uvmsim {
 namespace {
 
-AccessCounters::Config cfg(std::uint32_t threshold, bool enabled = true) {
+AccessCounters::Config cfg(std::uint32_t threshold) {
   AccessCounters::Config c;
-  c.enabled = enabled;
   c.threshold = threshold;
   c.queue_capacity = 4;
   return c;
 }
 
 TEST(AccessCounters, DisabledDoesNothing) {
-  AccessCounters ac(cfg(1, /*enabled=*/false));
+  AccessCounters ac(cfg(1), /*enabled=*/false);
   for (int i = 0; i < 100; ++i) ac.on_resident_access(0, 0);
   EXPECT_EQ(ac.notifications_raised(), 0u);
   EXPECT_EQ(ac.pending(), 0u);
 }
 
 TEST(AccessCounters, NotifiesAtThreshold) {
-  AccessCounters ac(cfg(3));
+  AccessCounters ac(cfg(3), true);
   ac.on_resident_access(0, 10);
   ac.on_resident_access(0, 20);
   EXPECT_EQ(ac.pending(), 0u);
@@ -36,13 +35,13 @@ TEST(AccessCounters, NotifiesAtThreshold) {
 }
 
 TEST(AccessCounters, CounterClearsAfterNotify) {
-  AccessCounters ac(cfg(2));
+  AccessCounters ac(cfg(2), true);
   for (int i = 0; i < 6; ++i) ac.on_resident_access(0, 0);
   EXPECT_EQ(ac.notifications_raised(), 3u);
 }
 
 TEST(AccessCounters, RegionsAreBigPageGranular) {
-  AccessCounters ac(cfg(2));
+  AccessCounters ac(cfg(2), true);
   // Pages 0 and 15 share big page 0; page 16 is big page 1.
   ac.on_resident_access(0, 0);
   ac.on_resident_access(15, 0);
@@ -52,7 +51,7 @@ TEST(AccessCounters, RegionsAreBigPageGranular) {
 }
 
 TEST(AccessCounters, DistinctBlocksDistinctCounters) {
-  AccessCounters ac(cfg(2));
+  AccessCounters ac(cfg(2), true);
   ac.on_resident_access(0, 0);
   ac.on_resident_access(kPagesPerBlock, 0);  // block 1
   EXPECT_EQ(ac.pending(), 0u);
@@ -63,7 +62,7 @@ TEST(AccessCounters, DistinctBlocksDistinctCounters) {
 }
 
 TEST(AccessCounters, QueueOverflowDrops) {
-  AccessCounters ac(cfg(1));  // every access notifies; capacity 4
+  AccessCounters ac(cfg(1), true);  // every access notifies; capacity 4
   for (VirtPage p = 0; p < 6; ++p) {
     ac.on_resident_access(p * kPagesPerBigPage, 0);
   }
@@ -72,7 +71,7 @@ TEST(AccessCounters, QueueOverflowDrops) {
 }
 
 TEST(AccessCounters, DrainRespectsLimit) {
-  AccessCounters ac(cfg(1));
+  AccessCounters ac(cfg(1), true);
   for (VirtPage p = 0; p < 3; ++p) {
     ac.on_resident_access(p * kPagesPerBigPage, 0);
   }

@@ -233,6 +233,20 @@ TEST_F(AdviseTest, PrefetchAsyncIsIdempotent) {
   EXPECT_EQ(sim_.driver().counters().pages_migrated_h2d, migrated);
 }
 
+TEST_F(AdviseTest, PrefetchAsyncZeroFillsNeverPopulatedPages) {
+  // cudaMemPrefetchAsync populates never-touched pages on the GPU: they are
+  // zero-filled there, with nothing to copy over the link.
+  RangeId rid = make_range(8ull << 20, /*host_populated=*/false);
+  sim_.prefetch_async(rid);
+  const VaRange& r = sim_.address_space().range(rid);
+  const DriverCounters& c = sim_.driver().counters();
+  EXPECT_EQ(c.prefetch_async_pages, r.num_pages);
+  EXPECT_EQ(c.pages_zeroed, r.num_pages);
+  EXPECT_EQ(c.pages_migrated_h2d, 0u);
+  EXPECT_EQ(sim_.address_space().gpu_resident_pages(), r.num_pages);
+  EXPECT_EQ(sim_.interconnect().bytes_moved(Direction::HostToDevice), 0u);
+}
+
 TEST_F(AdviseTest, HostReadMigratesGpuOnlyPagesBack) {
   RangeId rid = make_range(2ull << 20);
   sim_.prefetch_async(rid);  // everything on GPU, host copies invalid

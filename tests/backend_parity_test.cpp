@@ -131,7 +131,6 @@ const ParityCase kPopulationCases[] = {
      [](Simulator& s) { s.prefetch_async(0); }},
     {"hpgmg-counter-promotion", "hpgmg", 16, 32,
      [](SimConfig& c) {
-       c.access_counters.enabled = true;
        c.access_counters.threshold = 48;
        c.driver.access_counter_migration = true;
      },

@@ -439,12 +439,13 @@ TEST_F(CampaignTest, CampaignHazardDecisionsAreStateless) {
 }
 
 TEST_F(CampaignTest, HazardRatesAreValidated) {
-  CampaignHazardConfig cfg;
-  cfg.worker_crash_rate = 1.5;
-  EXPECT_THROW(CampaignHazardInjector{cfg}, ConfigError);
-  cfg.worker_crash_rate = 0.6;
-  cfg.worker_hang_rate = 0.6;  // sum >= 1
-  EXPECT_THROW(CampaignHazardInjector{cfg}, ConfigError);
+  CampaignConfig cfg;
+  cfg.store_dir = store("s");
+  cfg.hazards.worker_crash_rate = 1.5;
+  EXPECT_THROW((Campaign{cfg, {}}), ConfigError);
+  cfg.hazards.worker_crash_rate = 0.6;
+  cfg.hazards.worker_hang_rate = 0.6;  // sum >= 1
+  EXPECT_THROW((Campaign{cfg, {}}), ConfigError);
 }
 
 // ---------------------------------------------------------------- campaign

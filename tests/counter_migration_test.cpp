@@ -12,7 +12,6 @@ SimConfig promo_cfg(bool promotion) {
   SimConfig cfg;
   cfg.set_gpu_memory(32ull << 20);
   cfg.enable_fault_log = false;
-  cfg.access_counters.enabled = true;
   // One sweep of a 64 KB region is 16 accesses; the threshold must exceed
   // that so only re-read (hot) regions notify.
   cfg.access_counters.threshold = 48;

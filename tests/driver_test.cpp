@@ -149,21 +149,6 @@ TEST_F(DriverTest, LruTouchOnFaultService) {
   EXPECT_EQ(order[1].block, 0u);
 }
 
-TEST_F(DriverTest, BadConfigsThrow) {
-  DriverConfig bad;
-  bad.batch_size = 0;
-  CostModel cm;
-  Driver::Deps deps{&sim_.event_queue(), &sim_.address_space(), nullptr,
-                    &sim_.fault_buffer(), &sim_.gpu(), &sim_.pma(),
-                    nullptr, &sim_.access_counters()};
-  EXPECT_THROW(Driver(bad, cm, deps), std::invalid_argument);
-
-  DriverConfig bad2;
-  bad2.chunking.split_watermark = 0.1;  // below the fine watermark
-  bad2.chunking.fine_watermark = 0.5;
-  EXPECT_THROW(Driver(bad2, cm, deps), std::invalid_argument);
-}
-
 // --- eviction behaviour with a tiny GPU ---
 
 class DriverEvictionTest : public DriverTest {

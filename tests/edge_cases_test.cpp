@@ -104,7 +104,6 @@ TEST(EdgeCases, AdaptiveStaysAggressiveUndersubscribed) {
 TEST(EdgeCases, AccessCounterEvictionEndToEnd) {
   SimConfig cfg = base();
   cfg.driver.eviction_policy = EvictionPolicyKind::AccessCounter;
-  cfg.access_counters.enabled = true;
   cfg.access_counters.threshold = 8;
   Simulator sim(cfg);
   auto wl = make_workload("stream", 24ull << 20);  // oversubscribed

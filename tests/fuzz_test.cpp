@@ -44,9 +44,6 @@ FuzzCase make_config(Rng& rng) {
                                    ? EvictionPolicyKind::AccessCounter
                                    : EvictionPolicyKind::Lru;
   cfg.driver.access_counter_migration = rng.next_below(4) == 0;
-  cfg.access_counters.enabled =
-      cfg.driver.eviction_policy == EvictionPolicyKind::AccessCounter ||
-      cfg.driver.access_counter_migration;
   cfg.driver.pipelined_migrations = rng.next_below(3) == 0;
 
   cfg.driver.chunking.enabled = rng.next_below(4) != 0;

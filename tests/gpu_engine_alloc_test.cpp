@@ -65,8 +65,8 @@ class Rig {
                std::uint32_t blocks = kBlocks, bool paired = false)
       : pt_(as_),
         fb_(FaultBuffer::Config{}),
-        ac_(AccessCounters::Config{}),
-        gpu_(cfg(), eq_, as_, pt_, fb_, ac_),
+        ac_(AccessCounters::Config{}, false),
+        gpu_(cfg(), /*seed=*/0x5EED, eq_, as_, pt_, fb_, ac_),
         records_(records),
         form_(form),
         blocks_(blocks),

@@ -19,8 +19,8 @@ class GpuEngineTest : public ::testing::Test {
   GpuEngineTest()
       : pt_(as_),
         fb_(FaultBuffer::Config{}),
-        ac_(AccessCounters::Config{}),
-        gpu_(cfg(), eq_, as_, pt_, fb_, ac_) {
+        ac_(AccessCounters::Config{}, false),
+        gpu_(cfg(), /*seed=*/0x5EED, eq_, as_, pt_, fb_, ac_) {
     rid_ = as_.create_range(8ull << 20, "data");  // 4 blocks
   }
 
@@ -310,49 +310,6 @@ TEST(GpuEngineCounters, CoalescingCountsArePinned) {
     EXPECT_EQ(r.utlb_hits, c.utlb_hits) << at;
     EXPECT_EQ(r.utlb_misses, c.utlb_misses) << at;
   }
-}
-
-/// Constructs an engine from the default config as changed by `edit`.
-template <typename Edit>
-void construct_with(Edit edit) {
-  EventQueue eq;
-  AddressSpace as;
-  PageTable pt(as);
-  FaultBuffer fb(FaultBuffer::Config{});
-  AccessCounters ac(AccessCounters::Config{});
-  GpuEngine::Config c;
-  edit(c);
-  GpuEngine gpu(c, eq, as, pt, fb, ac);
-}
-
-TEST(GpuEngineConfig, ZeroNumSmsRejected) {
-  EXPECT_THROW(construct_with([](auto& c) { c.num_sms = 0; }),
-               std::invalid_argument);
-}
-
-TEST(GpuEngineConfig, ZeroMaxBlocksPerSmRejected) {
-  EXPECT_THROW(construct_with([](auto& c) { c.max_blocks_per_sm = 0; }),
-               std::invalid_argument);
-}
-
-TEST(GpuEngineConfig, ZeroSmsPerGpcRejected) {
-  EXPECT_THROW(construct_with([](auto& c) { c.sms_per_gpc = 0; }),
-               std::invalid_argument);
-}
-
-TEST(GpuEngineConfig, ZeroUtlbEntriesRejected) {
-  EXPECT_THROW(construct_with([](auto& c) { c.utlb_entries = 0; }),
-               std::invalid_argument);
-}
-
-TEST(GpuEngineConfig, ZeroUtlbFaultSlotsRejected) {
-  EXPECT_THROW(construct_with([](auto& c) { c.utlb_fault_slots = 0; }),
-               std::invalid_argument);
-}
-
-TEST(GpuEngineConfig, BadFaultGranularityRejected) {
-  EXPECT_THROW(construct_with([](auto& c) { c.fault_granularity_pages = 3; }),
-               std::invalid_argument);
 }
 
 }  // namespace

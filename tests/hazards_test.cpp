@@ -96,23 +96,11 @@ TEST(HazardInjector, WindowGatesInjection) {
   for (SimTime t = 200; t < 300; ++t) EXPECT_FALSE(inj.dma_copy_fails(t));
 }
 
-TEST(HazardInjector, RejectsInvalidConfig) {
-  HazardConfig hc;
-  hc.dma_fail_rate = 1.0;  // certain failure would retry forever
-  EXPECT_THROW(HazardInjector{hc}, ConfigError);
-  hc.dma_fail_rate = -0.1;
-  EXPECT_THROW(HazardInjector{hc}, ConfigError);
-  hc.dma_fail_rate = 0.5;
-  hc.window_start = 200;
-  hc.window_end = 100;
-  EXPECT_THROW(HazardInjector{hc}, ConfigError);
-}
-
 TEST(ConfigErrorType, CarriesParameterAndReadsAsInvalidArgument) {
-  HazardConfig hc;
-  hc.fb_corrupt_rate = 2.0;
+  SimConfig bad = base();
+  bad.hazards.fb_corrupt_rate = 2.0;
   try {
-    HazardInjector inj(hc);
+    Simulator sim(bad);
     FAIL() << "expected ConfigError";
   } catch (const ConfigError& e) {
     EXPECT_NE(std::string(e.what()).find("fb_corrupt_rate"),
@@ -193,7 +181,6 @@ TEST(PmaRecovery, TransientFailuresBackOffAndRetry) {
 TEST(StormWatchdog, RefaultStormEscalatesPolicyAndFlushes) {
   SimConfig cfg = base();
   cfg.driver.replay_policy = ReplayPolicyKind::Block;  // max refault traffic
-  cfg.driver.storm.enabled = true;
   cfg.driver.storm.refault_threshold = 4;  // hair trigger for the test
   cfg.hazards.fb_corrupt_rate = 0.3;       // duplicates feed the detector
   RunResult r = run_named(cfg, "random", 24ull << 20);

@@ -19,19 +19,9 @@ TEST(HostPageSize, SetterConfiguresBothSides) {
   SimConfig cfg;
   cfg.set_host_page_size(64 << 10);
   EXPECT_EQ(cfg.gpu.fault_granularity_pages, 16u);
-  EXPECT_EQ(cfg.driver.base_page_pages, 16u);
   EXPECT_FALSE(cfg.driver.big_page_upgrade);  // redundant at 64K
   cfg.set_host_page_size(4 << 10);
   EXPECT_EQ(cfg.gpu.fault_granularity_pages, 1u);
-  EXPECT_EQ(cfg.driver.base_page_pages, 1u);
-}
-
-TEST(HostPageSize, InvalidBasePageThrows) {
-  SimConfig cfg;
-  cfg.driver.base_page_pages = 0;
-  EXPECT_THROW(Simulator{cfg}, std::invalid_argument);
-  cfg.driver.base_page_pages = 3;  // does not divide 512
-  EXPECT_THROW(Simulator{cfg}, std::invalid_argument);
 }
 
 TEST(HostPageSize, ServiceWidensToBasePage) {

@@ -29,34 +29,6 @@ MarkovPrefetchConfig small_cfg() {
   return cfg;
 }
 
-TEST(MarkovConfig, RejectsBadTableSizes) {
-  auto cfg = small_cfg();
-  cfg.table_entries = 0;
-  EXPECT_THROW(MarkovPrefetcher{cfg}, ConfigError);
-  cfg.table_entries = 1;  // < 2
-  EXPECT_THROW(MarkovPrefetcher{cfg}, ConfigError);
-  cfg.table_entries = 48;  // not a power of two
-  EXPECT_THROW(MarkovPrefetcher{cfg}, ConfigError);
-  cfg.table_entries = 1u << 21;  // above the 2^20 ceiling
-  EXPECT_THROW(MarkovPrefetcher{cfg}, ConfigError);
-  cfg.table_entries = 1u << 20;
-  EXPECT_NO_THROW(MarkovPrefetcher{cfg});
-}
-
-TEST(MarkovConfig, RejectsBadDegreeAndThresholds) {
-  auto cfg = small_cfg();
-  cfg.degree = 0;
-  EXPECT_THROW(MarkovPrefetcher{cfg}, ConfigError);
-  cfg.degree = MarkovPrefetcher::kMaxDegree + 1;
-  EXPECT_THROW(MarkovPrefetcher{cfg}, ConfigError);
-  cfg = small_cfg();
-  cfg.confidence_emit = 0;  // would emit untrained predictions
-  EXPECT_THROW(MarkovPrefetcher{cfg}, ConfigError);
-  cfg = small_cfg();
-  cfg.confidence_emit = cfg.confidence_max + 1;  // unreachable threshold
-  EXPECT_THROW(MarkovPrefetcher{cfg}, ConfigError);
-}
-
 TEST(MarkovPredictor, LearnsConstantStrideAfterThreshold) {
   MarkovPrefetcher m(small_cfg());
   std::array<VaBlockId, MarkovPrefetcher::kMaxDegree> out{};

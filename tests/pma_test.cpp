@@ -70,18 +70,6 @@ TEST(Pma, FreeWithoutAllocThrows) {
   EXPECT_THROW(pma.free_chunk(), std::logic_error);
 }
 
-TEST(Pma, InvalidConfigThrows) {
-  PhysicalMemoryAllocator::Config c;
-  c.capacity_bytes = 1024;
-  c.chunk_bytes = 2048;
-  EXPECT_THROW(PhysicalMemoryAllocator{c}, std::invalid_argument);
-  c.chunk_bytes = 0;
-  EXPECT_THROW(PhysicalMemoryAllocator{c}, std::invalid_argument);
-  c = {};
-  c.slab_chunks = 0;
-  EXPECT_THROW(PhysicalMemoryAllocator{c}, std::invalid_argument);
-}
-
 TEST(Pma, AllocCountTracksServedAllocations) {
   PhysicalMemoryAllocator pma(small_cfg());
   for (int i = 0; i < 10; ++i) pma.alloc_chunk();

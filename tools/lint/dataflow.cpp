@@ -65,33 +65,6 @@ struct RulePass {
   }
 
   // -------------------------------------------------------------------------
-  // lane-capture-escape: shared state mutated inside a parallel_for body.
-  // -------------------------------------------------------------------------
-  void lane_capture_escape(const std::set<std::string>& atomics) {
-    for (std::size_t n = 0; n < graph.node_count(); ++n) {
-      const IndexedSymbol& sym = graph.symbol(static_cast<int>(n));
-      if (!sym.is_lambda || sym.lane_role != LaneRole::ParallelFor) continue;
-      const std::set<std::string> locals(sym.locals.begin(),
-                                         sym.locals.end());
-      const std::set<std::string> refs(sym.ref_captures.begin(),
-                                       sym.ref_captures.end());
-      for (const LaneWrite& w : sym.lane_writes) {
-        if (locals.count(w.target)) continue;
-        const bool member = w.target.size() > 1 && w.target.back() == '_';
-        const bool captured =
-            member || refs.count(w.target) > 0 || sym.default_ref_capture;
-        if (!captured) continue;
-        if (w.lane_indexed) continue;          // indexed by a body-local
-        if (atomics.count(w.target)) continue;  // std::atomic
-        add(static_cast<int>(n), w.line, "lane-capture-escape",
-            "'" + w.target +
-                "' is captured shared state mutated inside a parallel_for "
-                "body; index it by a body-local or make it std::atomic");
-      }
-    }
-  }
-
-  // -------------------------------------------------------------------------
   // unordered-sink-iteration: unordered iteration that can reach output.
   // -------------------------------------------------------------------------
   void unordered_sink(
@@ -149,16 +122,8 @@ struct RulePass {
 std::vector<ProjectFinding> run_project_rules(
     const std::vector<FileIndex>& files, const CallGraph& graph,
     const std::vector<std::set<std::string>>& unordered_names) {
-  // The std::atomic escape hatch is whole-program: a name declared atomic
-  // in a header covers uses in every TU.
-  std::set<std::string> atomics;
-  for (const FileIndex& fi : files) {
-    atomics.insert(fi.atomic_names.begin(), fi.atomic_names.end());
-  }
-
   RulePass pass{files, graph, {}};
   pass.hot_transitive();
-  pass.lane_capture_escape(atomics);
   pass.unordered_sink(unordered_names);
 
   std::sort(pass.out.begin(), pass.out.end(),

@@ -5,10 +5,6 @@
 //     for allocation, I/O, wall clocks, and RNG; findings carry the call
 //     chain from the hot root to the offending site.
 //
-//   lane-capture-escape
-//     A by-reference capture (or captured member state) mutated inside a
-//     parallel_for lambda must be indexed by a lambda-local or std::atomic.
-//
 //   unordered-sink-iteration
 //     Range-for over an unordered container is flagged only when the loop
 //     body performs I/O or calls something that transitively can — the

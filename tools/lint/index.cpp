@@ -112,11 +112,6 @@ const std::set<std::string_view>& rng_ids() {
   return k;
 }
 
-std::string last_component(const std::string& qualified) {
-  const std::size_t pos = qualified.rfind("::");
-  return pos == std::string::npos ? qualified : qualified.substr(pos + 2);
-}
-
 // ---------------------------------------------------------------------------
 // The token-shape parser.
 // ---------------------------------------------------------------------------
@@ -124,34 +119,10 @@ std::string last_component(const std::string& qualified) {
 struct Parser {
   const std::vector<Token>& t;
   FileIndex out;
-  std::set<std::string> atomic_set;
 
   explicit Parser(const LexedFile& lx) : t(lx.tokens) { out.path = lx.path; }
 
-  void run() {
-    collect_atomic_names();
-    scan_scope(0, t.size(), "");
-    out.atomic_names.assign(atomic_set.begin(), atomic_set.end());
-  }
-
-  /// Pass 1: names of std::atomic variables — the lane-capture-escape
-  /// rule's escape hatch, so they must be known before bodies are judged.
-  void collect_atomic_names() {
-    for (std::size_t i = 0; i < t.size(); ++i) {
-      if (is_id(t[i], "atomic") && i + 1 < t.size() && is_p(t[i + 1], "<")) {
-        const std::size_t past = skip_angles(t, i + 1);
-        if (past == kNpos || past >= t.size()) continue;
-        std::size_t j = past;
-        while (j < t.size() &&
-               (is_p(t[j], "&") || is_p(t[j], "*") || is_id(t[j], "const"))) {
-          ++j;
-        }
-        if (j < t.size() && t[j].kind == TokKind::Identifier) {
-          atomic_set.insert(t[j].text);
-        }
-      }
-    }
-  }
+  void run() { scan_scope(0, t.size(), ""); }
 
   /// Namespace / class / file scope: finds nested scopes and function
   /// definitions; everything else is skipped declaration by declaration.
@@ -373,16 +344,8 @@ struct Parser {
     return true;
   }
 
-  struct CallCtx {
-    std::size_t close;
-    LaneRole role;
-  };
-
   void scan_body(int sidx, std::size_t open, std::size_t close) {
-    collect_locals(sidx, open, close);
-    std::vector<CallCtx> ctx;
     for (std::size_t j = open + 1; j < close; ++j) {
-      while (!ctx.empty() && j > ctx.back().close) ctx.pop_back();
       const Token& tok = t[j];
 
       // Nested lambda.
@@ -391,14 +354,10 @@ struct Parser {
         if (rb == kNpos || rb >= close || !lambda_intro_ok(j, rb)) continue;
         // Walk from the capture list to the body brace.
         int pd = 0;
-        std::size_t params = kNpos;
         std::size_t body = kNpos;
         for (std::size_t k = rb + 1; k < close; ++k) {
           if (t[k].kind != TokKind::Punct) continue;
-          if (t[k].text == "(") {
-            if (pd == 0 && params == kNpos) params = k;
-            ++pd;
-          }
+          if (t[k].text == "(") ++pd;
           if (t[k].text == ")") --pd;
           if (pd < 0) break;
           if (pd == 0 && (t[k].text == "," || t[k].text == ";" ||
@@ -422,19 +381,8 @@ struct Parser {
         lam.body_end_line = t[bend].line;
         lam.is_lambda = true;
         lam.parent = sidx;
-        lam.lane_role = ctx.empty() ? LaneRole::None : ctx.back().role;
-        for (std::size_t k = j + 1; k < rb; ++k) {
-          if (!is_p(t[k], "&")) continue;
-          if (k + 1 < rb && t[k + 1].kind == TokKind::Identifier) {
-            lam.ref_captures.push_back(t[k + 1].text);
-            ++k;
-          } else {
-            lam.default_ref_capture = true;
-          }
-        }
         const int lidx = static_cast<int>(out.symbols.size());
         out.symbols.push_back(std::move(lam));
-        if (params != kNpos) collect_params(lidx, params);
         out.symbols[static_cast<std::size_t>(sidx)].calls.push_back(
             {out.symbols[static_cast<std::size_t>(lidx)].name, tok.line,
              lidx});
@@ -443,10 +391,6 @@ struct Parser {
         continue;
       }
 
-      if (tok.kind == TokKind::Punct) {
-        record_write(sidx, open, j, close);
-        continue;
-      }
       if (tok.kind != TokKind::Identifier) continue;
       IndexedSymbol& sym = out.symbols[static_cast<std::size_t>(sidx)];
       const bool next_is_call = j + 1 < close && is_p(t[j + 1], "(");
@@ -468,21 +412,6 @@ struct Parser {
         }
         if (name.rfind("std::", 0) != 0) {
           sym.calls.push_back({name, tok.line, -1});
-          const std::string base = last_component(name);
-          LaneRole role = LaneRole::None;
-          const bool member_call =
-              k >= 1 && (is_p(t[k - 1], ".") || is_p(t[k - 1], "->"));
-          if (base == "parallel_for" && member_call) {
-            role = LaneRole::ParallelFor;
-          }
-          if (base == "submit" && member_call) role = LaneRole::Submit;
-          if ((base == "map" || base == "sweep") && member_call) {
-            role = LaneRole::SweepMap;
-          }
-          if (role != LaneRole::None) {
-            const std::size_t c = match_paren(t, j + 1);
-            if (c != kNpos && c < close) ctx.push_back({c, role});
-          }
         }
       }
 
@@ -502,115 +431,6 @@ struct Parser {
         sym.rng_sites.push_back({tok.text, tok.line});
       }
     }
-  }
-
-  /// Records parameter names of the lambda whose parameter list opens at
-  /// `params` as locals.
-  void collect_params(int sidx, std::size_t params) {
-    const std::size_t close = match_paren(t, params);
-    if (close == kNpos) return;
-    IndexedSymbol& sym = out.symbols[static_cast<std::size_t>(sidx)];
-    int pd = 0;
-    std::string last;
-    for (std::size_t k = params; k <= close; ++k) {
-      if (t[k].kind == TokKind::Punct) {
-        if (t[k].text == "(") ++pd;
-        if (t[k].text == ")") --pd;
-        if ((t[k].text == "," && pd == 1) || (t[k].text == ")" && pd == 0)) {
-          if (!last.empty()) sym.locals.push_back(last);
-          last.clear();
-        }
-      } else if (t[k].kind == TokKind::Identifier) {
-        last = t[k].text;
-      }
-    }
-  }
-
-  /// Declaration-shaped identifiers in the body become locals: an
-  /// identifier with a type-ish predecessor and a declarator-ish successor.
-  /// Over-matching only hides findings; it never invents one.
-  void collect_locals(int sidx, std::size_t open, std::size_t close) {
-    IndexedSymbol& sym = out.symbols[static_cast<std::size_t>(sidx)];
-    for (std::size_t k = open + 1; k < close; ++k) {
-      if (t[k].kind != TokKind::Identifier || k == 0 || k + 1 >= t.size()) {
-        continue;
-      }
-      const Token& prev = t[k - 1];
-      const Token& next = t[k + 1];
-      const bool typeish_prev =
-          prev.kind == TokKind::Identifier ||
-          (prev.kind == TokKind::Punct &&
-           (prev.text == ">" || prev.text == "*" || prev.text == "&" ||
-            prev.text == "&&"));
-      const bool declish_next =
-          next.kind == TokKind::Punct &&
-          (next.text == "=" || next.text == "{" || next.text == ";" ||
-           next.text == ":" || next.text == "(");
-      if (typeish_prev && declish_next) sym.locals.push_back(t[k].text);
-    }
-  }
-
-  /// Base identifier of the postfix chain written just before `op`, plus
-  /// whether any subscript along the chain names a lambda-local.
-  void record_write(int sidx, std::size_t open, std::size_t op,
-                    std::size_t close) {
-    IndexedSymbol& sym = out.symbols[static_cast<std::size_t>(sidx)];
-    if (!sym.is_lambda) return;
-    static const std::set<std::string_view> kAssignOps = {
-        "=", "+=", "-=", "*=", "/=", "%=", "<<=", ">>="};
-    const Token& tok = t[op];
-    std::string target;
-    bool lane_indexed = false;
-    const std::set<std::string> locals(sym.locals.begin(), sym.locals.end());
-    if (tok.text == "++" || tok.text == "--") {
-      if (op + 1 < close && t[op + 1].kind == TokKind::Identifier) {
-        target = t[op + 1].text;  // prefix
-      } else {
-        target = walk_target(open, op, locals, lane_indexed);
-      }
-    } else if (kAssignOps.count(tok.text)) {
-      target = walk_target(open, op, locals, lane_indexed);
-    }
-    if (target.empty()) return;
-    sym.lane_writes.push_back({target, tok.line, lane_indexed});
-  }
-
-  std::string walk_target(std::size_t lo, std::size_t op,
-                          const std::set<std::string>& locals,
-                          bool& lane_indexed) {
-    std::size_t pos = op;
-    // Compound |= &= ^= lex as two tokens; step over the operator half.
-    if (pos > lo && is_p(t[op], "=") &&
-        (is_p(t[pos - 1], "|") || is_p(t[pos - 1], "&") ||
-         is_p(t[pos - 1], "^"))) {
-      --pos;
-    }
-    while (pos > lo) {
-      --pos;
-      const Token& tok = t[pos];
-      if (tok.kind == TokKind::Punct && tok.text == "]") {
-        int depth = 0;
-        while (pos > lo) {
-          if (is_p(t[pos], "]")) ++depth;
-          if (is_p(t[pos], "[") && --depth == 0) break;
-          if (t[pos].kind == TokKind::Identifier && locals.count(t[pos].text)) {
-            lane_indexed = true;
-          }
-          --pos;
-        }
-        continue;
-      }
-      if (tok.kind == TokKind::Identifier) {
-        if (pos > lo && (is_p(t[pos - 1], ".") || is_p(t[pos - 1], "->") ||
-                         is_p(t[pos - 1], "::"))) {
-          --pos;
-          continue;
-        }
-        return tok.text;
-      }
-      return "";  // parenthesized / dereferenced target: give up silently
-    }
-    return "";
   }
 
   void record_loop(int sidx, std::size_t for_tok, std::size_t scope_close) {

@@ -1,9 +1,9 @@
 // Whole-program symbol index for uvmsim_lint's project mode.
 //
 // index_file() parses one lexed TU into symbols — functions, methods, and
-// lambdas — with call edges, lambda capture lists, the UVMSIM_HOT flag,
-// and the "fact sites" the semantic rules consume (allocation / I/O /
-// clock / RNG identifiers, writes inside lambda bodies, range-for loops).
+// lambdas — with call edges, the UVMSIM_HOT flag, and the "fact sites" the
+// semantic rules consume (allocation / I/O / clock / RNG identifiers,
+// range-for loops).
 //
 // This is deliberately not a C++ front end: symbols are recognized by token
 // shape (qualified-name + parameter list + body brace), calls by
@@ -14,7 +14,6 @@
 // behavior.
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -39,23 +38,6 @@ struct FactSite {
   int line = 0;
 };
 
-/// A write (assignment / increment / decrement) inside a lambda body, with
-/// the base identifier of the written chain and whether any subscript along
-/// the chain indexes by a lambda-local (the index-partitioned escape hatch).
-struct LaneWrite {
-  std::string target;
-  int line = 0;
-  bool lane_indexed = false;
-};
-
-/// Which task-spawning call a lambda was passed to, if any.
-enum class LaneRole : std::uint8_t {
-  None = 0,
-  ParallelFor,
-  Submit,
-  SweepMap,
-};
-
 struct IndexedSymbol {
   std::string name;        ///< best-effort qualified ("ThreadPool::submit")
   int decl_line = 0;       ///< first line of the declaration (annotations)
@@ -64,17 +46,12 @@ struct IndexedSymbol {
   int body_end_line = 0;   ///< line of the matching "}"
   bool is_hot = false;     ///< UVMSIM_HOT on the definition
   bool is_lambda = false;
-  int parent = -1;                       ///< enclosing symbol (lambdas)
-  LaneRole lane_role = LaneRole::None;   ///< task call the lambda feeds
-  bool default_ref_capture = false;      ///< [&] present
-  std::vector<std::string> ref_captures; ///< names captured by reference
-  std::vector<std::string> locals;       ///< params + body declarations
+  int parent = -1;         ///< enclosing symbol (lambdas)
   std::vector<CallSite> calls;
   std::vector<FactSite> alloc_sites;  ///< new/make_unique/malloc/...
   std::vector<FactSite> io_sites;     ///< cout/printf/ofstream/...
   std::vector<FactSite> clock_sites;  ///< system_clock/steady_clock/...
   std::vector<FactSite> rng_sites;    ///< mt19937/random_device/...
-  std::vector<LaneWrite> lane_writes;  ///< writes, lambdas only
 };
 
 /// A range-for loop, kept so project mode can re-judge unordered-container
@@ -90,7 +67,6 @@ struct UnorderedLoop {
 struct FileIndex {
   std::string path;  ///< display path (diagnostics only)
   std::vector<IndexedSymbol> symbols;
-  std::vector<std::string> atomic_names;  ///< names declared std::atomic<...>
   std::vector<UnorderedLoop> loops;
 };
 

@@ -6,7 +6,7 @@
 //   uvmsim_lint --list-rules [--json]              print the rule table
 //
 // Project mode adds the call-graph/dataflow rules (hot-transitive-*,
-// lane-capture-escape, unordered-sink-iteration). CI requires the project
+// unordered-sink-iteration). CI requires the project
 // pass to be clean; a justified allow(...)/suppress(...) comment is the
 // only way to accept a finding.
 //
