@@ -62,11 +62,13 @@ struct ParityCase {
   void (*post_setup)(Simulator&) = nullptr;
 };
 
-// Seven configs spanning the servicing path's policy space: stock
+// Ten configs spanning the servicing path's policy space: stock
 // undersubscribed, oversubscribed random access, prefetch off, per-batch
-// replay, adaptive prefetch, oversubscription with chunking disabled, and
-// Once replay under PMA and DMA hazards (the end-of-run replay in
-// run_pass's continuation and back_page's transient-retry loop).
+// replay, adaptive prefetch, oversubscription with chunking disabled, Once
+// replay under PMA and DMA hazards (the end-of-run replay in run_pass's
+// continuation and back_page's transient-retry loop), and one
+// oversubscribed row per non-LRU eviction policy, which pins its victim
+// order. Markov speculation is what separates 2Q from LRU on hpgmg.
 const ParityCase kCases[] = {
     {"regular-default", "regular", 24, 64, nullptr, 0x5f4033a422753b47ULL},
     {"random-oversub", "random", 48, 32, nullptr, 0x7f99233882838422ULL},
@@ -92,6 +94,20 @@ const ParityCase kCases[] = {
        c.hazards.dma_fail_rate = 0.1;
      },
      0xa0db28e4aa8248b7ULL},
+    {"random-oversub-clock", "random", 48, 32,
+     [](SimConfig& c) { c.driver.eviction_policy = EvictionPolicyKind::Clock; },
+     0xba8e6612c8383b32ULL},
+    {"sgemm-oversub-access-counter", "sgemm", 48, 32,
+     [](SimConfig& c) {
+       c.driver.eviction_policy = EvictionPolicyKind::AccessCounter;
+     },
+     0xef4a6673f91df492ULL},
+    {"hpgmg-oversub-markov-2q", "hpgmg", 48, 32,
+     [](SimConfig& c) {
+       c.driver.prefetch = PrefetchMode::Markov;
+       c.driver.eviction_policy = EvictionPolicyKind::TwoQ;
+     },
+     0x136b4cb14f98a11eULL},
 };
 constexpr std::size_t kNumCases = sizeof(kCases) / sizeof(kCases[0]);
 
@@ -254,7 +270,8 @@ TEST(BackendParity, PopulationCallersFourWorkers) {
 const std::uint64_t kGpuGoldens[kNumCases] = {
     0x109e7861941ac002ULL, 0xa87bad84430c5814ULL, 0x3d8a91c0bedb1c65ULL,
     0xdcc58338ed10fc1dULL, 0x23622d08714b4605ULL, 0x16692230b71d7ac2ULL,
-    0x5df76fad8ac06ff1ULL,
+    0x5df76fad8ac06ff1ULL, 0xf7f199235836605bULL, 0x5ed948a648c1c12bULL,
+    0xbee88ed1b0f7b771ULL,
 };
 
 const std::uint64_t kPopulationGpuGoldens[kNumPopulationCases] = {
