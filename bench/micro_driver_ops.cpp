@@ -158,11 +158,11 @@ BENCHMARK(BM_PageMaskForEachRun)->Arg(8)->Arg(128)->Arg(512);
 
 void BM_LruTouchEvict(benchmark::State& state) {
   LruEviction lru;
-  for (std::uint64_t b = 0; b < 64; ++b) lru.on_slice_allocated({b, 0});
+  for (VaBlockId b = 0; b < 64; ++b) lru.on_block_allocated(b);
   std::uint64_t i = 0;
-  auto any = [](SliceKey) { return true; };
+  auto any = [](VaBlockId) { return true; };
   for (auto _ : state) {
-    lru.on_slice_touched({i++ % 64, 0});
+    lru.on_block_touched(i++ % 64);
     benchmark::DoNotOptimize(lru.pick_victim(any));
   }
 }

@@ -2,13 +2,11 @@
 // eviction").
 //
 // Extends the stock LRU with the signal it is missing: Volta-style access
-// counters report *non-faulting* accesses, so resident-hot slices get
+// counters report *non-faulting* accesses, so resident-hot blocks get
 // promoted back to the MRU end instead of decaying to the tail. This is the
 // policy the paper sketches (and Ganguly et al. [4] simulate) but NVIDIA's
 // driver does not implement.
 #pragma once
-
-#include <cstdint>
 
 #include "uvm/eviction_lru.h"
 
@@ -16,18 +14,12 @@ namespace uvmsim {
 
 class AccessCounterEviction : public LruEviction {
  public:
-  explicit AccessCounterEviction(std::uint32_t pages_per_slice)
-      : pages_per_slice_(pages_per_slice) {}
-
-  /// Promotes the slice containing the notified big page.
-  void on_access_notification(const AccessCounterNotification& n) override;
+  /// Promotes the block containing the notified big page.
+  void on_access_notification(const AccessCounterNotification& n) override {
+    promote(n.block);
+  }
 
   [[nodiscard]] const char* name() const override { return "access_counter"; }
-  [[nodiscard]] std::uint64_t promotions() const { return promotions_; }
-
- private:
-  std::uint32_t pages_per_slice_;
-  std::uint64_t promotions_ = 0;
 };
 
 }  // namespace uvmsim

@@ -50,7 +50,7 @@ Driver::Driver(const DriverConfig& cfg, std::uint64_t seed, const CostModel& cm,
       eviction_ = std::make_unique<LruEviction>();
       break;
     case EvictionPolicyKind::AccessCounter:
-      eviction_ = std::make_unique<AccessCounterEviction>(kPagesPerBlock);
+      eviction_ = std::make_unique<AccessCounterEviction>();
       break;
     case EvictionPolicyKind::Clock:
       eviction_ = std::make_unique<ClockEviction>();
@@ -246,15 +246,14 @@ SimTime Driver::service_bin(const FaultBatch::Bin& bin, SimTime t) {
   }
 
   // Fault-driven policy touch (the only residency signal the stock policy
-  // gets, paper §V-A1). Backing is chunked but residency tracking stays
-  // block-granular, so the key is always {block, 0}. Emitted at each exit
-  // path AFTER backing is ensured, never before: this used to fire ahead of
-  // ensure_backing's on_slice_allocated, so a block's first demand fault
-  // touched a still-untracked key and was dropped — the stock LRU masked it
+  // gets, paper §V-A1). Emitted at each exit path AFTER backing is
+  // ensured, never before: this used to fire ahead of ensure_backing's
+  // on_block_allocated, so a block's first demand fault touched a
+  // still-untracked block and was dropped — the stock LRU masked it
   // (allocate and touch both mean "move to MRU") but CLOCK/2Q would have
   // seen every freshly faulted block as never-demanded (PR-10 audit).
   const auto touch_faulted = [&] {
-    if (bin.faulted.any()) eviction_->on_slice_touched(SliceKey{blk.id, 0});
+    if (bin.faulted.any()) eviction_->on_block_touched(blk.id);
   };
   const auto finish_early = [&] {
     touch_faulted();
@@ -320,10 +319,10 @@ SimTime Driver::service_bin(const FaultBatch::Bin& bin, SimTime t) {
                      /*speculative=*/prefetch.any());
 
   if (unbacked.any()) {
-    // Graceful degradation: some slices could not be backed because no
+    // Graceful degradation: some pages could not be backed because no
     // eviction victim was eligible. Instead of failing the run, serve the
     // faulted pages via remote (host) mapping — slower but correct — and
-    // drop the prefetch candidates on those slices.
+    // drop the prefetch candidates on those pages.
     PageMask degraded = need & unbacked;
     to_populate = to_populate.and_not(unbacked);
     prefetch = prefetch.and_not(unbacked);
@@ -337,7 +336,7 @@ SimTime Driver::service_bin(const FaultBatch::Bin& bin, SimTime t) {
     }
     if (to_populate.none()) return finish_early();
   }
-  // The faulted slice is backed and tracked from here on: record the demand
+  // The faulted block is backed and tracked from here on: record the demand
   // touch before any speculative allocations this pass may append.
   touch_faulted();
 
@@ -504,8 +503,8 @@ SimTime Driver::populate_speculative(VaBlock& blk, const PageMask& shape,
   log_pages(blk, pop.pages, pop.mapped_at, FaultLogKind::Prefetch);
   trace_span(TraceCategory::Prefetch, "prefetch.markov", t0, t, blk.id,
              "pages", pop.pages.count());
-  // Deliberately NO on_slice_touched: ensure_backing already emitted
-  // on_slice_allocated, and speculation is not a use — CLOCK/2Q must see
+  // Deliberately NO on_block_touched: ensure_backing already emitted
+  // on_block_allocated, and speculation is not a use — CLOCK/2Q must see
   // never-demanded prefetch as first-choice eviction fodder.
   return t;
 }
@@ -622,7 +621,7 @@ SimTime Driver::back_block_root(VaBlock& blk, const PageMask& to_populate,
     return t;
   }
   blk.backing.set_root();
-  eviction_->on_slice_allocated(SliceKey{blk.id, 0});
+  eviction_->on_block_allocated(blk.id);
   return t;
 }
 
@@ -668,7 +667,7 @@ SimTime Driver::back_block_chunks(VaBlock& blk, const PageMask& missing,
       blk.backing.set_big(g);
       remaining -= kBigPageSize;
       if (first_chunk) {
-        eviction_->on_slice_allocated(SliceKey{blk.id, 0});
+        eviction_->on_block_allocated(blk.id);
         ++counters_.blocks_split;
         first_chunk = false;
       }
@@ -682,7 +681,7 @@ SimTime Driver::back_block_chunks(VaBlock& blk, const PageMask& missing,
         blk.backing.set_base(p);
         remaining -= kPageSize;
         if (first_chunk) {
-          eviction_->on_slice_allocated(SliceKey{blk.id, 0});
+          eviction_->on_block_allocated(blk.id);
           ++counters_.blocks_split;
           first_chunk = false;
         }
@@ -782,18 +781,18 @@ Driver::Pressure Driver::pressure() const {
 bool Driver::evict_victim(SimTime& t, VaBlockId faulting_block,
                           std::uint64_t want_bytes) {
   // Honor cudaMemAdvise preferred-location hints: evict non-preferred
-  // slices first (Preferred victims), fall back to anything eligible. The
+  // blocks first (Preferred victims), fall back to anything eligible. The
   // single classified scan replaces the previous two-pass
   // (not_preferred-then-base_ok) search with identical victim choice.
-  auto classify = [&](SliceKey k) {
-    if (k.block == faulting_block) return VictimEligibility::Ineligible;
-    const VaBlock& b = d_.as->block(k.block);
+  auto classify = [&](VaBlockId id) {
+    if (id == faulting_block) return VictimEligibility::Ineligible;
+    const VaBlock& b = d_.as->block(id);
     if (b.service_locked) return VictimEligibility::Ineligible;
     return d_.as->range(b.range).advise.preferred_location_gpu
                ? VictimEligibility::Eligible
                : VictimEligibility::Preferred;
   };
-  std::optional<SliceKey> v = eviction_->pick_victim_classified(classify);
+  std::optional<VaBlockId> v = eviction_->pick_victim_classified(classify);
   if (!v) {
     trace_instant(TraceCategory::Eviction, "evict.no_victim", t,
                   faulting_block, "scanned", eviction_->last_scan_length());
@@ -802,7 +801,7 @@ bool Driver::evict_victim(SimTime& t, VaBlockId faulting_block,
 
   SimTime t0 = t;
   SimDuration recovery = 0;
-  VaBlock& vb = d_.as->block(v->block);
+  VaBlock& vb = d_.as->block(*v);
   const bool whole = vb.backing.root();
   // Chunk-granularity eviction: a root-backed victim is evicted whole (the
   // historical behaviour); a fragmented victim frees resident sub-chunks in
@@ -844,7 +843,7 @@ bool Driver::evict_victim(SimTime& t, VaBlockId faulting_block,
   if (vb.backing.any()) {
     ++counters_.partial_evictions;
   } else {
-    eviction_->on_slice_evicted(*v);
+    eviction_->on_block_evicted(*v);
   }
   if (!whole) counters_.chunks_evicted += taken.chunks;
   ++counters_.evictions;
@@ -856,7 +855,7 @@ bool Driver::evict_victim(SimTime& t, VaBlockId faulting_block,
         false});
   }
   prof_.add(CostCategory::Eviction, (t - t0) - recovery);
-  trace_span(TraceCategory::Eviction, "evict.victim", t0, t, v->block,
+  trace_span(TraceCategory::Eviction, "evict.victim", t0, t, *v,
              "chunks", taken.chunks, "writeback_pages", writeback.count(),
              "scanned", eviction_->last_scan_length());
   return true;
@@ -907,7 +906,7 @@ SimTime Driver::prefetch_pages(VirtPage first, std::uint64_t npages) {
     // Remote-mapped pages are pinned to the host by design; bulk prefetch
     // must not migrate them. Never-populated pages are zero-filled on the
     // GPU, as cudaMemPrefetchAsync populates them there. Bulk prefetch is
-    // advisory: pages on slices that cannot be backed (no eligible victim)
+    // advisory: pages that cannot be backed (no eligible victim)
     // are simply skipped.
     const PageMask to_move =
         window.and_not(blk.gpu_resident).and_not(blk.remote_mapped);
@@ -918,8 +917,8 @@ SimTime Driver::prefetch_pages(VirtPage first, std::uint64_t npages) {
     counters_.prefetch_async_pages += moved.count();
     trace_span(TraceCategory::Prefetch, "prefetch.bulk", t0, t, blk.id,
                "pages", moved.count());
-    // No on_slice_touched here (PR-10 bugfix audit): speculative backing
-    // emits exactly on_slice_allocated (inside ensure_backing). Bulk
+    // No on_block_touched here (PR-10 bugfix audit): speculative backing
+    // emits exactly on_block_allocated (inside ensure_backing). Bulk
     // prefetch is speculation, not a use — the stock LRU masked the
     // difference (allocation already MRU-inserts), but CLOCK/2Q would have
     // promoted never-demanded data.
@@ -986,7 +985,7 @@ SimTime Driver::promote_hot_region(const AccessCounterNotification& n,
   PageMask window;
   window.set_range(lo, std::min(lo + kPagesPerBigPage, blk.num_pages));
 
-  // Promotion is opportunistic: hot pages whose slices cannot be backed
+  // Promotion is opportunistic: hot pages that cannot be backed
   // stay remote-mapped and may promote later.
   const PageMask promoted =
       populate(blk, blk.remote_mapped & window, t, /*speculative=*/false)
@@ -996,7 +995,7 @@ SimTime Driver::promote_hot_region(const AccessCounterNotification& n,
   blk.remote_mapped &= ~promoted;
   d_.gpu->invalidate_tlbs();
   counters_.counter_promoted_pages += promoted.count();
-  eviction_->on_slice_touched(SliceKey{blk.id, 0});
+  eviction_->on_block_touched(blk.id);
   return t;
 }
 

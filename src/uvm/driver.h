@@ -276,8 +276,8 @@ class Driver {
   /// Speculatively backs, fills, migrates, and maps the absent pages of
   /// `blk` covered by `shape` (the triggering bin's fault footprint,
   /// projected). Backs at demand-chunk granularity — not the tree path's
-  /// speculative root granularity — and emits on_slice_allocated via
-  /// ensure_backing but — deliberately — no on_slice_touched: speculation
+  /// speculative root granularity — and emits on_block_allocated via
+  /// ensure_backing but — deliberately — no on_block_touched: speculation
   /// is not a use, and touch-sensitive policies (CLOCK/2Q) must see
   /// prefetched-but-never-demanded data as eviction fodder.
   SimTime populate_speculative(VaBlock& blk, const PageMask& shape, SimTime t);

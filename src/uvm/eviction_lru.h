@@ -1,92 +1,71 @@
 // Stock fault-driven LRU eviction (paper §V-A1).
 //
-// The LRU list is updated ONLY when a fault from a slice is handled. This
+// The LRU list is updated ONLY when a fault from a block is handled. This
 // deliberately reproduces the pathology the paper calls out in §VI-A: a
-// slice that becomes fully resident stops faulting, is never promoted again,
+// block that becomes fully resident stops faulting, is never promoted again,
 // decays to the LRU tail, and gets evicted precisely because it was hot
 // enough to be fetched completely.
 //
 // Victim-scan cost: pick_victim() scans from the LRU end past every
-// ineligible (pinned / in-flight) slice on every call — O(n) per eviction
+// ineligible (pinned / in-flight) block on every call — O(n) per eviction
 // under oversubscription. Inside a victim round (begin_victim_round /
 // end_victim_round, during which eligibility is stable) the classified pick
-// marks checked-ineligible slices in place so subsequent scans in the round
-// skip them without reclassifying; nodes are never moved, so the observable
+// marks checked-ineligible blocks in place so subsequent scans in the round
+// skip them without reclassifying; blocks are never moved, so the observable
 // eviction order is unchanged no matter when the round ends.
 //
-// Representation: an intrusive doubly-linked list over a recycling node
-// pool. Promotes and evictions are index relinks with no per-insert heap
-// allocation, and victim scans chase 32-bit indices through one contiguous
-// vector instead of list-node pointers — the promote/scan pair sits on the
-// driver's hot servicing path at full scale.
+// Representation: one BlockLinks list (head = MRU, tail = LRU); the link
+// flag is the parked mark.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
+#include "uvm/eviction_links.h"
 #include "uvm/eviction_policy.h"
 
 namespace uvmsim {
 
 class LruEviction : public EvictionPolicy {
  public:
-  void on_slice_allocated(SliceKey k) override;
-  void on_slice_touched(SliceKey k) override;
-  void on_slice_evicted(SliceKey k) override;
-  std::optional<SliceKey> pick_victim(
-      const std::function<bool(SliceKey)>& eligible) override;
-  std::optional<SliceKey> pick_victim_classified(
-      const std::function<VictimEligibility(SliceKey)>& classify) override;
+  void on_block_allocated(VaBlockId b) override;
+  void on_block_touched(VaBlockId b) override;
+  void on_block_evicted(VaBlockId b) override;
+  std::optional<VaBlockId> pick_victim(
+      const std::function<bool(VaBlockId)>& eligible) override;
+  std::optional<VaBlockId> pick_victim_classified(
+      const std::function<VictimEligibility(VaBlockId)>& classify) override;
 
   void begin_victim_round() override;
   void end_victim_round() override;
 
   [[nodiscard]] const char* name() const override { return "lru"; }
-  [[nodiscard]] std::size_t tracked() const override { return pos_.size(); }
+  [[nodiscard]] std::size_t tracked() const override { return list_.size; }
 
   /// MRU-to-LRU snapshot (tests / analysis).
-  [[nodiscard]] std::vector<SliceKey> order() const {
-    std::vector<SliceKey> out;
-    out.reserve(pos_.size());
-    for (std::uint32_t i = head_; i != kNil; i = nodes_[i].next) {
-      out.push_back(nodes_[i].key);
+  [[nodiscard]] std::vector<VaBlockId> order() const {
+    std::vector<VaBlockId> out;
+    out.reserve(list_.size);
+    for (std::uint32_t i = list_.head; i != BlockLinks::kNil;
+         i = links_.next(i)) {
+      out.push_back(i);
     }
     return out;
   }
 
  protected:
-  /// Moves a tracked slice to the MRU position; no-op if untracked.
-  void promote(SliceKey k);
+  /// Moves a tracked block to the MRU position; no-op if untracked.
+  void promote(VaBlockId b);
 
  private:
-  static constexpr std::uint32_t kNil = ~std::uint32_t{0};
-
-  struct Node {
-    SliceKey key;
-    std::uint32_t prev = kNil;
-    std::uint32_t next = kNil;
-    bool parked = false;  ///< checked-ineligible this round; scans skip it
-  };
-
-  /// Pops a recycled node (reset to defaults) or grows the pool.
-  std::uint32_t acquire_node();
-  /// Links an unlinked node at the MRU end.
-  void link_front(std::uint32_t idx);
-  /// Removes a node from the list without releasing it.
-  void unlink(std::uint32_t idx);
-
-  std::vector<Node> nodes_;          ///< node pool; indices stay stable
-  std::vector<std::uint32_t> free_;  ///< recycled node indices
-  /// Node indices marked parked during the current victim round, so
-  /// end_victim_round() resets the flags in O(parked).
+  BlockLinks links_;
+  BlockLinks::List list_;
+  /// Blocks marked parked during the current victim round, so
+  /// end_victim_round() resets the marks in O(parked).
   std::vector<std::uint32_t> parked_;
-  std::unordered_map<std::uint64_t, std::uint32_t> pos_;  ///< packed -> node
-  std::uint32_t head_ = kNil;  ///< MRU
-  std::uint32_t tail_ = kNil;  ///< LRU
   bool in_round_ = false;
 };
 

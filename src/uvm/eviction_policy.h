@@ -1,9 +1,11 @@
 // Eviction-policy interface.
 //
-// The driver notifies the policy about slice lifecycle events (allocation,
-// fault-driven touches, eviction) and asks it for victims when the PMA is
-// exhausted. "Slice" is the allocation granularity: one 2 MB VABlock in the
-// stock configuration, smaller with the flexible-granularity extension.
+// The driver notifies the policy about VABlock lifecycle events (first
+// backing, fault-driven touches, eviction) and asks it for victims when the
+// PMA is exhausted. Backing is chunked below 2 MB, but residency tracking is
+// block-granular, as in the paper's driver (§V-A1): a block is tracked from
+// its first backed chunk until its last chunk is released, and the victim a
+// policy picks is a block.
 #pragma once
 
 #include <cstddef>
@@ -11,45 +13,15 @@
 #include <functional>
 #include <optional>
 
-#include "core/errors.h"
 #include "gpu/access_counters.h"
 #include "mem/constants.h"
 
 namespace uvmsim {
 
-/// Identifies one allocation slice of a VABlock.
-struct SliceKey {
-  VaBlockId block = 0;
-  std::uint32_t slice = 0;
-
-  bool operator==(const SliceKey&) const = default;
-  /// Injective 32/32 packing for hash-map keys. The former
-  /// `block * kPagesPerBlock + slice` had no overflow guard and conflated
-  /// pages-per-block with slices-per-block: any slice index >= 512 aliased
-  /// a neighbouring block's slice 0 (e.g. {block 0, slice 512} == {block 1,
-  /// slice 0}). A shifted key keeps the halves disjoint for every block ID
-  /// below 2^32 — 2^32 blocks x 2 MB = 8 EB of VA, beyond any address
-  /// space this simulates. The guard is unconditional, not an assert: a
-  /// Release build must not silently alias two slices' keys either.
-  /// AddressSpace::create_range rejects address spaces with >= 2^32 blocks
-  /// at configuration time, so this firing means a protocol bug upstream.
-  [[nodiscard]] std::uint64_t packed() const {
-    static_assert(kPagesPerBlock <= (std::uint64_t{1} << 32),
-                  "slice index must fit the key's lower 32 bits");
-    static_assert(sizeof(slice) == sizeof(std::uint32_t),
-                  "slice half of the key is exactly 32 bits");
-    if ((block >> 32) != 0) {
-      throw SimulationError(
-          "SliceKey::packed: block ID exceeds the key's upper half");
-    }
-    return (block << 32) | slice;
-  }
-};
-
 /// Victim classification for the single-scan pick: the driver prefers
-/// evicting slices whose range is NOT advised to live on the GPU, falls
-/// back to anything eligible, and never touches ineligible (faulting-block
-/// or service-locked) slices.
+/// evicting blocks whose range is NOT advised to live on the GPU, falls
+/// back to anything eligible, and never touches ineligible (faulting or
+/// service-locked) blocks.
 enum class VictimEligibility : std::uint8_t {
   Ineligible,  ///< pinned / in-flight: never a victim
   Eligible,    ///< acceptable fallback victim
@@ -60,37 +32,37 @@ class EvictionPolicy {
  public:
   virtual ~EvictionPolicy() = default;
 
-  /// A slice received GPU backing.
-  virtual void on_slice_allocated(SliceKey k) = 0;
-  /// A fault to this slice was serviced (the only residency signal the stock
+  /// A block received its first GPU backing.
+  virtual void on_block_allocated(VaBlockId b) = 0;
+  /// A fault to this block was serviced (the only residency signal the stock
   /// LRU gets, paper §V-A1).
-  virtual void on_slice_touched(SliceKey k) = 0;
-  /// The slice was evicted and released.
-  virtual void on_slice_evicted(SliceKey k) = 0;
+  virtual void on_block_touched(VaBlockId b) = 0;
+  /// The block was evicted and its backing released.
+  virtual void on_block_evicted(VaBlockId b) = 0;
 
-  /// Picks a victim among tracked slices for which `eligible` returns true
+  /// Picks a victim among tracked blocks for which `eligible` returns true
   /// (the driver excludes the faulting block and service-locked blocks).
   /// Returns nullopt if no eligible victim exists. Implementations must
-  /// record the number of slices they examined in `last_scan_len_`.
-  virtual std::optional<SliceKey> pick_victim(
-      const std::function<bool(SliceKey)>& eligible) = 0;
+  /// record the number of blocks they examined in `last_scan_len_`.
+  virtual std::optional<VaBlockId> pick_victim(
+      const std::function<bool(VaBlockId)>& eligible) = 0;
 
   /// Single-scan victim pick with preference classes: returns the least
-  /// recently used Preferred slice if one exists, else the least recently
-  /// used Eligible slice, else nullopt. Semantically identical to two
+  /// recently used Preferred block if one exists, else the least recently
+  /// used Eligible block, else nullopt. Semantically identical to two
   /// pick_victim() passes (Preferred-only, then non-Ineligible) but lets a
-  /// policy do it in one scan and park ineligible slices during a round.
-  virtual std::optional<SliceKey> pick_victim_classified(
-      const std::function<VictimEligibility(SliceKey)>& classify) {
-    auto v = pick_victim([&](SliceKey k) {
-      return classify(k) == VictimEligibility::Preferred;
+  /// policy do it in one scan and park ineligible blocks during a round.
+  virtual std::optional<VaBlockId> pick_victim_classified(
+      const std::function<VictimEligibility(VaBlockId)>& classify) {
+    auto v = pick_victim([&](VaBlockId b) {
+      return classify(b) == VictimEligibility::Preferred;
     });
     // The fallback pass overwrites last_scan_len_; the work done by the
     // first pass must still be visible to instrumentation, so add it back.
     const std::size_t first_pass = last_scan_len_;
     if (!v) {
-      v = pick_victim([&](SliceKey k) {
-        return classify(k) != VictimEligibility::Ineligible;
+      v = pick_victim([&](VaBlockId b) {
+        return classify(b) != VictimEligibility::Ineligible;
       });
       last_scan_len_ += first_pass;
     }
@@ -98,15 +70,15 @@ class EvictionPolicy {
   }
 
   /// Brackets a sequence of pick_victim_classified() calls during which the
-  /// classification of any given slice is stable (the driver's
+  /// classification of any given block is stable (the driver's
   /// ensure_backing loop: one faulting block, no lock changes). Policies
   /// may cache ineligibility across picks within a round — e.g. the LRU
-  /// parks checked-ineligible slices so repeated victim scans stop
+  /// parks checked-ineligible blocks so repeated victim scans stop
   /// rescanning a pinned/in-flight tail. A no-op by default.
   virtual void begin_victim_round() {}
   virtual void end_victim_round() {}
 
-  /// Slices examined by the most recent victim pick (instrumentation).
+  /// Blocks examined by the most recent victim pick (instrumentation).
   /// For the default two-pass pick_victim_classified this is the TOTAL
   /// across both passes, not just the fallback pass.
   [[nodiscard]] std::size_t last_scan_length() const { return last_scan_len_; }
@@ -115,12 +87,12 @@ class EvictionPolicy {
   virtual void on_access_notification(const AccessCounterNotification&) {}
 
   [[nodiscard]] virtual const char* name() const = 0;
-  /// Number of slices currently tracked.
+  /// Number of blocks currently tracked.
   [[nodiscard]] virtual std::size_t tracked() const = 0;
 
  protected:
   /// Set by every pick_victim / pick_victim_classified implementation to
-  /// the number of slices it examined.
+  /// the number of blocks it examined.
   std::size_t last_scan_len_ = 0;
 };
 

@@ -87,13 +87,14 @@ UVMSIM_HOT SimTime Driver::resolve_fault(const FaultEntry& e,
   const std::uint32_t pi = page_in_block(e.page);
   const PageMask mapped = blk.gpu_resident | blk.remote_mapped;
 
-  // Fault-driven residency signal, exactly as on the driver path (backing
-  // is chunked but residency tracking stays block-granular).
-  eviction_->on_slice_touched(SliceKey{blk.id, 0});
-
+  // Every fault is a fault-driven residency signal, emitted in the driver
+  // path's order: after the fault's backing, so that a block's first demand
+  // fault touches the block its backing just began tracking. Stale and
+  // remote-mapped faults back nothing and touch straight away.
   if (mapped.test(pi)) {
     // Stale: another fault in this drain (or an earlier pass) already
     // resolved the page; short-circuit.
+    eviction_->on_block_touched(blk.id);
     ++counters_.stale_faults;
     t += gd.resolve_stale;
     prof_.add(CostCategory::ServiceOther, gd.resolve_stale);
@@ -128,6 +129,7 @@ UVMSIM_HOT SimTime Driver::resolve_fault(const FaultEntry& e,
   if (advise.remote_map) {
     // cudaMemAdvise remote mapping binds the backend too: map, never
     // migrate.
+    eviction_->on_block_touched(blk.id);
     d_.pt->map_remote(blk, need);
     const SimDuration cost =
         static_cast<SimDuration>(need.count()) * gd.pte_update;
@@ -153,10 +155,11 @@ UVMSIM_HOT SimTime Driver::resolve_fault(const FaultEntry& e,
       if (!back_page(blk, i, t)) unbacked.set(i);
     }
     if (first_chunk && blk.backing.any()) {
-      eviction_->on_slice_allocated(SliceKey{blk.id, 0});
+      eviction_->on_block_allocated(blk.id);
     }
     eviction_->end_victim_round();
   }
+  eviction_->on_block_touched(blk.id);
 
   PageMask to_populate = need.and_not(unbacked);
   if (unbacked.any()) {

@@ -23,13 +23,16 @@ TEST(AddressSpace, ZeroBytesThrows) {
   EXPECT_THROW(as.create_range(0, "z"), std::invalid_argument);
 }
 
-TEST(AddressSpace, RejectsVaPastSliceKeyBlockBound) {
-  // SliceKey::packed() keys eviction state by a 32/32 block/slice split, so
-  // block IDs must stay below 2^32 — proven here at configuration time,
-  // before any simulated servicing could hit the packed() guard.
+TEST(AddressSpace, RejectsVaPastBlockIdBound) {
+  // The eviction policies link blocks by 32-bit index with ~0u as the nil
+  // link, so block IDs must stay below 2^32 - 1 — proven here at
+  // configuration time, before any simulated servicing.
   AddressSpace as;
   EXPECT_THROW(as.create_range(((std::uint64_t{1} << 32) + 1) * kVaBlockSize,
                                "8eb"),
+               ConfigError);
+  // Exactly 2^32 blocks: the last ID, ~0u, would alias the nil link.
+  EXPECT_THROW(as.create_range((std::uint64_t{1} << 32) * kVaBlockSize, "nil"),
                ConfigError);
   // The bound is cumulative across ranges, not per range.
   as.create_range(4 * kVaBlockSize, "a");

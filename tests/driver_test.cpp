@@ -145,8 +145,8 @@ TEST_F(DriverTest, LruTouchOnFaultService) {
   auto& lru = dynamic_cast<LruEviction&>(sim_.driver().eviction_policy());
   auto order = lru.order();
   ASSERT_EQ(order.size(), 2u);
-  EXPECT_EQ(order[0].block, 1u);  // MRU = most recently faulted
-  EXPECT_EQ(order[1].block, 0u);
+  EXPECT_EQ(order[0], 1u);  // MRU = most recently faulted
+  EXPECT_EQ(order[1], 0u);
 }
 
 // --- eviction behaviour with a tiny GPU ---

@@ -1,9 +1,9 @@
 // Policy-panel conformance suite (PR 10): the same behavioural contract run
 // against all three eviction policies (LRU, CLOCK, 2Q), plus the
-// EvictionPolicy base-class regressions the panel surfaced — the default
-// two-pass pick_victim_classified losing the first pass's scan count, and
-// SliceKey::packed()'s overflow guard — and the per-policy semantics that
-// distinguish the panel members (second chance, probation/protection).
+// EvictionPolicy base-class regression the panel surfaced — the default
+// two-pass pick_victim_classified losing the first pass's scan count — and
+// the per-policy semantics that distinguish the panel members (second
+// chance, probation/protection).
 #include "uvm/eviction_2q.h"
 #include "uvm/eviction_clock.h"
 #include "uvm/eviction_lru.h"
@@ -20,12 +20,10 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/errors.h"
-
 namespace uvmsim {
 namespace {
 
-auto any = [](SliceKey) { return true; };
+auto any = [](VaBlockId) { return true; };
 
 std::uint64_t lcg_next(std::uint64_t& s) {
   s = s * 6364136223846793005ULL + 1442695040888963407ULL;
@@ -76,34 +74,34 @@ TEST_P(PolicyPanel, NameMatches) {
 TEST_P(PolicyPanel, TrackedCountFollowsLifecycle) {
   auto p = make();
   EXPECT_EQ(p->tracked(), 0u);
-  for (VaBlockId b = 1; b <= 5; ++b) p->on_slice_allocated({b, 0});
+  for (VaBlockId b = 1; b <= 5; ++b) p->on_block_allocated(b);
   EXPECT_EQ(p->tracked(), 5u);
-  p->on_slice_evicted({2, 0});
-  p->on_slice_evicted({4, 0});
+  p->on_block_evicted(2);
+  p->on_block_evicted(4);
   EXPECT_EQ(p->tracked(), 3u);
-  // Touching an untracked slice must not resurrect or create state.
-  p->on_slice_touched({2, 0});
-  p->on_slice_touched({99, 0});
+  // Touching an untracked block must not resurrect or create state.
+  p->on_block_touched(2);
+  p->on_block_touched(99);
   EXPECT_EQ(p->tracked(), 3u);
 }
 
 TEST_P(PolicyPanel, EmptyPolicyHasNoVictim) {
   auto p = make();
   EXPECT_FALSE(p->pick_victim(any).has_value());
-  EXPECT_FALSE(p->pick_victim_classified([](SliceKey) {
+  EXPECT_FALSE(p->pick_victim_classified([](VaBlockId) {
                   return VictimEligibility::Preferred;
                 }).has_value());
 }
 
 TEST_P(PolicyPanel, VictimIsAlwaysTrackedAndEligible) {
   auto p = make();
-  for (VaBlockId b = 0; b < 10; ++b) p->on_slice_allocated({b, 0});
-  auto even = [](SliceKey k) { return k.block % 2 == 0; };
+  for (VaBlockId b = 0; b < 10; ++b) p->on_block_allocated(b);
+  auto even = [](VaBlockId b) { return b % 2 == 0; };
   for (int i = 0; i < 5; ++i) {
     auto v = p->pick_victim(even);
     ASSERT_TRUE(v) << "pick " << i;
-    EXPECT_EQ(v->block % 2, 0u);
-    p->on_slice_evicted(*v);
+    EXPECT_EQ(*v % 2, 0u);
+    p->on_block_evicted(*v);
   }
   // Only odd blocks remain: the even filter has nothing left.
   EXPECT_FALSE(p->pick_victim(even).has_value());
@@ -112,31 +110,35 @@ TEST_P(PolicyPanel, VictimIsAlwaysTrackedAndEligible) {
 
 TEST_P(PolicyPanel, DrainVisitsEverySliceExactlyOnce) {
   auto p = make();
-  std::set<std::uint64_t> expect;
+  std::set<VaBlockId> expect;
   for (VaBlockId b = 0; b < 16; ++b) {
-    p->on_slice_allocated({b, 0});
-    expect.insert(SliceKey{b, 0}.packed());
+    p->on_block_allocated(b);
+    expect.insert(b);
   }
-  std::set<std::uint64_t> seen;
+  std::set<VaBlockId> seen;
   while (auto v = p->pick_victim(any)) {
-    EXPECT_TRUE(seen.insert(v->packed()).second)
-        << "victim repeated: block " << v->block;
-    p->on_slice_evicted(*v);
+    EXPECT_TRUE(seen.insert(*v).second) << "victim repeated: block " << *v;
+    p->on_block_evicted(*v);
   }
   EXPECT_EQ(seen, expect);
   EXPECT_EQ(p->tracked(), 0u);
 }
 
-TEST_P(PolicyPanel, SlicesOfOneBlockAreDistinct) {
+// A block is tracked once however often it is (re)allocated, and one
+// eviction forgets it; a block evicted and allocated again is tracked anew.
+TEST_P(PolicyPanel, ReallocationDoesNotDuplicate) {
   auto p = make();
-  p->on_slice_allocated({7, 0});
-  p->on_slice_allocated({7, 3});
+  p->on_block_allocated(7);
+  p->on_block_allocated(7);
+  p->on_block_allocated(3);
   EXPECT_EQ(p->tracked(), 2u);
-  p->on_slice_evicted({7, 0});
+  p->on_block_evicted(7);
   EXPECT_EQ(p->tracked(), 1u);
   auto v = p->pick_victim(any);
   ASSERT_TRUE(v);
-  EXPECT_EQ(v->slice, 3u);
+  EXPECT_EQ(*v, 3u);
+  p->on_block_allocated(7);
+  EXPECT_EQ(p->tracked(), 2u);
 }
 
 // The classified pick must be semantically a two-pass pick (Preferred first,
@@ -147,43 +149,42 @@ TEST_P(PolicyPanel, ClassifiedPickMatchesTwoPassReference) {
   auto fast = make();
   auto ref = make();
   std::uint64_t s = 0x9E3779B97F4A7C15ull;
-  std::unordered_map<std::uint64_t, VictimEligibility> cls;
+  std::unordered_map<VaBlockId, VictimEligibility> cls;
   for (int iter = 0; iter < 200; ++iter) {
-    const SliceKey k{lcg_next(s) % 24, 0};
+    const VaBlockId k = lcg_next(s) % 24;
     switch (lcg_next(s) % 3) {
       case 0:
-        fast->on_slice_allocated(k);
-        ref->on_slice_allocated(k);
+        fast->on_block_allocated(k);
+        ref->on_block_allocated(k);
         break;
       case 1:
-        fast->on_slice_touched(k);
-        ref->on_slice_touched(k);
+        fast->on_block_touched(k);
+        ref->on_block_touched(k);
         break;
       default: {
         cls.clear();
         std::uint64_t cs = s;
-        auto classify = [&](SliceKey key) {
-          auto [it, fresh] = cls.try_emplace(key.packed());
+        auto classify = [&](VaBlockId key) {
+          auto [it, fresh] = cls.try_emplace(key);
           if (fresh) {
-            std::uint64_t h = cs ^ key.packed();
+            std::uint64_t h = cs ^ key;
             it->second = static_cast<VictimEligibility>(lcg_next(h) % 3);
           }
           return it->second;
         };
         auto got = fast->pick_victim_classified(classify);
-        auto want = ref->pick_victim([&](SliceKey key) {
+        auto want = ref->pick_victim([&](VaBlockId key) {
           return classify(key) == VictimEligibility::Preferred;
         });
         if (!want) {
-          want = ref->pick_victim([&](SliceKey key) {
+          want = ref->pick_victim([&](VaBlockId key) {
             return classify(key) != VictimEligibility::Ineligible;
           });
         }
-        ASSERT_EQ(got.has_value(), want.has_value()) << "iter " << iter;
+        ASSERT_EQ(got, want) << "iter " << iter;
         if (got) {
-          EXPECT_EQ(got->packed(), want->packed()) << "iter " << iter;
-          fast->on_slice_evicted(*got);
-          ref->on_slice_evicted(*want);
+          fast->on_block_evicted(*got);
+          ref->on_block_evicted(*want);
         }
         break;
       }
@@ -199,29 +200,28 @@ TEST_P(PolicyPanel, VictimRoundDoesNotChangeEvictionOrder) {
   auto plain = make();
   std::uint64_t s = 42;
   for (int i = 0; i < 40; ++i) {
-    const SliceKey k{lcg_next(s) % 12, 0};
+    const VaBlockId k = lcg_next(s) % 12;
     if (lcg_next(s) % 2 == 0) {
-      bracketed->on_slice_allocated(k);
-      plain->on_slice_allocated(k);
+      bracketed->on_block_allocated(k);
+      plain->on_block_allocated(k);
     } else {
-      bracketed->on_slice_touched(k);
-      plain->on_slice_touched(k);
+      bracketed->on_block_touched(k);
+      plain->on_block_touched(k);
     }
   }
-  auto classify = [](SliceKey k) {
-    if (k.block % 3 == 0) return VictimEligibility::Ineligible;
-    return k.block % 3 == 1 ? VictimEligibility::Preferred
-                            : VictimEligibility::Eligible;
+  auto classify = [](VaBlockId k) {
+    if (k % 3 == 0) return VictimEligibility::Ineligible;
+    return k % 3 == 1 ? VictimEligibility::Preferred
+                      : VictimEligibility::Eligible;
   };
   bracketed->begin_victim_round();
   for (;;) {
     auto a = bracketed->pick_victim_classified(classify);
     auto b = plain->pick_victim_classified(classify);
-    ASSERT_EQ(a.has_value(), b.has_value());
+    ASSERT_EQ(a, b);
     if (!a) break;
-    EXPECT_EQ(a->packed(), b->packed());
-    bracketed->on_slice_evicted(*a);
-    plain->on_slice_evicted(*b);
+    bracketed->on_block_evicted(*a);
+    plain->on_block_evicted(*b);
   }
   bracketed->end_victim_round();
   EXPECT_EQ(bracketed->tracked(), plain->tracked());
@@ -229,12 +229,12 @@ TEST_P(PolicyPanel, VictimRoundDoesNotChangeEvictionOrder) {
 
 TEST_P(PolicyPanel, ScanLengthIsRecordedByEveryPick) {
   auto p = make();
-  for (VaBlockId b = 0; b < 8; ++b) p->on_slice_allocated({b, 0});
+  for (VaBlockId b = 0; b < 8; ++b) p->on_block_allocated(b);
   auto v = p->pick_victim(any);
   ASSERT_TRUE(v);
   EXPECT_GE(p->last_scan_length(), 1u);
   auto c = p->pick_victim_classified(
-      [](SliceKey) { return VictimEligibility::Eligible; });
+      [](VaBlockId) { return VictimEligibility::Eligible; });
   ASSERT_TRUE(c);
   EXPECT_GE(p->last_scan_length(), 1u);
 }
@@ -245,118 +245,129 @@ TEST_P(PolicyPanel, ScanLengthIsRecordedByEveryPick) {
 /// pick_victim_classified — the configuration the scan-count bug lived in.
 class StubPolicy final : public EvictionPolicy {
  public:
-  void on_slice_allocated(SliceKey k) override { slices_.push_back(k); }
-  void on_slice_touched(SliceKey) override {}
-  void on_slice_evicted(SliceKey k) override {
-    std::erase_if(slices_, [&](SliceKey s) { return s == k; });
-  }
-  std::optional<SliceKey> pick_victim(
-      const std::function<bool(SliceKey)>& eligible) override {
+  void on_block_allocated(VaBlockId b) override { blocks_.push_back(b); }
+  void on_block_touched(VaBlockId) override {}
+  void on_block_evicted(VaBlockId b) override { std::erase(blocks_, b); }
+  std::optional<VaBlockId> pick_victim(
+      const std::function<bool(VaBlockId)>& eligible) override {
     last_scan_len_ = 0;
-    for (SliceKey k : slices_) {
+    for (VaBlockId b : blocks_) {
       ++last_scan_len_;
-      if (eligible(k)) return k;
+      if (eligible(b)) return b;
     }
     return std::nullopt;
   }
   [[nodiscard]] const char* name() const override { return "stub"; }
-  [[nodiscard]] std::size_t tracked() const override { return slices_.size(); }
+  [[nodiscard]] std::size_t tracked() const override { return blocks_.size(); }
 
  private:
-  std::vector<SliceKey> slices_;
+  std::vector<VaBlockId> blocks_;
 };
 
 // Regression (PR-10 satellite): the default pick_victim_classified used to
 // report only the fallback pass's scan count, hiding the full first pass
-// from instrumentation whenever no Preferred slice existed.
+// from instrumentation whenever no Preferred block existed.
 TEST(EvictionPolicyDefault, TwoPassScanCountSumsBothPasses) {
   StubPolicy p;
-  for (VaBlockId b = 0; b < 4; ++b) p.on_slice_allocated({b, 0});
-  // No Preferred slice anywhere: pass 1 scans all 4 and fails, pass 2
-  // accepts the first slice after examining it. Total work = 5.
+  for (VaBlockId b = 0; b < 4; ++b) p.on_block_allocated(b);
+  // No Preferred block anywhere: pass 1 scans all 4 and fails, pass 2
+  // accepts the first block after examining it. Total work = 5.
   auto v = p.pick_victim_classified(
-      [](SliceKey) { return VictimEligibility::Eligible; });
+      [](VaBlockId) { return VictimEligibility::Eligible; });
   ASSERT_TRUE(v);
-  EXPECT_EQ(v->block, 0u);
+  EXPECT_EQ(*v, 0u);
   EXPECT_EQ(p.last_scan_length(), 5u);
 }
 
 TEST(EvictionPolicyDefault, PreferredHitReportsSinglePassScan) {
   StubPolicy p;
-  for (VaBlockId b = 0; b < 4; ++b) p.on_slice_allocated({b, 0});
-  auto v = p.pick_victim_classified([](SliceKey k) {
-    return k.block == 2 ? VictimEligibility::Preferred
-                        : VictimEligibility::Eligible;
+  for (VaBlockId b = 0; b < 4; ++b) p.on_block_allocated(b);
+  auto v = p.pick_victim_classified([](VaBlockId b) {
+    return b == 2 ? VictimEligibility::Preferred : VictimEligibility::Eligible;
   });
   ASSERT_TRUE(v);
-  EXPECT_EQ(v->block, 2u);
+  EXPECT_EQ(*v, 2u);
   EXPECT_EQ(p.last_scan_length(), 3u);  // one pass, stopped at block 2
-}
-
-// Regression (PR-10 satellite): the overflow guard must hold in Release
-// builds too — the former assert() compiled out and let block IDs >= 2^32
-// silently alias the key's slice half.
-TEST(SliceKeyGuard, PackedThrowsWhenBlockExceedsUpperHalf) {
-  EXPECT_NO_THROW(((void)SliceKey{0xFFFF'FFFFull, 0}.packed()));
-  EXPECT_THROW(((void)SliceKey{std::uint64_t{1} << 32, 0}.packed()),
-               SimulationError);
-  EXPECT_THROW(((void)SliceKey{~std::uint64_t{0}, 0}.packed()),
-               SimulationError);
 }
 
 // --- per-policy semantics the panel is built on -------------------------
 
 TEST(ClockEviction, TouchGrantsSecondChance) {
   ClockEviction clk;
-  clk.on_slice_allocated({1, 0});
-  clk.on_slice_allocated({2, 0});
-  clk.on_slice_touched({1, 0});  // ref bit set: survives one sweep
+  clk.on_block_allocated(1);
+  clk.on_block_allocated(2);
+  clk.on_block_touched(1);  // ref bit set: survives one sweep
   auto v = clk.pick_victim(any);
   ASSERT_TRUE(v);
-  EXPECT_EQ(v->block, 2u);
+  EXPECT_EQ(*v, 2u);
   // The sweep cleared block 1's ref bit on the way: it is next.
-  clk.on_slice_evicted(*v);
+  clk.on_block_evicted(*v);
   auto v2 = clk.pick_victim(any);
   ASSERT_TRUE(v2);
-  EXPECT_EQ(v2->block, 1u);
+  EXPECT_EQ(*v2, 1u);
 }
 
 TEST(ClockEviction, UntouchedSpeculativeSliceFallsFirst) {
   // The lifecycle distinction the driver contract exists for: an
-  // allocated-never-touched (speculative) slice has ref=0 and loses to
+  // allocated-never-touched (speculative) block has ref=0 and loses to
   // demanded data even if it arrived later.
   ClockEviction clk;
-  clk.on_slice_allocated({1, 0});
-  clk.on_slice_touched({1, 0});
-  clk.on_slice_allocated({2, 0});  // speculative: no touch
+  clk.on_block_allocated(1);
+  clk.on_block_touched(1);
+  clk.on_block_allocated(2);  // speculative: no touch
   auto v = clk.pick_victim(any);
   ASSERT_TRUE(v);
-  EXPECT_EQ(v->block, 2u);
+  EXPECT_EQ(*v, 2u);
+}
+
+TEST(ClockEviction, NewBlocksJoinBehindTheHand) {
+  // A fresh block is examined last in the current sweep, and the sweep
+  // resumes past each victim, wrapping around the ring.
+  ClockEviction clk;
+  for (VaBlockId b = 1; b <= 3; ++b) clk.on_block_allocated(b);
+  auto v = clk.pick_victim(any);
+  ASSERT_TRUE(v);
+  EXPECT_EQ(*v, 1u);  // the hand now rests on block 2
+  clk.on_block_evicted(*v);
+  clk.on_block_allocated(4);  // joins between 3 and 2, after the hand
+  std::vector<VaBlockId> order;
+  while (auto w = clk.pick_victim(any)) {
+    order.push_back(*w);
+    clk.on_block_evicted(*w);
+  }
+  EXPECT_EQ(order, (std::vector<VaBlockId>{2, 3, 4}));
 }
 
 TEST(TwoQEviction, ProbationLeavesBeforeProtected) {
   TwoQEviction q;
-  q.on_slice_allocated({1, 0});
-  q.on_slice_allocated({2, 0});
-  q.on_slice_allocated({3, 0});
-  q.on_slice_touched({2, 0});  // promoted to the protected segment
+  q.on_block_allocated(1);
+  q.on_block_allocated(2);
+  q.on_block_allocated(3);
+  q.on_block_touched(2);  // promoted to the protected segment
   std::vector<VaBlockId> order;
   while (auto v = q.pick_victim(any)) {
-    order.push_back(v->block);
-    q.on_slice_evicted(*v);
+    order.push_back(*v);
+    q.on_block_evicted(*v);
   }
   ASSERT_EQ(order.size(), 3u);
-  EXPECT_EQ(order.back(), 2u);  // the touched slice outlives all probation
+  EXPECT_EQ(order.back(), 2u);  // the touched block outlives all probation
 }
 
 TEST(TwoQEviction, ProtectedCapDemotesBackToProbation) {
-  TwoQEviction q(/*protected_percent=*/25);
-  for (VaBlockId b = 1; b <= 8; ++b) q.on_slice_allocated({b, 0});
-  for (VaBlockId b = 1; b <= 8; ++b) q.on_slice_touched({b, 0});
-  // 25% of 8 tracked slices: at most 2 stay protected, the rest were
-  // demoted back to probation in touch order.
-  EXPECT_LE(q.protected_count(), 2u);
+  TwoQEviction q;
+  for (VaBlockId b = 1; b <= 8; ++b) q.on_block_allocated(b);
+  for (VaBlockId b = 1; b <= 8; ++b) q.on_block_touched(b);
+  // Half of 8 tracked blocks stay protected: the last four touched. The
+  // first four were demoted back to probation in touch order, so they
+  // leave first, most recently demoted last.
+  EXPECT_EQ(q.protected_count(), 4u);
   EXPECT_EQ(q.tracked(), 8u);
+  std::vector<VaBlockId> order;
+  while (auto v = q.pick_victim(any)) {
+    order.push_back(*v);
+    q.on_block_evicted(*v);
+  }
+  EXPECT_EQ(order, (std::vector<VaBlockId>{1, 2, 3, 4, 5, 6, 7, 8}));
 }
 
 }  // namespace

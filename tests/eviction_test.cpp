@@ -3,7 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
@@ -12,7 +11,7 @@
 namespace uvmsim {
 namespace {
 
-auto any = [](SliceKey) { return true; };
+auto any = [](VaBlockId) { return true; };
 
 std::uint64_t lcg_next(std::uint64_t& s) {
   s = s * 6364136223846793005ULL + 1442695040888963407ULL;
@@ -21,55 +20,55 @@ std::uint64_t lcg_next(std::uint64_t& s) {
 
 TEST(LruEviction, VictimIsLeastRecentlyAllocated) {
   LruEviction lru;
-  lru.on_slice_allocated({1, 0});
-  lru.on_slice_allocated({2, 0});
-  lru.on_slice_allocated({3, 0});
+  lru.on_block_allocated(1);
+  lru.on_block_allocated(2);
+  lru.on_block_allocated(3);
   auto v = lru.pick_victim(any);
   ASSERT_TRUE(v);
-  EXPECT_EQ(v->block, 1u);
+  EXPECT_EQ(*v, 1u);
 }
 
 TEST(LruEviction, TouchPromotes) {
   LruEviction lru;
-  lru.on_slice_allocated({1, 0});
-  lru.on_slice_allocated({2, 0});
-  lru.on_slice_touched({1, 0});  // 1 becomes MRU
+  lru.on_block_allocated(1);
+  lru.on_block_allocated(2);
+  lru.on_block_touched(1);  // 1 becomes MRU
   auto v = lru.pick_victim(any);
   ASSERT_TRUE(v);
-  EXPECT_EQ(v->block, 2u);
+  EXPECT_EQ(*v, 2u);
 }
 
 TEST(LruEviction, TouchOfUntrackedIsNoop) {
   LruEviction lru;
-  lru.on_slice_allocated({1, 0});
-  lru.on_slice_touched({99, 0});
+  lru.on_block_allocated(1);
+  lru.on_block_touched(99);
   EXPECT_EQ(lru.tracked(), 1u);
 }
 
 TEST(LruEviction, EvictRemoves) {
   LruEviction lru;
-  lru.on_slice_allocated({1, 0});
-  lru.on_slice_allocated({2, 0});
-  lru.on_slice_evicted({1, 0});
+  lru.on_block_allocated(1);
+  lru.on_block_allocated(2);
+  lru.on_block_evicted(1);
   EXPECT_EQ(lru.tracked(), 1u);
   auto v = lru.pick_victim(any);
   ASSERT_TRUE(v);
-  EXPECT_EQ(v->block, 2u);
+  EXPECT_EQ(*v, 2u);
 }
 
 TEST(LruEviction, EligibilityFilterSkips) {
   LruEviction lru;
-  lru.on_slice_allocated({1, 0});
-  lru.on_slice_allocated({2, 0});
-  auto v = lru.pick_victim([](SliceKey k) { return k.block != 1; });
+  lru.on_block_allocated(1);
+  lru.on_block_allocated(2);
+  auto v = lru.pick_victim([](VaBlockId k) { return k != 1; });
   ASSERT_TRUE(v);
-  EXPECT_EQ(v->block, 2u);
+  EXPECT_EQ(*v, 2u);
 }
 
 TEST(LruEviction, NoEligibleVictim) {
   LruEviction lru;
-  lru.on_slice_allocated({1, 0});
-  EXPECT_FALSE(lru.pick_victim([](SliceKey) { return false; }).has_value());
+  lru.on_block_allocated(1);
+  EXPECT_FALSE(lru.pick_victim([](VaBlockId) { return false; }).has_value());
 }
 
 TEST(LruEviction, EmptyListNoVictim) {
@@ -77,49 +76,39 @@ TEST(LruEviction, EmptyListNoVictim) {
   EXPECT_FALSE(lru.pick_victim(any).has_value());
 }
 
-TEST(LruEviction, SlicesOfSameBlockAreDistinct) {
-  LruEviction lru;
-  lru.on_slice_allocated({1, 0});
-  lru.on_slice_allocated({1, 1});
-  lru.on_slice_touched({1, 0});
-  auto v = lru.pick_victim(any);
-  ASSERT_TRUE(v);
-  EXPECT_EQ(v->slice, 1u);
-}
-
 TEST(LruEviction, ReallocationActsAsTouch) {
   LruEviction lru;
-  lru.on_slice_allocated({1, 0});
-  lru.on_slice_allocated({2, 0});
-  lru.on_slice_allocated({1, 0});  // re-alloc: promote, no duplicate
+  lru.on_block_allocated(1);
+  lru.on_block_allocated(2);
+  lru.on_block_allocated(1);  // re-alloc: promote, no duplicate
   EXPECT_EQ(lru.tracked(), 2u);
   auto v = lru.pick_victim(any);
-  EXPECT_EQ(v->block, 2u);
+  EXPECT_EQ(*v, 2u);
 }
 
 TEST(LruEviction, OrderSnapshot) {
   LruEviction lru;
-  lru.on_slice_allocated({1, 0});
-  lru.on_slice_allocated({2, 0});
-  lru.on_slice_touched({1, 0});
+  lru.on_block_allocated(1);
+  lru.on_block_allocated(2);
+  lru.on_block_touched(1);
   auto order = lru.order();
   ASSERT_EQ(order.size(), 2u);
-  EXPECT_EQ(order[0].block, 1u);  // MRU
-  EXPECT_EQ(order[1].block, 2u);  // LRU
+  EXPECT_EQ(order[0], 1u);  // MRU
+  EXPECT_EQ(order[1], 2u);  // LRU
 }
 
 // The paper's §VI-A pathology: fully-resident (hot) blocks never fault
 // again, so the stock LRU lets them sink to the tail.
 TEST(LruEviction, HotResidentDataDecaysWithoutFaults) {
   LruEviction lru;
-  lru.on_slice_allocated({1, 0});  // hot block, fully resident, no faults
+  lru.on_block_allocated(1);  // hot block, fully resident, no faults
   for (VaBlockId b = 2; b <= 5; ++b) {
-    lru.on_slice_allocated({b, 0});
-    lru.on_slice_touched({b, 0});
+    lru.on_block_allocated(b);
+    lru.on_block_touched(b);
   }
   auto v = lru.pick_victim(any);
   ASSERT_TRUE(v);
-  EXPECT_EQ(v->block, 1u);  // the hot block is the victim
+  EXPECT_EQ(*v, 1u);  // the hot block is the victim
 }
 
 TEST(LruEviction, ClassifiedPickMatchesTwoPassReference) {
@@ -131,12 +120,12 @@ TEST(LruEviction, ClassifiedPickMatchesTwoPassReference) {
     std::unordered_map<std::uint64_t, VictimEligibility> cls;
     int n = 1 + static_cast<int>(lcg_next(s) % 12);
     for (int i = 0; i < n; ++i) {
-      SliceKey k{static_cast<VaBlockId>(i + 1), 0};
-      lru.on_slice_allocated(k);
-      cls[k.packed()] = static_cast<VictimEligibility>(lcg_next(s) % 3);
+      const auto k = static_cast<VaBlockId>(i + 1);
+      lru.on_block_allocated(k);
+      cls[k] = static_cast<VictimEligibility>(lcg_next(s) % 3);
     }
-    auto classify = [&](SliceKey k) { return cls.at(k.packed()); };
-    std::optional<SliceKey> expect;
+    auto classify = [&](VaBlockId k) { return cls.at(k); };
+    std::optional<VaBlockId> expect;
     auto order = lru.order();  // MRU first; scan is from the LRU end
     for (auto it = order.rbegin(); it != order.rend(); ++it) {
       if (classify(*it) == VictimEligibility::Preferred) {
@@ -166,18 +155,18 @@ TEST(LruEviction, RoundParkingKeepsEvictionOrderUnchanged) {
     std::unordered_map<std::uint64_t, VictimEligibility> cls;
     const int n = 16;
     for (int i = 0; i < n; ++i) {
-      SliceKey k{static_cast<VaBlockId>(i + 1), 0};
-      fast.on_slice_allocated(k);
-      naive.on_slice_allocated(k);
-      cls[k.packed()] = static_cast<VictimEligibility>(lcg_next(s) % 3);
+      const auto k = static_cast<VaBlockId>(i + 1);
+      fast.on_block_allocated(k);
+      naive.on_block_allocated(k);
+      cls[k] = static_cast<VictimEligibility>(lcg_next(s) % 3);
     }
-    auto classify = [&](SliceKey k) { return cls.at(k.packed()); };
+    auto classify = [&](VaBlockId k) { return cls.at(k); };
     auto naive_pick = [&] {
-      auto v = naive.pick_victim([&](SliceKey k) {
+      auto v = naive.pick_victim([&](VaBlockId k) {
         return classify(k) == VictimEligibility::Preferred;
       });
       if (!v) {
-        v = naive.pick_victim([&](SliceKey k) {
+        v = naive.pick_victim([&](VaBlockId k) {
           return classify(k) != VictimEligibility::Ineligible;
         });
       }
@@ -189,8 +178,8 @@ TEST(LruEviction, RoundParkingKeepsEvictionOrderUnchanged) {
       auto b = naive_pick();
       EXPECT_EQ(a, b) << "iter " << iter;
       if (!a || !b) break;
-      fast.on_slice_evicted(*a);
-      naive.on_slice_evicted(*b);
+      fast.on_block_evicted(*a);
+      naive.on_block_evicted(*b);
     }
     fast.end_victim_round();
     EXPECT_EQ(fast.order(), naive.order()) << "iter " << iter;
@@ -199,16 +188,16 @@ TEST(LruEviction, RoundParkingKeepsEvictionOrderUnchanged) {
 
 TEST(LruEviction, EarlyRoundEndAfterPreferredKeepsOrder) {
   // Regression: with MRU order [Preferred, Ineligible, Eligible] the scan
-  // parks the Ineligible slice and returns the Preferred one while the
-  // Eligible slice is still in place. Ending the round right after that
+  // parks the Ineligible block and returns the Preferred one while the
+  // Eligible block is still in place. Ending the round right after that
   // single eviction must leave the survivors in their original order
   // (Ineligible still more MRU than Eligible).
   LruEviction lru;
-  lru.on_slice_allocated({3, 0});  // Eligible — LRU
-  lru.on_slice_allocated({2, 0});  // Ineligible
-  lru.on_slice_allocated({1, 0});  // Preferred — MRU
-  auto classify = [](SliceKey k) {
-    switch (k.block) {
+  lru.on_block_allocated(3);  // Eligible — LRU
+  lru.on_block_allocated(2);  // Ineligible
+  lru.on_block_allocated(1);  // Preferred — MRU
+  auto classify = [](VaBlockId k) {
+    switch (k) {
       case 1: return VictimEligibility::Preferred;
       case 2: return VictimEligibility::Ineligible;
       default: return VictimEligibility::Eligible;
@@ -217,17 +206,17 @@ TEST(LruEviction, EarlyRoundEndAfterPreferredKeepsOrder) {
   lru.begin_victim_round();
   auto v = lru.pick_victim_classified(classify);
   ASSERT_TRUE(v);
-  EXPECT_EQ(v->block, 1u);
-  lru.on_slice_evicted(*v);
+  EXPECT_EQ(*v, 1u);
+  lru.on_block_evicted(*v);
   lru.end_victim_round();
   auto order = lru.order();
   ASSERT_EQ(order.size(), 2u);
-  EXPECT_EQ(order[0].block, 2u);
-  EXPECT_EQ(order[1].block, 3u);
-  // The next eviction therefore takes the Eligible slice, not block 2.
+  EXPECT_EQ(order[0], 2u);
+  EXPECT_EQ(order[1], 3u);
+  // The next eviction therefore takes the Eligible block, not block 2.
   auto next = lru.pick_victim_classified(classify);
   ASSERT_TRUE(next);
-  EXPECT_EQ(next->block, 3u);
+  EXPECT_EQ(*next, 3u);
 }
 
 TEST(LruEviction, RoundEndedMidDrainKeepsEvictionOrderUnchanged) {
@@ -240,18 +229,18 @@ TEST(LruEviction, RoundEndedMidDrainKeepsEvictionOrderUnchanged) {
     std::unordered_map<std::uint64_t, VictimEligibility> cls;
     const int n = 16;
     for (int i = 0; i < n; ++i) {
-      SliceKey k{static_cast<VaBlockId>(i + 1), 0};
-      fast.on_slice_allocated(k);
-      naive.on_slice_allocated(k);
-      cls[k.packed()] = static_cast<VictimEligibility>(lcg_next(s) % 3);
+      const auto k = static_cast<VaBlockId>(i + 1);
+      fast.on_block_allocated(k);
+      naive.on_block_allocated(k);
+      cls[k] = static_cast<VictimEligibility>(lcg_next(s) % 3);
     }
-    auto classify = [&](SliceKey k) { return cls.at(k.packed()); };
+    auto classify = [&](VaBlockId k) { return cls.at(k); };
     auto naive_pick = [&] {
-      auto v = naive.pick_victim([&](SliceKey k) {
+      auto v = naive.pick_victim([&](VaBlockId k) {
         return classify(k) == VictimEligibility::Preferred;
       });
       if (!v) {
-        v = naive.pick_victim([&](SliceKey k) {
+        v = naive.pick_victim([&](VaBlockId k) {
           return classify(k) != VictimEligibility::Ineligible;
         });
       }
@@ -264,8 +253,8 @@ TEST(LruEviction, RoundEndedMidDrainKeepsEvictionOrderUnchanged) {
       auto b = naive_pick();
       EXPECT_EQ(a, b) << "iter " << iter;
       if (!a || !b) break;
-      fast.on_slice_evicted(*a);
-      naive.on_slice_evicted(*b);
+      fast.on_block_evicted(*a);
+      naive.on_block_evicted(*b);
       EXPECT_EQ(fast.order(), naive.order()) << "iter " << iter;
     }
   }
@@ -273,14 +262,14 @@ TEST(LruEviction, RoundEndedMidDrainKeepsEvictionOrderUnchanged) {
 
 TEST(LruEviction, EndRoundRestoresExactOrder) {
   LruEviction lru;
-  for (VaBlockId b = 1; b <= 5; ++b) lru.on_slice_allocated({b, 0});
+  for (VaBlockId b = 1; b <= 5; ++b) lru.on_block_allocated(b);
   auto before = lru.order();
   lru.begin_victim_round();
   EXPECT_FALSE(
-      lru.pick_victim_classified([](SliceKey) {
+      lru.pick_victim_classified([](VaBlockId) {
            return VictimEligibility::Ineligible;
          }).has_value());
-  // Parked slices still appear at their logical positions mid-round.
+  // Parked blocks still appear at their logical positions mid-round.
   EXPECT_EQ(lru.order(), before);
   lru.end_victim_round();
   EXPECT_EQ(lru.order(), before);
@@ -288,140 +277,91 @@ TEST(LruEviction, EndRoundRestoresExactOrder) {
 
 TEST(LruEviction, TouchDuringRoundPromotesParkedSlice) {
   LruEviction lru;
-  for (VaBlockId b = 1; b <= 3; ++b) lru.on_slice_allocated({b, 0});
+  for (VaBlockId b = 1; b <= 3; ++b) lru.on_block_allocated(b);
   // MRU order now 3, 2, 1.
   lru.begin_victim_round();
-  auto v = lru.pick_victim_classified([](SliceKey k) {
-    return k.block == 3 ? VictimEligibility::Preferred
+  auto v = lru.pick_victim_classified([](VaBlockId k) {
+    return k == 3 ? VictimEligibility::Preferred
                         : VictimEligibility::Ineligible;
   });
   ASSERT_TRUE(v);
-  EXPECT_EQ(v->block, 3u);  // 1 and 2 were parked on the way
-  lru.on_slice_touched({1, 0});  // a parked slice can still be promoted
+  EXPECT_EQ(*v, 3u);  // 1 and 2 were parked on the way
+  lru.on_block_touched(1);  // a parked block can still be promoted
   lru.end_victim_round();
   auto order = lru.order();
   ASSERT_EQ(order.size(), 3u);
-  EXPECT_EQ(order[0].block, 1u);  // MRU: the touch won
-  EXPECT_EQ(order[1].block, 3u);
-  EXPECT_EQ(order[2].block, 2u);
+  EXPECT_EQ(order[0], 1u);  // MRU: the touch won
+  EXPECT_EQ(order[1], 3u);
+  EXPECT_EQ(order[2], 2u);
 }
 
 TEST(LruEviction, EvictParkedSliceDuringRound) {
   LruEviction lru;
-  for (VaBlockId b = 1; b <= 3; ++b) lru.on_slice_allocated({b, 0});
+  for (VaBlockId b = 1; b <= 3; ++b) lru.on_block_allocated(b);
   lru.begin_victim_round();
   EXPECT_FALSE(
-      lru.pick_victim_classified([](SliceKey) {
+      lru.pick_victim_classified([](VaBlockId) {
            return VictimEligibility::Ineligible;
          }).has_value());
-  lru.on_slice_evicted({1, 0});  // parked slices can still be removed
+  lru.on_block_evicted(1);  // parked blocks can still be removed
   lru.end_victim_round();
   EXPECT_EQ(lru.tracked(), 2u);
   auto order = lru.order();
   ASSERT_EQ(order.size(), 2u);
-  EXPECT_EQ(order[0].block, 3u);
-  EXPECT_EQ(order[1].block, 2u);
+  EXPECT_EQ(order[0], 3u);
+  EXPECT_EQ(order[1], 2u);
 }
 
 TEST(LruEviction, RoundScanSkipsParkedTail) {
   // The perf fix under test: with a long ineligible LRU tail, the second
   // scan of a round must not re-walk it.
   LruEviction lru;
-  for (VaBlockId b = 1; b <= 10; ++b) lru.on_slice_allocated({b, 0});
-  auto classify = [](SliceKey k) {
-    return k.block >= 9 ? VictimEligibility::Preferred
+  for (VaBlockId b = 1; b <= 10; ++b) lru.on_block_allocated(b);
+  auto classify = [](VaBlockId k) {
+    return k >= 9 ? VictimEligibility::Preferred
                         : VictimEligibility::Ineligible;
   };
   lru.begin_victim_round();
   auto v1 = lru.pick_victim_classified(classify);
   ASSERT_TRUE(v1);
-  EXPECT_EQ(v1->block, 9u);
+  EXPECT_EQ(*v1, 9u);
   EXPECT_EQ(lru.last_scan_length(), 9u);  // walked the 8 ineligible + hit
-  lru.on_slice_evicted(*v1);
+  lru.on_block_evicted(*v1);
   auto v2 = lru.pick_victim_classified(classify);
   ASSERT_TRUE(v2);
-  EXPECT_EQ(v2->block, 10u);
+  EXPECT_EQ(*v2, 10u);
   EXPECT_EQ(lru.last_scan_length(), 1u);  // the parked tail was skipped
   lru.end_victim_round();
 }
 
 TEST(AccessCounterEviction, NotificationPromotes) {
-  AccessCounterEviction ac(/*pages_per_slice=*/kPagesPerBlock);
-  ac.on_slice_allocated({1, 0});
-  ac.on_slice_allocated({2, 0});
+  AccessCounterEviction ac;
+  ac.on_block_allocated(1);
+  ac.on_block_allocated(2);
   // Block 1 is hot: access counters report it even though it never faults.
   AccessCounterNotification n;
   n.block = 1;
   n.big_page = 3;
   ac.on_access_notification(n);
-  EXPECT_EQ(ac.promotions(), 1u);
   auto v = ac.pick_victim(any);
   ASSERT_TRUE(v);
-  EXPECT_EQ(v->block, 2u);  // hot block survives
+  EXPECT_EQ(*v, 2u);  // hot block survives
 }
 
-TEST(AccessCounterEviction, NotificationMapsBigPageToSlice) {
-  // 128-page slices: big page 20 (pages 320-335) lands in slice 2.
-  AccessCounterEviction ac(/*pages_per_slice=*/128);
-  ac.on_slice_allocated({1, 2});
-  ac.on_slice_allocated({1, 3});
+TEST(AccessCounterEviction, NotificationForAnyBigPagePromotesItsBlock) {
+  // A block is one tracking unit: a notification for its last big page
+  // promotes it exactly as one for its first would.
+  AccessCounterEviction ac;
+  for (VaBlockId b = 1; b <= 3; ++b) ac.on_block_allocated(b);
   AccessCounterNotification n;
   n.block = 1;
-  n.big_page = 20;
+  n.big_page = kBigPagesPerBlock - 1;
   ac.on_access_notification(n);
-  auto v = ac.pick_victim(any);
-  ASSERT_TRUE(v);
-  EXPECT_EQ(v->slice, 3u);
-}
-
-// Regression: the old `block * kPagesPerBlock + slice` packing aliased
-// {block b, slice s >= 512} with {block b+1, slice s-512}, so two distinct
-// slices shared one hash-map entry and evicting one forgot the other. The
-// shifted 32/32 key must keep them distinct, including at block IDs large
-// enough that the old multiply was deep into its wraparound regime.
-TEST(SliceKey, PackedIsInjectiveAcrossBlocks) {
-  const SliceKey a{0, kPagesPerBlock};  // old scheme: == {1, 0}
-  const SliceKey b{1, 0};
-  EXPECT_NE(a.packed(), b.packed());
-  EXPECT_EQ(a.packed() >> 32, 0u);  // block lives in the upper half
-  EXPECT_EQ(b.packed() >> 32, 1u);
-
-  // Large block IDs: the old multiply collided {2^55, 0} with {0, 0} after
-  // the 64-bit wrap; the shifted key stays injective below 2^32 blocks.
-  const SliceKey big{0xFFFF'FFFFull, 7};
-  EXPECT_EQ(big.packed() >> 32, 0xFFFF'FFFFull);
-  EXPECT_EQ(big.packed() & 0xFFFF'FFFFull, 7u);
-
-  // Dense pairwise check over a grid spanning both halves.
-  std::vector<std::uint64_t> keys;
-  for (std::uint64_t blk : {0ull, 1ull, 2ull, 511ull, 512ull, 513ull,
-                            (1ull << 31), 0xFFFF'FFFFull}) {
-    for (std::uint32_t slice : {0u, 1u, 511u, 512u, 1023u}) {
-      keys.push_back(SliceKey{blk, slice}.packed());
-    }
-  }
-  std::sort(keys.begin(), keys.end());
-  EXPECT_EQ(std::adjacent_find(keys.begin(), keys.end()), keys.end())
-      << "packed() produced a collision";
-}
-
-// The LRU keyed by packed() must treat old-scheme aliases as distinct
-// slices end to end: evicting one leaves the other tracked and evictable.
-TEST(LruEviction, NoAliasingAtOldCollisionPoints) {
-  LruEviction lru;
-  lru.on_slice_allocated({0, kPagesPerBlock});
-  lru.on_slice_allocated({1, 0});
-  EXPECT_EQ(lru.tracked(), 2u);
-  lru.on_slice_evicted({0, kPagesPerBlock});
-  EXPECT_EQ(lru.tracked(), 1u);
-  auto v = lru.pick_victim(any);
-  ASSERT_TRUE(v);
-  EXPECT_EQ(v->block, 1u);
-  EXPECT_EQ(v->slice, 0u);
+  EXPECT_EQ(ac.order(), (std::vector<VaBlockId>{1, 3, 2}));
 }
 
 TEST(AccessCounterEviction, Name) {
-  AccessCounterEviction ac(kPagesPerBlock);
+  AccessCounterEviction ac;
   EXPECT_STREQ(ac.name(), "access_counter");
   LruEviction lru;
   EXPECT_STREQ(lru.name(), "lru");

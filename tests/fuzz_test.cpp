@@ -40,9 +40,8 @@ FuzzCase make_config(Rng& rng) {
   cfg.driver.fetch_policy = rng.next_below(2) == 0
                                 ? FetchPolicy::PollReady
                                 : FetchPolicy::StopAtNotReady;
-  cfg.driver.eviction_policy = rng.next_below(3) == 0
-                                   ? EvictionPolicyKind::AccessCounter
-                                   : EvictionPolicyKind::Lru;
+  cfg.driver.eviction_policy =
+      static_cast<EvictionPolicyKind>(rng.next_below(4));
   cfg.driver.access_counter_migration = rng.next_below(4) == 0;
   cfg.driver.pipelined_migrations = rng.next_below(3) == 0;
 
@@ -172,6 +171,14 @@ TEST_P(FuzzInvariants, SystemInvariantsHold) {
     backed_bytes += sim.address_space().block(b).backing.backed_bytes();
   }
   EXPECT_EQ(backed_bytes, sim.pma().bytes_in_use());
+
+  // The eviction policy tracks exactly the blocks holding backing: one
+  // missed allocate or evict notification strands a block or its memory.
+  std::size_t backed_blocks = 0;
+  for (std::size_t b = 0; b < sim.address_space().num_blocks(); ++b) {
+    if (sim.address_space().block(b).backing.any()) ++backed_blocks;
+  }
+  EXPECT_EQ(sim.driver().eviction_policy().tracked(), backed_blocks);
 
   // Fault conservation.
   EXPECT_EQ(r.counters.faults_fetched,
