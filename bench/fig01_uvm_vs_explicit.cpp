@@ -14,14 +14,15 @@
 
 #include "baseline/explicit_transfer.h"
 #include "bench_common.h"
-#include "core/experiment.h"
 #include "core/metrics.h"
 #include "core/report.h"
+#include "sweep_runner.h"
 
 int main() {
   using namespace uvmsim;
   using namespace uvmsim::bench;
 
+  SweepRunner runner;
   for (const std::string wl : {"regular", "random"}) {
     Table t({"size_pct", "bytes", "explicit", "uvm_nopf", "uvm_pf",
              "nopf_slowdown", "pf_slowdown"});
@@ -39,29 +40,26 @@ int main() {
     SimDuration pf_last_under = 0, pf_first_over = 0;
 
     // The three runs per sweep point are independent deterministic
-    // simulations: fan them out on the shared pool.
+    // simulations: fan them out across the sweep runner.
     struct Row {
       SimDuration explicit_total = 0;
       SimDuration nopf = 0;
       SimDuration pf = 0;
     };
-    std::vector<std::function<Row()>> jobs;
-    for (double ratio : ratios) {
-      auto bytes = static_cast<std::uint64_t>(
-          ratio * static_cast<double>(gpu_bytes()));
-      jobs.emplace_back([wl, bytes] {
-        Row row;
-        auto wl_ex = make_workload(wl, bytes);
-        row.explicit_total =
-            ExplicitTransfer::run(base_config(), *wl_ex).total;
-        SimConfig nopf = base_config();
-        nopf.driver.prefetch = PrefetchMode::Off;
-        row.nopf = run_workload(nopf, wl, bytes).total_kernel_time();
-        row.pf = run_workload(base_config(), wl, bytes).total_kernel_time();
-        return row;
-      });
-    }
-    std::vector<Row> rows = run_sweep(std::move(jobs), shared_pool());
+    const std::vector<Row> rows =
+        runner.sweep(ratios, [&wl](const double& ratio) {
+          auto bytes = static_cast<std::uint64_t>(
+              ratio * static_cast<double>(gpu_bytes()));
+          Row row;
+          auto wl_ex = make_workload(wl, bytes);
+          row.explicit_total =
+              ExplicitTransfer::run(base_config(), *wl_ex).total;
+          SimConfig nopf = base_config();
+          nopf.driver.prefetch = PrefetchMode::Off;
+          row.nopf = run_workload(nopf, wl, bytes).total_kernel_time();
+          row.pf = run_workload(base_config(), wl, bytes).total_kernel_time();
+          return row;
+        });
 
     for (std::size_t i = 0; i < ratios.size(); ++i) {
       double ratio = ratios[i];

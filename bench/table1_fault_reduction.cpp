@@ -10,9 +10,9 @@
 #include <map>
 
 #include "bench_common.h"
-#include "core/experiment.h"
 #include "core/metrics.h"
 #include "core/report.h"
+#include "sweep_runner.h"
 
 int main() {
   using namespace uvmsim;
@@ -43,19 +43,18 @@ int main() {
     std::uint64_t faults_nopf = 0;
     std::uint64_t faults_pf = 0;
   };
-  std::vector<std::function<Row()>> jobs;
-  for (const auto& name : names) {
-    jobs.emplace_back([name, target] {
-      Row row;
-      SimConfig nopf = base_config();
-      nopf.driver.prefetch = PrefetchMode::Off;
-      row.faults_nopf = run_workload(nopf, name, target).counters.faults_fetched;
-      row.faults_pf =
-          run_workload(base_config(), name, target).counters.faults_fetched;
-      return row;
-    });
-  }
-  std::vector<Row> rows = run_sweep(std::move(jobs), shared_pool());
+  SweepRunner runner;
+  const std::vector<Row> rows =
+      runner.sweep(names, [target](const std::string& name) {
+        Row row;
+        SimConfig nopf = base_config();
+        nopf.driver.prefetch = PrefetchMode::Off;
+        row.faults_nopf =
+            run_workload(nopf, name, target).counters.faults_fetched;
+        row.faults_pf =
+            run_workload(base_config(), name, target).counters.faults_fetched;
+        return row;
+      });
 
   for (std::size_t i = 0; i < names.size(); ++i) {
     const std::string& name = names[i];

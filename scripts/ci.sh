@@ -114,7 +114,8 @@ rm -f "$TRACE_OUT"
 echo "== sweep determinism (UVMSIM_THREADS=1 vs 4 stdout must match) =="
 SWEEP_BENCHES=(fig09_oversub_breakdown fig10_sgemm_oversub_rate
                abl1_threshold_sweep abl2_batch_size table2_sgemm_fault_scaling
-               fig_policy_crossover)
+               fig_policy_crossover fig01_uvm_vs_explicit
+               table1_fault_reduction)
 SWEEP_TMP=$(mktemp -d /tmp/uvmsim-sweep.XXXXXX)
 for b in "${SWEEP_BENCHES[@]}"; do
   UVMSIM_FAST=1 UVMSIM_THREADS=1 "./build/bench/$b" > "$SWEEP_TMP/$b.t1.txt"

@@ -7,8 +7,8 @@
 //   uvmsim::RunResult r = sim.run();             // drive to completion
 //
 // One Simulator = one application run. Instances are single-threaded and
-// deterministic for a fixed config; run independent instances on a
-// ThreadPool for parameter sweeps.
+// deterministic for a fixed config; parameter sweeps run independent
+// instances in parallel (bench::SweepRunner, campaign::TaskExecutor).
 #pragma once
 
 #include <cstddef>
