@@ -28,7 +28,7 @@ KernelSpec skewed_lookups(const VaRange& table, Rng& rng,
                           std::uint64_t lookups) {
   GridBuilder g("skewed_lookups");
   std::uint64_t hot_pages = std::max<std::uint64_t>(table.num_pages / 64, 16);
-  std::vector<VirtPage> pages;
+  std::vector<LanePage> pages;
   for (std::uint64_t i = 0; i < lookups; i += 16) {
     AccessStream& s = g.new_warp();
     pages.clear();
@@ -37,7 +37,7 @@ KernelSpec skewed_lookups(const VaRange& table, Rng& rng,
       bool hot = rng.next_below(10) != 0;
       std::uint64_t page = hot ? rng.next_below(hot_pages)
                                : rng.next_below(table.num_pages);
-      pages.push_back(table.first_page + page);
+      pages.push_back(lane_page(table.first_page + page));
     }
     s.add(pages, /*write=*/false, 500);
   }

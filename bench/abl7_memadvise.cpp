@@ -38,11 +38,11 @@ RunResult run_sparse_reader(SimConfig cfg, double oversub, double fraction,
       fraction * static_cast<double>(r.num_pages));
 
   GridBuilder g("sparse_reader");
-  std::vector<VirtPage> pages;
+  std::vector<LanePage> pages;
   for (std::uint64_t i = 0; i < touches; i += 16) {
     pages.clear();
     for (std::uint64_t k = 0; k < 16 && i + k < touches; ++k) {
-      pages.push_back(r.first_page + rng.next_below(r.num_pages));
+      pages.push_back(lane_page(r.first_page + rng.next_below(r.num_pages)));
     }
     g.new_warp().add(pages, /*write=*/false, 600);
   }

@@ -67,7 +67,7 @@ case "$(uname -m)" in
 esac
 ctest --test-dir build -j"$JOBS" --output-on-failure
 
-echo "== memory guard (1 GiB sgemm under a 256 MiB address-space cap) =="
+echo "== memory guard (1 GiB sgemm in 256 MiB; 4 PiB VA is a config error) =="
 # sgemm's grid is generated one resident block at a time from strided
 # records, so its memory must not grow with the grid. A 1 GiB sgemm stored
 # as page lists needs ~1.08 GB and fails here with std::bad_alloc.
@@ -75,6 +75,15 @@ echo "== memory guard (1 GiB sgemm under a 256 MiB address-space cap) =="
  ./build/tools/uvmsim_cli --workload sgemm --size-mib 1024 --gpu-mib 2048 \
    --csv > /dev/null) || { echo "memory guard FAILED"; exit 1; }
 echo "memory guard: sgemm 1 GiB fits in 256 MiB"
+# Managed VA is bounded below 2^32 pages (16 TiB) before any VABlock is
+# built, so a 4 PiB request is a config error (exit 2), not std::bad_alloc.
+rc=0
+(ulimit -v 2097152
+ ./build/tools/uvmsim_cli --workload regular --size-mib 4294967296 \
+   --gpu-mib 32 > /dev/null 2>&1) || rc=$?
+[ "$rc" -eq 2 ] \
+  || { echo "memory guard FAILED: 4 PiB exited $rc, not 2"; exit 1; }
+echo "memory guard: 4 PiB of managed VA is a config error"
 
 echo "== clang-tidy (best effort) =="
 if command -v clang-tidy >/dev/null 2>&1; then

@@ -7,7 +7,8 @@
 // these streams, faulting on non-resident pages.
 //
 // A record is stored in one of two forms. An explicit record lists its
-// pages (one flattened page vector per stream). A strided record describes
+// pages as 32-bit lanes (one flattened lane vector per stream; AddressSpace
+// keeps every page number below 2^32). A strided record describes
 // them: `rows` byte segments at a fixed byte stride, which is how a tiled
 // kernel walks a row-major matrix. Its pages are generated when the record
 // executes, so regular kernels cost a few words per record, not a word per
@@ -30,7 +31,7 @@
 namespace uvmsim {
 
 /// One warp-wide access of `page_count` distinct pages. An explicit
-/// record's pages start at index `page_begin` of the owning stream's page
+/// record's lanes start at index `page_begin` of the owning stream's lane
 /// vector; a strided record's descriptor is the stream's StridedAccess
 /// number `page_begin`.
 struct AccessRecord {
@@ -54,9 +55,10 @@ struct StridedAccess {
 /// The ordered accesses of a single warp.
 class AccessStream {
  public:
-  /// Appends a record touching `pages` (distinct pages of one coalesced
-  /// warp access).
-  void add(std::span<const VirtPage> pages, bool write,
+  /// Appends a record touching the distinct pages of `pages` in first-
+  /// occurrence order (one coalesced warp access). Throws if more than
+  /// 65535 distinct pages remain.
+  void add(std::span<const LanePage> pages, bool write,
            std::uint32_t compute_ns);
 
   /// Appends a record touching the contiguous pages [first, first+count):
@@ -82,8 +84,8 @@ class AccessStream {
   }
   /// Pages of record i in lane order. An explicit record's span points into
   /// the stream; a strided record is expanded into `buf`.
-  [[nodiscard]] std::span<const VirtPage> pages(
-      std::size_t i, std::vector<VirtPage>& buf) const {
+  [[nodiscard]] std::span<const LanePage> pages(
+      std::size_t i, std::vector<LanePage>& buf) const {
     const AccessRecord& r = records_[i];
     if (!r.strided) return {pages_.data() + r.page_begin, r.page_count};
     expand(strided_[r.page_begin], buf);
@@ -93,9 +95,9 @@ class AccessStream {
   [[nodiscard]] std::size_t total_page_touches() const;
 
  private:
-  static void expand(const StridedAccess& s, std::vector<VirtPage>& out);
+  static void expand(const StridedAccess& s, std::vector<LanePage>& out);
 
-  std::vector<VirtPage> pages_;
+  std::vector<LanePage> pages_;
   std::vector<StridedAccess> strided_;
   std::vector<AccessRecord> records_;
 };

@@ -161,8 +161,8 @@ UVMSIM_HOT void GpuEngine::step_warp(WarpRef ref) {
 
   // First attempt at this record: every lane accesses. On replayed retries
   // only the previously-missing lanes re-access (per-lane park semantics).
-  const std::span<const VirtPage> lanes =
-      w.record_in_flight ? std::span<const VirtPage>(w.pending_pages)
+  const std::span<const LanePage> lanes =
+      w.record_in_flight ? std::span<const LanePage>(w.pending_pages)
                          : s.pages(w.pos, lanes_);
 
   SimDuration walk_penalty = 0;
@@ -171,7 +171,7 @@ UVMSIM_HOT void GpuEngine::step_warp(WarpRef ref) {
   // Lanes of one access mostly share a VaBlock: look it up once per run.
   VaBlockId blk_id = ~VaBlockId{0};
   VaBlock* blk = nullptr;
-  for (VirtPage p : lanes) {
+  for (const LanePage p : lanes) {
     const bool tlb_hit = utlb.lookup(p);
     if (tlb_hit) {
       ++utlb_hits_;
@@ -251,7 +251,7 @@ UVMSIM_HOT void GpuEngine::step_warp(WarpRef ref) {
                          rng_.next_below(cfg_.jitter_ns + 1));
 }
 
-bool GpuEngine::raise_fault(Warp& w, KernelStats& ks, VirtPage p, bool write,
+bool GpuEngine::raise_fault(Warp& w, KernelStats& ks, LanePage p, bool write,
                             VaBlockId blk, std::uint32_t base_pi) {
   FaultEntry e;
   e.fault_id = next_fault_id_++;
@@ -303,7 +303,7 @@ void GpuEngine::complete_warp(std::uint32_t si, Warp& w) {
 void GpuEngine::replay() {
   // The replay retries every parked access; pending-fault markers and SM
   // fault slots reset (unsatisfied accesses will raise fresh entries).
-  for (VirtPage p : pending_used_) {
+  for (const LanePage p : pending_used_) {
     pending_[block_of_page(p)].reset(
         page_in_block(p) & ~(cfg_.fault_granularity_pages - 1));
   }

@@ -220,7 +220,7 @@ class GpuEngine {
   /// Pushes a fault entry for missing page `p` of `w`'s record, whose base
   /// page is `base_pi` of `blk`, and takes one of the SM's fault slots.
   /// Returns true if the entry reached the buffer.
-  bool raise_fault(Warp& w, KernelStats& ks, VirtPage p, bool write,
+  bool raise_fault(Warp& w, KernelStats& ks, LanePage p, bool write,
                    VaBlockId blk, std::uint32_t base_pi);
   /// Retires warp `w` of `slot`; may recycle the slot and complete its
   /// kernel (invalidating both).
@@ -249,8 +249,8 @@ class GpuEngine {
   /// steady state: a strided record's expanded lanes, the lanes still
   /// missing after a step (swapped into the warp), and the warps a replay
   /// resumes.
-  std::vector<VirtPage> lanes_;
-  std::vector<VirtPage> missing_;
+  std::vector<LanePage> lanes_;
+  std::vector<LanePage> missing_;
   std::vector<WarpRef> resuming_;
   /// Replays that found parked warps; numbers them for last_replay_seen.
   std::uint64_t replays_ = 0;
@@ -272,7 +272,7 @@ class GpuEngine {
   /// pending_used_, which never holds more than num_sms × utlb_fault_slots
   /// pages (each entry takes an SM fault slot).
   std::vector<PageMask> pending_;
-  std::vector<VirtPage> pending_used_;
+  std::vector<LanePage> pending_used_;
   /// Outstanding fault entries per SM since the last replay.
   std::vector<std::uint32_t> sm_outstanding_faults_;
 };

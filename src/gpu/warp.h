@@ -34,7 +34,7 @@ struct Warp {
   /// even if its page is evicted before the warp finishes — this per-lane
   /// monotonicity is what guarantees forward progress under eviction
   /// thrash.
-  std::vector<VirtPage> pending_pages;
+  std::vector<LanePage> pending_pages;
   bool record_in_flight = false;
 
   SimTime stall_start = 0;        ///< when the warp parked (for stall stats)

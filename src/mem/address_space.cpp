@@ -1,6 +1,7 @@
 #include "mem/address_space.h"
 
 #include <stdexcept>
+#include <string>
 
 #include "core/errors.h"
 
@@ -14,21 +15,22 @@ RangeId AddressSpace::create_range(std::uint64_t bytes, std::string name,
   r.id = static_cast<RangeId>(ranges_.size());
   r.name = std::move(name);
   r.bytes = bytes;
-  r.num_pages = (bytes + kPageSize - 1) / kPageSize;
+  r.num_pages = bytes / kPageSize + (bytes % kPageSize != 0 ? 1 : 0);
   // Ranges are laid out back to back, each starting on a VABlock boundary
   // (cudaMallocManaged returns block-aligned allocations for large sizes).
   r.first_block = blocks_.size();
   r.first_page = first_page_of_block(r.first_block);
   r.num_blocks = (r.num_pages + kPagesPerBlock - 1) / kPagesPerBlock;
-  // The eviction policies link tracked blocks by 32-bit block index, with
-  // ~0u as the nil link, so every block ID must lie below 2^32 - 1. Prove
-  // the bound here, before any simulated time elapses: 2^32 blocks x 2 MB =
-  // 8 EB of managed VA, beyond anything this simulates.
-  if (r.first_block + r.num_blocks > (std::uint64_t{1} << 32) - 1) {
+  // Access streams store a lane as a 32-bit page number, so the managed VA
+  // must end below 2^32 pages (16 TiB). Prove it here, before a VaBlock is
+  // built: a huge request fails as a config error, not as an allocation
+  // failure. The bound also keeps block IDs far below the eviction
+  // policies' 32-bit nil link.
+  if (r.num_blocks >= kVaPageLimit / kPagesPerBlock - r.first_block) {
     throw ConfigError("AddressSpace.range_bytes",
-                      "total managed VA needs 2^32 - 1 or more VABlocks; "
-                      "block IDs would overflow the eviction policies' "
-                      "32-bit links");
+                      "a range of " + std::to_string(bytes) +
+                          " bytes takes managed VA to 2^32 pages (16 TiB) "
+                          "or more; lanes store 32-bit page numbers");
   }
 
   for (std::uint64_t b = 0; b < r.num_blocks; ++b) {

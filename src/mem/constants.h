@@ -7,6 +7,7 @@
 // GPU physical allocation and eviction.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 
 namespace uvmsim {
@@ -40,6 +41,20 @@ static_assert(kBigPagesPerBlock == 32);
 
 /// Global 4 KB virtual page number (virtual address >> 12).
 using VirtPage = std::uint64_t;
+
+/// Managed VA stays below this many pages (16 TiB): AddressSpace rejects a
+/// range that would reach it, so every page of every range fits a LanePage.
+inline constexpr std::uint64_t kVaPageLimit = std::uint64_t{1} << 32;
+
+/// A 4 KB page number in 32 bits: the page of one warp lane, as access
+/// streams store it.
+using LanePage = std::uint32_t;
+
+/// Page `p` of a managed range as a lane.
+constexpr LanePage lane_page(VirtPage p) {
+  assert(p < kVaPageLimit);
+  return static_cast<LanePage>(p);
+}
 
 /// Global VABlock number (virtual address >> 21).
 using VaBlockId = std::uint64_t;

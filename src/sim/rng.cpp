@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <numbers>
+#include <numeric>
 #include <stdexcept>
 
 namespace uvmsim {
@@ -61,9 +62,12 @@ double Rng::next_gaussian(double mean, double stddev) {
 
 Rng Rng::fork() { return Rng(next_u64()); }
 
-std::vector<std::uint64_t> Rng::permutation(std::uint64_t n) {
-  std::vector<std::uint64_t> v(n);
-  for (std::uint64_t i = 0; i < n; ++i) v[i] = i;
+std::vector<std::uint32_t> Rng::permutation(std::uint64_t n) {
+  if (n > std::uint64_t{1} << 32) {
+    throw std::invalid_argument("Rng::permutation: n exceeds 2^32");
+  }
+  std::vector<std::uint32_t> v(n);
+  std::iota(v.begin(), v.end(), std::uint32_t{0});
   shuffle(v);
   return v;
 }

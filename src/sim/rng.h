@@ -51,8 +51,8 @@ class Rng {
     }
   }
 
-  /// A random permutation of [0, n).
-  std::vector<std::uint64_t> permutation(std::uint64_t n);
+  /// A random permutation of [0, n), n <= 2^32.
+  std::vector<std::uint32_t> permutation(std::uint64_t n);
 
  private:
   std::uint64_t state_;

@@ -38,6 +38,8 @@ void BfsWorkload::setup(Simulator& sim) {
   // Frontier sizes grow with the level (power-law expansion, capped so the
   // total work stays proportional to the edge array).
   std::uint64_t frontier = std::max<std::uint64_t>(vertices / 256, 64);
+  std::vector<LanePage> reads;
+  std::vector<LanePage> writes;
   for (std::uint32_t level = 0; level < levels_; ++level) {
     GridBuilder g("bfs_level" + std::to_string(level));
     constexpr std::uint64_t kVertsPerWarp = 4;
@@ -48,9 +50,8 @@ void BfsWorkload::setup(Simulator& sim) {
         // segment — a contiguous run at a random edge-array offset whose
         // length follows a skewed (power-law-ish) degree distribution.
         std::uint64_t vtx = rng.next_below(vertices);
-        std::vector<VirtPage> reads;
-        auto rp = pages_for_bytes(R.first_page, vtx * 8, 8);
-        reads.insert(reads.end(), rp.begin(), rp.end());
+        reads.clear();
+        append_pages_for_bytes(reads, R.first_page, vtx * 8, 8);
 
         double skew = rng.next_double();
         std::uint64_t degree = static_cast<std::uint64_t>(
@@ -59,13 +60,14 @@ void BfsWorkload::setup(Simulator& sim) {
         degree = std::min<std::uint64_t>(degree, 64 * avg_degree_);
         std::uint64_t start = rng.next_below(std::max<std::uint64_t>(
             edges - degree, 1));
-        auto ep = pages_for_bytes(E.first_page, start * 4, degree * 4);
-        reads.insert(reads.end(), ep.begin(), ep.end());
+        append_pages_for_bytes(reads, E.first_page, start * 4, degree * 4);
         s.add(reads, /*write=*/false, compute_ns_);
 
         // Mark newly discovered vertices in the frontier/visited state.
-        auto wp = pages_for_bytes(S.first_page, rng.next_below(vertices), 1);
-        s.add(wp, /*write=*/true, compute_ns_ / 2);
+        writes.clear();
+        append_pages_for_bytes(writes, S.first_page, rng.next_below(vertices),
+                               1);
+        s.add(writes, /*write=*/true, compute_ns_ / 2);
       }
     }
     sim.launch(g.build(static_cast<double>(frontier) *

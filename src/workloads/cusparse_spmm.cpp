@@ -1,6 +1,7 @@
 #include "workloads/cusparse_spmm.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <vector>
 
@@ -52,8 +53,8 @@ void CusparseSpmm::setup(Simulator& sim) {
       s.add_run(dense.first_page + j0, count, /*write=*/false, compute_ns_);
       // CSR output advances proportionally to the scan position.
       std::uint64_t cj = j0 * csr.num_pages / dense.num_pages;
-      std::vector<VirtPage> w = {csr.first_page +
-                                 std::min(cj, csr.num_pages - 1)};
+      const std::array<LanePage, 1> w = {
+          lane_page(csr.first_page + std::min(cj, csr.num_pages - 1))};
       s.add(w, /*write=*/true, compute_ns_ / 2);
     }
     sim.launch(g.build(static_cast<double>(n_ * n_)));
@@ -68,7 +69,8 @@ void CusparseSpmm::setup(Simulator& sim) {
     // Cap the sampled B pages per row so streams stay bounded for very
     // dense matrices; the page-granularity pattern is preserved.
     const std::uint64_t samples = std::min<std::uint64_t>(nnz_per_row, 8);
-    std::vector<VirtPage> reads;
+    std::vector<LanePage> reads;
+    std::vector<LanePage> writes;
     for (std::uint64_t r0 = 0; r0 < n_; r0 += kRowsPerWarp) {
       AccessStream& s = g.new_warp();
       std::uint64_t hi = std::min(n_, r0 + kRowsPerWarp);
@@ -76,19 +78,19 @@ void CusparseSpmm::setup(Simulator& sim) {
         reads.clear();
         // This row's CSR segment.
         std::uint64_t csr_off = r * nnz_per_row * 8;
-        auto cp = pages_for_bytes(csr.first_page,
-                                  std::min(csr_off, csr.bytes - 8), 8);
-        reads.insert(reads.end(), cp.begin(), cp.end());
+        append_pages_for_bytes(reads, csr.first_page,
+                               std::min(csr_off, csr.bytes - 8), 8);
         // Random B rows named by the sparse columns.
         for (std::uint64_t i = 0; i < samples; ++i) {
           std::uint64_t col = rng.next_below(n_);
-          auto bp = pages_for_bytes(B.first_page, col * row_bytes_b,
-                                    row_bytes_b);
-          reads.insert(reads.end(), bp.begin(), bp.end());
+          append_pages_for_bytes(reads, B.first_page, col * row_bytes_b,
+                                 row_bytes_b);
         }
         s.add(reads, /*write=*/false, compute_ns_);
-        auto wp = pages_for_bytes(C.first_page, r * row_bytes_b, row_bytes_b);
-        s.add(wp, /*write=*/true, compute_ns_ / 2);
+        writes.clear();
+        append_pages_for_bytes(writes, C.first_page, r * row_bytes_b,
+                               row_bytes_b);
+        s.add(writes, /*write=*/true, compute_ns_ / 2);
       }
     }
     sim.launch(g.build(2.0 * static_cast<double>(nnz()) *

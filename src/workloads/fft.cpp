@@ -27,8 +27,8 @@ void FftWorkload::launch_pass(Simulator& sim, const VaRange& r,
       s = &g.new_warp();
       in_warp = 0;
     }
-    std::array<VirtPage, 2> pair = {r.first_page + j,
-                                    r.first_page + (j | stride)};
+    const std::array<LanePage, 2> pair = {
+        lane_page(r.first_page + j), lane_page(r.first_page + (j | stride))};
     s->add(pair, /*write=*/true, compute_ns_);
     ++in_warp;
   }

@@ -30,16 +30,16 @@ std::uint64_t HpgmgWorkload::total_bytes() const {
 
 void HpgmgWorkload::smooth(Simulator& sim, const VaRange& r) {
   GridBuilder g("hpgmg_smooth_" + r.name);
-  std::vector<VirtPage> pages;
+  std::vector<LanePage> pages;
   constexpr std::uint64_t kChunks = 4;
   for (std::uint64_t j0 = 0; j0 < r.num_pages; j0 += kChunks) {
     AccessStream& s = g.new_warp();
     std::uint64_t hi = std::min(r.num_pages, j0 + kChunks);
     for (std::uint64_t j = j0; j < hi; ++j) {
       pages.clear();
-      pages.push_back(r.first_page + j);
-      if (j > 0) pages.push_back(r.first_page + j - 1);
-      if (j + 1 < r.num_pages) pages.push_back(r.first_page + j + 1);
+      pages.push_back(lane_page(r.first_page + j));
+      if (j > 0) pages.push_back(lane_page(r.first_page + j - 1));
+      if (j + 1 < r.num_pages) pages.push_back(lane_page(r.first_page + j + 1));
       s.add(pages, /*write=*/true, compute_ns_);
     }
   }
@@ -49,16 +49,19 @@ void HpgmgWorkload::smooth(Simulator& sim, const VaRange& r) {
 void HpgmgWorkload::restrict_level(Simulator& sim, const VaRange& fine,
                                    const VaRange& coarse) {
   GridBuilder g("hpgmg_restrict_" + fine.name);
+  std::vector<LanePage> reads;
   for (std::uint64_t cj = 0; cj < coarse.num_pages; ++cj) {
     AccessStream& s = g.new_warp();
-    std::vector<VirtPage> reads;
+    reads.clear();
     for (std::uint64_t k = 0; k < 4; ++k) {
       std::uint64_t fj = cj * 4 + k;
-      if (fj < fine.num_pages) reads.push_back(fine.first_page + fj);
+      if (fj < fine.num_pages) {
+        reads.push_back(lane_page(fine.first_page + fj));
+      }
     }
-    if (reads.empty()) reads.push_back(fine.first_page);
+    if (reads.empty()) reads.push_back(lane_page(fine.first_page));
     s.add(reads, /*write=*/false, compute_ns_);
-    std::array<VirtPage, 1> w = {coarse.first_page + cj};
+    const std::array<LanePage, 1> w = {lane_page(coarse.first_page + cj)};
     s.add(w, /*write=*/true, compute_ns_ / 2);
   }
   sim.launch(g.build(static_cast<double>(fine.num_pages) * 2.0));
@@ -67,16 +70,19 @@ void HpgmgWorkload::restrict_level(Simulator& sim, const VaRange& fine,
 void HpgmgWorkload::prolong_level(Simulator& sim, const VaRange& coarse,
                                   const VaRange& fine) {
   GridBuilder g("hpgmg_prolong_" + fine.name);
+  std::vector<LanePage> writes;
   for (std::uint64_t cj = 0; cj < coarse.num_pages; ++cj) {
     AccessStream& s = g.new_warp();
-    std::array<VirtPage, 1> rd = {coarse.first_page + cj};
+    const std::array<LanePage, 1> rd = {lane_page(coarse.first_page + cj)};
     s.add(rd, /*write=*/false, compute_ns_ / 2);
-    std::vector<VirtPage> writes;
+    writes.clear();
     for (std::uint64_t k = 0; k < 4; ++k) {
       std::uint64_t fj = cj * 4 + k;
-      if (fj < fine.num_pages) writes.push_back(fine.first_page + fj);
+      if (fj < fine.num_pages) {
+        writes.push_back(lane_page(fine.first_page + fj));
+      }
     }
-    if (writes.empty()) writes.push_back(fine.first_page);
+    if (writes.empty()) writes.push_back(lane_page(fine.first_page));
     s.add(writes, /*write=*/true, compute_ns_);
   }
   sim.launch(g.build(static_cast<double>(fine.num_pages) * 2.0));
@@ -91,7 +97,8 @@ void HpgmgWorkload::coarse_solve(Simulator& sim, const VaRange& r, Rng& rng) {
   for (std::uint64_t i = 0; i < touches; i += kPerWarp) {
     AccessStream& s = g.new_warp();
     for (std::uint64_t k = 0; k < kPerWarp && i + k < touches; ++k) {
-      std::array<VirtPage, 1> p = {r.first_page + rng.next_below(r.num_pages)};
+      const std::array<LanePage, 1> p = {
+          lane_page(r.first_page + rng.next_below(r.num_pages))};
       s.add(p, /*write=*/true, compute_ns_);
     }
   }

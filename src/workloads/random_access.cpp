@@ -13,15 +13,15 @@ void RandomTouch::setup(Simulator& sim) {
   const VaRange& r = sim.address_space().range(rid);
 
   Rng rng = sim.rng().fork();
-  std::vector<std::uint64_t> perm = rng.permutation(r.num_pages);
+  const std::vector<std::uint32_t> perm = rng.permutation(r.num_pages);
 
   GridBuilder g("random_touch");
-  std::vector<VirtPage> pages;
+  std::vector<LanePage> pages;
   for (std::uint64_t i = 0; i < perm.size(); i += 32) {
     pages.clear();
     std::uint64_t hi = std::min<std::uint64_t>(perm.size(), i + 32);
     for (std::uint64_t j = i; j < hi; ++j) {
-      pages.push_back(r.first_page + perm[j]);
+      pages.push_back(lane_page(r.first_page + perm[j]));
     }
     g.new_warp().add(pages, /*write=*/true, compute_ns_);
   }

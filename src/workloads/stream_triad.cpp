@@ -29,9 +29,10 @@ void StreamTriad::setup(Simulator& sim) {
       AccessStream& s = g.new_warp();
       std::uint64_t hi = std::min(pages, j0 + kChunks);
       for (std::uint64_t j = j0; j < hi; ++j) {
-        std::array<VirtPage, 2> reads = {b.first_page + j, c.first_page + j};
+        const std::array<LanePage, 2> reads = {lane_page(b.first_page + j),
+                                               lane_page(c.first_page + j)};
         s.add(reads, /*write=*/false, compute_ns_);
-        std::array<VirtPage, 1> writes = {a.first_page + j};
+        const std::array<LanePage, 1> writes = {lane_page(a.first_page + j)};
         s.add(writes, /*write=*/true, compute_ns_ / 2);
       }
     }

@@ -1,6 +1,7 @@
 #include "workloads/tealeaf.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <vector>
 
@@ -42,20 +43,21 @@ void TeaLeafWorkload::setup(Simulator& sim) {
   constexpr std::uint64_t kChunks = 4;
   for (std::uint32_t it = 0; it < iterations_; ++it) {
     GridBuilder g("tealeaf_cg_iter");
-    std::vector<VirtPage> reads;
+    std::vector<LanePage> reads;
     for (std::uint64_t j0 = 0; j0 < pages; j0 += kChunks) {
       AccessStream& s = g.new_warp();
       std::uint64_t hi = std::min(pages, j0 + kChunks);
       for (std::uint64_t j = j0; j < hi; ++j) {
         reads.clear();
-        reads.push_back(p.first_page + j);
-        if (j > 0) reads.push_back(p.first_page + j - 1);
-        if (j + 1 < pages) reads.push_back(p.first_page + j + 1);
-        reads.push_back(kx.first_page + j);
-        reads.push_back(ky.first_page + j);
+        reads.push_back(lane_page(p.first_page + j));
+        if (j > 0) reads.push_back(lane_page(p.first_page + j - 1));
+        if (j + 1 < pages) reads.push_back(lane_page(p.first_page + j + 1));
+        reads.push_back(lane_page(kx.first_page + j));
+        reads.push_back(lane_page(ky.first_page + j));
         s.add(reads, /*write=*/false, compute_ns_);
-        std::vector<VirtPage> writes = {w.first_page + j, rr.first_page + j,
-                                        u.first_page + j};
+        const std::array<LanePage, 3> writes = {lane_page(w.first_page + j),
+                                                lane_page(rr.first_page + j),
+                                                lane_page(u.first_page + j)};
         s.add(writes, /*write=*/true, compute_ns_ / 2);
       }
     }

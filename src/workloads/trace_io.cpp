@@ -212,7 +212,7 @@ TraceData capture_trace(Workload& workload, const SimConfig& cfg) {
   }
 
   ThreadBlockSpec slot;  // generated blocks are built here, one at a time
-  std::vector<VirtPage> lanes;
+  std::vector<LanePage> lanes;
   for (const KernelSpec* spec : sim.queued_kernels()) {
     TraceData::Kernel k;
     k.name = spec->name;
@@ -226,7 +226,7 @@ TraceData capture_trace(Workload& workload, const SimConfig& cfg) {
           TraceData::Access a;
           a.write = rec.write;
           a.compute_ns = rec.compute_ns;
-          for (VirtPage p : stream.pages(i, lanes)) {
+          for (const LanePage p : stream.pages(i, lanes)) {
             RangeId rid = as.range_of(p);
             if (rid == kInvalidRange) {
               throw std::logic_error("capture_trace: access outside ranges");
@@ -258,7 +258,7 @@ void TraceWorkload::setup(Simulator& sim) {
     first_pages.push_back(sim.address_space().range(id).first_page);
   }
 
-  std::vector<VirtPage> pages;
+  std::vector<LanePage> pages;
   for (const auto& k : trace_.kernels) {
     GridBuilder g(k.name);
     for (const auto& warp : k.warps) {
@@ -267,7 +267,7 @@ void TraceWorkload::setup(Simulator& sim) {
         pages.clear();
         pages.reserve(a.pages.size());
         for (const auto& [range_idx, page] : a.pages) {
-          pages.push_back(first_pages[range_idx] + page);
+          pages.push_back(lane_page(first_pages[range_idx] + page));
         }
         s.add(pages, a.write, a.compute_ns);
       }

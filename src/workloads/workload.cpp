@@ -35,16 +35,13 @@ KernelSpec GridBuilder::build(double work_units) {
   return spec;
 }
 
-std::vector<VirtPage> pages_for_bytes(VirtPage range_first_page,
-                                      std::uint64_t offset,
-                                      std::uint64_t len) {
-  std::vector<VirtPage> out;
-  if (len == 0) return out;
-  VirtPage first = range_first_page + offset / kPageSize;
-  VirtPage last = range_first_page + (offset + len - 1) / kPageSize;
-  out.reserve(last - first + 1);
-  for (VirtPage p = first; p <= last; ++p) out.push_back(p);
-  return out;
+void append_pages_for_bytes(std::vector<LanePage>& out,
+                            VirtPage range_first_page, std::uint64_t offset,
+                            std::uint64_t len) {
+  if (len == 0) return;
+  const VirtPage first = range_first_page + offset / kPageSize;
+  const VirtPage last = range_first_page + (offset + len - 1) / kPageSize;
+  for (VirtPage p = first; p <= last; ++p) out.push_back(lane_page(p));
 }
 
 }  // namespace uvmsim

@@ -52,11 +52,11 @@ class GridBuilder {
   std::vector<AccessStream> warps_;
 };
 
-/// Pages covered by the byte interval [offset, offset+len) of a range whose
-/// first page is `range_first_page`. Returns global page numbers, ascending,
-/// deduplicated.
-[[nodiscard]] std::vector<VirtPage> pages_for_bytes(VirtPage range_first_page,
-                                                    std::uint64_t offset,
-                                                    std::uint64_t len);
+/// Appends to `out` the pages covered by the byte interval
+/// [offset, offset+len) of a range whose first page is `range_first_page`:
+/// global page numbers as lanes, ascending, each once.
+void append_pages_for_bytes(std::vector<LanePage>& out,
+                            VirtPage range_first_page, std::uint64_t offset,
+                            std::uint64_t len);
 
 }  // namespace uvmsim

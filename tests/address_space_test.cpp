@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "core/errors.h"
 
 namespace uvmsim {
@@ -39,6 +42,29 @@ TEST(AddressSpace, RejectsVaPastBlockIdBound) {
   EXPECT_THROW(
       as.create_range((std::uint64_t{1} << 32) * kVaBlockSize - 1, "b"),
       ConfigError);
+}
+
+TEST(AddressSpace, RejectsVaAtLanePageBound) {
+  // Lanes are 32-bit page numbers, so managed VA must end below 2^32 pages
+  // (16 TiB); the check runs before a single VaBlock is built.
+  AddressSpace as;
+  const std::uint64_t limit_bytes = kVaPageLimit * kPageSize;
+  try {
+    as.create_range(limit_bytes, "16tib");
+    ADD_FAILURE() << "16 TiB range accepted";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find(std::to_string(limit_bytes)),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(as.num_ranges(), 0u);
+  EXPECT_EQ(as.num_blocks(), 0u);
+  // Bytes near 2^64 must not wrap the page count into a small range.
+  EXPECT_THROW(as.create_range(~std::uint64_t{0}, "max"), ConfigError);
+  // Cumulative: the first range's blocks count toward the bound.
+  as.create_range(kVaBlockSize, "a");
+  EXPECT_THROW(as.create_range(limit_bytes - kVaBlockSize, "b"), ConfigError);
+  EXPECT_EQ(as.num_ranges(), 1u);
 }
 
 TEST(AddressSpace, SubPageRoundsUp) {

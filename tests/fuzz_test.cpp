@@ -120,7 +120,7 @@ std::uint64_t build_random_workload(Simulator& sim, Rng& rng) {
   for (std::size_t k = 0; k < num_kernels; ++k) {
     GridBuilder g("fuzz_kernel" + std::to_string(k));
     std::size_t warps = 4 + rng.next_below(64);
-    std::vector<VirtPage> pages;
+    std::vector<LanePage> pages;
     for (std::size_t w = 0; w < warps; ++w) {
       AccessStream& s = g.new_warp();
       std::size_t records = 1 + rng.next_below(6);
@@ -140,7 +140,7 @@ std::uint64_t build_random_workload(Simulator& sim, Rng& rng) {
           pages.clear();
           std::uint64_t n = 1 + rng.next_below(16);
           for (std::uint64_t i = 0; i < n; ++i) {
-            pages.push_back(r.first + rng.next_below(r.pages));
+            pages.push_back(lane_page(r.first + rng.next_below(r.pages)));
           }
           s.add(pages, write, compute);
         }

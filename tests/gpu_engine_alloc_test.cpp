@@ -109,8 +109,10 @@ class Rig {
       for (std::uint32_t r = 0; r < records; ++r) {
         const VirtPage p = first + (owner * records + r) * kLanes;
         if (form == Form::Explicit) {
-          std::vector<VirtPage> lanes;
-          for (VirtPage l = p; l < p + kLanes; ++l) lanes.push_back(l);
+          std::vector<LanePage> lanes;
+          for (VirtPage l = p; l < p + kLanes; ++l) {
+            lanes.push_back(lane_page(l));
+          }
           s.add(lanes, r % 2 == 0, 200);
         } else {
           s.add_strided(p, 0, kPageSize, kPageSize, kLanes, r % 2 == 0, 200);

@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <numeric>
 #include <set>
+#include <stdexcept>
+#include <vector>
 
 namespace uvmsim {
 namespace {
@@ -95,6 +99,23 @@ TEST(Rng, PermutationIsValid) {
   for (std::uint64_t i = 0; i < 1000; ++i) EXPECT_EQ(sorted[i], i);
   // And it actually permutes (not identity).
   EXPECT_NE(p, sorted);
+}
+
+TEST(Rng, PermutationDrawsLikeAShuffleOfWideIndices) {
+  // 32-bit indices from the same next_below draws: the random workload's
+  // page order does not depend on the index width.
+  for (std::uint64_t n : {1u, 2u, 33u, 4096u}) {
+    Rng a(n), b(n);
+    const std::vector<std::uint32_t> got = a.permutation(n);
+    std::vector<std::uint64_t> want(n);
+    std::iota(want.begin(), want.end(), std::uint64_t{0});
+    b.shuffle(want);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(got[i], want[i]) << i;
+    EXPECT_EQ(a.next_u64(), b.next_u64());
+  }
+  EXPECT_THROW(Rng(1).permutation((std::uint64_t{1} << 32) + 1),
+               std::invalid_argument);
 }
 
 TEST(Rng, ForkProducesIndependentStream) {

@@ -193,7 +193,7 @@ TEST(Workloads, CusparseHasConversionAndSpmm) {
 struct FlatRecord {
   bool write;
   std::uint32_t compute_ns;
-  std::vector<VirtPage> pages;
+  std::vector<LanePage> pages;
   bool operator==(const FlatRecord&) const = default;
 };
 /// blocks -> warps -> records, walking generated blocks in order.
@@ -202,7 +202,7 @@ using FlatKernel = std::vector<std::vector<std::vector<FlatRecord>>>;
 FlatKernel flatten(const KernelSpec& k) {
   FlatKernel out;
   ThreadBlockSpec slot;
-  std::vector<VirtPage> buf;
+  std::vector<LanePage> buf;
   for (std::uint32_t b = 0; b < k.block_count(); ++b) {
     auto& blk = out.emplace_back();
     for (const AccessStream& s : k.block(b, slot).warps) {
@@ -236,14 +236,13 @@ FlatKernel sgemm_reference(std::uint64_t n, const std::vector<VirtPage>& m) {
   constexpr std::uint64_t kT = SgemmWorkload::kTile;
   const std::uint64_t nt = n / kT;
   GridBuilder g("sgemm");
-  std::vector<VirtPage> pages;
+  std::vector<LanePage> pages;
   const auto tile = [&](VirtPage first, std::uint64_t r0, std::uint64_t c0) {
     pages.clear();
     for (std::uint64_t r = r0; r < r0 + kT / 8; ++r) {
-      auto ps = pages_for_bytes(first, (r * n + c0) * 4, kT * 4);
-      pages.insert(pages.end(), ps.begin(), ps.end());
+      append_pages_for_bytes(pages, first, (r * n + c0) * 4, kT * 4);
     }
-    return std::span<const VirtPage>(pages);
+    return std::span<const LanePage>(pages);
   };
   for (std::uint64_t by = 0; by < nt; ++by) {
     for (std::uint64_t bx = 0; bx < nt; ++bx) {
@@ -279,9 +278,9 @@ TEST(StridedRecords, RegularMatchesExplicitRuns) {
   const FlatKernel got = generated(wl, first);
   GridBuilder g("regular_touch");
   for (std::uint64_t p0 = 0; p0 < 100; p0 += 32) {
-    std::vector<VirtPage> run;
+    std::vector<LanePage> run;
     for (std::uint64_t p = p0; p < std::min<std::uint64_t>(p0 + 32, 100); ++p) {
-      run.push_back(first.at(0) + p);
+      run.push_back(lane_page(first.at(0) + p));
     }
     g.new_warp().add(run, true, 500);
   }
@@ -299,9 +298,9 @@ TEST(StridedRecords, StridedMatchesExplicitLanes) {
     const FlatKernel got = generated(wl, first);
     GridBuilder g("strided_touch");
     for (std::uint64_t p = 0; p < 600;) {
-      std::vector<VirtPage> lanes;
+      std::vector<LanePage> lanes;
       for (int lane = 0; lane < 32 && p < 600; ++lane, p += stride) {
-        lanes.push_back(first.at(0) + p);
+        lanes.push_back(lane_page(first.at(0) + p));
       }
       g.new_warp().add(lanes, true, 500);
     }
