@@ -146,6 +146,16 @@ for b in build/bench/*; do
     || { echo "bench FAILED: $n"; cat "$BENCH_TMP/$n.txt"; exit 1; }
   echo "$n: exit 0"
 done
+# Fast-mode stdout is simulated output only (micro_driver_ops, which prints
+# host timings, is not listed), so each listed bench must print exactly the
+# bytes whose digest scripts/bench_stdout.sha256 pins. A change that means
+# to alter a bench's output regenerates its line:
+#   (cd "$BENCH_TMP" && sha256sum <bench>.txt)
+echo "== bench stdout contract (scripts/bench_stdout.sha256) =="
+PINNED="$PWD/scripts/bench_stdout.sha256"
+(cd "$BENCH_TMP" && sha256sum --quiet -c "$PINNED") \
+  || { echo "bench stdout FAILED: differs from its pinned digest"; exit 1; }
+echo "bench stdout: $(wc -l < "$PINNED") benches byte-identical"
 
 echo "== paper-shape gate (fig01 claim 4 / fig09 prefetch verdict) =="
 # shape_check prints [SHAPE PASS]/[SHAPE FAIL] without affecting the exit
