@@ -243,22 +243,34 @@ void BM_EventQueueSteadyState(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueSteadyState);
 
-void BM_EventQueueCancelHeavy(benchmark::State& state) {
-  // Timer-churn shape: half the scheduled events are cancelled before they
-  // fire (the driver cancels and re-arms batch deadlines constantly).
+void BM_EventQueueTypedSteps(benchmark::State& state) {
+  // The simulator's event mix: nearly every event is a typed warp step,
+  // with a callback (driver or dispatch event) every 50th.
+  std::uint64_t events = 0;
   for (auto _ : state) {
     EventQueue q;
-    int sink = 0;
+    std::uint64_t sink = 0;
+    q.set_step_handler(
+        [](void* s, std::uint64_t payload) {
+          *static_cast<std::uint64_t*>(s) += payload;
+        },
+        &sink);
     for (int i = 0; i < 1000; ++i) {
-      EventHandle h = q.schedule_at(static_cast<SimTime>(i * 7 % 991),
-                                    [&sink] { ++sink; });
-      if (i % 2 == 0) h.cancel();
+      const auto delay = static_cast<SimDuration>(i * 7 % 991);
+      if (i % 50 == 0) {
+        q.schedule_in(delay, [&sink] { ++sink; });
+      } else {
+        q.schedule_step_in(delay, static_cast<std::uint64_t>(i));
+      }
     }
     q.run();
+    events += q.executed_events();
     benchmark::DoNotOptimize(sink);
   }
+  state.counters["events/s"] = benchmark::Counter(
+      static_cast<double>(events), benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_EventQueueCancelHeavy);
+BENCHMARK(BM_EventQueueTypedSteps);
 
 void BM_PrefetcherComputeFast(benchmark::State& state) {
   // The driver's prefetch path vs the tree-building reference:

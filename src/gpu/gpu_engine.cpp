@@ -35,6 +35,7 @@ GpuEngine::GpuEngine(const Config& cfg, std::uint64_t seed, EventQueue& eq,
   for (std::size_t i = slots_.size(); i-- > 0;) {
     free_slots_.push_back(static_cast<std::uint32_t>(i));
   }
+  eq.set_step_handler(&GpuEngine::on_step_event, this);
 }
 
 bool GpuEngine::busy() const {
@@ -133,14 +134,14 @@ void GpuEngine::dispatch_blocks() {
 }
 
 void GpuEngine::schedule_step(WarpRef ref, SimDuration delay) {
-  // Pack (slot, warp) into one word so the closure is 16 bytes and fits
-  // std::function's small buffer — this event fires once per warp step, and
-  // the unpacked 24-byte capture heap-allocated every time.
-  const std::uint64_t packed = (std::uint64_t{ref.slot} << 32) | ref.warp;
-  eq_->schedule_in(delay, [this, packed] {
-    step_warp(WarpRef{static_cast<std::uint32_t>(packed >> 32),
-                      static_cast<std::uint32_t>(packed)});
-  });
+  // A warp step is a typed event: (slot, warp) packed into its payload.
+  eq_->schedule_step_in(delay, (std::uint64_t{ref.slot} << 32) | ref.warp);
+}
+
+void GpuEngine::on_step_event(void* engine, std::uint64_t packed) {
+  static_cast<GpuEngine*>(engine)->step_warp(
+      WarpRef{static_cast<std::uint32_t>(packed >> 32),
+              static_cast<std::uint32_t>(packed)});
 }
 
 UVMSIM_HOT void GpuEngine::step_warp(WarpRef ref) {

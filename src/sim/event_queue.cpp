@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
+#include <utility>
 
 namespace uvmsim {
 
@@ -14,78 +15,51 @@ void EventQueue::reserve(std::size_t n) {
   free_slots_.reserve(n);
 }
 
-UVMSIM_HOT std::uint32_t EventQueue::acquire_slot() {
-  if (!free_slots_.empty()) {
-    std::uint32_t slot = free_slots_.back();
-    free_slots_.pop_back();
-    return slot;
-  }
-  slab_.emplace_back();
-  return static_cast<std::uint32_t>(slab_.size() - 1);
+UVMSIM_HOT void EventQueue::push(SimTime when, std::uint64_t payload) {
+  heap_.push_back(HeapEntry{when, next_seq_++, payload});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
-UVMSIM_HOT void EventQueue::release_slot(std::uint32_t slot) {
-  Record& rec = slab_[slot];
-  ++rec.gen;  // invalidate outstanding handles before the slot is recycled
-  rec.cb = nullptr;
-  free_slots_.push_back(slot);
-}
-
-UVMSIM_HOT EventQueue::HeapEntry EventQueue::pop_top() {
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  HeapEntry e = heap_.back();
-  heap_.pop_back();
-  return e;
-}
-
-UVMSIM_HOT EventHandle EventQueue::schedule_at(SimTime when, Callback cb) {
+UVMSIM_HOT void EventQueue::schedule_at(SimTime when, Callback cb) {
   if (when < now_) {
     throw std::logic_error("EventQueue: scheduling into the past");
   }
-  const std::uint32_t slot = acquire_slot();
-  Record& rec = slab_[slot];
-  rec.cb = std::move(cb);
-  rec.live = true;
-  heap_.push_back(HeapEntry{when, next_seq_++, slot});
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
-  ++live_;
-  return EventHandle{this, slot, rec.gen};
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(slab_.size());
+    slab_.push_back(std::move(cb));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    slab_[slot] = std::move(cb);
+  }
+  push(when, kCallbackBit | slot);
 }
 
-UVMSIM_HOT void EventQueue::cancel(std::uint32_t slot, std::uint64_t gen) {
-  if (slot >= slab_.size()) return;
-  Record& rec = slab_[slot];
-  if (rec.gen != gen || !rec.live) return;  // stale handle or already fired
-  rec.live = false;
-  rec.cb = nullptr;  // release captured resources now; the heap carcass is
-                     // skipped (and the slot recycled) when it reaches the top
-  --live_;
-}
-
-bool EventQueue::handle_pending(std::uint32_t slot, std::uint64_t gen) const {
-  return slot < slab_.size() && slab_[slot].gen == gen && slab_[slot].live;
+UVMSIM_HOT void EventQueue::schedule_step_in(SimDuration delay,
+                                             std::uint64_t payload) {
+  assert(payload < kCallbackBit);
+  push(now_ + delay, payload);
 }
 
 UVMSIM_HOT bool EventQueue::step() {
-  while (!heap_.empty()) {
-    HeapEntry e = pop_top();
-    Record& rec = slab_[e.slot];
-    if (!rec.live) {  // cancelled carcass
-      release_slot(e.slot);
-      continue;
-    }
-    // Move the callback out of the slab and recycle the slot *before*
-    // running it: the callback may schedule new events that reuse the slot.
-    Callback cb = std::move(rec.cb);
-    rec.live = false;
-    --live_;
-    release_slot(e.slot);
-    now_ = e.when;
-    ++executed_;
-    cb();
+  if (heap_.empty()) return false;
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  const HeapEntry e = heap_.back();
+  heap_.pop_back();
+  now_ = e.when;
+  ++executed_;
+  if ((e.payload & kCallbackBit) == 0) {
+    step_fn_(step_ctx_, e.payload);
     return true;
   }
-  return false;
+  // Move the callback out of the slab and recycle the slot *before* running
+  // it: the callback may schedule new events that reuse the slot.
+  const auto slot = static_cast<std::uint32_t>(e.payload);
+  Callback cb = std::move(slab_[slot]);
+  free_slots_.push_back(slot);
+  cb();
+  return true;
 }
 
 SimTime EventQueue::run() {
@@ -93,37 +67,5 @@ SimTime EventQueue::run() {
   }
   return now_;
 }
-
-SimTime EventQueue::run_until(SimTime deadline) {
-  while (!heap_.empty()) {
-    // Skim cancelled events without advancing time.
-    if (!slab_[heap_.front().slot].live) {
-      release_slot(pop_top().slot);
-      continue;
-    }
-    if (heap_.front().when > deadline) break;
-    step();
-  }
-  // The clock stays at the last executed event even when the queue drained
-  // before the deadline (see the header contract).
-  return now_;
-}
-
-std::size_t EventQueue::pending_events() const {
-#ifndef NDEBUG
-  assert(live_ == count_live_scan());
-#endif
-  return live_;
-}
-
-#ifndef NDEBUG
-std::size_t EventQueue::count_live_scan() const {
-  // Every live record has exactly one heap entry; carcasses count zero.
-  return static_cast<std::size_t>(
-      std::count_if(heap_.begin(), heap_.end(), [this](const HeapEntry& e) {
-        return slab_[e.slot].live;
-      }));
-}
-#endif
 
 }  // namespace uvmsim

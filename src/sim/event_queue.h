@@ -1,19 +1,25 @@
 // Discrete-event scheduler.
 //
 // The simulator is driven by a single EventQueue: actors (GPU engine, UVM
-// driver, DMA engine) schedule callbacks at future simulated times, and
+// driver, DMA engine) schedule events at future simulated times, and
 // EventQueue::run() executes them in timestamp order, advancing the simulated
 // clock. Events with equal timestamps execute in scheduling (FIFO) order so
 // runs are fully deterministic.
 //
-// Hot-path layout: the queue owns a binary heap of small plain records
-// (timestamp, FIFO sequence, slab slot) ordered with push_heap/pop_heap, and
-// a slab of event records holding the callbacks. Firing an event *moves* the
-// callback out of the slab (no std::function copy), and cancellation is a
-// slab-slot + generation-counter check (no per-event shared_ptr), so the
-// schedule->fire path performs no per-event heap allocation once the slab and
-// heap storage are warm (callbacks small enough for std::function's inline
-// buffer — the simulator's are all one- or two-pointer captures).
+// Hot-path layout: the queue owns a binary heap of 24-byte plain entries
+// (timestamp, FIFO sequence, payload) ordered with push_heap/pop_heap. An
+// event is one of two kinds:
+//   * a typed step: the payload is an opaque 63-bit word handed to the
+//     queue's one step handler. Warp steps, about 98% of all events, are
+//     these; they need no storage beyond the heap entry.
+//   * a callback: the payload names a slot in a slab of std::function
+//     records. The rare driver and dispatch events are these. Firing one
+//     *moves* the callback out of the slab, so the schedule->fire path
+//     performs no per-event heap allocation once the slab and heap storage
+//     are warm (for callbacks small enough for std::function's inline buffer;
+//     the simulator's are all one- or two-pointer captures).
+// Both kinds draw their sequence numbers from one counter, so they
+// interleave in (when, seq) order. An event cannot be cancelled.
 #pragma once
 
 #include <cstddef>
@@ -26,77 +32,56 @@
 
 namespace uvmsim {
 
-class EventQueue;
-
-/// Handle used to cancel a scheduled event. Default-constructed handles are
-/// inert. Cancelling an already-fired or already-cancelled event is a no-op.
-/// A handle refers into its queue's slab and must not outlive the queue.
-class EventHandle {
- public:
-  EventHandle() = default;
-
-  /// Marks the underlying event dead; it will be skipped when popped.
-  void cancel();
-
-  /// True if this handle refers to an event that has not yet fired or been
-  /// cancelled.
-  [[nodiscard]] bool pending() const;
-
- private:
-  friend class EventQueue;
-  EventHandle(EventQueue* q, std::uint32_t slot, std::uint64_t gen)
-      : q_(q), slot_(slot), gen_(gen) {}
-
-  EventQueue* q_ = nullptr;
-  std::uint32_t slot_ = 0;
-  std::uint64_t gen_ = 0;
-};
-
 /// A deterministic single-threaded discrete-event queue.
 ///
 /// Invariants:
-///  * now() is monotonically non-decreasing across callback executions.
+///  * now() is monotonically non-decreasing across event executions.
 ///  * Scheduling into the past is a programming error and throws.
-///  * Two events at the same timestamp run in the order they were scheduled.
+///  * Two events at the same timestamp run in the order they were scheduled,
+///    whatever their kind.
 class EventQueue {
  public:
   using Callback = std::function<void()>;
+  /// Receives a typed step's payload; `ctx` is the pointer registered with
+  /// the handler.
+  using StepHandler = void (*)(void* ctx, std::uint64_t payload);
 
   /// Current simulated time. Outside run() this is the time of the last
   /// executed event (or 0 before any event ran).
   [[nodiscard]] SimTime now() const { return now_; }
 
   /// Schedules `cb` to run at absolute time `when` (>= now()).
-  /// Returns a handle that can cancel the event before it fires.
-  EventHandle schedule_at(SimTime when, Callback cb);
+  void schedule_at(SimTime when, Callback cb);
 
   /// Schedules `cb` to run `delay` after the current time.
-  EventHandle schedule_in(SimDuration delay, Callback cb) {
-    return schedule_at(now_ + delay, std::move(cb));
+  void schedule_in(SimDuration delay, Callback cb) {
+    schedule_at(now_ + delay, std::move(cb));
   }
+
+  /// Installs the handler every typed step is delivered to. A queue has one
+  /// handler; it must be set before the first typed step fires.
+  void set_step_handler(StepHandler fn, void* ctx) {
+    step_fn_ = fn;
+    step_ctx_ = ctx;
+  }
+
+  /// Schedules a typed step carrying `payload` (< 2^63) `delay` after the
+  /// current time.
+  void schedule_step_in(SimDuration delay, std::uint64_t payload);
 
   /// Runs events until the queue is empty. Returns the final simulated time.
   SimTime run();
 
-  /// Runs events until the queue is empty or `deadline` is reached. Events
-  /// scheduled at exactly `deadline` do run. The clock never advances past
-  /// the last executed event: if the queue drains (or was empty) before the
-  /// deadline, now() stays at the last event's time rather than jumping to
-  /// `deadline`. Returns now().
-  SimTime run_until(SimTime deadline);
-
   /// Executes a single event if one is pending. Returns false if empty.
   bool step();
 
-  /// Number of live (non-cancelled) events still pending. O(1): a counter
-  /// maintained on schedule/cancel/fire (debug builds cross-check it against
-  /// a full heap scan).
-  [[nodiscard]] std::size_t pending_events() const;
+  /// Number of events still pending.
+  [[nodiscard]] std::size_t pending_events() const { return heap_.size(); }
 
-  /// True when no live events remain.
-  [[nodiscard]] bool empty() const { return pending_events() == 0; }
+  /// True when no events remain.
+  [[nodiscard]] bool empty() const { return heap_.empty(); }
 
-  /// Total number of events executed so far (cancelled events excluded).
+  /// Total number of events executed so far.
   [[nodiscard]] std::uint64_t executed_events() const { return executed_; }
 
   /// Pre-sizes the heap and slab for `n` concurrently pending events so the
@@ -104,14 +89,15 @@ class EventQueue {
   void reserve(std::size_t n);
 
  private:
-  friend class EventHandle;
+  /// Set in a callback event's payload; the low 32 bits are its slab slot.
+  static constexpr std::uint64_t kCallbackBit = 1ULL << 63;
 
   // Heap node: 24 bytes, trivially movable, so push_heap/pop_heap sift
-  // cheaply. The callback lives in the slab, found via `slot`.
+  // cheaply.
   struct HeapEntry {
     SimTime when = 0;
     std::uint64_t seq = 0;  // FIFO tiebreak for equal timestamps
-    std::uint32_t slot = 0;
+    std::uint64_t payload = 0;
   };
   // "Later-than" comparator: std::push_heap builds a max-heap, so the
   // earliest (when, seq) ends up at the front.
@@ -122,42 +108,16 @@ class EventQueue {
     }
   };
 
-  // Slab record. `gen` increments every time the slot is recycled, so stale
-  // EventHandles (and heap carcasses of cancelled events) can be told apart
-  // from the slot's current occupant.
-  struct Record {
-    Callback cb;
-    std::uint64_t gen = 0;
-    bool live = false;
-  };
-
-  std::uint32_t acquire_slot();
-  void release_slot(std::uint32_t slot);
-  // Pops the heap top and returns it (the slab record is untouched).
-  HeapEntry pop_top();
-
-  void cancel(std::uint32_t slot, std::uint64_t gen);
-  [[nodiscard]] bool handle_pending(std::uint32_t slot,
-                                    std::uint64_t gen) const;
-#ifndef NDEBUG
-  [[nodiscard]] std::size_t count_live_scan() const;
-#endif
+  void push(SimTime when, std::uint64_t payload);
 
   std::vector<HeapEntry> heap_;
-  std::vector<Record> slab_;
+  std::vector<Callback> slab_;
   std::vector<std::uint32_t> free_slots_;
-  std::size_t live_ = 0;
+  StepHandler step_fn_ = nullptr;
+  void* step_ctx_ = nullptr;
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
 };
-
-inline void EventHandle::cancel() {
-  if (q_ != nullptr) q_->cancel(slot_, gen_);
-}
-
-inline bool EventHandle::pending() const {
-  return q_ != nullptr && q_->handle_pending(slot_, gen_);
-}
 
 }  // namespace uvmsim

@@ -1,6 +1,6 @@
 // Proves the EventQueue's schedule->fire hot path performs no per-event heap
-// allocation for never-cancelled events (the slab + generation-handle design
-// replaced a per-event std::make_shared<bool> token). The whole binary's
+// allocation, for callbacks (a warm slab) and typed steps (no storage beyond
+// the heap entry). The whole binary's
 // operator new/delete are replaced with counting wrappers; this file must
 // stay its own test executable.
 #include "sim/event_queue.h"
@@ -84,22 +84,33 @@ TEST(EventQueueAlloc, ReservePrewarmsColdQueue) {
   EXPECT_EQ(fired, 64u);
 }
 
-TEST(EventQueueAlloc, CancellationCostsNoExtraAllocation) {
-  // Cancelling is a slab flag flip: no allocation either.
+void count_step(void* fired, std::uint64_t /*payload*/) {
+  ++*static_cast<std::uint64_t*>(fired);
+}
+
+TEST(EventQueueAlloc, TypedStepsAllocateNothing) {
+  // A typed step is only a heap entry: once the heap has its capacity,
+  // scheduling and firing steps, mixed with callbacks, allocates nothing.
   EventQueue q;
-  q.reserve(32);
-  for (int i = 0; i < 32; ++i) q.schedule_at(1, [] {}).cancel();
-  q.run();  // drains the carcasses
+  q.reserve(64);
+  std::uint64_t fired = 0;
+  q.set_step_handler(&count_step, &fired);
   const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
-  for (int i = 0; i < 32; ++i) {
-    EventHandle h = q.schedule_at(2, [] {});
-    h.cancel();
-    EXPECT_FALSE(h.pending());
+  for (int round = 0; round < 8; ++round) {
+    for (int i = 0; i < 64; ++i) {
+      if (i % 8 == 0) {
+        q.schedule_in(static_cast<SimDuration>(i % 5), [&fired] { ++fired; });
+      } else {
+        q.schedule_step_in(static_cast<SimDuration>(i % 5),
+                           static_cast<std::uint64_t>(i));
+      }
+    }
+    q.run();
   }
-  q.run();
   const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0u);
-  EXPECT_EQ(q.pending_events(), 0u);
+  EXPECT_EQ(fired, 8u * 64u);
+  EXPECT_TRUE(q.empty());
 }
 
 }  // namespace

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
+#include <tuple>
 #include <vector>
 
 namespace uvmsim {
@@ -53,32 +56,6 @@ TEST(EventQueue, SchedulingIntoThePastThrows) {
   q.run();
 }
 
-TEST(EventQueue, CancelPreventsExecution) {
-  EventQueue q;
-  bool ran = false;
-  EventHandle h = q.schedule_at(10, [&] { ran = true; });
-  EXPECT_TRUE(h.pending());
-  h.cancel();
-  EXPECT_FALSE(h.pending());
-  q.run();
-  EXPECT_FALSE(ran);
-  EXPECT_EQ(q.executed_events(), 0u);
-}
-
-TEST(EventQueue, CancelAfterFireIsNoop) {
-  EventQueue q;
-  EventHandle h = q.schedule_at(10, [] {});
-  q.run();
-  EXPECT_FALSE(h.pending());
-  h.cancel();  // must not crash
-}
-
-TEST(EventQueue, DefaultHandleIsInert) {
-  EventHandle h;
-  EXPECT_FALSE(h.pending());
-  h.cancel();
-}
-
 TEST(EventQueue, EventsScheduledDuringRunExecute) {
   EventQueue q;
   int depth = 0;
@@ -89,27 +66,6 @@ TEST(EventQueue, EventsScheduledDuringRunExecute) {
   q.run();
   EXPECT_EQ(depth, 5);
   EXPECT_EQ(q.now(), 40u);
-}
-
-TEST(EventQueue, RunUntilStopsAtDeadline) {
-  EventQueue q;
-  std::vector<SimTime> fired;
-  for (SimTime t : {10u, 20u, 30u, 40u}) {
-    q.schedule_at(t, [&fired, &q] { fired.push_back(q.now()); });
-  }
-  q.run_until(25);
-  EXPECT_EQ(fired, (std::vector<SimTime>{10, 20}));
-  EXPECT_EQ(q.pending_events(), 2u);
-  q.run();
-  EXPECT_EQ(fired.size(), 4u);
-}
-
-TEST(EventQueue, RunUntilIncludesExactDeadline) {
-  EventQueue q;
-  bool ran = false;
-  q.schedule_at(25, [&] { ran = true; });
-  q.run_until(25);
-  EXPECT_TRUE(ran);
 }
 
 TEST(EventQueue, StepExecutesSingleEvent) {
@@ -124,118 +80,11 @@ TEST(EventQueue, StepExecutesSingleEvent) {
   EXPECT_FALSE(q.step());
 }
 
-TEST(EventQueue, PendingEventsSkipsCancelled) {
-  EventQueue q;
-  auto h1 = q.schedule_at(1, [] {});
-  q.schedule_at(2, [] {});
-  h1.cancel();
-  EXPECT_EQ(q.pending_events(), 1u);
-}
-
 TEST(EventQueue, ExecutedEventsCounts) {
   EventQueue q;
   for (int i = 0; i < 7; ++i) q.schedule_at(static_cast<SimTime>(i), [] {});
   q.run();
   EXPECT_EQ(q.executed_events(), 7u);
-}
-
-TEST(EventQueue, RunUntilDrainEarlyKeepsClockAtLastEvent) {
-  // Contract: the clock never advances past the last executed event, even
-  // when the queue drains before the deadline.
-  EventQueue q;
-  q.schedule_at(10, [] {});
-  EXPECT_EQ(q.run_until(1000), 10u);
-  EXPECT_EQ(q.now(), 10u);
-}
-
-TEST(EventQueue, RunUntilOnEmptyQueueDoesNotAdvanceClock) {
-  EventQueue q;
-  EXPECT_EQ(q.run_until(500), 0u);
-  q.schedule_at(100, [] {});
-  q.run();
-  EXPECT_EQ(q.run_until(900), 100u);
-}
-
-TEST(EventQueue, RunUntilEventExactlyAtDeadlineRunsAndCanChain) {
-  EventQueue q;
-  std::vector<SimTime> fired;
-  q.schedule_at(25, [&] {
-    fired.push_back(q.now());
-    // Chained event lands past the deadline: must stay pending.
-    q.schedule_in(1, [&] { fired.push_back(q.now()); });
-  });
-  q.run_until(25);
-  EXPECT_EQ(fired, (std::vector<SimTime>{25}));
-  EXPECT_EQ(q.pending_events(), 1u);
-  q.run();
-  EXPECT_EQ(fired, (std::vector<SimTime>{25, 26}));
-}
-
-TEST(EventQueue, RunUntilSkimsCancelledHeadWithoutAdvancingClock) {
-  EventQueue q;
-  bool ran = false;
-  auto h1 = q.schedule_at(5, [] {});
-  auto h2 = q.schedule_at(8, [] {});
-  q.schedule_at(50, [&] { ran = true; });
-  h1.cancel();
-  h2.cancel();
-  // Both events before the deadline are cancelled; the survivor is past it.
-  EXPECT_EQ(q.run_until(20), 0u);
-  EXPECT_FALSE(ran);
-  EXPECT_EQ(q.pending_events(), 1u);
-  q.run();
-  EXPECT_TRUE(ran);
-}
-
-TEST(EventQueue, PendingCountTracksScheduleCancelFire) {
-  EventQueue q;
-  EXPECT_EQ(q.pending_events(), 0u);
-  auto h1 = q.schedule_at(1, [] {});
-  auto h2 = q.schedule_at(2, [] {});
-  q.schedule_at(3, [] {});
-  EXPECT_EQ(q.pending_events(), 3u);
-  h1.cancel();
-  EXPECT_EQ(q.pending_events(), 2u);
-  h1.cancel();  // double-cancel must not decrement again
-  EXPECT_EQ(q.pending_events(), 2u);
-  q.step();     // fires the event at t=2 (t=1 is a carcass)
-  EXPECT_EQ(q.pending_events(), 1u);
-  h2.cancel();  // already fired: no-op
-  EXPECT_EQ(q.pending_events(), 1u);
-  q.run();
-  EXPECT_EQ(q.pending_events(), 0u);
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueue, StaleHandleAfterSlotReuseIsInert) {
-  // A fired event's slab slot is recycled for the next scheduled event; the
-  // old handle's generation no longer matches and must not affect the new
-  // occupant.
-  EventQueue q;
-  EventHandle old = q.schedule_at(1, [] {});
-  q.run();  // fires; slot freed
-  bool ran = false;
-  EventHandle fresh = q.schedule_at(2, [&] { ran = true; });
-  EXPECT_FALSE(old.pending());
-  old.cancel();  // stale: must not cancel the new event
-  EXPECT_TRUE(fresh.pending());
-  q.run();
-  EXPECT_TRUE(ran);
-}
-
-TEST(EventQueue, CancelledEventReleasesCallbackResources) {
-  // Cancellation destroys the callback immediately (it may pin large
-  // captures); the heap carcass must still pop cleanly afterwards.
-  auto token = std::make_shared<int>(7);
-  std::weak_ptr<int> watch = token;
-  EventQueue q;
-  EventHandle h = q.schedule_at(5, [t = std::move(token)] { (void)*t; });
-  EXPECT_FALSE(watch.expired());
-  h.cancel();
-  EXPECT_TRUE(watch.expired());
-  q.schedule_at(9, [] {});
-  q.run();
-  EXPECT_EQ(q.executed_events(), 1u);
 }
 
 TEST(EventQueue, ReserveDoesNotDisturbSemantics) {
@@ -278,6 +127,120 @@ TEST(EventQueue, ClockMonotoneAcrossCallbacks) {
   }
   q.run();
   EXPECT_TRUE(monotone);
+}
+
+/// Step handler that appends each typed step's payload to a vector.
+void record_step(void* log, std::uint64_t payload) {
+  static_cast<std::vector<std::uint64_t>*>(log)->push_back(payload);
+}
+
+TEST(EventQueue, TypedStepsFireAtTheirTimeWithTheirPayload) {
+  EventQueue q;
+  std::vector<std::uint64_t> steps;
+  q.set_step_handler(&record_step, &steps);
+  q.schedule_step_in(30, 3);
+  q.schedule_step_in(10, 1);
+  q.schedule_step_in(20, (std::uint64_t{7} << 32) | 2);
+  EXPECT_EQ(q.pending_events(), 3u);
+  q.run();
+  EXPECT_EQ(steps, (std::vector<std::uint64_t>{
+                       1, (std::uint64_t{7} << 32) | 2, 3}));
+  EXPECT_EQ(q.now(), 30u);
+  EXPECT_EQ(q.executed_events(), 3u);
+}
+
+TEST(EventQueue, TypedAndCallbackEventsInterleaveInWhenSeqOrder) {
+  // Both kinds share one sequence counter: whatever their kind, events run
+  // in (when, seq) order. Ids >= 1000 are callbacks, the rest typed steps;
+  // every event also schedules one follow-up of the other kind, so events
+  // scheduled during the run are covered too.
+  EventQueue q;
+  std::vector<std::uint64_t> fired;
+  struct Expect {
+    SimTime when;
+    std::uint64_t seq;
+    std::uint64_t id;
+  };
+  std::vector<Expect> expect;
+  std::uint64_t seq = 0;
+  std::uint64_t next_id = 0;
+  std::uint32_t lcg = 12345;
+  auto draw = [&lcg] {
+    lcg = lcg * 1103515245u + 12345u;
+    return (lcg >> 16) % 5;  // few distinct times: many equal timestamps
+  };
+  std::function<void(bool)> schedule;
+  auto on_fire = [&](std::uint64_t id) {
+    fired.push_back(id);
+    if (next_id < 400) schedule(id < 1000);
+  };
+  q.set_step_handler(
+      [](void* fire, std::uint64_t id) {
+        (*static_cast<decltype(on_fire)*>(fire))(id);
+      },
+      &on_fire);
+  schedule = [&](bool callback) {
+    const SimDuration delay = draw();
+    const std::uint64_t n = next_id++;
+    const std::uint64_t id = callback ? 1000 + n : n;
+    expect.push_back({q.now() + delay, seq++, id});
+    if (callback) {
+      q.schedule_in(delay, [&on_fire, id] { on_fire(id); });
+    } else {
+      q.schedule_step_in(delay, id);
+    }
+  };
+  for (int i = 0; i < 40; ++i) schedule(i % 3 == 0);
+  q.run();
+  std::sort(expect.begin(), expect.end(), [](const Expect& a, const Expect& b) {
+    return std::tie(a.when, a.seq) < std::tie(b.when, b.seq);
+  });
+  std::vector<std::uint64_t> want;
+  for (const Expect& e : expect) want.push_back(e.id);
+  EXPECT_EQ(fired, want);
+  EXPECT_EQ(q.executed_events(), want.size());
+}
+
+TEST(EventQueue, PendingCountTracksScheduleAndFire) {
+  EventQueue q;
+  std::vector<std::uint64_t> steps;
+  q.set_step_handler(&record_step, &steps);
+  EXPECT_EQ(q.pending_events(), 0u);
+  q.schedule_at(1, [] {});
+  q.schedule_step_in(2, 0);
+  q.schedule_at(3, [] {});
+  EXPECT_EQ(q.pending_events(), 3u);
+  q.step();
+  EXPECT_EQ(q.pending_events(), 2u);
+  q.step();
+  EXPECT_EQ(q.pending_events(), 1u);
+  EXPECT_EQ(steps.size(), 1u);
+  q.run();
+  EXPECT_EQ(q.pending_events(), 0u);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, StepOnEmptyQueueKeepsTheClock) {
+  // The clock only ever moves to the time of an event that ran.
+  EventQueue q;
+  EXPECT_FALSE(q.step());
+  EXPECT_EQ(q.run(), 0u);
+  q.schedule_at(100, [] {});
+  EXPECT_EQ(q.run(), 100u);
+  EXPECT_FALSE(q.step());
+  EXPECT_EQ(q.now(), 100u);
+}
+
+TEST(EventQueue, FiredCallbackReleasesItsCaptures) {
+  // A callback is moved out of the slab to run, so a fired event pins
+  // nothing it captured once it returns.
+  auto token = std::make_shared<int>(7);
+  std::weak_ptr<int> watch = token;
+  EventQueue q;
+  q.schedule_at(5, [t = std::move(token)] { (void)*t; });
+  EXPECT_FALSE(watch.expired());
+  q.run();
+  EXPECT_TRUE(watch.expired());
 }
 
 }  // namespace

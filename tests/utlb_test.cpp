@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "sim/rng.h"
@@ -126,6 +127,44 @@ TEST(Utlb, DuplicateInsertStaysLiveUntilLastCopyLeaves) {
   EXPECT_TRUE(t.lookup(kPagesPerBigPage));
 }
 
+/// Drives `fast` and `ref` through `ops` random operations on pages from
+/// `tag_space` big pages: half lookups, half inserts, and an invalidate_all
+/// with probability 1/`invalidate_odds` (never when it is 0). Every lookup
+/// must agree; returns {hits, misses} as the reference model counted them
+/// after checking that `fast` counted the same totals.
+std::pair<std::uint64_t, std::uint64_t> run_oracle(Utlb& fast,
+                                                   MapMirrorUtlb& ref,
+                                                   Rng& rng,
+                                                   std::uint64_t tag_space,
+                                                   std::uint64_t invalidate_odds,
+                                                   int ops) {
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+  std::uint64_t fast_hits = 0;
+  std::uint64_t fast_misses = 0;
+  for (int op = 0; op < ops; ++op) {
+    const VirtPage p = rng.next_below(tag_space * kPagesPerBigPage);
+    if (invalidate_odds != 0 && rng.next_below(invalidate_odds) == 0) {
+      fast.invalidate_all();
+      ref.invalidate_all();
+    } else if (rng.next_below(2) == 0) {
+      const bool want = ref.lookup(p);
+      const bool got = fast.lookup(p);
+      (want ? hits : misses) += 1;
+      (got ? fast_hits : fast_misses) += 1;
+      EXPECT_EQ(got, want) << "op " << op << " page " << p;
+      if (got != want) break;
+    } else {
+      fast.insert(p);
+      ref.insert(p);
+    }
+  }
+  EXPECT_EQ(fast_hits, hits);
+  EXPECT_EQ(fast_misses, misses);
+  EXPECT_EQ(fast.invalidations(), ref.invalidations());
+  return {hits, misses};
+}
+
 class UtlbOracle : public ::testing::TestWithParam<std::uint32_t> {};
 
 TEST_P(UtlbOracle, MatchesMapMirrorModel) {
@@ -136,29 +175,31 @@ TEST_P(UtlbOracle, MatchesMapMirrorModel) {
   // Tags drawn from about twice the ring size, so lookups both hit and
   // miss, inserts both duplicate live tags and evict, and the ring wraps
   // several times between invalidates.
-  const std::uint64_t tag_space = 2ull * entries + 3;
-  const std::uint64_t invalidate_odds = 8ull * entries + 50;
-  constexpr int kOps = 20000;
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  for (int op = 0; op < kOps; ++op) {
-    const VirtPage p = rng.next_below(tag_space * kPagesPerBigPage);
-    if (rng.next_below(invalidate_odds) == 0) {
-      fast.invalidate_all();
-      ref.invalidate_all();
-    } else if (rng.next_below(2) == 0) {
-      const bool want = ref.lookup(p);
-      ASSERT_EQ(fast.lookup(p), want) << "op " << op << " page " << p;
-      (want ? hits : misses) += 1;
-    } else {
-      fast.insert(p);
-      ref.insert(p);
-    }
-  }
-  EXPECT_EQ(fast.invalidations(), ref.invalidations());
+  const auto [hits, misses] =
+      run_oracle(fast, ref, rng, 2ull * entries + 3, 8ull * entries + 50,
+                 20000);
   EXPECT_GT(ref.invalidations(), 0u);
   EXPECT_GT(hits, 0u);
   EXPECT_GT(misses, 0u);
+}
+
+TEST_P(UtlbOracle, ChainUnlinkingMatchesMapMirrorModel) {
+  // Stresses the bucket chains: a tag space of about 1.5x the ring, so
+  // most overwrites unlink a tag that still has live copies elsewhere in
+  // its chain, and long stretches (~50 ring wraps) without an invalidate,
+  // so chains are only ever unlinked one slot at a time. A second phase
+  // never invalidates at all.
+  const std::uint32_t entries = GetParam();
+  Utlb fast(entries);
+  MapMirrorUtlb ref(entries);
+  Rng rng(0xBADC0DE + entries);
+  const std::uint64_t tag_space = entries + entries / 2 + 1;
+  const auto [hits, misses] =
+      run_oracle(fast, ref, rng, tag_space, 100ull * entries + 100, 40000);
+  const auto [hits2, misses2] =
+      run_oracle(fast, ref, rng, tag_space, 0, 40000);
+  EXPECT_GT(hits + hits2, 0u);
+  EXPECT_GT(misses + misses2, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, UtlbOracle,

@@ -20,6 +20,7 @@
 // quarantined.
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <string>
 
@@ -67,7 +68,10 @@ exit codes (shared with uvmsim_cli): 0 all completed, 1 usage/IO,
 )";
 }
 
+/// Parses the flags. A malformed or out-of-range number throws ConfigError
+/// naming its flag (exit 2), through the parsers queue lines use.
 std::optional<CampaignCliOptions> parse(int argc, char** argv) {
+  constexpr std::uint64_t kU32 = std::numeric_limits<std::uint32_t>::max();
   CampaignCliOptions o;
   auto need_value = [&](int& i) -> const char* {
     if (i + 1 >= argc) {
@@ -90,7 +94,7 @@ std::optional<CampaignCliOptions> parse(int argc, char** argv) {
       o.cfg.store_dir = v;
     } else if (a == "--workers") {
       if (!(v = need_value(i))) return std::nullopt;
-      o.cfg.workers = std::stoull(v);
+      o.cfg.workers = parse_u64(a, v);
       if (o.cfg.workers == 0) o.cfg.workers = default_workers();
     } else if (a == "--isolate") {
       if (!(v = need_value(i))) return std::nullopt;
@@ -108,25 +112,27 @@ std::optional<CampaignCliOptions> parse(int argc, char** argv) {
       o.cfg.cli_path = v;
     } else if (a == "--timeout-ms") {
       if (!(v = need_value(i))) return std::nullopt;
-      o.cfg.run_timeout_ms = std::stoull(v);
+      o.cfg.run_timeout_ms = parse_u64(a, v);
     } else if (a == "--retries") {
       if (!(v = need_value(i))) return std::nullopt;
-      o.cfg.retry.max_attempts = static_cast<std::uint32_t>(std::stoul(v));
+      o.cfg.retry.max_attempts =
+          static_cast<std::uint32_t>(parse_u64(a, v, kU32));
     } else if (a == "--backoff-ms") {
       if (!(v = need_value(i))) return std::nullopt;
-      o.cfg.retry.backoff_base_ms = static_cast<std::uint32_t>(std::stoul(v));
+      o.cfg.retry.backoff_base_ms =
+          static_cast<std::uint32_t>(parse_u64(a, v, kU32));
     } else if (a == "--hazard-worker-crash-rate") {
       if (!(v = need_value(i))) return std::nullopt;
-      o.cfg.hazards.worker_crash_rate = std::stod(v);
+      o.cfg.hazards.worker_crash_rate = parse_double(a, v);
     } else if (a == "--hazard-worker-hang-rate") {
       if (!(v = need_value(i))) return std::nullopt;
-      o.cfg.hazards.worker_hang_rate = std::stod(v);
+      o.cfg.hazards.worker_hang_rate = parse_double(a, v);
     } else if (a == "--hazard-journal-truncate-rate") {
       if (!(v = need_value(i))) return std::nullopt;
-      o.cfg.hazards.journal_truncate_rate = std::stod(v);
+      o.cfg.hazards.journal_truncate_rate = parse_double(a, v);
     } else if (a == "--hazard-seed") {
       if (!(v = need_value(i))) return std::nullopt;
-      o.cfg.hazards.seed = std::stoull(v);
+      o.cfg.hazards.seed = parse_u64(a, v);
     } else {
       std::cerr << "unknown option: " << a << " (try --help)\n";
       return std::nullopt;
