@@ -188,14 +188,19 @@ TEST(Cli, TraceDumpAndReplayRoundTrip) {
 TEST(Cli, DumpTraceDigestsArePinned) {
   // Capture reads every lane of every record, so these digests pin the
   // workloads' explicit page lists (random, bfs, stream and cufft build
-  // theirs with add()) independently of how streams store them.
+  // theirs with add()) and the lanes of their strided records (sgemm,
+  // strided, regular and tealeaf) independently of how streams store them.
   const struct {
     const char* workload;
     std::uint64_t digest;
   } cases[] = {{"random", 0x5eed27bba97cac07ULL},
                {"bfs", 0x511b4b3b940274a0ULL},
                {"stream", 0x8dd6332faafb387aULL},
-               {"cufft", 0xa71b04fcdffb27e4ULL}};
+               {"cufft", 0xa71b04fcdffb27e4ULL},
+               {"sgemm", 0x9d7a3545bc08f084ULL},
+               {"strided", 0x4a84d297360e814bULL},
+               {"regular", 0xd61b66ae238efb84ULL},
+               {"tealeaf", 0xb651b7bb4fac342cULL}};
   const std::string trace =
       std::string(::testing::TempDir()) + "/cli_test_digest.trace";
   for (const auto& c : cases) {
