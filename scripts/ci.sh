@@ -208,14 +208,16 @@ fi
 echo "policy-crossover gate: green"
 rm -rf "$BENCH_TMP"
 
-echo "== perfbench (benchmark self-tests + golden digests, seeds 42/0/31) =="
+echo "== perfbench (benchmark self-tests + every pinned golden digest) =="
 # run.py builds the harness into .bench_build/ and exits nonzero when a
 # simulation's digest differs from perfbench/goldens.json, so these runs
-# pin the simulated output of all three benchmark workloads. Seed 42 is the
-# benchmark's; seeds 0 and 31 check a change on seeds it was not tuned on.
+# pin the simulated output of all three benchmark workloads on every seed
+# the file pins (42 and 0-31 each), not only the benchmark's seed 42.
 python3 perfbench/test_perfbench.py
 for w in random-oversub random-oversub-gpudriven sgemm-resident; do
-  for seed in 42 0 31; do
+  seeds=$(python3 -c 'import json, sys
+print(" ".join(json.load(open("perfbench/goldens.json"))[sys.argv[1]]))' "$w")
+  for seed in $seeds; do
     python3 perfbench/run.py --workload "$w" --seed "$seed" --seconds 0 \
       > /dev/null \
       || { echo "perfbench golden FAILED for $w seed $seed"; exit 1; }

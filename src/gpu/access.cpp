@@ -115,10 +115,13 @@ void AccessStream::add_strided(VirtPage first, std::uint64_t offset,
     throw std::invalid_argument("AccessStream: empty strided access");
   }
   const StridedAccess s{first, offset, stride, seg_bytes, rows};
-  std::uint64_t lanes = 0;
-  for_each_new_run(s, [&lanes](std::uint64_t lo, std::uint64_t hi) {
-    lanes += hi - lo + 1;
-  });
+  std::uint64_t lanes = rows;
+  if (!s.one_page_rows()) {
+    lanes = 0;
+    for_each_new_run(s, [&lanes](std::uint64_t lo, std::uint64_t hi) {
+      lanes += hi - lo + 1;
+    });
+  }
   if (lanes > kMaxLanes) {
     throw std::invalid_argument("AccessStream: more than 65535 pages");
   }
@@ -147,6 +150,10 @@ std::size_t AccessStream::total_page_touches() const {
 void AccessStream::expand(const StridedAccess& s,
                           std::vector<LanePage>& out) {
   out.clear();
+  if (s.one_page_rows()) {
+    for (std::uint32_t r = 0; r < s.rows; ++r) out.push_back(s.row_page(r));
+    return;
+  }
   for_each_new_run(s, [&](std::uint64_t lo, std::uint64_t hi) {
     for (std::uint64_t p = lo; p <= hi; ++p) {
       out.push_back(lane_page(s.first + p));

@@ -18,6 +18,7 @@
 // engine dispatches them; a generated grid never exists all at once.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -44,12 +45,28 @@ struct AccessRecord {
 
 /// The pages of `rows` byte segments of `seg_bytes` bytes, row i starting at
 /// byte `offset + i * stride` of the range whose first page is `first`.
+/// Its lanes are the pages of each row in row order, skipping a page an
+/// earlier row touched; they ascend.
 struct StridedAccess {
   VirtPage first = 0;
   std::uint64_t offset = 0;
   std::uint64_t stride = 0;
   std::uint32_t seg_bytes = 0;
   std::uint32_t rows = 0;
+
+  /// True when every row is one page no other row shares: `seg_bytes`
+  /// divides the page size (so it is a power of two up to a page), the
+  /// offset and the stride, and the stride is at least a page. Row i is
+  /// then lane i, page `first + (offset + i * stride) / kPageSize`.
+  [[nodiscard]] bool one_page_rows() const {
+    return std::has_single_bit(seg_bytes) && seg_bytes <= kPageSize &&
+           ((offset | stride) & (seg_bytes - 1)) == 0 && stride >= kPageSize;
+  }
+
+  /// Lane `r` of a record with one_page_rows(): row r's page.
+  [[nodiscard]] LanePage row_page(std::uint32_t r) const {
+    return lane_page(first + (offset + r * stride) / kPageSize);
+  }
 };
 
 /// The ordered accesses of a single warp.
@@ -90,6 +107,10 @@ class AccessStream {
     if (!r.strided) return {pages_.data() + r.page_begin, r.page_count};
     expand(strided_[r.page_begin], buf);
     return buf;
+  }
+  /// The descriptor of strided record i.
+  [[nodiscard]] const StridedAccess& strided(std::size_t i) const {
+    return strided_[records_[i].page_begin];
   }
   /// Total page-touches across all records.
   [[nodiscard]] std::size_t total_page_touches() const;

@@ -33,6 +33,12 @@ class PageMask {
   [[nodiscard]] std::uint64_t word(std::uint32_t w) const { return words_[w]; }
   void set(std::uint32_t i) { words_[i / kWordBits] |= bit(i); }
   void reset(std::uint32_t i) { words_[i / kWordBits] &= ~bit(i); }
+  /// Sets (resets) the bits `bits` of storage word `w`: set() and reset()
+  /// for up to 64 pages at once.
+  void set_word_bits(std::uint32_t w, std::uint64_t bits) { words_[w] |= bits; }
+  void reset_word_bits(std::uint32_t w, std::uint64_t bits) {
+    words_[w] &= ~bits;
+  }
   void set_all() { words_.fill(~std::uint64_t{0}); }
   void clear() { words_.fill(0); }
 

@@ -20,6 +20,15 @@
 //     the simulator's are all one- or two-pointer captures).
 // Both kinds draw their sequence numbers from one counter, so they
 // interleave in (when, seq) order. An event cannot be cancelled.
+//
+// Replace-top: a warp step almost always schedules the warp's next step.
+// So a fired typed step stays at the heap root while its handler runs, and
+// the handler's first schedule overwrites the root and sifts down once,
+// instead of a pop_heap and a push_heap. If the handler schedules nothing,
+// the root is popped when it returns. The fired entry is the minimum, so
+// the heap stays valid throughout; (when, seq) keys are unique, so any
+// valid heap pops the same order, and pending_events()/empty() leave the
+// fired entry out.
 #pragma once
 
 #include <cstddef>
@@ -75,11 +84,13 @@ class EventQueue {
   /// Executes a single event if one is pending. Returns false if empty.
   bool step();
 
-  /// Number of events still pending.
-  [[nodiscard]] std::size_t pending_events() const { return heap_.size(); }
+  /// Number of events still pending (a firing step is no longer pending).
+  [[nodiscard]] std::size_t pending_events() const {
+    return heap_.size() - (root_fired_ ? 1 : 0);
+  }
 
   /// True when no events remain.
-  [[nodiscard]] bool empty() const { return heap_.empty(); }
+  [[nodiscard]] bool empty() const { return pending_events() == 0; }
 
   /// Total number of events executed so far.
   [[nodiscard]] std::uint64_t executed_events() const { return executed_; }
@@ -100,19 +111,31 @@ class EventQueue {
     std::uint64_t payload = 0;
   };
   // "Later-than" comparator: std::push_heap builds a max-heap, so the
-  // earliest (when, seq) ends up at the front.
+  // earliest (when, seq) ends up at the front. It compares the pair as one
+  // 128-bit key: a sift's pick of the earlier child then compiles to a
+  // conditional move, where a two-step comparison branched unpredictably.
   struct Later {
+    using Key = __uint128_t;
+    static Key key(const HeapEntry& e) {
+      return (Key{e.when} << 64) | e.seq;
+    }
     bool operator()(const HeapEntry& a, const HeapEntry& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
+      return key(a) > key(b);
     }
   };
 
   void push(SimTime when, std::uint64_t payload);
+  /// Overwrites the fired root with `e` and restores the heap order.
+  void replace_root(const HeapEntry& e);
+  /// Pops the fired root if no schedule has replaced it.
+  void drop_fired_root();
 
   std::vector<HeapEntry> heap_;
   std::vector<Callback> slab_;
   std::vector<std::uint32_t> free_slots_;
+  /// True while a typed step's handler runs and its entry, already fired,
+  /// still sits at heap_[0].
+  bool root_fired_ = false;
   StepHandler step_fn_ = nullptr;
   void* step_ctx_ = nullptr;
   SimTime now_ = 0;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <numeric>
@@ -136,6 +137,53 @@ TEST(AccessStream, StridedRowsSkipPagesAlreadyTouched) {
                std::invalid_argument);
   EXPECT_THROW(s.add_strided(0, 0, 4096, 4096, 65536, false, 0),
                std::invalid_argument);
+}
+
+TEST(AccessStream, StridedPageCountMatchesRowWalkOnRandomShapes) {
+  // add_strided counts one-page rows in closed form (page_count = rows)
+  // and walks every other shape. Both must equal the distinct pages of the
+  // concatenated rows, in order, computed here by brute force; the shapes
+  // straddle the one-page-row predicate.
+  Rng rng(2024);
+  int one_page = 0;
+  int walked = 0;
+  std::vector<LanePage> buf;
+  for (int t = 0; t < 4000; ++t) {
+    const bool pow2 = rng.next_below(2) == 0;
+    const auto seg = static_cast<std::uint32_t>(
+        pow2 ? std::uint64_t{1} << rng.next_below(14)  // up to 2 pages
+             : 1 + rng.next_below(3 * kPageSize));
+    std::uint64_t offset = rng.next_below(8 * kPageSize);
+    std::uint64_t stride = rng.next_below(6 * kPageSize);
+    if (rng.next_below(2) == 0) {  // align both to the segment
+      offset -= offset % seg;
+      stride -= stride % seg;
+    }
+    const auto rows = static_cast<std::uint32_t>(1 + rng.next_below(40));
+    const StridedAccess sa{1000, offset, stride, seg, rows};
+    (sa.one_page_rows() ? one_page : walked) += 1;
+
+    std::vector<LanePage> want;
+    for (std::uint64_t r = 0; r < rows; ++r) {
+      const std::uint64_t lo = offset + r * stride;
+      for (std::uint64_t p = lo / kPageSize; p <= (lo + seg - 1) / kPageSize;
+           ++p) {
+        const auto lane = static_cast<LanePage>(1000 + p);
+        if (std::find(want.begin(), want.end(), lane) == want.end()) {
+          want.push_back(lane);
+        }
+      }
+    }
+    AccessStream s;
+    s.add_strided(1000, offset, seg, stride, rows, false, 0);
+    ASSERT_EQ(s.record(0).page_count, want.size())
+        << "seg " << seg << " offset " << offset << " stride " << stride
+        << " rows " << rows;
+    const auto got = s.pages(0, buf);
+    EXPECT_EQ(std::vector<LanePage>(got.begin(), got.end()), want);
+  }
+  EXPECT_GT(one_page, 200);
+  EXPECT_GT(walked, 200);
 }
 
 TEST(AccessStream, ClearDropsRecordsOfBothForms) {

@@ -3,6 +3,9 @@
 // boundary workload sizes.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "core/simulator.h"
 #include "workloads/registry.h"
 #include "workloads/regular.h"
@@ -122,6 +125,19 @@ TEST(EdgeCases, ZeroJitterIsDeterministicAndRuns) {
   wl.setup(sim);
   RunResult r = sim.run();
   EXPECT_EQ(r.resident_pages_at_end, 512u);
+}
+
+TEST(EdgeCases, MaxJitterRunsToCompletion) {
+  // validate() accepts any 32-bit jitter; the draw's bound, jitter_ns + 1,
+  // must not wrap to 0 at UINT32_MAX.
+  SimConfig cfg = base();
+  cfg.gpu.jitter_ns = std::numeric_limits<std::uint32_t>::max();
+  Simulator sim(cfg);
+  RegularTouch wl(8ull << 20);
+  wl.setup(sim);
+  RunResult r = sim.run();
+  EXPECT_EQ(r.resident_pages_at_end, 2048u);
+  EXPECT_FALSE(sim.gpu().busy());
 }
 
 TEST(EdgeCases, SingleSmMachine) {

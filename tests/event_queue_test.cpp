@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <stdexcept>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 namespace uvmsim {
@@ -199,6 +203,96 @@ TEST(EventQueue, TypedAndCallbackEventsInterleaveInWhenSeqOrder) {
   for (const Expect& e : expect) want.push_back(e.id);
   EXPECT_EQ(fired, want);
   EXPECT_EQ(q.executed_events(), want.size());
+}
+
+TEST(EventQueue, HandlersSchedulingAnyNumberFireInWhenSeqOrder) {
+  // A fired typed step stays at the heap root while its handler runs, and
+  // the handler's first schedule replaces it. Handlers here schedule 0, 1
+  // or 3 follow-ups of either kind, so the root is replaced, replaced and
+  // then pushed onto, or popped afterwards, and every handler checks
+  // pending_events() and empty() against the count of unfired events.
+  EventQueue q;
+  std::vector<std::uint64_t> fired;
+  struct Expect {
+    SimTime when;
+    std::uint64_t seq;
+    std::uint64_t id;
+  };
+  std::vector<Expect> expect;
+  std::uint64_t seq = 0;
+  std::uint64_t next_id = 0;
+  std::uint32_t lcg = 777;
+  auto draw = [&lcg](std::uint32_t n) {
+    lcg = lcg * 1103515245u + 12345u;
+    return (lcg >> 16) % n;
+  };
+  std::function<void()> schedule;
+  auto on_fire = [&](std::uint64_t id) {
+    fired.push_back(id);
+    EXPECT_EQ(q.pending_events(), expect.size() - fired.size()) << id;
+    EXPECT_EQ(q.empty(), expect.size() == fired.size()) << id;
+    if (next_id >= 600) return;
+    constexpr std::array<std::uint32_t, 3> kFollowUps{0, 1, 3};
+    const std::uint32_t follow_ups = kFollowUps[draw(3)];
+    for (std::uint32_t i = 0; i < follow_ups; ++i) {
+      schedule();
+      EXPECT_EQ(q.pending_events(), expect.size() - fired.size()) << id;
+    }
+  };
+  q.set_step_handler(
+      [](void* fire, std::uint64_t id) {
+        (*static_cast<decltype(on_fire)*>(fire))(id);
+      },
+      &on_fire);
+  schedule = [&] {
+    const bool callback = draw(4) == 0;
+    const SimDuration delay = draw(6);  // many equal timestamps
+    const std::uint64_t n = next_id++;
+    const std::uint64_t id = callback ? 1000 + n : n;
+    expect.push_back({q.now() + delay, seq++, id});
+    if (callback) {
+      q.schedule_in(delay, [&on_fire, id] { on_fire(id); });
+    } else {
+      q.schedule_step_in(delay, id);
+    }
+  };
+  for (int i = 0; i < 30; ++i) schedule();
+  q.run();
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.pending_events(), 0u);
+  std::sort(expect.begin(), expect.end(), [](const Expect& a, const Expect& b) {
+    return std::tie(a.when, a.seq) < std::tie(b.when, b.seq);
+  });
+  std::vector<std::uint64_t> want;
+  for (const Expect& e : expect) want.push_back(e.id);
+  EXPECT_EQ(fired, want);
+  EXPECT_GT(want.size(), 300u);  // the run did not die out early
+}
+
+TEST(EventQueue, ThrowingStepHandlerLeavesTheQueueConsistent) {
+  // A step whose handler throws is still fired: it is gone from the queue,
+  // and the events it scheduled before throwing stay pending.
+  EventQueue q;
+  int calls = 0;
+  std::pair<EventQueue*, int*> state{&q, &calls};
+  q.set_step_handler(
+      [](void* ctx, std::uint64_t id) {
+        auto& self = *static_cast<std::pair<EventQueue*, int*>*>(ctx);
+        ++*self.second;
+        if (id == 1) {
+          self.first->schedule_step_in(5, 2);
+          throw std::runtime_error("step failed");
+        }
+      },
+      &state);
+  q.schedule_step_in(1, 1);
+  q.schedule_step_in(3, 3);
+  EXPECT_THROW(q.step(), std::runtime_error);
+  EXPECT_EQ(q.pending_events(), 2u);
+  q.run();
+  EXPECT_EQ(calls, 3);
+  EXPECT_EQ(q.now(), 6u);
+  EXPECT_TRUE(q.empty());
 }
 
 TEST(EventQueue, PendingCountTracksScheduleAndFire) {
