@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "core/simulator.h"
 #include "mem/page_table.h"
@@ -280,6 +282,111 @@ TEST_F(GpuEngineTest, AddressSpaceGrowsAfterLaunch) {
 /// SM, at 4 KB and 64 KB fault granularity. The values were recorded with
 /// the hash-set pending-fault implementation this engine replaced; any
 /// change to how lanes coalesce, throttle or raise shows up here.
+/// A resident engine over one 8 MiB range whose pages carry every mask the
+/// step reads or writes: read duplicates, prefetched pages and, with
+/// `remote`, pages both resident and remote-mapped.
+struct ResidentRig {
+  EventQueue eq;
+  AddressSpace as;
+  PageTable pt{as};
+  FaultBuffer fb{FaultBuffer::Config{}};
+  AccessCounters ac{AccessCounters::Config{}, false};
+  GpuEngine gpu;
+
+  explicit ResidentRig(bool remote)
+      : gpu(config(), /*seed=*/0x5EED, eq, as, pt, fb, ac) {
+    as.create_range(8ull << 20, "data");
+    for (std::size_t b = 0; b < as.num_blocks(); ++b) {
+      VaBlock& blk = as.block(b);
+      blk.gpu_resident.set_range(0, blk.num_pages);
+      for (std::uint32_t i = 0; i < blk.num_pages; ++i) {
+        if (i % 3 == 0) {
+          blk.read_duplicated.set(i);
+          blk.cpu_resident.set(i);
+        }
+        if (i % 5 == 0) blk.prefetched_unused.set(i);
+        if (remote && i % 97 == 0) blk.remote_mapped.set(i);
+      }
+    }
+  }
+
+  static GpuEngine::Config config() {
+    GpuEngine::Config c;
+    c.num_sms = 2;
+    c.max_blocks_per_sm = 1;
+    c.utlb_entries = 3;  // tiny: inserts evict, so the order of µTLB ops shows
+    return c;
+  }
+
+  /// Every observable the step changes.
+  [[nodiscard]] std::vector<std::uint64_t> state() const {
+    std::vector<std::uint64_t> v{gpu.utlb_hits(), gpu.utlb_misses(),
+                                 gpu.remote_accesses(), eq.now()};
+    for (const KernelStats& k : gpu.kernel_stats()) {
+      v.push_back(k.page_touches);
+      v.push_back(k.completed_at);
+    }
+    for (std::size_t b = 0; b < as.num_blocks(); ++b) {
+      const VaBlock& blk = as.block(b);
+      for (const PageMask* m :
+           {&blk.gpu_resident, &blk.cpu_resident, &blk.dirty,
+            &blk.ever_populated, &blk.read_duplicated, &blk.remote_mapped,
+            &blk.prefetched_unused}) {
+        for (std::uint32_t w = 0; w < PageMask::kWords; ++w) {
+          v.push_back(m->word(w));
+        }
+      }
+    }
+    return v;
+  }
+};
+
+/// Runs tile-like accesses (16 one-page rows, 512-byte segments, a row
+/// every 4.875 pages) as strided records, or as explicit records of the
+/// same lanes, which always take the per-lane walk.
+std::vector<std::uint64_t> run_tiles(bool strided, bool remote) {
+  ResidentRig rig(remote);
+  KernelSpec k;
+  k.name = "tiles";
+  std::vector<LanePage> lanes;
+  for (std::uint32_t b = 0; b < 2; ++b) {
+    k.blocks.emplace_back();
+    for (std::uint32_t w = 0; w < 4; ++w) {
+      AccessStream s;
+      for (std::uint32_t r = 0; r < 12; ++r) {
+        const std::uint64_t offset = (b * 40 + w * 7 + r * 3) * 512ull;
+        AccessStream one;
+        one.add_strided(0, offset, 512, 19968, 16, false, 0);
+        EXPECT_TRUE(one.strided(0).one_page_rows());
+        if (strided) {
+          s.add_strided(0, offset, 512, 19968, 16, r % 2 == 1, 300);
+        } else {
+          s.add(one.pages(0, lanes), r % 2 == 1, 300);
+        }
+      }
+      k.blocks.back().warps.push_back(std::move(s));
+    }
+  }
+  bool done = false;
+  rig.gpu.launch(&k, [&] { done = true; });
+  rig.eq.run();
+  EXPECT_TRUE(done);
+  return rig.state();
+}
+
+TEST(GpuEngineStep, ResidentStridedRecordsMatchThePerLaneWalk) {
+  // The word-level step of a resident strided record must leave exactly
+  // what the per-lane walk leaves: µTLB counts and timing, write bits, the
+  // read-duplicate collapse, cleared prefetch bits. With remote-mapped
+  // pages among the lanes it must step aside for the remote accesses.
+  for (const bool remote : {false, true}) {
+    SCOPED_TRACE(remote ? "remote" : "local");
+    const std::vector<std::uint64_t> walk = run_tiles(false, remote);
+    EXPECT_EQ(run_tiles(true, remote), walk);
+    EXPECT_EQ(walk[2] > 0, remote);  // remote accesses happened
+  }
+}
+
 TEST(GpuEngineCounters, CoalescingCountsArePinned) {
   struct Case {
     const char* workload;
