@@ -43,8 +43,8 @@ int main() {
       ++n;
       PageMask f;
       f.set(leaf);
-      auto res = Prefetcher::compute(blk, f, /*big_page_upgrade=*/true,
-                                     /*threshold=*/51);
+      auto res = Prefetcher::compute_fast(blk, f, /*big_page_upgrade=*/true,
+                                          /*threshold=*/51);
       blk.gpu_resident |= f;
       blk.gpu_resident |= res.prefetch;
       t.add_row({"B" + std::to_string(n), fmt(std::uint64_t{leaf}),
@@ -65,7 +65,7 @@ int main() {
     one.set(0);
     Table t({"threshold_pct", "prefetched_pages"});
     for (std::uint32_t th : {1u, 2u, 5u, 26u, 51u, 76u, 100u}) {
-      auto res = Prefetcher::compute(blk, one, true, th);
+      auto res = Prefetcher::compute_fast(blk, one, true, th);
       t.add_row({fmt(std::uint64_t{th}),
                  fmt(static_cast<std::uint64_t>(res.prefetch.count()))});
     }

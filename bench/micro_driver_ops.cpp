@@ -46,21 +46,6 @@ void BM_PrefetchTreeExpand(benchmark::State& state) {
 }
 BENCHMARK(BM_PrefetchTreeExpand)->Arg(16)->Arg(128)->Arg(400);
 
-void BM_PrefetcherTwoStage(benchmark::State& state) {
-  VaBlock blk;
-  blk.range = 0;
-  blk.num_pages = kPagesPerBlock;
-  Rng rng(11);
-  PageMask faults;
-  for (int i = 0; i < static_cast<int>(state.range(0)); ++i) {
-    faults.set(static_cast<std::uint32_t>(rng.next_below(kPagesPerBlock)));
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(Prefetcher::compute(blk, faults, true, 51));
-  }
-}
-BENCHMARK(BM_PrefetcherTwoStage)->Arg(4)->Arg(64)->Arg(256);
-
 void BM_FaultBufferPushPop(benchmark::State& state) {
   FaultBuffer fb(FaultBuffer::Config{});
   FaultEntry e;
@@ -273,9 +258,7 @@ void BM_EventQueueTypedSteps(benchmark::State& state) {
 BENCHMARK(BM_EventQueueTypedSteps);
 
 void BM_PrefetcherComputeFast(benchmark::State& state) {
-  // The driver's prefetch path vs the tree-building reference:
-  // BM_PrefetcherTwoStage measures compute(); this measures compute_fast()
-  // on the same shape so the ratio is visible in one run.
+  // The driver's prefetch path on one block with scattered faults.
   VaBlock blk;
   blk.range = 0;
   blk.num_pages = kPagesPerBlock;

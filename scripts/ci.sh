@@ -49,6 +49,17 @@ if [ -n "$STRAY" ]; then
 fi
 echo "config-check gate: ConfigError only at its four homes"
 
+echo "== every src header compiles on its own =="
+# A header that leans on its includer's includes breaks the next file that
+# includes it first. Each one is compiled alone (included from stdin, so
+# GCC does not warn about #pragma once in the main file); xargs exits
+# nonzero if any fails, after naming every failing header.
+find src -name '*.h' | sort | xargs -P"$JOBS" -n1 sh -c \
+  'printf "#include \"%s\"\n" "$1" |
+     g++ -std=c++20 -I. -Isrc -fsyntax-only -x c++ - \
+     || { echo "header FAILED: $1"; exit 1; }' sh
+echo "headers: $(find src -name '*.h' | wc -l) compile on their own"
+
 echo "== plain build =="
 cmake --build build -j"$JOBS"
 

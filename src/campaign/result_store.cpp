@@ -1,8 +1,6 @@
 #include "campaign/result_store.h"
 
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <system_error>
 #include <utility>
 
@@ -47,14 +45,6 @@ bool ResultStore::has(const std::string& id) const {
 void ResultStore::put(const std::string& id,
                       const std::string& contents) const {
   atomic_write_file(result_path(id), contents);
-}
-
-std::string ResultStore::get(const std::string& id) const {
-  std::ifstream in(result_path(id), std::ios::binary);
-  if (!in) throw IoError("no result for id " + id + " in " + dir_);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
 }
 
 void ResultStore::write_top_level(const std::string& name,

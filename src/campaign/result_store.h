@@ -34,8 +34,6 @@ class ResultStore {
   [[nodiscard]] bool has(const std::string& id) const;
   /// Atomically commits one result (temp + fsync + rename).
   void put(const std::string& id, const std::string& contents) const;
-  /// Reads a committed result. Throws IoError when absent.
-  [[nodiscard]] std::string get(const std::string& id) const;
 
   /// Atomically (re)writes a top-level store file (MANIFEST.tsv etc.).
   void write_top_level(const std::string& name,

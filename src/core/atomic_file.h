@@ -36,6 +36,7 @@ void atomic_write_file(const std::string& path,
 /// Test hook invoked between the durable temp write and the rename; throw
 /// from it to simulate a crash in the commit window. Returns the previous
 /// hook. Pass nullptr to clear. (Process-wide; tests install and restore.)
+/// Test seam: the AtomicFileTest crash-window cases.
 using AtomicWriteHook = void (*)(const std::string& tmp_path);
 AtomicWriteHook set_atomic_write_test_hook(AtomicWriteHook hook);
 

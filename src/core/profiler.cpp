@@ -18,13 +18,4 @@ std::string_view to_string(CostCategory c) {
   return "unknown";
 }
 
-Profiler Profiler::since(const Profiler& earlier) const {
-  Profiler d;
-  for (std::size_t i = 0; i < kNumCategories; ++i) {
-    d.totals_[i] = totals_[i] - earlier.totals_[i];
-    d.counts_[i] = counts_[i] - earlier.counts_[i];
-  }
-  return d;
-}
-
 }  // namespace uvmsim

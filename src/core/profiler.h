@@ -66,9 +66,6 @@ class Profiler {
     return t;
   }
 
-  /// Difference snapshot (this - earlier), for per-phase windows.
-  [[nodiscard]] Profiler since(const Profiler& earlier) const;
-
  private:
   std::array<SimDuration, kNumCategories> totals_{};
   std::array<std::uint64_t, kNumCategories> counts_{};

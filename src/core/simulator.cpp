@@ -96,7 +96,6 @@ void SimConfig::validate() const {
 Simulator::Simulator(const SimConfig& cfg)
     : cfg_(validated(cfg)),
       rng_(cfg.seed),
-      pt_(as_),
       fb_(cfg.fault_buffer),
       ac_(cfg.access_counters,
           cfg.driver.eviction_policy == EvictionPolicyKind::AccessCounter ||
@@ -119,11 +118,11 @@ Simulator::Simulator(const SimConfig& cfg)
   }
 
   const std::uint64_t gpu_seed = rng_.next_u64();
-  gpu_ = std::make_unique<GpuEngine>(cfg_.gpu, gpu_seed, eq_, as_, pt_, fb_,
-                                     ac_, &link_);
+  gpu_ = std::make_unique<GpuEngine>(cfg_.gpu, gpu_seed, eq_, as_, fb_, ac_,
+                                     &link_);
 
-  Driver::Deps deps{&eq_,  &as_,  &pt_, &fb_,           gpu_.get(),
-                    &pma_, &dma_, &ac_, hazards_.get(), tracer_.get()};
+  Driver::Deps deps{&eq_,  &as_, &fb_, gpu_.get(),     &pma_,
+                    &dma_, &ac_, hazards_.get(), tracer_.get()};
   const std::uint64_t driver_seed = rng_.next_u64();
   driver_ = std::make_unique<Driver>(cfg_.driver, driver_seed, cfg_.costs,
                                      deps, cfg_.enable_fault_log);

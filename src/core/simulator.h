@@ -24,7 +24,6 @@
 #include "mem/address_space.h"
 #include "mem/dma_engine.h"
 #include "mem/interconnect.h"
-#include "mem/page_table.h"
 #include "mem/pma.h"
 #include "sim/event_queue.h"
 #include "sim/hazards.h"
@@ -134,10 +133,6 @@ class Simulator {
   [[nodiscard]] PhysicalMemoryAllocator& pma() { return pma_; }
   [[nodiscard]] Interconnect& interconnect() { return link_; }
   [[nodiscard]] AccessCounters& access_counters() { return ac_; }
-  /// Null unless hazard injection is enabled in the config.
-  [[nodiscard]] const HazardInjector* hazard_injector() const {
-    return hazards_.get();
-  }
   /// Null unless tracing is enabled in the config.
   [[nodiscard]] const Tracer* tracer() const { return tracer_.get(); }
   [[nodiscard]] Rng& rng() { return rng_; }
@@ -159,7 +154,6 @@ class Simulator {
   std::unique_ptr<HazardInjector> hazards_;
   std::unique_ptr<Tracer> tracer_;
   AddressSpace as_;
-  PageTable pt_;
   FaultBuffer fb_;
   AccessCounters ac_;
   PhysicalMemoryAllocator pma_;

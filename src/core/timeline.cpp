@@ -17,28 +17,6 @@ Timeline::Timeline(const std::vector<FaultLogEntry>& log,
   }
 }
 
-std::vector<std::uint64_t> Timeline::series(FaultLogKind kind) const {
-  std::vector<std::uint64_t> out;
-  out.reserve(buckets_.size());
-  for (const auto& b : buckets_) {
-    out.push_back(b[static_cast<std::size_t>(kind)]);
-  }
-  return out;
-}
-
-std::size_t Timeline::peak_bucket(FaultLogKind kind) const {
-  std::size_t best = 0;
-  std::uint64_t best_count = 0;
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    std::uint64_t c = buckets_[i][static_cast<std::size_t>(kind)];
-    if (c > best_count) {
-      best_count = c;
-      best = i;
-    }
-  }
-  return best;
-}
-
 std::string Timeline::sparkline(FaultLogKind kind, std::size_t width) const {
   static constexpr char kRamp[] = " .:-=+*#";
   static constexpr std::size_t kLevels = sizeof(kRamp) - 2;

@@ -18,19 +18,12 @@ class Timeline {
   /// Builds the series from a fault log with the given bucket width.
   Timeline(const std::vector<FaultLogEntry>& log, SimDuration bucket_width);
 
-  [[nodiscard]] SimDuration bucket_width() const { return bucket_; }
   [[nodiscard]] std::size_t num_buckets() const { return buckets_.size(); }
 
   /// Events of `kind` in bucket `i`.
   [[nodiscard]] std::uint64_t count(FaultLogKind kind, std::size_t i) const {
     return buckets_[i][static_cast<std::size_t>(kind)];
   }
-
-  /// Whole series for one kind.
-  [[nodiscard]] std::vector<std::uint64_t> series(FaultLogKind kind) const;
-
-  /// Index of the bucket with the most events of `kind` (0 if none).
-  [[nodiscard]] std::size_t peak_bucket(FaultLogKind kind) const;
 
   /// Unicode-free ASCII sparkline of a series, resampled to `width` columns
   /// and scaled to the series maximum ('.':' low' through '#': high).

@@ -113,6 +113,7 @@ class AccessStream {
     return strided_[records_[i].page_begin];
   }
   /// Total page-touches across all records.
+  /// Test seam: access_stream_test and access_stream_alloc_test.
   [[nodiscard]] std::size_t total_page_touches() const;
 
  private:

@@ -5,13 +5,6 @@
 
 namespace uvmsim {
 
-const BlockScheduler::Grid* BlockScheduler::find(std::uint64_t grid_id) const {
-  for (const auto& g : grids_) {
-    if (g.id == grid_id) return &g;
-  }
-  return nullptr;
-}
-
 BlockScheduler::Grid* BlockScheduler::find(std::uint64_t grid_id) {
   for (auto& g : grids_) {
     if (g.id == grid_id) return &g;
@@ -81,18 +74,6 @@ void BlockScheduler::on_block_complete(std::uint32_t sm) {
     throw std::logic_error("BlockScheduler: completing block on idle SM");
   }
   --sm_load_[sm];
-}
-
-bool BlockScheduler::all_blocks_dispatched(std::uint64_t grid_id) const {
-  const Grid* g = find(grid_id);
-  if (g == nullptr) throw std::logic_error("BlockScheduler: unknown grid");
-  return g->next_block >= g->num_blocks;
-}
-
-std::uint32_t BlockScheduler::blocks_remaining(std::uint64_t grid_id) const {
-  const Grid* g = find(grid_id);
-  if (g == nullptr) throw std::logic_error("BlockScheduler: unknown grid");
-  return g->num_blocks - g->next_block;
 }
 
 }  // namespace uvmsim

@@ -43,13 +43,6 @@ class BlockScheduler {
   /// Releases the slot held by a completed block on `sm`.
   void on_block_complete(std::uint32_t sm);
 
-  /// True when the grid has no blocks left to dispatch.
-  [[nodiscard]] bool all_blocks_dispatched(std::uint64_t grid_id) const;
-  /// Blocks of the grid not yet dispatched.
-  [[nodiscard]] std::uint32_t blocks_remaining(std::uint64_t grid_id) const;
-  /// Number of registered grids.
-  [[nodiscard]] std::size_t active_grids() const { return grids_.size(); }
-
  private:
   struct Grid {
     std::uint64_t id = 0;
@@ -57,7 +50,6 @@ class BlockScheduler {
     std::uint32_t next_block = 0;
   };
 
-  [[nodiscard]] const Grid* find(std::uint64_t grid_id) const;
   [[nodiscard]] Grid* find(std::uint64_t grid_id);
 
   std::uint32_t num_sms_;

@@ -36,6 +36,7 @@ class FaultBuffer {
   /// Appends an entry verbatim, preserving the caller's raised_at/ready_at
   /// (normal pushes stamp both). Models entries whose timestamps were
   /// corrupted in flight; the driver's fetch path must tolerate them.
+  /// Test seam: FaultBatchTest.ClampsQueueLatencyFromFutureRaiseTime.
   bool push_preserving_timestamps(const FaultEntry& e);
 
   /// Attaches the hazard injector (null = entries are never corrupted).

@@ -9,8 +9,8 @@
 namespace uvmsim {
 
 GpuEngine::GpuEngine(const Config& cfg, std::uint64_t seed, EventQueue& eq,
-                     AddressSpace& as, PageTable& /*pt*/, FaultBuffer& fb,
-                     AccessCounters& ac, Interconnect* link)
+                     AddressSpace& as, FaultBuffer& fb, AccessCounters& ac,
+                     Interconnect* link)
     : cfg_(cfg),
       eq_(&eq),
       as_(&as),

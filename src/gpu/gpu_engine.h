@@ -33,7 +33,6 @@
 #include "mem/address_space.h"
 #include "mem/interconnect.h"
 #include "mem/page_mask.h"
-#include "mem/page_table.h"
 #include "sim/event_queue.h"
 #include "sim/rng.h"
 #include "sim/stats.h"
@@ -54,14 +53,6 @@ struct KernelStats {
   double work_units = 0.0;
 
   [[nodiscard]] SimDuration duration() const { return completed_at - launched_at; }
-
-  /// Mean time a warp spent parked per fault-stall episode — the
-  /// fault-resolution latency a replay policy trades against its overhead.
-  [[nodiscard]] double mean_stall_ns() const {
-    return stall_episodes ? static_cast<double>(stall_ns) /
-                                static_cast<double>(stall_episodes)
-                          : 0.0;
-  }
 };
 
 class GpuEngine {
@@ -109,14 +100,14 @@ class GpuEngine {
 
   /// `link` (optional) is the host-device interconnect zero-copy accesses
   /// travel over; when null, remote accesses pay only the fixed latency.
-  /// Warps read residency straight from `as`'s blocks (the masks `pt`
+  /// Warps read residency straight from `as`'s blocks (the masks the driver
   /// maintains), one block lookup per run of same-block pages. `seed`
   /// drives the per-access scheduling jitter. `cfg` must have passed
   /// SimConfig::validate(). The engine installs itself as `eq`'s step
   /// handler, so a queue drives one engine.
   GpuEngine(const Config& cfg, std::uint64_t seed, EventQueue& eq,
-            AddressSpace& as, PageTable& pt, FaultBuffer& fb,
-            AccessCounters& ac, Interconnect* link = nullptr);
+            AddressSpace& as, FaultBuffer& fb, AccessCounters& ac,
+            Interconnect* link = nullptr);
 
   [[nodiscard]] const Config& config() const { return cfg_; }
 
@@ -148,6 +139,7 @@ class GpuEngine {
   }
 
   /// True while any kernel is active or queued.
+  /// Test seam: EdgeCases.MaxJitterRunsToCompletion.
   [[nodiscard]] bool busy() const;
   /// True if any warp of any running kernel is parked on a fault.
   [[nodiscard]] bool has_stalled_warps() const { return !stalled_.empty(); }
@@ -169,8 +161,6 @@ class GpuEngine {
   [[nodiscard]] std::uint64_t remote_accesses() const {
     return remote_accesses_;
   }
-  /// Kernels currently executing (not merely queued).
-  [[nodiscard]] std::size_t active_kernels() const { return active_.size(); }
   /// Distribution of warp stall-episode durations (ns): the
   /// fault-resolution latency warps actually experienced.
   [[nodiscard]] const LogHistogram& stall_latency() const {

@@ -1,19 +1,6 @@
 #include "mem/page_mask.h"
 
-#include "sim/annotations.h"
-
 namespace uvmsim {
-
-UVMSIM_HOT std::uint32_t PageMask::find_next_clear(std::uint32_t from) const {
-  if (from >= kBits) return kBits;
-  std::uint32_t w = from / kWordBits;
-  std::uint64_t word = ~words_[w] & ~low_mask(from % kWordBits);
-  while (word == 0) {
-    if (++w == kWords) return kBits;
-    word = ~words_[w];
-  }
-  return w * kWordBits + static_cast<std::uint32_t>(std::countr_zero(word));
-}
 
 std::vector<PageMask::Run> PageMask::runs() const {
   std::vector<Run> out;

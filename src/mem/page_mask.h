@@ -67,9 +67,6 @@ class PageMask {
   /// Index of the first set bit >= `from`, or kBits when none remains.
   [[nodiscard]] std::uint32_t find_next_set(std::uint32_t from) const;
 
-  /// Index of the first clear bit >= `from`, or kBits when none remains.
-  [[nodiscard]] std::uint32_t find_next_clear(std::uint32_t from) const;
-
   PageMask& operator|=(const PageMask& o) {
     for (std::uint32_t w = 0; w < kWords; ++w) words_[w] |= o.words_[w];
     return *this;

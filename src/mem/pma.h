@@ -68,12 +68,8 @@ class PhysicalMemoryAllocator {
 
   [[nodiscard]] std::uint64_t capacity_bytes() const { return cfg_.capacity_bytes; }
   [[nodiscard]] std::uint64_t chunk_bytes() const { return cfg_.chunk_bytes; }
-  /// Capacity the allocator can actually hand out (page-truncated).
-  [[nodiscard]] std::uint64_t usable_bytes() const { return usable_bytes_; }
   /// Bytes handed out and currently in use.
   [[nodiscard]] std::uint64_t bytes_in_use() const { return in_use_bytes_; }
-  /// Bytes in the free cache (fetched from RM but unassigned).
-  [[nodiscard]] std::uint64_t bytes_cached() const { return cached_bytes_; }
   /// Bytes still allocatable without eviction (cached + never fetched).
   [[nodiscard]] std::uint64_t bytes_free() const {
     return usable_bytes_ - in_use_bytes_;

@@ -97,6 +97,7 @@ class EventQueue {
 
   /// Pre-sizes the heap and slab for `n` concurrently pending events so the
   /// schedule path doesn't reallocate while warming up.
+  /// Test seam: the event_queue_alloc_test warm-up.
   void reserve(std::size_t n);
 
  private:

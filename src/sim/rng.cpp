@@ -37,12 +37,6 @@ double Rng::next_double() {
   return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
 }
 
-std::int64_t Rng::next_range(std::int64_t lo, std::int64_t hi) {
-  if (lo > hi) throw std::invalid_argument("Rng::next_range: lo > hi");
-  std::uint64_t span = static_cast<std::uint64_t>(hi - lo) + 1;
-  return lo + static_cast<std::int64_t>(next_below(span));
-}
-
 double Rng::next_gaussian(double mean, double stddev) {
   if (have_spare_gaussian_) {
     have_spare_gaussian_ = false;

@@ -31,9 +31,6 @@ class Rng {
   /// Uniform double in [0, 1).
   double next_double();
 
-  /// Uniform integer in [lo, hi] inclusive.
-  std::int64_t next_range(std::int64_t lo, std::int64_t hi);
-
   /// Gaussian sample (Box–Muller) with the given mean/stddev.
   double next_gaussian(double mean, double stddev);
 

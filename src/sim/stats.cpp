@@ -10,38 +10,9 @@ namespace uvmsim {
 void Accumulator::add(double x) {
   ++n_;
   sum_ += x;
-  double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
+  mean_ += (x - mean_) / static_cast<double>(n_);
   min_ = std::min(min_, x);
   max_ = std::max(max_, x);
-}
-
-double Accumulator::variance() const {
-  if (n_ < 2) return 0.0;
-  return m2_ / static_cast<double>(n_ - 1);
-}
-
-double Accumulator::stddev() const { return std::sqrt(variance()); }
-
-void Accumulator::merge(const Accumulator& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  // Chan et al. parallel-merge formulas.
-  double delta = other.mean_ - mean_;
-  std::uint64_t n = n_ + other.n_;
-  double na = static_cast<double>(n_);
-  double nb = static_cast<double>(other.n_);
-  double nn = static_cast<double>(n);
-  m2_ += other.m2_ + delta * delta * na * nb / nn;
-  mean_ += delta * nb / nn;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  n_ = n;
 }
 
 namespace {
@@ -91,33 +62,6 @@ std::string LogHistogram::to_string() const {
     os << lo << ' ' << hi << ' ' << buckets_[i] << '\n';
   }
   return os.str();
-}
-
-double SampleSet::quantile(double q) const {
-  if (samples_.empty()) return 0.0;
-  if (!sorted_) {
-    std::sort(samples_.begin(), samples_.end());
-    sorted_ = true;
-  }
-  q = std::clamp(q, 0.0, 1.0);
-  // Nearest-rank (as documented): the smallest sample with cumulative
-  // frequency >= q. The previous rounding formula over-shot by one rank for
-  // half the q range (e.g. p50 of an even-sized set picked the upper
-  // middle).
-  std::size_t n = samples_.size();
-  std::size_t idx =
-      q <= 0.0 ? 0
-               : static_cast<std::size_t>(
-                     std::ceil(q * static_cast<double>(n))) -
-                     1;
-  return samples_[std::min(idx, n - 1)];
-}
-
-double SampleSet::mean() const {
-  if (samples_.empty()) return 0.0;
-  double s = 0.0;
-  for (double x : samples_) s += x;
-  return s / static_cast<double>(samples_.size());
 }
 
 }  // namespace uvmsim

@@ -553,7 +553,7 @@ SimTime Driver::zero_fill(VaBlock& blk, const PageMask& pages, SimTime t) {
 }
 
 SimTime Driver::map_local(VaBlock& blk, const PageMask& pages, SimTime t) {
-  d_.pt->map_pages(blk, pages);
+  blk.gpu_resident |= pages;
   const SimDuration cost =
       cm_.map_membar +
       static_cast<SimDuration>(pages.count()) * cm_.map_per_page;
@@ -563,7 +563,7 @@ SimTime Driver::map_local(VaBlock& blk, const PageMask& pages, SimTime t) {
 
 SimTime Driver::map_remote(VaBlock& blk, const PageMask& pages, SimTime t,
                            CostCategory category) {
-  d_.pt->map_remote(blk, pages);
+  blk.remote_mapped |= pages;
   const SimDuration cost =
       cm_.map_membar +
       static_cast<SimDuration>(pages.count()) * cm_.map_per_page;
@@ -828,7 +828,7 @@ bool Driver::evict_victim(SimTime& t, VaBlockId faulting_block,
   counters_.prefetched_evicted_unused +=
       (vb.prefetched_unused & freed_pages).count();
 
-  d_.pt->unmap_pages(vb, resident);
+  vb.gpu_resident &= ~resident;
   t += cm_.map_membar +
        static_cast<SimDuration>(resident.count()) * cm_.unmap_per_page;
   d_.gpu->invalidate_tlbs();
@@ -885,7 +885,7 @@ SimTime Driver::service_cpu_access(VirtPage first, std::uint64_t npages,
       // Host writes invalidate every GPU copy in the window.
       PageMask gpu_copies = blk.gpu_resident & window;
       if (gpu_copies.any()) {
-        d_.pt->unmap_pages(blk, gpu_copies);
+        blk.gpu_resident &= ~gpu_copies;
         t += cm_.map_membar + static_cast<SimDuration>(gpu_copies.count()) *
                                   cm_.unmap_per_page;
         d_.gpu->invalidate_tlbs();

@@ -38,7 +38,6 @@
 #include "gpu/gpu_engine.h"
 #include "mem/address_space.h"
 #include "mem/dma_engine.h"
-#include "mem/page_table.h"
 #include "mem/pma.h"
 #include "sim/event_queue.h"
 #include "sim/hazards.h"
@@ -60,7 +59,6 @@ class Driver {
   struct Deps {
     EventQueue* eq;
     AddressSpace* as;
-    PageTable* pt;
     FaultBuffer* fb;
     GpuEngine* gpu;
     PhysicalMemoryAllocator* pma;

@@ -130,7 +130,7 @@ UVMSIM_HOT SimTime Driver::resolve_fault(const FaultEntry& e,
     // cudaMemAdvise remote mapping binds the backend too: map, never
     // migrate.
     eviction_->on_block_touched(blk.id);
-    d_.pt->map_remote(blk, need);
+    blk.remote_mapped |= need;
     const SimDuration cost =
         static_cast<SimDuration>(need.count()) * gd.pte_update;
     t += cost;
@@ -166,7 +166,7 @@ UVMSIM_HOT SimTime Driver::resolve_fault(const FaultEntry& e,
     // Graceful degradation mirrors the driver path: pages with no eviction
     // victim available stay host-pinned behind a remote mapping.
     SimTime tr = t;
-    d_.pt->map_remote(blk, unbacked);
+    blk.remote_mapped |= unbacked;
     t += static_cast<SimDuration>(unbacked.count()) * gd.pte_update;
     counters_.gpu_remote_fallback_pages += unbacked.count();
     prof_.add(CostCategory::ErrorRecovery, t - tr);
@@ -204,7 +204,7 @@ UVMSIM_HOT SimTime Driver::resolve_fault(const FaultEntry& e,
   }
 
   // --- local PTE updates, no membar/TLB broadcast ---
-  d_.pt->map_pages(blk, to_populate);
+  blk.gpu_resident |= to_populate;
   const SimDuration map_cost =
       static_cast<SimDuration>(to_populate.count()) * gd.pte_update;
   t += map_cost;

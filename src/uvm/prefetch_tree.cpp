@@ -99,17 +99,4 @@ PageMask PrefetchTree::expand(std::uint32_t leaf,
   return region;
 }
 
-PageMask PrefetchTree::compute(const PageMask& occupied,
-                               const PageMask& faulted,
-                               std::uint32_t valid_pages,
-                               std::uint32_t threshold_percent) {
-  PrefetchTree tree(occupied, valid_pages);
-  PageMask out;
-  for (std::uint32_t leaf : faulted.set_bits()) {
-    if (leaf >= valid_pages) continue;
-    out |= tree.expand(leaf, threshold_percent);
-  }
-  return out.and_not(occupied);
-}
-
 }  // namespace uvmsim

@@ -46,13 +46,6 @@ class PrefetchTree {
   [[nodiscard]] std::uint32_t valid(std::uint32_t level,
                                     std::uint32_t index) const;
 
-  /// One-shot convenience: runs expand() over every faulted leaf in
-  /// ascending order and returns the union of the regions, minus pages that
-  /// were already occupied before the call (i.e. only NEW pages to fetch).
-  static PageMask compute(const PageMask& occupied, const PageMask& faulted,
-                          std::uint32_t valid_pages,
-                          std::uint32_t threshold_percent);
-
  private:
   /// counts_ stores the full binary tree: level L occupies indices
   /// [2^L - 1, 2^(L+1) - 1), node width 512 >> L.

@@ -3,41 +3,7 @@
 #include <algorithm>
 #include <bit>
 
-#include "uvm/prefetch_tree.h"
-
 namespace uvmsim {
-
-Prefetcher::Result Prefetcher::compute(const VaBlock& block,
-                                       const PageMask& faulted,
-                                       bool big_page_upgrade,
-                                       std::uint32_t threshold_percent) {
-  Result res;
-  if (faulted.none() || block.num_pages == 0) return res;
-
-  // Stage 1: upgrade each faulted page to its 64 KB big page.
-  PageMask upgraded;
-  if (big_page_upgrade) {
-    for (std::uint32_t bp = 0; bp < kBigPagesPerBlock; ++bp) {
-      std::uint32_t lo = bp * kPagesPerBigPage;
-      std::uint32_t hi = std::min(lo + kPagesPerBigPage, block.num_pages);
-      if (lo >= block.num_pages) break;
-      if (faulted.count_range(lo, hi) > 0) upgraded.set_range(lo, hi);
-    }
-  }
-
-  // Stage 2: density tree over resident + faulted + upgraded occupancy.
-  PageMask occupied = block.gpu_resident | faulted | upgraded;
-  PageMask tree_out;
-  if (threshold_percent <= 100) {
-    tree_out = PrefetchTree::compute(occupied, faulted, block.num_pages,
-                                     threshold_percent);
-    res.tree_updates = faulted.count();
-  }
-
-  res.prefetch =
-      (upgraded | tree_out).and_not(block.gpu_resident).and_not(faulted);
-  return res;
-}
 
 Prefetcher::Result Prefetcher::compute_fast(const VaBlock& block,
                                             const PageMask& faulted,

@@ -36,15 +36,10 @@ class Prefetcher {
   /// `threshold_percent` > 100 disables stage 2 (stage 1 still applies when
   /// big_page_upgrade is set — matching the driver, where the upgrade is
   /// part of the fault-service path, not the density logic).
-  static Result compute(const VaBlock& block, const PageMask& faulted,
-                        bool big_page_upgrade,
-                        std::uint32_t threshold_percent);
-
-  /// Word-level equivalent of compute(): identical Result for every input,
-  /// but built on popcount range scans over a live occupancy mask instead of
-  /// materializing the 1023-node density tree per call. The driver's bin
-  /// walk uses this; compute() stays as the reference implementation that
-  /// prefetcher_test and BM_PrefetcherTwoStage cross-check it against.
+  ///
+  /// Word-level: popcount range scans over a live occupancy mask instead of
+  /// materializing the 1023-node PrefetchTree per call. prefetcher_test
+  /// checks it against a reference built on PrefetchTree::expand().
   static Result compute_fast(const VaBlock& block, const PageMask& faulted,
                              bool big_page_upgrade,
                              std::uint32_t threshold_percent);

@@ -29,26 +29,11 @@
 #include "core/fault_log.h"
 #include "core/report.h"
 #include "core/simulator.h"
+#include "fnv.h"
 #include "workloads/registry.h"
 
 namespace uvmsim {
 namespace {
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-std::uint64_t fnv1a64(std::uint64_t h, const void* data, std::size_t n) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
-std::uint64_t mix_u64(std::uint64_t h, std::uint64_t v) {
-  return fnv1a64(h, &v, sizeof v);
-}
 
 struct ParityCase {
   const char* name;
@@ -184,7 +169,7 @@ std::uint64_t run_digest(const ParityCase& c, ServicingBackendKind backend,
   if (c.post_setup != nullptr) c.post_setup(sim);
   RunResult r = sim.run();
 
-  std::uint64_t h = kFnvOffset;
+  std::uint64_t h = kPinnedFnvOffset;
   const std::string csv = run_summary_table(r).to_csv();
   h = fnv1a64(h, csv.data(), csv.size());
   for (const FaultLogEntry& e : sim.driver().fault_log().entries()) {

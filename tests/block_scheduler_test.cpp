@@ -11,7 +11,12 @@ TEST(BlockScheduler, DispatchesLowestBlocksFirst) {
   auto d = s.dispatch_available();
   ASSERT_EQ(d.size(), 4u);  // 2 SMs x 2 slots
   for (std::uint32_t i = 0; i < 4; ++i) EXPECT_EQ(d[i].block_index, i);
-  EXPECT_EQ(s.blocks_remaining(0), 6u);
+  for (const auto& x : d) s.on_block_complete(x.sm);
+  auto d2 = s.dispatch_available();
+  ASSERT_EQ(d2.size(), 4u);
+  EXPECT_EQ(d2.front().block_index, 4u);
+  for (const auto& x : d2) s.on_block_complete(x.sm);
+  EXPECT_EQ(s.dispatch_available().size(), 2u);  // blocks 8 and 9 remain
 }
 
 TEST(BlockScheduler, SpreadsAcrossSms) {
@@ -43,9 +48,12 @@ TEST(BlockScheduler, CompletionFreesSlot) {
 TEST(BlockScheduler, AllDispatchedFlag) {
   BlockScheduler s(2, 2);
   s.begin_grid(0, 3);
-  EXPECT_FALSE(s.all_blocks_dispatched(0));
-  s.dispatch_available();
-  EXPECT_TRUE(s.all_blocks_dispatched(0));
+  EXPECT_THROW(s.end_grid(0), std::logic_error);  // blocks still pending
+  auto d = s.dispatch_available();
+  ASSERT_EQ(d.size(), 3u);
+  s.on_block_complete(d[0].sm);
+  EXPECT_TRUE(s.dispatch_available().empty());  // nothing left to dispatch
+  EXPECT_NO_THROW(s.end_grid(0));
 }
 
 TEST(BlockScheduler, CompleteOnIdleSmThrows) {
@@ -83,11 +91,13 @@ TEST(BlockScheduler, EndGridRemoves) {
   BlockScheduler s(2, 2);
   s.begin_grid(0, 1);
   s.begin_grid(1, 2);
-  s.dispatch_available();
-  EXPECT_EQ(s.active_grids(), 2u);
+  s.dispatch_available();  // every block of both grids; one slot stays free
   s.end_grid(0);
-  EXPECT_EQ(s.active_grids(), 1u);
-  EXPECT_THROW((void)s.blocks_remaining(0), std::logic_error);
+  EXPECT_THROW(s.end_grid(0), std::logic_error);  // already removed
+  s.begin_grid(0, 1);  // the id is free again
+  auto d = s.dispatch_available();
+  ASSERT_EQ(d.size(), 1u);
+  EXPECT_EQ(d[0].grid, 0u);
 }
 
 TEST(BlockScheduler, EndGridWithPendingBlocksThrows) {
@@ -105,8 +115,6 @@ TEST(BlockScheduler, DuplicateGridIdThrows) {
 
 TEST(BlockScheduler, UnknownGridQueriesThrow) {
   BlockScheduler s(1, 1);
-  EXPECT_THROW((void)s.blocks_remaining(9), std::logic_error);
-  EXPECT_THROW((void)s.all_blocks_dispatched(9), std::logic_error);
   EXPECT_THROW(s.end_grid(9), std::logic_error);
 }
 

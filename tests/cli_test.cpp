@@ -9,6 +9,8 @@
 #include <iterator>
 #include <string>
 
+#include "fnv.h"
+
 namespace {
 
 struct CmdResult {
@@ -33,12 +35,7 @@ CmdResult run_cli(const std::string& args, const std::string& prelude = "") {
 
 /// FNV-1a 64 of `bytes`.
 std::uint64_t fnv1a(const std::string& bytes) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (unsigned char c : bytes) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
+  return uvmsim::fnv1a64(uvmsim::kFnvOffset, bytes.data(), bytes.size());
 }
 
 TEST(Cli, HelpExitsCleanly) {

@@ -14,8 +14,6 @@
 #include <new>
 #include <vector>
 
-#include "mem/page_table.h"
-
 // GCC pairs gtest's inlined `new TestClass` with this file's malloc-backed
 // operator delete and reports a mismatch; the pairing is in fact consistent
 // (the replaced operator new allocates with malloc, delete frees with free).
@@ -63,10 +61,9 @@ class Rig {
   /// With `paired`, warps 2i and 2i+1 touch the same pages.
   explicit Rig(std::uint32_t records, Form form = Form::Explicit,
                std::uint32_t blocks = kBlocks, bool paired = false)
-      : pt_(as_),
-        fb_(FaultBuffer::Config{}),
+      : fb_(FaultBuffer::Config{}),
         ac_(AccessCounters::Config{}, false),
-        gpu_(cfg(), /*seed=*/0x5EED, eq_, as_, pt_, fb_, ac_),
+        gpu_(cfg(), /*seed=*/0x5EED, eq_, as_, fb_, ac_),
         records_(records),
         form_(form),
         blocks_(blocks),
@@ -80,9 +77,7 @@ class Rig {
       eq_.schedule_in(1000, [this] {
         service_scheduled_ = false;
         while (auto e = fb_.pop()) {
-          PageMask m;
-          m.set(page_in_block(e->page));
-          pt_.map_pages(as_.block(e->block), m);
+          as_.block(e->block).gpu_resident.set(page_in_block(e->page));
         }
         gpu_.replay();
       });
@@ -163,7 +158,6 @@ class Rig {
 
   EventQueue eq_;
   AddressSpace as_;
-  PageTable pt_;
   FaultBuffer fb_;
   AccessCounters ac_;
   GpuEngine gpu_;

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "core/simulator.h"
-#include "mem/page_table.h"
 #include "workloads/registry.h"
 
 namespace uvmsim {
@@ -19,10 +18,9 @@ namespace {
 class GpuEngineTest : public ::testing::Test {
  protected:
   GpuEngineTest()
-      : pt_(as_),
-        fb_(FaultBuffer::Config{}),
+      : fb_(FaultBuffer::Config{}),
         ac_(AccessCounters::Config{}, false),
-        gpu_(cfg(), /*seed=*/0x5EED, eq_, as_, pt_, fb_, ac_) {
+        gpu_(cfg(), /*seed=*/0x5EED, eq_, as_, fb_, ac_) {
     rid_ = as_.create_range(8ull << 20, "data");  // 4 blocks
   }
 
@@ -44,9 +42,7 @@ class GpuEngineTest : public ::testing::Test {
       eq_.schedule_in(1000, [this] {
         service_scheduled_ = false;
         while (auto e = fb_.pop()) {
-          PageMask m;
-          m.set(page_in_block(e->page));
-          pt_.map_pages(as_.block(e->block), m);
+          as_.block(e->block).gpu_resident.set(page_in_block(e->page));
           ++serviced_;
         }
         gpu_.replay();
@@ -71,9 +67,15 @@ class GpuEngineTest : public ::testing::Test {
     return k;
   }
 
+  /// GPU page walk: `p` is mapped when locally resident or remote-mapped.
+  [[nodiscard]] bool mapped(VirtPage p) const {
+    const VaBlock& b = as_.block_of(p);
+    return b.gpu_resident.test(page_in_block(p)) ||
+           b.remote_mapped.test(page_in_block(p));
+  }
+
   EventQueue eq_;
   AddressSpace as_;
-  PageTable pt_;
   FaultBuffer fb_;
   AccessCounters ac_;
   GpuEngine gpu_;
@@ -116,7 +118,7 @@ TEST_F(GpuEngineTest, EveryTouchedPageEndsResident) {
   KernelSpec k = touch_kernel(300);
   gpu_.launch(&k);
   eq_.run();
-  for (VirtPage p = 0; p < 300; ++p) EXPECT_TRUE(pt_.translate(p));
+  for (VirtPage p = 0; p < 300; ++p) EXPECT_TRUE(mapped(p));
 }
 
 TEST_F(GpuEngineTest, WritesMarkDirtyAndPopulated) {
@@ -157,7 +159,7 @@ TEST_F(GpuEngineTest, FaultSlotThrottling) {
   eq_.run();
   EXPECT_GT(gpu_.faults_throttled(), 0u);
   // All pages still end up resident (liveness through replays).
-  for (VirtPage p = 0; p < 32; ++p) EXPECT_TRUE(pt_.translate(p));
+  for (VirtPage p = 0; p < 32; ++p) EXPECT_TRUE(mapped(p));
 }
 
 TEST_F(GpuEngineTest, KernelsRunSequentially) {
@@ -269,7 +271,7 @@ TEST_F(GpuEngineTest, AddressSpaceGrowsAfterLaunch) {
   EXPECT_EQ(gpu_.kernel_stats()[1].faults_raised, 4u);
   EXPECT_EQ(gpu_.kernel_stats()[1].page_touches, 8u);
   for (VirtPage p = b_first; p < b_first + 4; ++p) {
-    EXPECT_TRUE(pt_.translate(p));
+    EXPECT_TRUE(mapped(p));
   }
   // A's warps touch distinct pages, so B's later warp's four lanes are the
   // only ones that coalesce. The throttle count was recorded with the
@@ -288,13 +290,12 @@ TEST_F(GpuEngineTest, AddressSpaceGrowsAfterLaunch) {
 struct ResidentRig {
   EventQueue eq;
   AddressSpace as;
-  PageTable pt{as};
   FaultBuffer fb{FaultBuffer::Config{}};
   AccessCounters ac{AccessCounters::Config{}, false};
   GpuEngine gpu;
 
   explicit ResidentRig(bool remote)
-      : gpu(config(), /*seed=*/0x5EED, eq, as, pt, fb, ac) {
+      : gpu(config(), /*seed=*/0x5EED, eq, as, fb, ac) {
     as.create_range(8ull << 20, "data");
     for (std::size_t b = 0; b < as.num_blocks(); ++b) {
       VaBlock& blk = as.block(b);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "prefetch_reference.h"
+
 namespace uvmsim {
 namespace {
 
@@ -123,7 +125,7 @@ TEST(PrefetchTree, PartialBlockDensityUsesValidLeaves) {
 TEST(PrefetchTree, ComputeReturnsOnlyNewPages) {
   PageMask occupied = range_mask(0, 5);
   PageMask faulted = mask_of({0, 1, 2, 3, 4});
-  PageMask out = PrefetchTree::compute(occupied, faulted, kPagesPerBlock, 51);
+  PageMask out = tree_new_pages(occupied, faulted, kPagesPerBlock, 51);
   // Expands to the 8-leaf subtree; pages 0-4 already occupied.
   EXPECT_EQ(out.count(), 3u);
   EXPECT_TRUE(out.test(5));
@@ -132,7 +134,7 @@ TEST(PrefetchTree, ComputeReturnsOnlyNewPages) {
 
 TEST(PrefetchTree, ComputeEmptyFaultsIsEmpty) {
   PageMask out =
-      PrefetchTree::compute(range_mask(0, 100), PageMask{}, kPagesPerBlock, 51);
+      tree_new_pages(range_mask(0, 100), PageMask{}, kPagesPerBlock, 51);
   EXPECT_TRUE(out.none());
 }
 

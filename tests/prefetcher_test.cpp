@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "prefetch_reference.h"
 #include "sim/rng.h"
 
 namespace uvmsim {
@@ -23,8 +24,9 @@ PageMask mask_of(std::initializer_list<std::uint32_t> pages) {
 TEST(Prefetcher, BigPageUpgradeAlone) {
   VaBlock b = make_block();
   // Density stage disabled (threshold > 100): only the 64 KB upgrade runs.
-  auto res = Prefetcher::compute(b, mask_of({5}), /*big_page_upgrade=*/true,
-                                 /*threshold=*/101);
+  auto res = Prefetcher::compute_fast(b, mask_of({5}),
+                                      /*big_page_upgrade=*/true,
+                                      /*threshold=*/101);
   // Pages 0-15 minus the faulted page 5.
   EXPECT_EQ(res.prefetch.count(), 15u);
   EXPECT_FALSE(res.prefetch.test(5));
@@ -36,13 +38,13 @@ TEST(Prefetcher, BigPageUpgradeAlone) {
 
 TEST(Prefetcher, NoUpgradeNoTreeMeansNothing) {
   VaBlock b = make_block();
-  auto res = Prefetcher::compute(b, mask_of({5}), false, 101);
+  auto res = Prefetcher::compute_fast(b, mask_of({5}), false, 101);
   EXPECT_TRUE(res.prefetch.none());
 }
 
 TEST(Prefetcher, UpgradeRespectsPartialBlocks) {
   VaBlock b = make_block(10);  // only 10 valid pages
-  auto res = Prefetcher::compute(b, mask_of({5}), true, 101);
+  auto res = Prefetcher::compute_fast(b, mask_of({5}), true, 101);
   EXPECT_EQ(res.prefetch.count(), 9u);  // pages 0-9 minus the fault
   EXPECT_FALSE(res.prefetch.test(10));
 }
@@ -53,7 +55,7 @@ TEST(Prefetcher, UpgradeFeedsDensityStage) {
   // occupy 32 leaves; the 32-subtree is 100 % and the 64-subtree is 50 %,
   // so the region is those 32 pages. (Paper: "each fault fetches the entire
   // corresponding level five subtree", and five such faults cover a block.)
-  auto res = Prefetcher::compute(b, mask_of({0, 16}), true, 51);
+  auto res = Prefetcher::compute_fast(b, mask_of({0, 16}), true, 51);
   EXPECT_EQ(res.prefetch.count(), 30u);  // 32 minus the 2 faulted
   EXPECT_TRUE(res.prefetch.test(31));
   EXPECT_FALSE(res.prefetch.test(32));
@@ -67,7 +69,7 @@ TEST(Prefetcher, ScatteredFaultsUpgradeWithoutCascade) {
   // stage adds nothing beyond the upgrades.
   PageMask faults;
   for (std::uint32_t i = 0; i < 512; i += 64) faults.set(i);
-  auto res = Prefetcher::compute(b, faults, true, 51);
+  auto res = Prefetcher::compute_fast(b, faults, true, 51);
   EXPECT_EQ(res.prefetch.count(), 128u - 8u);
 }
 
@@ -81,7 +83,7 @@ TEST(Prefetcher, CascadeAcrossBatchesFillsBlock) {
        leaf += 24) {
     PageMask f;
     f.set(leaf % 512);
-    auto res = Prefetcher::compute(b, f, true, 51);
+    auto res = Prefetcher::compute_fast(b, f, true, 51);
     b.gpu_resident |= f;
     b.gpu_resident |= res.prefetch;
     ++faults_needed;
@@ -93,7 +95,7 @@ TEST(Prefetcher, CascadeAcrossBatchesFillsBlock) {
 TEST(Prefetcher, ResidentPagesExcludedFromResult) {
   VaBlock b = make_block();
   b.gpu_resident.set_range(0, 8);
-  auto res = Prefetcher::compute(b, mask_of({8}), true, 101);
+  auto res = Prefetcher::compute_fast(b, mask_of({8}), true, 101);
   // Big page 0 upgrade: pages 0-15, minus resident 0-7 and fault 8.
   EXPECT_EQ(res.prefetch.count(), 7u);
   EXPECT_TRUE(res.prefetch.test(9));
@@ -105,19 +107,19 @@ TEST(Prefetcher, ResidencyCountsTowardDensity) {
   b.gpu_resident.set_range(0, 260);  // 50.8 % of the block resident
   // A fault at 300 upgrades big page 18 (288-303, 16 pages): occupancy
   // 260 + 16 = 276/512 = 53.9 % > 51 % -> whole block.
-  auto res = Prefetcher::compute(b, mask_of({300}), true, 51);
+  auto res = Prefetcher::compute_fast(b, mask_of({300}), true, 51);
   EXPECT_EQ(res.prefetch.count(), 512u - 260u - 1u);
 }
 
 TEST(Prefetcher, EmptyFaultSetIsEmpty) {
   VaBlock b = make_block();
-  auto res = Prefetcher::compute(b, PageMask{}, true, 51);
+  auto res = Prefetcher::compute_fast(b, PageMask{}, true, 51);
   EXPECT_TRUE(res.prefetch.none());
 }
 
 TEST(Prefetcher, AggressiveThresholdFetchesBlockFromOneFault) {
   VaBlock b = make_block();
-  auto res = Prefetcher::compute(b, mask_of({0}), true, 1);
+  auto res = Prefetcher::compute_fast(b, mask_of({0}), true, 1);
   // Upgrade occupies 16/512 = 3.1 % > 1 % at the root.
   EXPECT_EQ(res.prefetch.count(), 511u);
 }
@@ -129,11 +131,11 @@ TEST_P(ThresholdSweep, PrefetchVolumeDecreasesWithThreshold) {
   VaBlock b = make_block();
   PageMask faults;
   for (std::uint32_t i = 0; i < 512; i += 128) faults.set(i);
-  auto res = Prefetcher::compute(b, faults, true, GetParam());
+  auto res = Prefetcher::compute_fast(b, faults, true, GetParam());
   // Store volume for monotonicity check across instantiations via
   // a simple recomputation at the next-lower threshold.
   if (GetParam() > 1) {
-    auto more = Prefetcher::compute(b, faults, true, GetParam() - 25);
+    auto more = Prefetcher::compute_fast(b, faults, true, GetParam() - 25);
     EXPECT_GE(more.prefetch.count(), res.prefetch.count());
   }
   // Never prefetches faulted or out-of-range pages.
@@ -146,7 +148,7 @@ INSTANTIATE_TEST_SUITE_P(Thresholds, ThresholdSweep,
 TEST(Prefetcher, ComputeFastMatchesReferenceOnRandomInputs) {
   // Differential property test for the driver's word-level
   // implementation: compute_fast must return the exact Result of the
-  // tree-building reference for every (residency, fault set, block size,
+  // tree-building reference (prefetch_reference.h) for every (residency, fault set, block size,
   // threshold, upgrade) combination. Random sweep over the whole input
   // space, including partial blocks where the valid clamp matters.
   Rng rng(2024);
@@ -167,7 +169,7 @@ TEST(Prefetcher, ComputeFastMatchesReferenceOnRandomInputs) {
     }
     for (std::uint32_t th : thresholds) {
       for (bool upgrade : {false, true}) {
-        auto ref = Prefetcher::compute(b, faulted, upgrade, th);
+        auto ref = reference_prefetch(b, faulted, upgrade, th);
         auto fast = Prefetcher::compute_fast(b, faulted, upgrade, th);
         ASSERT_EQ(ref.prefetch, fast.prefetch)
             << "num_pages=" << b.num_pages << " threshold=" << th

@@ -34,18 +34,6 @@ TEST(Profiler, ServiceTotalSumsSubcategories) {
   EXPECT_EQ(p.service_total(), 31u);
 }
 
-TEST(Profiler, SinceComputesWindowDeltas) {
-  Profiler p;
-  p.add(CostCategory::Eviction, 50);
-  Profiler snapshot = p;
-  p.add(CostCategory::Eviction, 25);
-  p.add(CostCategory::ReplayPolicy, 10);
-  Profiler delta = p.since(snapshot);
-  EXPECT_EQ(delta.total(CostCategory::Eviction), 25u);
-  EXPECT_EQ(delta.total(CostCategory::ReplayPolicy), 10u);
-  EXPECT_EQ(delta.count(CostCategory::Eviction), 1u);
-}
-
 TEST(Profiler, CategoryNames) {
   EXPECT_EQ(to_string(CostCategory::PreProcess), "pre_process");
   EXPECT_EQ(to_string(CostCategory::ServicePmaAlloc), "pma_alloc_pages");

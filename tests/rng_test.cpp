@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
-#include <set>
 #include <stdexcept>
 #include <vector>
 
@@ -56,23 +55,6 @@ TEST(Rng, NextDoubleRoughlyUniform) {
   const int n = 20000;
   for (int i = 0; i < n; ++i) sum += r.next_double();
   EXPECT_NEAR(sum / n, 0.5, 0.02);
-}
-
-TEST(Rng, NextRangeInclusive) {
-  Rng r(13);
-  std::set<std::int64_t> seen;
-  for (int i = 0; i < 500; ++i) {
-    std::int64_t v = r.next_range(-2, 2);
-    EXPECT_GE(v, -2);
-    EXPECT_LE(v, 2);
-    seen.insert(v);
-  }
-  EXPECT_EQ(seen.size(), 5u);  // all values hit
-}
-
-TEST(Rng, NextRangeBadBoundsThrow) {
-  Rng r(13);
-  EXPECT_THROW(r.next_range(3, 2), std::invalid_argument);
 }
 
 TEST(Rng, GaussianMoments) {

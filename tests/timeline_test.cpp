@@ -45,11 +45,11 @@ TEST(Timeline, SeriesAndPeak) {
   for (int i = 0; i < 5; ++i) log.push_back(entry(3500, FaultLogKind::Fault));
   log.push_back(entry(500, FaultLogKind::Fault));
   Timeline tl(log, 1000);
-  auto s = tl.series(FaultLogKind::Fault);
-  ASSERT_EQ(s.size(), 4u);
-  EXPECT_EQ(s[0], 1u);
-  EXPECT_EQ(s[3], 5u);
-  EXPECT_EQ(tl.peak_bucket(FaultLogKind::Fault), 3u);
+  ASSERT_EQ(tl.num_buckets(), 4u);
+  EXPECT_EQ(tl.count(FaultLogKind::Fault, 0), 1u);
+  EXPECT_EQ(tl.count(FaultLogKind::Fault, 1), 0u);
+  EXPECT_EQ(tl.count(FaultLogKind::Fault, 2), 0u);
+  EXPECT_EQ(tl.count(FaultLogKind::Fault, 3), 5u);  // the peak
 }
 
 TEST(Timeline, SparklineShape) {
@@ -82,21 +82,14 @@ TEST(Timeline, EndToEndEvictionWave) {
   RunResult r = sim.run();
 
   Timeline tl(r.fault_log, 100 * kMicrosecond);
-  auto faults = tl.series(FaultLogKind::Fault);
-  auto evicts = tl.series(FaultLogKind::Eviction);
-  std::size_t first_fault = 0, first_evict = 0;
-  for (std::size_t i = 0; i < faults.size(); ++i) {
-    if (faults[i]) {
-      first_fault = i;
-      break;
+  auto first = [&tl](FaultLogKind kind) {
+    for (std::size_t i = 0; i < tl.num_buckets(); ++i) {
+      if (tl.count(kind, i)) return i;
     }
-  }
-  for (std::size_t i = 0; i < evicts.size(); ++i) {
-    if (evicts[i]) {
-      first_evict = i;
-      break;
-    }
-  }
+    return std::size_t{0};
+  };
+  const std::size_t first_fault = first(FaultLogKind::Fault);
+  const std::size_t first_evict = first(FaultLogKind::Eviction);
   EXPECT_GT(first_evict, first_fault);
 }
 
