@@ -49,6 +49,23 @@ if [ -n "$STRAY" ]; then
 fi
 echo "config-check gate: ConfigError only at its four homes"
 
+echo "== residency writers stamp the GPU engine =="
+# A retried parked lane skips its page checks while its 64 KB big page has
+# no stamp since the warp's last walk, so every write that sets
+# gpu_resident or remote_mapped bits must be followed by
+# GpuEngine::on_pages_mapped. The stamping homes: Driver::map_local and
+# map_remote (driver.cpp), the three writes of resolve_fault
+# (gpu_driven.cpp) and Simulator::prefill_all_resident (simulator.cpp).
+SETS_RESIDENCY='[.>](gpu_resident|remote_mapped)[[:space:]]*(\|=|=[^=]|\.set\(|\.set_range\(|\.set_word_bits\()'
+WRITERS=$(grep -rnE "$SETS_RESIDENCY" src \
+  | cut -d: -f1 | sort | uniq -c | awk '{print $2 "=" $1}' | tr '\n' ' ')
+if [ "$WRITERS" != "src/core/simulator.cpp=1 src/uvm/driver.cpp=2 src/uvm/gpu_driven.cpp=3 " ]; then
+  grep -rnE "$SETS_RESIDENCY" src
+  echo "residency-stamp gate FAILED: residency bits set outside the stamping homes"
+  exit 1
+fi
+echo "residency-stamp gate: residency bits set only at its six homes"
+
 echo "== every src header compiles on its own =="
 # A header that leans on its includer's includes breaks the next file that
 # includes it first. Each one is compiled alone (included from stdin, so

@@ -148,6 +148,7 @@ void Simulator::prefill_all_resident() {
     VaBlock& blk = as_.block(b);
     if (!blk.valid()) continue;
     blk.gpu_resident.set_range(0, blk.num_pages);
+    gpu_->on_pages_mapped(b, blk.gpu_resident);
     blk.cpu_resident.clear();
     blk.backing.set_root();  // nominal backing
   }

@@ -124,6 +124,15 @@ class GpuEngine {
   /// Driver-issued TLB shootdown (on unmap/evict).
   void invalidate_tlbs();
 
+  /// Residency notice: `pages` of block `blk` just gained gpu_resident or
+  /// remote_mapped. Whatever sets those bits after a launch must call it
+  /// (the driver's map_local/map_remote, the GPU-driven resolve_fault,
+  /// prefill_all_resident, test rigs), or a retried parked lane may keep
+  /// missing a page that is mapped: it stamps each 64 KB big page the mask
+  /// touches (see the walk numbers below). Blocks created after the last
+  /// launch are ignored; no lane has walked them.
+  void on_pages_mapped(VaBlockId blk, const PageMask& pages);
+
   /// Installs the handler invoked whenever a fault entry is pushed (the
   /// driver's interrupt line).
   void set_interrupt_handler(std::function<void()> h) {
@@ -220,9 +229,31 @@ class GpuEngine {
   /// Steps `w`'s current record lane by lane (on a retry, only its parked
   /// lanes), raising faults for missing ones and adding µTLB walk and
   /// remote-access latency to `walk_penalty`. Returns false if the warp
-  /// parked.
+  /// parked. A retry skips every quiet lane: one whose big page has no
+  /// stamp since the warp's previous walk is still unmapped, a µTLB miss
+  /// and not pending, so only its miss and its throttle or fault remain.
   bool step_lanes(WarpRef ref, Warp& w, const AccessRecord& rec, Utlb& utlb,
                   KernelStats& ks, SimDuration& walk_penalty);
+  /// The VaBlock of a walk's last lane: lanes of one access mostly share a
+  /// block, so a walk looks it up once per run.
+  struct BlockCursor {
+    VaBlockId id = ~VaBlockId{0};
+    VaBlock* blk = nullptr;
+  };
+  /// One lane's full step: its µTLB lookup, then a mapped page's touch
+  /// effects (µTLB insert, remote access, masks, access counters), or how
+  /// the lane parks (coalesced, throttled or a fault entry). Returns true
+  /// if the lane parked; sets `pushed` if its fault entry reached the
+  /// buffer.
+  bool walk_lane(Warp& w, LanePage p, bool write, Utlb& utlb,
+                 KernelStats& ks, SimTime now, BlockCursor& cur,
+                 SimDuration& walk_penalty, bool& pushed);
+  /// Records that something a parked lane on big page `p / 16` can observe
+  /// gained: residency, a µTLB entry, a pending fault.
+  void stamp(VirtPage p) { stamps_[p / kPagesPerBigPage] = walks_; }
+  /// What a quiet lane is known to be: unmapped, a miss in `utlb` and not
+  /// pending (checked by assert in Debug builds).
+  [[nodiscard]] bool quiet_premise_holds(LanePage p, const Utlb& utlb) const;
   /// Per-access scheduling jitter, uniform in [0, jitter_ns]. The bound is
   /// taken in 64 bits, so jitter_ns = UINT32_MAX does not wrap it to 0.
   SimDuration jitter() {
@@ -230,7 +261,8 @@ class GpuEngine {
   }
   /// Pushes a fault entry for missing page `p` of `w`'s record, whose base
   /// page is `base_pi` of `blk`, and takes one of the SM's fault slots.
-  /// Returns true if the entry reached the buffer.
+  /// Returns true if the entry reached the buffer; then the base-page
+  /// group is pending and each of its big pages is stamped.
   bool raise_fault(Warp& w, KernelStats& ks, LanePage p, bool write,
                    VaBlockId blk, std::uint32_t base_pi);
   /// Retires warp `w` of `slot`; may recycle the slot and complete its
@@ -258,8 +290,9 @@ class GpuEngine {
   std::vector<WarpRef> stalled_;
   /// Buffers reused across calls so stepping and replay never allocate in
   /// steady state: a strided record's expanded lanes, the lanes still
-  /// missing after a step (swapped into the warp), the warps a replay
-  /// resumes, and a resident record's mask-word pieces.
+  /// missing after a first attempt (swapped into the warp; a retry
+  /// compacts Warp::pending_pages in place), the warps a replay resumes,
+  /// and a resident record's mask-word pieces.
   std::vector<LanePage> lanes_;
   std::vector<LanePage> missing_;
   std::vector<WarpRef> resuming_;
@@ -292,6 +325,19 @@ class GpuEngine {
   /// pages (each entry takes an SM fault slot).
   std::vector<PageMask> pending_;
   std::vector<LanePage> pending_used_;
+  /// Walk numbers. Every step_lanes call takes the next one and keeps it
+  /// in Warp::walk. stamps_ holds, per 64 KB big page (the µTLB tag),
+  /// the walk number current when something a parked lane there can
+  /// observe last gained: (a) a page became gpu_resident or remote_mapped
+  /// (on_pages_mapped), (b) a µTLB insert on any SM, (c) a raised fault
+  /// made its base-page group pending, (d) a lane parked as a µTLB hit or
+  /// coalesced, whose outcome a later loss can change unstamped. Losses
+  /// (eviction, µTLB overwrite or invalidate, the replay's pending reset)
+  /// and dropped fault entries need no stamp: they cannot turn an
+  /// unmapped, missing, not-pending lane into anything else. 64-bit
+  /// numbers never wrap. launch() grows it with pending_.
+  std::uint64_t walks_ = 0;
+  std::vector<std::uint64_t> stamps_;
   /// Outstanding fault entries per SM since the last replay.
   std::vector<std::uint32_t> sm_outstanding_faults_;
 };

@@ -36,6 +36,11 @@ struct Warp {
   /// thrash.
   std::vector<LanePage> pending_pages;
   bool record_in_flight = false;
+  /// Number of the warp's last lane walk (GpuEngine::step_lanes). A retry
+  /// re-checks a parked lane in full only if its big page was stamped
+  /// since this walk began; otherwise the lane is still exactly as that
+  /// walk left it.
+  std::uint64_t walk = 0;
 
   SimTime stall_start = 0;        ///< when the warp parked (for stall stats)
 };

@@ -8,10 +8,15 @@
 // reachable from a UVMSIM_HOT entry through the call graph must not
 // allocate, do I/O, read clocks, or draw randomness
 // (hot-transitive-{alloc,io,clock,random}).
+//
+// UVMSIM_ALWAYS_INLINE forces a per-lane helper into its hot callers, where
+// the compiler's size heuristics would leave a call per lane.
 #pragma once
 
 #if defined(__GNUC__) || defined(__clang__)
 #define UVMSIM_HOT [[gnu::hot]]
+#define UVMSIM_ALWAYS_INLINE [[gnu::always_inline]]
 #else
 #define UVMSIM_HOT
+#define UVMSIM_ALWAYS_INLINE
 #endif

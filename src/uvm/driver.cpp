@@ -554,6 +554,7 @@ SimTime Driver::zero_fill(VaBlock& blk, const PageMask& pages, SimTime t) {
 
 SimTime Driver::map_local(VaBlock& blk, const PageMask& pages, SimTime t) {
   blk.gpu_resident |= pages;
+  d_.gpu->on_pages_mapped(blk.id, pages);
   const SimDuration cost =
       cm_.map_membar +
       static_cast<SimDuration>(pages.count()) * cm_.map_per_page;
@@ -564,6 +565,7 @@ SimTime Driver::map_local(VaBlock& blk, const PageMask& pages, SimTime t) {
 SimTime Driver::map_remote(VaBlock& blk, const PageMask& pages, SimTime t,
                            CostCategory category) {
   blk.remote_mapped |= pages;
+  d_.gpu->on_pages_mapped(blk.id, pages);
   const SimDuration cost =
       cm_.map_membar +
       static_cast<SimDuration>(pages.count()) * cm_.map_per_page;

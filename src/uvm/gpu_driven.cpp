@@ -131,6 +131,7 @@ UVMSIM_HOT SimTime Driver::resolve_fault(const FaultEntry& e,
     // migrate.
     eviction_->on_block_touched(blk.id);
     blk.remote_mapped |= need;
+    d_.gpu->on_pages_mapped(blk.id, need);
     const SimDuration cost =
         static_cast<SimDuration>(need.count()) * gd.pte_update;
     t += cost;
@@ -167,6 +168,7 @@ UVMSIM_HOT SimTime Driver::resolve_fault(const FaultEntry& e,
     // victim available stay host-pinned behind a remote mapping.
     SimTime tr = t;
     blk.remote_mapped |= unbacked;
+    d_.gpu->on_pages_mapped(blk.id, unbacked);
     t += static_cast<SimDuration>(unbacked.count()) * gd.pte_update;
     counters_.gpu_remote_fallback_pages += unbacked.count();
     prof_.add(CostCategory::ErrorRecovery, t - tr);
@@ -205,6 +207,7 @@ UVMSIM_HOT SimTime Driver::resolve_fault(const FaultEntry& e,
 
   // --- local PTE updates, no membar/TLB broadcast ---
   blk.gpu_resident |= to_populate;
+  d_.gpu->on_pages_mapped(blk.id, to_populate);
   const SimDuration map_cost =
       static_cast<SimDuration>(to_populate.count()) * gd.pte_update;
   t += map_cost;

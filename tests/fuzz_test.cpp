@@ -4,6 +4,8 @@
 // reproduces from its test name.
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "core/simulator.h"
 #include "sim/rng.h"
 #include "workloads/workload.h"
@@ -151,16 +153,10 @@ std::uint64_t build_random_workload(Simulator& sim, Rng& rng) {
   return total;
 }
 
-class FuzzInvariants : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(FuzzInvariants, SystemInvariantsHold) {
-  Rng rng(GetParam());
-  FuzzCase fc = make_config(rng);
-
-  Simulator sim(fc.cfg);
-  build_random_workload(sim, rng);
-  RunResult r = sim.run();  // throws on deadlock -> test failure
-
+/// Asserts every invariant that holds for ANY input on either servicing
+/// backend.
+void check_invariants(const FuzzCase& fc, Simulator& sim,
+                      const RunResult& r) {
   // Residency within physical capacity (remote mappings use none).
   EXPECT_LE(r.resident_pages_at_end * kPageSize, fc.cfg.gpu_memory());
 
@@ -185,9 +181,21 @@ TEST_P(FuzzInvariants, SystemInvariantsHold) {
             r.counters.faults_serviced + r.counters.duplicate_faults +
                 r.counters.stale_faults);
 
-  // Interconnect byte accounting: H2D = migrations; D2H = eviction
-  // writeback + CPU-fault migrations.
-  EXPECT_EQ(r.bytes_h2d, r.counters.pages_migrated_h2d * kPageSize);
+  // Interconnect byte accounting. H2D: bulk migrations go through
+  // Interconnect::reserve; the GPU-driven backend's page fetches are RDMA
+  // reads, which share reserve_pipelined (zero-copy bytes) with the lanes'
+  // zero-copy accesses to remote-mapped pages. The driver backend fetches
+  // no pages that way. D2H = eviction writeback + CPU-fault migrations.
+  const std::uint64_t rdma_pages = r.counters.gpu_page_fetches;
+  if (fc.cfg.driver.backend == ServicingBackendKind::DriverCentric) {
+    EXPECT_EQ(rdma_pages, 0u);
+  }
+  EXPECT_EQ(r.bytes_h2d,
+            (r.counters.pages_migrated_h2d - rdma_pages) * kPageSize);
+  EXPECT_EQ(r.bytes_zero_copy,
+            rdma_pages * kPageSize +
+                sim.gpu().remote_accesses() *
+                    std::uint64_t{fc.cfg.gpu.remote_access_bytes});
   EXPECT_EQ(r.bytes_d2h,
             (r.counters.pages_evicted + r.counters.cpu_faults_serviced) *
                 kPageSize);
@@ -207,24 +215,61 @@ TEST_P(FuzzInvariants, SystemInvariantsHold) {
   EXPECT_EQ(r.fault_queue_latency.count(), r.counters.faults_fetched);
 }
 
-TEST_P(FuzzInvariants, DeterministicReplay) {
-  auto run_once = [&] {
-    Rng rng(GetParam());
-    FuzzCase fc = make_config(rng);
-    Simulator sim(fc.cfg);
-    build_random_workload(sim, rng);
-    return sim.run();
-  };
-  RunResult a = run_once();
-  RunResult b = run_once();
+/// Runs one seed's case, checking the invariants if `check`. `backend`
+/// overrides the drawn configuration's servicing backend after every draw,
+/// so the seed's stream is unchanged.
+RunResult run_seed(std::uint64_t seed,
+                   std::optional<ServicingBackendKind> backend, bool check) {
+  Rng rng(seed);
+  FuzzCase fc = make_config(rng);
+  if (backend) fc.cfg.driver.backend = *backend;
+  Simulator sim(fc.cfg);
+  build_random_workload(sim, rng);
+  RunResult r = sim.run();  // throws on deadlock -> test failure
+  if (check) check_invariants(fc, sim, r);
+  return r;
+}
+
+void expect_same_run(const RunResult& a, const RunResult& b) {
   EXPECT_EQ(a.end_time, b.end_time);
   EXPECT_EQ(a.counters.faults_fetched, b.counters.faults_fetched);
   EXPECT_EQ(a.counters.evictions, b.counters.evictions);
   EXPECT_EQ(a.bytes_h2d, b.bytes_h2d);
 }
 
+class FuzzInvariants : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(FuzzInvariants, SystemInvariantsHold) {
+  run_seed(GetParam(), std::nullopt, true);
+}
+
+TEST_P(FuzzInvariants, DeterministicReplay) {
+  expect_same_run(run_seed(GetParam(), std::nullopt, false),
+                  run_seed(GetParam(), std::nullopt, false));
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzInvariants,
                          ::testing::Range<std::uint64_t>(1, 25));
+
+/// The same draws on the GPU-driven backend (per-fault resolution, 4 KB
+/// pool eviction, RDMA page fetches), from seeds of its own.
+class FuzzInvariantsGpuDriven
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(FuzzInvariantsGpuDriven, SystemInvariantsHold) {
+  const RunResult r =
+      run_seed(GetParam(), ServicingBackendKind::GpuDriven, true);
+  // This backend never batches: nothing is prefetched.
+  EXPECT_EQ(r.counters.pages_prefetched, 0u);
+}
+
+TEST_P(FuzzInvariantsGpuDriven, DeterministicReplay) {
+  expect_same_run(run_seed(GetParam(), ServicingBackendKind::GpuDriven, false),
+                  run_seed(GetParam(), ServicingBackendKind::GpuDriven, false));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FuzzInvariantsGpuDriven,
+                         ::testing::Range<std::uint64_t>(101, 125));
 
 }  // namespace
 }  // namespace uvmsim

@@ -77,7 +77,10 @@ class Rig {
       eq_.schedule_in(1000, [this] {
         service_scheduled_ = false;
         while (auto e = fb_.pop()) {
-          as_.block(e->block).gpu_resident.set(page_in_block(e->page));
+          PageMask m;
+          m.set(page_in_block(e->page));
+          as_.block(e->block).gpu_resident |= m;
+          gpu_.on_pages_mapped(e->block, m);
         }
         gpu_.replay();
       });
@@ -85,8 +88,10 @@ class Rig {
   }
 
   void make_resident() {
-    for (std::size_t b = 0; b < as_.num_blocks(); ++b) {
-      as_.block(b).gpu_resident.set_range(0, as_.block(b).num_pages);
+    for (VaBlockId b = 0; b < as_.num_blocks(); ++b) {
+      VaBlock& blk = as_.block(b);
+      blk.gpu_resident.set_range(0, blk.num_pages);
+      gpu_.on_pages_mapped(b, blk.gpu_resident);
     }
   }
 

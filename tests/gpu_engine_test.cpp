@@ -42,12 +42,27 @@ class GpuEngineTest : public ::testing::Test {
       eq_.schedule_in(1000, [this] {
         service_scheduled_ = false;
         while (auto e = fb_.pop()) {
-          as_.block(e->block).gpu_resident.set(page_in_block(e->page));
+          map_pages(e->block, page_in_block(e->page), 1);
           ++serviced_;
         }
         gpu_.replay();
       });
     });
+  }
+
+  /// Maps pages [first, first + n) of block `b`, as a driver does: the
+  /// residency bits, then the engine's notice.
+  void map_pages(VaBlockId b, std::uint32_t first, std::uint32_t n) {
+    PageMask m;
+    m.set_range(first, first + n);
+    as_.block(b).gpu_resident |= m;
+    gpu_.on_pages_mapped(b, m);
+  }
+
+  void map_all() {
+    for (VaBlockId b = 0; b < as_.num_blocks(); ++b) {
+      map_pages(b, 0, as_.block(b).num_pages);
+    }
   }
 
   KernelSpec touch_kernel(std::uint64_t pages, std::uint32_t per_warp = 32) {
@@ -85,9 +100,7 @@ class GpuEngineTest : public ::testing::Test {
 };
 
 TEST_F(GpuEngineTest, ResidentKernelCompletesWithoutFaults) {
-  for (std::size_t b = 0; b < as_.num_blocks(); ++b) {
-    as_.block(b).gpu_resident.set_range(0, as_.block(b).num_pages);
-  }
+  map_all();
   KernelSpec k = touch_kernel(256);
   bool done = false;
   gpu_.launch(&k, [&] { done = true; });
@@ -191,9 +204,7 @@ TEST_F(GpuEngineTest, SecondKernelHitsWarmPages) {
 }
 
 TEST_F(GpuEngineTest, UtlbHitsAccumulate) {
-  for (std::size_t b = 0; b < as_.num_blocks(); ++b) {
-    as_.block(b).gpu_resident.set_range(0, as_.block(b).num_pages);
-  }
+  map_all();
   // Two records touching the same page: second access hits the µTLB.
   KernelSpec k;
   k.name = "hit";
@@ -209,9 +220,7 @@ TEST_F(GpuEngineTest, UtlbHitsAccumulate) {
 }
 
 TEST_F(GpuEngineTest, InvalidateTlbsForcesWalks) {
-  for (std::size_t b = 0; b < as_.num_blocks(); ++b) {
-    as_.block(b).gpu_resident.set_range(0, as_.block(b).num_pages);
-  }
+  map_all();
   KernelSpec k = touch_kernel(32);
   gpu_.launch(&k);
   eq_.run();
@@ -231,7 +240,7 @@ TEST_F(GpuEngineTest, EmptyKernelThrows) {
 
 TEST_F(GpuEngineTest, ResidentAccessClearsPrefetchedUnused) {
   VaBlock& blk = as_.block(0);
-  blk.gpu_resident.set_range(0, 32);
+  map_pages(0, 0, 32);
   blk.prefetched_unused.set_range(0, 32);
   KernelSpec k = touch_kernel(32);
   gpu_.launch(&k);
@@ -297,7 +306,7 @@ struct ResidentRig {
   explicit ResidentRig(bool remote)
       : gpu(config(), /*seed=*/0x5EED, eq, as, fb, ac) {
     as.create_range(8ull << 20, "data");
-    for (std::size_t b = 0; b < as.num_blocks(); ++b) {
+    for (VaBlockId b = 0; b < as.num_blocks(); ++b) {
       VaBlock& blk = as.block(b);
       blk.gpu_resident.set_range(0, blk.num_pages);
       for (std::uint32_t i = 0; i < blk.num_pages; ++i) {
@@ -308,6 +317,7 @@ struct ResidentRig {
         if (i % 5 == 0) blk.prefetched_unused.set(i);
         if (remote && i % 97 == 0) blk.remote_mapped.set(i);
       }
+      gpu.on_pages_mapped(b, blk.gpu_resident | blk.remote_mapped);
     }
   }
 
