@@ -13,6 +13,7 @@
 #include "uvm/fault_batch.h"
 #include "uvm/prefetch_tree.h"
 #include "uvm/prefetcher.h"
+#include "uvm/service.h"
 #include "workloads/registry.h"
 
 namespace {
@@ -38,7 +39,7 @@ void BM_PrefetchTreeExpand(benchmark::State& state) {
   for (int i = 0; i < static_cast<int>(state.range(0)); ++i) {
     occupied.set(static_cast<std::uint32_t>(rng.next_below(kPagesPerBlock)));
   }
-  std::uint32_t leaf = occupied.set_indices().front();
+  std::uint32_t leaf = occupied.find_next_set(0);
   for (auto _ : state) {
     PrefetchTree tree(occupied, kPagesPerBlock);
     benchmark::DoNotOptimize(tree.expand(leaf, 51));
@@ -60,6 +61,7 @@ BENCHMARK(BM_FaultBufferPushPop);
 void BM_BatchPreprocess(benchmark::State& state) {
   CostModel cm;
   Rng rng(13);
+  FaultBatch batch;  // reused across iterations, as the driver reuses it
   for (auto _ : state) {
     state.PauseTiming();
     FaultBuffer fb(FaultBuffer::Config{});
@@ -71,7 +73,8 @@ void BM_BatchPreprocess(benchmark::State& state) {
     }
     state.ResumeTiming();
     SimTime t = 1'000'000;
-    benchmark::DoNotOptimize(Preprocessor::fetch(fb, 256, cm, t));
+    Preprocessor::fetch(fb, 256, cm, t, batch);
+    benchmark::DoNotOptimize(batch.bins.data());
   }
 }
 BENCHMARK(BM_BatchPreprocess);
@@ -83,7 +86,8 @@ void BM_PageMaskRuns(benchmark::State& state) {
     m.set(static_cast<std::uint32_t>(rng.next_below(kPagesPerBlock)));
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(m.runs());
+    const RunBytes runs = runs_to_bytes(m);
+    benchmark::DoNotOptimize(runs.size());
   }
 }
 BENCHMARK(BM_PageMaskRuns)->Arg(8)->Arg(128)->Arg(512);
@@ -258,7 +262,8 @@ void BM_EventQueueTypedSteps(benchmark::State& state) {
 BENCHMARK(BM_EventQueueTypedSteps);
 
 void BM_PrefetcherComputeFast(benchmark::State& state) {
-  // The driver's prefetch path on one block with scattered faults.
+  // The driver's prefetch path on one block with scattered faults; 1 and 2
+  // are the sparse bins random workloads produce.
   VaBlock blk;
   blk.range = 0;
   blk.num_pages = kPagesPerBlock;
@@ -272,7 +277,12 @@ void BM_PrefetcherComputeFast(benchmark::State& state) {
     benchmark::DoNotOptimize(res.prefetch);
   }
 }
-BENCHMARK(BM_PrefetcherComputeFast)->Arg(16)->Arg(128)->Arg(400);
+BENCHMARK(BM_PrefetcherComputeFast)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(16)
+    ->Arg(128)
+    ->Arg(400);
 
 }  // namespace
 

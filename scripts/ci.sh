@@ -118,7 +118,7 @@ if command -v clang-tidy >/dev/null 2>&1; then
   # Advisory: report generic bug patterns without failing CI; the enforced
   # project invariants live in uvmsim_lint above.
   clang-tidy -p build --quiet \
-    src/sim/event_queue.cpp src/mem/page_mask.cpp src/uvm/fault_batch.cpp \
+    src/sim/event_queue.cpp src/uvm/prefetcher.cpp src/uvm/fault_batch.cpp \
     src/uvm/service.cpp src/sim/trace.cpp 2>/dev/null || true
   echo "clang-tidy ran (advisory)"
 else

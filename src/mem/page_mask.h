@@ -7,7 +7,6 @@
 #include <array>
 #include <bit>
 #include <cstdint>
-#include <vector>
 
 #include "mem/constants.h"
 #include "sim/annotations.h"
@@ -106,14 +105,6 @@ class PageMask {
     bool operator==(const Run&) const = default;
   };
 
-  /// Decomposes the mask into maximal contiguous runs of set bits, in
-  /// ascending order. The service path coalesces each run into one DMA op.
-  [[nodiscard]] std::vector<Run> runs() const;
-
-  /// Indices of all set bits, ascending. Allocates; hot paths should iterate
-  /// set_bits() instead.
-  [[nodiscard]] std::vector<std::uint32_t> set_indices() const;
-
   /// Forward iteration over set-bit indices in ascending order without
   /// materialising a vector: `for (std::uint32_t i : mask.set_bits())`.
   class SetBitIterator {
@@ -147,7 +138,8 @@ class PageMask {
 
   /// Calls `f(Run)` for each maximal run of set bits, ascending, in one pass
   /// over the words (countr_zero/countr_one per transition — no per-bit
-  /// loop, no vector). runs() and the DMA sizing helpers are built on this.
+  /// loop, no vector). The service path sizes one DMA op per run from this
+  /// (runs_to_bytes).
   template <typename F>
   UVMSIM_HOT void for_each_run(F&& f) const {
     std::uint32_t run_first = 0;

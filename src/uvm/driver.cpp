@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cassert>
 #include <vector>
 
@@ -107,6 +108,9 @@ void Driver::run_pass() {
   processing_ = true;
   ++counters_.passes;
   evictions_before_pass_ = counters_.evictions;
+  // Every block the address space holds can be linked without the policy
+  // growing its per-block state mid-service.
+  eviction_->reserve_blocks(d_.as->num_blocks());
 
   const bool driver_centric =
       cfg_.backend == ServicingBackendKind::DriverCentric;
@@ -149,9 +153,9 @@ SimTime Driver::driver_pass() {
   // --- pre-processing ---
   const std::uint64_t pass_id = counters_.passes;
   SimTime t0 = t;
-  FaultBatch batch =
-      Preprocessor::fetch(*d_.fb, cfg_.batch_size, cm_, t, cfg_.fetch_policy,
-                          &queue_latency_, d_.tracer);
+  Preprocessor::fetch(*d_.fb, cfg_.batch_size, cm_, t, batch_,
+                      cfg_.fetch_policy, &queue_latency_, d_.tracer);
+  const FaultBatch& batch = batch_;
   counters_.faults_fetched += batch.fetched;
   counters_.duplicate_faults += batch.duplicates;
   counters_.polls += batch.polls;
@@ -200,38 +204,48 @@ SimTime Driver::service_bin(const FaultBatch::Bin& bin, SimTime t) {
   SimTime t0 = t;
   t += cm_.service_block_overhead;
 
-  // Split stale (already resident — e.g. a Batch-policy leftover) from
-  // pages that genuinely need service.
-  PageMask mapped = blk.gpu_resident | blk.remote_mapped;
-  PageMask stale = bin.faulted & mapped;
-  PageMask need = bin.faulted.and_not(mapped);
-  counters_.stale_faults += stale.count();
+  // Split stale (already mapped — e.g. a Batch-policy leftover) from
+  // pages that genuinely need service, one word at a time: only `need`
+  // outlives the split.
+  PageMask need;
+  std::uint32_t nfaulted = 0;
+  std::uint32_t nstale = 0;
+  for (std::uint32_t w = 0; w < PageMask::kWords; ++w) {
+    const std::uint64_t f = bin.faulted.word(w);
+    const std::uint64_t mapped =
+        blk.gpu_resident.word(w) | blk.remote_mapped.word(w);
+    nfaulted += static_cast<std::uint32_t>(std::popcount(f));
+    nstale += static_cast<std::uint32_t>(std::popcount(f & mapped));
+    need.set_word_bits(w, f & ~mapped);
+  }
+  counters_.stale_faults += nstale;
 
   if (hazards_active()) {
     // Stale faults and intra-bin duplicates are the re-fault signature a
     // replay storm leaves; feed them to the watchdog.
     std::uint64_t refaults =
-        stale.count() + (bin.fault_entries > bin.faulted.count()
-                             ? bin.fault_entries - bin.faulted.count()
-                             : 0);
+        nstale + (bin.fault_entries > nfaulted ? bin.fault_entries - nfaulted
+                                               : 0);
     if (refaults > 0) t = storm_observe(blk.id, refaults, t);
   }
 
-  counters_.faults_serviced += need.count();
+  const std::uint32_t nneed = nfaulted - nstale;
+  counters_.faults_serviced += nneed;
 
   // Power9-style base pages: one fault covers the whole host page, so the
   // service granularity widens to aligned base-page groups (§IV-A / [14]).
   // The widened remainder is accounted separately so fault conservation
   // (fetched == serviced + duplicate + stale) holds at every granularity.
   const std::uint32_t base = d_.gpu->config().fault_granularity_pages;
-  if (base > 1 && need.any()) {
+  if (base > 1 && nneed > 0) {
     PageMask widened;
     for (std::uint32_t i : need.set_bits()) {
       std::uint32_t lo = i - i % base;
       std::uint32_t hi = std::min(lo + base, blk.num_pages);
       widened.set_range(lo, hi);
     }
-    PageMask fill = widened.and_not(mapped).and_not(need);
+    PageMask fill = widened.and_not(blk.gpu_resident | blk.remote_mapped)
+                        .and_not(need);
     counters_.base_page_fill_pages += fill.count();
     need |= fill;
   }
@@ -240,8 +254,9 @@ SimTime Driver::service_bin(const FaultBatch::Bin& bin, SimTime t) {
   // Fault log: one record per unique fault, in driver processing order.
   if (log_.enabled()) {
     for (std::uint32_t i : bin.faulted.set_bits()) {
+      const bool stale = blk.gpu_resident.test(i) || blk.remote_mapped.test(i);
       log_.record(FaultLogEntry{0, t, FaultLogKind::Fault, blk.first_page + i,
-                                blk.id, blk.range, stale.test(i)});
+                                blk.id, blk.range, stale});
     }
   }
 
@@ -253,7 +268,7 @@ SimTime Driver::service_bin(const FaultBatch::Bin& bin, SimTime t) {
   // (allocate and touch both mean "move to MRU") but CLOCK/2Q would have
   // seen every freshly faulted block as never-demanded (PR-10 audit).
   const auto touch_faulted = [&] {
-    if (bin.faulted.any()) eviction_->on_block_touched(blk.id);
+    if (nfaulted > 0) eviction_->on_block_touched(blk.id);
   };
   const auto finish_early = [&] {
     touch_faulted();
@@ -261,7 +276,7 @@ SimTime Driver::service_bin(const FaultBatch::Bin& bin, SimTime t) {
     return t;
   };
 
-  if (need.none()) return finish_early();
+  if (nneed == 0) return finish_early();
 
   const MemAdvise& advise = d_.as->range(blk.range).advise;
 
@@ -541,13 +556,17 @@ Driver::Population Driver::populate(VaBlock& blk, PageMask want, SimTime& t,
 }
 
 SimTime Driver::zero_fill(VaBlock& blk, const PageMask& pages, SimTime t) {
-  const PageMask zero = pages.and_not(blk.ever_populated);
-  if (zero.none()) return t;
+  // Count and mark the never-populated pages in one pass.
+  std::uint32_t zeroed = 0;
+  for (std::uint32_t w = 0; w < PageMask::kWords; ++w) {
+    const std::uint64_t z = pages.word(w) & ~blk.ever_populated.word(w);
+    zeroed += static_cast<std::uint32_t>(std::popcount(z));
+    blk.ever_populated.set_word_bits(w, z);
+  }
+  if (zeroed == 0) return t;
   const SimTime t0 = t;
-  t = d_.dma->zero_fill(t,
-                        static_cast<std::uint64_t>(zero.count()) * kPageSize);
-  blk.ever_populated |= zero;
-  counters_.pages_zeroed += zero.count();
+  t = d_.dma->zero_fill(t, static_cast<std::uint64_t>(zeroed) * kPageSize);
+  counters_.pages_zeroed += zeroed;
   prof_.add(CostCategory::ServiceZero, t - t0);
   return t;
 }

@@ -313,6 +313,9 @@ class Driver {
   std::unique_ptr<MarkovPrefetcher> markov_;
   ThrashingDetector thrashing_{ThrashingDetector::Config{}};
   LogHistogram queue_latency_;
+  /// The batch-fetch output, refilled by every driver_pass(): its bin and
+  /// staging vectors keep their capacity from pass to pass.
+  FaultBatch batch_;
   Rng rng_;  ///< driver-internal stochastic costs (RM jitter)
 
   bool processing_ = false;
@@ -326,6 +329,8 @@ class Driver {
   /// slot_free_[s] = when resolution slot s finishes its current fault.
   std::vector<SimTime> slot_free_;
   std::uint64_t next_slot_ = 0;
+  /// The entries of the current drain; keeps its capacity across passes.
+  std::vector<FaultEntry> drained_;
 
   // --- hazard recovery state ---
   bool watchdog_armed_ = false;

@@ -41,6 +41,7 @@ class TwoQEviction : public EvictionPolicy {
   void on_block_allocated(VaBlockId b) override;
   void on_block_touched(VaBlockId b) override;
   void on_block_evicted(VaBlockId b) override;
+  void reserve_blocks(std::size_t blocks) override { links_.reserve(blocks); }
   std::optional<VaBlockId> pick_victim(
       const std::function<bool(VaBlockId)>& eligible) override;
   // pick_victim_classified: inherited default two-pass (Preferred-only,

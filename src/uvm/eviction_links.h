@@ -6,8 +6,10 @@
 // a membership bit and one policy-defined flag. A notification is an array
 // index, with no hash map, node pool or free list, and a victim scan chases
 // 32-bit indices through one contiguous vector. The vector grows to the
-// highest block id ever linked. Links are 32-bit, which is why AddressSpace
-// rejects address spaces of 2^32 or more blocks.
+// highest block id ever linked; the driver reserves room for every block
+// before each pass, so linking never allocates mid-service. Links are
+// 32-bit, which is why AddressSpace rejects address spaces of 2^32 or more
+// blocks.
 #pragma once
 
 #include <cassert>
@@ -29,6 +31,9 @@ class BlockLinks {
     std::uint32_t tail = kNil;
     std::size_t size = 0;
   };
+
+  /// Room for block ids below `blocks` without growing.
+  void reserve(std::size_t blocks) { nodes_.reserve(blocks); }
 
   [[nodiscard]] bool contains(VaBlockId b) const {
     return b < nodes_.size() && nodes_[b].linked;

@@ -83,6 +83,10 @@ class EvictionPolicy {
   /// across both passes, not just the fallback pass.
   [[nodiscard]] std::size_t last_scan_length() const { return last_scan_len_; }
 
+  /// Sizes the per-block state for block ids below `blocks` up front, so
+  /// tracking any of them later allocates nothing. A no-op by default.
+  virtual void reserve_blocks(std::size_t /*blocks*/) {}
+
   /// Volta access-counter notification (ignored by the stock LRU).
   virtual void on_access_notification(const AccessCounterNotification&) {}
 

@@ -8,12 +8,18 @@
 
 namespace uvmsim {
 
-UVMSIM_HOT FaultBatch Preprocessor::fetch(
-    FaultBuffer& fb, std::uint32_t batch_size, const CostModel& cm, SimTime& t,
-    FetchPolicy policy, LogHistogram* queue_latency, Tracer* tracer) {
-  FaultBatch batch;
-  // uvmsim-lint: allow(hot-local-container, "per-batch staging vector, reserved upfront; amortized across the whole batch")
-  std::vector<FaultEntry> entries;
+UVMSIM_HOT void Preprocessor::fetch(FaultBuffer& fb, std::uint32_t batch_size,
+                                    const CostModel& cm, SimTime& t,
+                                    FaultBatch& batch, FetchPolicy policy,
+                                    LogHistogram* queue_latency,
+                                    Tracer* tracer) {
+  batch.bins.clear();
+  batch.fetched = 0;
+  batch.duplicates = 0;
+  batch.polls = 0;
+  batch.latency_clamps = 0;
+  auto& entries = batch.staging;  // capacity carries over between passes
+  entries.clear();
   entries.reserve(std::min<std::size_t>(batch_size, fb.size()));
 
   const SimTime t_pop0 = t;
@@ -47,7 +53,7 @@ UVMSIM_HOT FaultBatch Preprocessor::fetch(
     t += cm.fetch_per_fault;
   }
   batch.fetched = static_cast<std::uint32_t>(entries.size());
-  if (entries.empty()) return batch;
+  if (entries.empty()) return;
   if (tracer != nullptr) {
     tracer->span(TraceCategory::Fetch, "fetch.pop", t_pop0, t, 0, "fetched",
                  batch.fetched, "polls", batch.polls);
@@ -94,7 +100,6 @@ UVMSIM_HOT FaultBatch Preprocessor::fetch(
     tracer->span(TraceCategory::Fetch, "fetch.sort_bin", t_sort0, t, 0,
                  "bins", batch.bins.size(), "dups", batch.duplicates);
   }
-  return batch;
 }
 
 }  // namespace uvmsim

@@ -34,16 +34,14 @@ SimTime Driver::gpu_driven_pass() {
   SimTime engine_start = drain_access_counters(d_.eq->now());
 
   SimTime pass_end = engine_start;
-  // uvmsim-lint: allow(hot-local-container, "per-drain staging vector, reserved upfront; amortized across the whole drain")
-  std::vector<FaultEntry> drained;
-  drained.reserve(d_.fb->size());
-  while (auto e = d_.fb->pop()) drained.push_back(*e);
-  counters_.faults_fetched += drained.size();
+  drained_.clear();  // capacity kept from the last drain
+  while (auto e = d_.fb->pop()) drained_.push_back(*e);
+  counters_.faults_fetched += drained_.size();
 
   // Resolution is strictly serial in pop order (the slot queue is the
   // ordering authority here).
-  const std::uint64_t resolved = drained.size();
-  for (const FaultEntry& e : drained) {
+  const std::uint64_t resolved = drained_.size();
+  for (const FaultEntry& e : drained_) {
     queue_latency_.add(static_cast<std::uint64_t>(std::max<SimTime>(
         0, std::max(engine_start, e.ready_at) - e.raised_at)));
     pass_end = std::max(pass_end, resolve_fault(e, engine_start));

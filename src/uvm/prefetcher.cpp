@@ -10,98 +10,110 @@ Prefetcher::Result Prefetcher::compute_fast(const VaBlock& block,
                                             bool big_page_upgrade,
                                             std::uint32_t threshold_percent) {
   Result res;
-  if (faulted.none() || block.num_pages == 0) return res;
   const std::uint32_t valid = block.num_pages;
+  if (valid == 0) return res;
+  static constexpr std::uint32_t kWordBits = PageMask::kWordBits;
+  static constexpr std::uint32_t kWords = PageMask::kWords;
 
   // Bits at or past num_pages never count — the same clamp count_range and
   // the tree's leaf validity apply.
   auto valid_word = [valid](std::uint32_t w) -> std::uint64_t {
-    const std::uint32_t base = w * PageMask::kWordBits;
+    const std::uint32_t base = w * kWordBits;
     if (base >= valid) return 0;
-    const std::uint32_t n = std::min(PageMask::kWordBits, valid - base);
-    return n == PageMask::kWordBits ? ~std::uint64_t{0}
-                                    : (std::uint64_t{1} << n) - 1;
+    const std::uint32_t n = std::min(kWordBits, valid - base);
+    return n == kWordBits ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
   };
 
-  // Stage 1: big-page upgrade, one 16-bit group test per big page instead of
-  // a count_range call per big page.
-  PageMask upgraded;
-  if (big_page_upgrade) {
-    constexpr std::uint32_t kGroupsPerWord =
-        PageMask::kWordBits / kPagesPerBigPage;
-    constexpr std::uint64_t kGroupMask =
-        (std::uint64_t{1} << kPagesPerBigPage) - 1;
-    for (std::uint32_t w = 0; w < PageMask::kWords; ++w) {
-      const std::uint64_t x = faulted.word(w) & valid_word(w);
-      if (x == 0) continue;
-      for (std::uint32_t g = 0; g < kGroupsPerWord; ++g) {
-        if ((x >> (g * kPagesPerBigPage)) & kGroupMask) {
-          const std::uint32_t lo =
-              w * PageMask::kWordBits + g * kPagesPerBigPage;
-          upgraded.set_range(lo, std::min(lo + kPagesPerBigPage, valid));
-        }
-      }
+  // One pass over the words builds the live occupancy (resident | faulted
+  // | stage-1 big-page upgrade, valid pages only) and its per-word
+  // popcounts. The upgrade is branch-free: a 16-bit group is non-empty iff
+  // adding 0x7FFF to its low 15 bits carries into (or it already has) bit
+  // 15; that one bit per group is then spread over the whole group.
+  static_assert(kPagesPerBigPage == 16, "the group trick assumes 16 pages");
+  constexpr std::uint64_t kLow15 = 0x7FFF7FFF7FFF7FFFull;
+  constexpr std::uint64_t kTop = 0x8000800080008000ull;
+  std::uint64_t occ[kWords];
+  std::uint32_t cnt[kWords];
+  std::uint32_t total = 0;  // live occupancy over the whole block
+  std::uint32_t nfaulted = 0;
+  for (std::uint32_t w = 0; w < kWords; ++w) {
+    const std::uint64_t f = faulted.word(w);
+    const std::uint64_t vw = valid_word(w);
+    std::uint64_t o = block.gpu_resident.word(w) | f;
+    if (big_page_upgrade) {
+      const std::uint64_t x = f & vw;
+      const std::uint64_t nz = (((x & kLow15) + kLow15) | x) & kTop;
+      o |= (nz >> 15) * 0xFFFFu;
     }
+    occ[w] = o & vw;
+    cnt[w] = static_cast<std::uint32_t>(std::popcount(occ[w]));
+    total += cnt[w];
+    nfaulted += static_cast<std::uint32_t>(std::popcount(f));
   }
+  if (nfaulted == 0) return res;
 
-  // Stage 2: the density-tree walk, replayed over a live occupancy mask.
-  // A subtree's count is a popcount range scan; expanding a leaf saturates
-  // the chosen region in the mask, which is exactly what PrefetchTree's
-  // saturate() does to the counts later leaves observe.
-  PageMask occupied = block.gpu_resident | faulted | upgraded;
-  PageMask tree_out;
-  if (threshold_percent <= 100) {
-    PageMask occ = occupied;
-    // Total live-mask occupancy, maintained across leaf expansions. Any
-    // region's count is bounded by it, so a level whose region cannot reach
-    // the density threshold even if it held every occupied page is skipped
-    // without touching the mask — on the sparse blocks that dominate fault
-    // traffic (a just-evicted block holds little beyond the faults
-    // themselves) this prunes every wide level with one multiply.
-    std::uint32_t total = occ.count_range(0, valid);
-    for (std::uint32_t leaf : faulted.set_bits()) {
-      if (leaf >= valid) continue;
-      std::uint32_t lo = leaf;      // fallback: the (occupied) leaf itself
-      std::uint32_t hi = leaf + 1;
+  // Stage 2: the density-tree walk, replayed over the live occupancy.
+  // Expanding a leaf saturates the chosen region in `occ`, which is exactly
+  // what PrefetchTree's saturate() does to the counts later leaves observe.
+  const auto expand = [&](std::uint32_t leaf) {
+    // Root to leaf; the first region denser than the threshold is the
+    // largest. The leaf itself is occupied, so when none passes its
+    // fallback region changes nothing.
+    for (std::uint32_t width = kPagesPerBlock; width >= 1; width >>= 1) {
+      const std::uint32_t rlo = leaf & ~(width - 1);
+      const std::uint32_t rhi = std::min(rlo + width, valid);
+      const std::uint32_t v = rhi - rlo;
       // A region of v pages passes only when count * 100 > threshold * v,
-      // and every region count is bounded by the total live occupancy — so
-      // widths above total * 100 / threshold cannot pass and the walk may
-      // start at the widest width that can. On the sparse blocks that
-      // dominate fault traffic (a just-evicted block holds little beyond
-      // the faults themselves) this skips every wide level up front.
-      // Only exact for full blocks: a partial block clamps end regions to
-      // v < width, which lowers the bar below what the width bound assumes.
-      std::uint32_t start = kPagesPerBlock;
-      if (threshold_percent > 0 && valid == kPagesPerBlock) {
-        const std::uint32_t cap = total * 100u / threshold_percent;
-        start = cap >= kPagesPerBlock ? kPagesPerBlock
-                                      : std::bit_floor(std::max(cap, 1u));
-      }
-      for (std::uint32_t width = start; width >= 1; width >>= 1) {
-        const std::uint32_t rlo = leaf & ~(width - 1);
-        const std::uint32_t rhi = std::min(rlo + width, valid);
-        if (rhi <= rlo) continue;
-        const std::uint32_t v = rhi - rlo;
-        // Clamped end-of-block regions have v < width; re-check the bound.
-        if (total * 100u <= threshold_percent * v) continue;
-        // density% > threshold%  <=>  count * 100 > threshold * valid
-        const std::uint32_t cnt = occ.count_range(rlo, rhi);
-        if (cnt * 100u > threshold_percent * v) {
-          lo = rlo;
-          hi = rhi;
-          total += v - cnt;  // expansion saturates the region in occ
-          break;  // first hit on the root->leaf walk == largest region
+      // and no count exceeds the block's live occupancy: on the sparse
+      // blocks that dominate fault traffic this skips each wide level
+      // with one multiply, before any count is read.
+      if (total * 100u <= threshold_percent * v) continue;
+      const std::uint32_t wlo = rlo / kWordBits;
+      if (width >= kWordBits) {
+        // Whole words: the count is a sum of word counts, and saturating
+        // refreshes just those words.
+        const std::uint32_t whi = (rhi - 1) / kWordBits;
+        std::uint32_t c = 0;
+        for (std::uint32_t w = wlo; w <= whi; ++w) c += cnt[w];
+        if (c * 100u <= threshold_percent * v) continue;
+        for (std::uint32_t w = wlo; w <= whi; ++w) {
+          occ[w] = valid_word(w);
+          cnt[w] = static_cast<std::uint32_t>(std::popcount(occ[w]));
         }
+        total += v - c;
+        return;
       }
-      tree_out.set_range(lo, hi);
-      occ.set_range(lo, hi);
+      // Inside one word: one masked popcount.
+      const std::uint64_t m =
+          (((std::uint64_t{1} << width) - 1) << (rlo % kWordBits)) &
+          valid_word(wlo);
+      const std::uint32_t c =
+          static_cast<std::uint32_t>(std::popcount(occ[wlo] & m));
+      if (c * 100u <= threshold_percent * v) continue;
+      occ[wlo] |= m;
+      cnt[wlo] += v - c;
+      total += v - c;
+      return;
     }
-    tree_out = tree_out.and_not(occupied);
-    res.tree_updates = faulted.count();
+  };
+  if (threshold_percent <= 100) {
+    res.tree_updates = nfaulted;
+    for (std::uint32_t w = 0; w < kWords; ++w) {
+      for (std::uint64_t x = faulted.word(w) & valid_word(w); x != 0;
+           x &= x - 1) {
+        expand(w * kWordBits +
+               static_cast<std::uint32_t>(std::countr_zero(x)));
+      }
+    }
   }
 
-  res.prefetch =
-      (upgraded | tree_out).and_not(block.gpu_resident).and_not(faulted);
+  // Everything the walk (or the upgrade) made occupied that was neither
+  // resident nor faulted is new: the prefetch set.
+  for (std::uint32_t w = 0; w < kWords; ++w) {
+    const std::uint64_t p =
+        occ[w] & ~(block.gpu_resident.word(w) | faulted.word(w));
+    if (p != 0) res.prefetch.set_word_bits(w, p);
+  }
   return res;
 }
 

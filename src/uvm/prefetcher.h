@@ -37,9 +37,13 @@ class Prefetcher {
   /// big_page_upgrade is set — matching the driver, where the upgrade is
   /// part of the fault-service path, not the density logic).
   ///
-  /// Word-level: popcount range scans over a live occupancy mask instead of
-  /// materializing the 1023-node PrefetchTree per call. prefetcher_test
-  /// checks it against a reference built on PrefetchTree::expand().
+  /// Word-level, without materializing the 1023-node PrefetchTree: one
+  /// pass over the eight mask words builds the upgraded occupancy and its
+  /// per-word popcounts; the walk answers regions of 64 pages or more from
+  /// those counts and narrower ones with one masked popcount, and an
+  /// expansion refreshes only the words it saturated. Allocation-free.
+  /// prefetcher_test checks it against a reference built on
+  /// PrefetchTree::expand().
   static Result compute_fast(const VaBlock& block, const PageMask& faulted,
                              bool big_page_upgrade,
                              std::uint32_t threshold_percent);

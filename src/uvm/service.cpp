@@ -1,13 +1,16 @@
 #include "uvm/service.h"
 
+#include <cassert>
+
 #include "mem/constants.h"
 
 namespace uvmsim {
 
-std::vector<std::uint64_t> runs_to_bytes(const PageMask& mask) {
-  std::vector<std::uint64_t> out;
+RunBytes runs_to_bytes(const PageMask& mask) {
+  RunBytes out;
   mask.for_each_run([&out](PageMask::Run r) {
-    out.push_back(static_cast<std::uint64_t>(r.count) * kPageSize);
+    assert(out.n_ < RunBytes::kMaxRuns);
+    out.bytes_[out.n_++] = static_cast<std::uint64_t>(r.count) * kPageSize;
   });
   return out;
 }

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <vector>
+
+#include "sim/hazards.h"
+#include "uvm/service.h"
 
 namespace uvmsim {
 namespace {
@@ -77,6 +81,39 @@ TEST_F(DmaTest, ZeroFillUsesGpuBandwidth) {
 
 TEST_F(DmaTest, ZeroFillOfNothingIsFree) {
   EXPECT_EQ(dma_.zero_fill(7, 0), 7u);
+}
+
+TEST_F(DmaTest, FailedRunIsReportedAndRetriedThroughTheRunList) {
+  // Every run fails while the hazard window is open; the failed run's bytes
+  // come back for the caller to re-issue, and the retry after the window
+  // closes transfers exactly those bytes.
+  HazardConfig hc;
+  hc.seed = 9;
+  hc.dma_fail_rate = 0.999999;
+  hc.window_end = 10'000;
+  HazardInjector hazards(hc);
+  dma_.set_hazard_injector(&hazards);
+
+  PageMask m;
+  m.set_range(0, 2);
+  m.set(10);
+  const RunBytes runs = runs_to_bytes(m);
+  DmaEngine::CopyResult res =
+      dma_.copy_runs(Direction::HostToDevice, 0, runs);
+  ASSERT_FALSE(res.ok());
+  ASSERT_EQ(res.failed_run_bytes.size(), 2u);
+  EXPECT_EQ(res.failed_run_bytes[0], 2 * kPageSize);
+  EXPECT_EQ(res.failed_run_bytes[1], kPageSize);
+  // Two runs of staging + setup + fail detection, no transfer.
+  EXPECT_EQ(res.done, 2u * (250u + 500u + dma_cfg().fail_detect));
+  EXPECT_EQ(dma_.failed_runs(), 2u);
+  EXPECT_EQ(link_.bytes_moved(Direction::HostToDevice), 0u);
+
+  const std::vector<std::uint64_t> pending = res.failed_run_bytes;
+  res = dma_.copy_runs(Direction::HostToDevice, 20'000, pending);
+  EXPECT_TRUE(res.ok());
+  EXPECT_EQ(dma_.copy_ops(), 2u);
+  EXPECT_EQ(link_.bytes_moved(Direction::HostToDevice), 3 * kPageSize);
 }
 
 TEST_F(DmaTest, DirectionRouting) {

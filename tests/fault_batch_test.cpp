@@ -36,7 +36,8 @@ class FaultBatchTest : public ::testing::Test {
 
 TEST_F(FaultBatchTest, EmptyBufferEmptyBatch) {
   SimTime t = 1000;
-  auto b = Preprocessor::fetch(fb_, 256, cm_, t);
+  FaultBatch b;
+  Preprocessor::fetch(fb_, 256, cm_, t, b);
   EXPECT_TRUE(b.empty());
   EXPECT_EQ(t, 1000u);  // no fetch cost for nothing
 }
@@ -44,7 +45,8 @@ TEST_F(FaultBatchTest, EmptyBufferEmptyBatch) {
 TEST_F(FaultBatchTest, FetchesUpToBatchSize) {
   for (VirtPage p = 0; p < 300; ++p) fb_.push(entry(p), 0);
   SimTime t = 10000;
-  auto b = Preprocessor::fetch(fb_, 256, cm_, t);
+  FaultBatch b;
+  Preprocessor::fetch(fb_, 256, cm_, t, b);
   EXPECT_EQ(b.fetched, 256u);
   EXPECT_EQ(fb_.size(), 44u);
 }
@@ -52,7 +54,8 @@ TEST_F(FaultBatchTest, FetchesUpToBatchSize) {
 TEST_F(FaultBatchTest, FetchCostsAdvanceCursor) {
   for (VirtPage p = 0; p < 10; ++p) fb_.push(entry(p), 0);
   SimTime t = 10000;
-  auto b = Preprocessor::fetch(fb_, 256, cm_, t);
+  FaultBatch b;
+  Preprocessor::fetch(fb_, 256, cm_, t, b);
   EXPECT_EQ(b.fetched, 10u);
   // 10 fetches + 10 * (sort + bin); entries were ready (pushed at t=0).
   SimDuration expected = 10 * cm_.fetch_per_fault +
@@ -63,7 +66,8 @@ TEST_F(FaultBatchTest, FetchCostsAdvanceCursor) {
 TEST_F(FaultBatchTest, PollsNotReadyEntries) {
   fb_.push(entry(1), 5000);  // ready at 5300
   SimTime t = 5000;
-  auto b = Preprocessor::fetch(fb_, 256, cm_, t);
+  FaultBatch b;
+  Preprocessor::fetch(fb_, 256, cm_, t, b);
   EXPECT_EQ(b.fetched, 1u);
   EXPECT_GE(b.polls, 1u);
   EXPECT_GE(t, 5300u);  // waited for readiness
@@ -74,7 +78,8 @@ TEST_F(FaultBatchTest, BinsByBlockSorted) {
   fb_.push(entry(3), 0);                   // block 0
   fb_.push(entry(kPagesPerBlock + 9), 0);  // block 1
   SimTime t = 1000;
-  auto b = Preprocessor::fetch(fb_, 256, cm_, t);
+  FaultBatch b;
+  Preprocessor::fetch(fb_, 256, cm_, t, b);
   ASSERT_EQ(b.bins.size(), 2u);
   EXPECT_EQ(b.bins[0].block, 0u);
   EXPECT_EQ(b.bins[1].block, 1u);
@@ -89,7 +94,8 @@ TEST_F(FaultBatchTest, DeduplicatesSamePage) {
   fb_.push(entry(7), 0);
   fb_.push(entry(7), 0);
   SimTime t = 1000;
-  auto b = Preprocessor::fetch(fb_, 256, cm_, t);
+  FaultBatch b;
+  Preprocessor::fetch(fb_, 256, cm_, t, b);
   EXPECT_EQ(b.fetched, 3u);
   EXPECT_EQ(b.duplicates, 2u);
   ASSERT_EQ(b.bins.size(), 1u);
@@ -101,7 +107,8 @@ TEST_F(FaultBatchTest, WriteAccessDominates) {
   fb_.push(entry(1, FaultAccessType::Read), 0);
   fb_.push(entry(2, FaultAccessType::Write), 0);
   SimTime t = 1000;
-  auto b = Preprocessor::fetch(fb_, 256, cm_, t);
+  FaultBatch b;
+  Preprocessor::fetch(fb_, 256, cm_, t, b);
   ASSERT_EQ(b.bins.size(), 1u);
   EXPECT_EQ(b.bins[0].strongest_access, FaultAccessType::Write);
 }
@@ -113,7 +120,8 @@ TEST_F(FaultBatchTest, ReadThenWriteDuplicateUpgradesAccess) {
   fb_.push(entry(7, FaultAccessType::Read), 0);
   fb_.push(entry(7, FaultAccessType::Write), 0);
   SimTime t = 1000;
-  auto b = Preprocessor::fetch(fb_, 256, cm_, t);
+  FaultBatch b;
+  Preprocessor::fetch(fb_, 256, cm_, t, b);
   EXPECT_EQ(b.duplicates, 1u);
   ASSERT_EQ(b.bins.size(), 1u);
   EXPECT_EQ(b.bins[0].strongest_access, FaultAccessType::Write);
@@ -126,7 +134,8 @@ TEST_F(FaultBatchTest, WriteThenReadDuplicateStaysWrite) {
   fb_.push(entry(7, FaultAccessType::Read), 0);
   fb_.push(entry(7, FaultAccessType::Read), 0);
   SimTime t = 1000;
-  auto b = Preprocessor::fetch(fb_, 256, cm_, t);
+  FaultBatch b;
+  Preprocessor::fetch(fb_, 256, cm_, t, b);
   EXPECT_EQ(b.duplicates, 2u);
   ASSERT_EQ(b.bins.size(), 1u);
   EXPECT_EQ(b.bins[0].strongest_access, FaultAccessType::Write);
@@ -137,7 +146,8 @@ TEST_F(FaultBatchTest, QueueLatencySampledPerFetchedEntry) {
   fb_.push(entry(2), 200);
   LogHistogram lat;
   SimTime t = 10000;
-  auto b = Preprocessor::fetch(fb_, 256, cm_, t, FetchPolicy::PollReady, &lat);
+  FaultBatch b;
+  Preprocessor::fetch(fb_, 256, cm_, t, b, FetchPolicy::PollReady, &lat);
   EXPECT_EQ(b.fetched, 2u);
   EXPECT_EQ(lat.count(), 2u);
   EXPECT_EQ(b.latency_clamps, 0u);
@@ -154,18 +164,55 @@ TEST_F(FaultBatchTest, ClampsQueueLatencyFromFutureRaiseTime) {
   fb_.push(entry(4), 0);
   LogHistogram lat;
   SimTime t = 1000;
-  auto b = Preprocessor::fetch(fb_, 256, cm_, t, FetchPolicy::PollReady, &lat);
+  FaultBatch b;
+  Preprocessor::fetch(fb_, 256, cm_, t, b, FetchPolicy::PollReady, &lat);
   EXPECT_EQ(b.fetched, 2u);
   EXPECT_EQ(lat.count(), 2u);  // the clamped sample is recorded, not dropped
   EXPECT_EQ(b.latency_clamps, 1u);
+}
+
+TEST_F(FaultBatchTest, RefetchResetsTheBatchAndKeepsItsCapacity) {
+  // The driver refills one batch every pass: a fetch must reset every count
+  // and bin of the previous one, and a smaller batch must reuse its vectors.
+  for (VirtPage p = 0; p < 40; ++p) {
+    fb_.push(entry(p * kPagesPerBlock), 0);
+    fb_.push(entry(p * kPagesPerBlock), 0);  // a duplicate per bin
+  }
+  SimTime t = 100000;
+  FaultBatch b;
+  Preprocessor::fetch(fb_, 256, cm_, t, b);
+  ASSERT_EQ(b.bins.size(), 40u);
+  ASSERT_EQ(b.duplicates, 40u);
+  const FaultBatch::Bin* bins = b.bins.data();
+  const FaultEntry* staging = b.staging.data();
+
+  fb_.push(entry(7), 0);
+  fb_.push(entry(kPagesPerBlock + 3), 0);
+  Preprocessor::fetch(fb_, 256, cm_, t, b);
+  EXPECT_EQ(b.fetched, 2u);
+  EXPECT_EQ(b.duplicates, 0u);
+  EXPECT_EQ(b.polls, 0u);
+  ASSERT_EQ(b.bins.size(), 2u);
+  EXPECT_EQ(b.bins[0].block, 0u);
+  EXPECT_EQ(b.bins[0].fault_entries, 1u);
+  EXPECT_EQ(b.bins[0].faulted.count(), 1u);
+  EXPECT_TRUE(b.bins[0].faulted.test(7));
+  EXPECT_EQ(b.bins[1].block, 1u);
+  EXPECT_TRUE(b.bins[1].faulted.test(3));
+  EXPECT_EQ(b.bins.data(), bins);
+  EXPECT_EQ(b.staging.data(), staging);
+
+  Preprocessor::fetch(fb_, 256, cm_, t, b);  // nothing left
+  EXPECT_TRUE(b.empty());
+  EXPECT_TRUE(b.bins.empty());
 }
 
 TEST_F(FaultBatchTest, StopAtNotReadyClosesBatchEarly) {
   fb_.push(entry(1), 0);     // ready at 300
   fb_.push(entry(2), 5000);  // ready at 5300
   SimTime t = 1000;
-  auto b = Preprocessor::fetch(fb_, 256, cm_, t,
-                               FetchPolicy::StopAtNotReady);
+  FaultBatch b;
+  Preprocessor::fetch(fb_, 256, cm_, t, b, FetchPolicy::StopAtNotReady);
   EXPECT_EQ(b.fetched, 1u);       // the laggard stays for the next pass
   EXPECT_EQ(fb_.size(), 1u);
   EXPECT_EQ(b.polls, 0u);
@@ -177,8 +224,8 @@ TEST_F(FaultBatchTest, StopAtNotReadyStillPollsLeadingLaggard) {
   // under StopAtNotReady.
   fb_.push(entry(1), 5000);  // ready at 5300
   SimTime t = 5000;
-  auto b = Preprocessor::fetch(fb_, 256, cm_, t,
-                               FetchPolicy::StopAtNotReady);
+  FaultBatch b;
+  Preprocessor::fetch(fb_, 256, cm_, t, b, FetchPolicy::StopAtNotReady);
   EXPECT_EQ(b.fetched, 1u);
   EXPECT_GE(t, 5300u);
 }
@@ -236,6 +283,7 @@ TEST_F(FaultBatchTest, SortThenGroupMatchesMapReferenceOnRandomStreams) {
   // must be identical — contents, emission order, and strongest-access — to
   // the old std::map reference.
   Rng rng(77);
+  FaultBatch b;  // one batch refilled every trial, as the driver does
   for (int trial = 0; trial < 50; ++trial) {
     FaultBuffer fb(buf_cfg());
     const std::uint32_t n_blocks = 1 + static_cast<std::uint32_t>(
@@ -253,7 +301,7 @@ TEST_F(FaultBatchTest, SortThenGroupMatchesMapReferenceOnRandomStreams) {
       pushed.push_back(e);
     }
     SimTime t = 100000;
-    auto b = Preprocessor::fetch(fb, 256, cm_, t);
+    Preprocessor::fetch(fb, 256, cm_, t, b);
     ASSERT_EQ(b.fetched, n_entries);
     expect_bins_equal(b, ref_bin(pushed));
   }
@@ -273,7 +321,8 @@ TEST_F(FaultBatchTest, SortThenGroupMatchesReferenceWithPartialFetch) {
     pushed.push_back(e);
   }
   SimTime t = 100000;
-  auto b = Preprocessor::fetch(fb, 64, cm_, t);
+  FaultBatch b;
+  Preprocessor::fetch(fb, 64, cm_, t, b);
   ASSERT_EQ(b.fetched, 64u);
   pushed.resize(64);
   expect_bins_equal(b, ref_bin(pushed));
@@ -289,7 +338,8 @@ TEST_F(FaultBatchTest, BinsEmittedInAscendingBlockOrder) {
     ASSERT_TRUE(fb.push(entry(p), 0));
   }
   SimTime t = 100000;
-  auto b = Preprocessor::fetch(fb, 256, cm_, t);
+  FaultBatch b;
+  Preprocessor::fetch(fb, 256, cm_, t, b);
   for (std::size_t i = 1; i < b.bins.size(); ++i) {
     EXPECT_LT(b.bins[i - 1].block, b.bins[i].block);
   }
@@ -298,7 +348,8 @@ TEST_F(FaultBatchTest, BinsEmittedInAscendingBlockOrder) {
 TEST_F(FaultBatchTest, SmallBatchSizeRespected) {
   for (VirtPage p = 0; p < 10; ++p) fb_.push(entry(p), 0);
   SimTime t = 1000;
-  auto b = Preprocessor::fetch(fb_, 4, cm_, t);
+  FaultBatch b;
+  Preprocessor::fetch(fb_, 4, cm_, t, b);
   EXPECT_EQ(b.fetched, 4u);
   EXPECT_EQ(fb_.size(), 6u);
 }

@@ -33,6 +33,28 @@ std::vector<PageMask::Run> ref_runs(const PageMask& m) {
   return out;
 }
 
+std::vector<std::uint32_t> ref_indices(const PageMask& m) {
+  std::vector<std::uint32_t> out;
+  for (std::uint32_t i = 0; i < kPagesPerBlock; ++i) {
+    if (m.test(i)) out.push_back(i);
+  }
+  return out;
+}
+
+// The mask's runs and set-bit indices as vectors, through the mask's
+// allocation-free walkers (for_each_run, set_bits).
+std::vector<PageMask::Run> runs_of(const PageMask& m) {
+  std::vector<PageMask::Run> out;
+  m.for_each_run([&out](PageMask::Run r) { out.push_back(r); });
+  return out;
+}
+
+std::vector<std::uint32_t> indices_of(const PageMask& m) {
+  std::vector<std::uint32_t> out;
+  for (std::uint32_t i : m.set_bits()) out.push_back(i);
+  return out;
+}
+
 PageMask random_mask(Rng& rng, std::uint32_t density_pct) {
   PageMask m;
   for (std::uint32_t i = 0; i < kPagesPerBlock; ++i) {
@@ -45,7 +67,7 @@ TEST(PageMask, StartsEmpty) {
   PageMask m;
   EXPECT_TRUE(m.none());
   EXPECT_EQ(m.count(), 0u);
-  EXPECT_TRUE(m.runs().empty());
+  EXPECT_TRUE(runs_of(m).empty());
 }
 
 TEST(PageMask, SetAndTest) {
@@ -82,7 +104,7 @@ TEST(PageMask, RunsDecomposition) {
   m.set_range(0, 3);
   m.set(10);
   m.set_range(500, 512);
-  auto runs = m.runs();
+  auto runs = runs_of(m);
   ASSERT_EQ(runs.size(), 3u);
   EXPECT_EQ(runs[0], (PageMask::Run{0, 3}));
   EXPECT_EQ(runs[1], (PageMask::Run{10, 1}));
@@ -92,7 +114,7 @@ TEST(PageMask, RunsDecomposition) {
 TEST(PageMask, FullMaskSingleRun) {
   PageMask m;
   m.set_all();
-  auto runs = m.runs();
+  auto runs = runs_of(m);
   ASSERT_EQ(runs.size(), 1u);
   EXPECT_EQ(runs[0], (PageMask::Run{0, 512}));
 }
@@ -100,14 +122,14 @@ TEST(PageMask, FullMaskSingleRun) {
 TEST(PageMask, AlternatingRuns) {
   PageMask m;
   for (std::uint32_t i = 0; i < 512; i += 2) m.set(i);
-  EXPECT_EQ(m.runs().size(), 256u);
+  EXPECT_EQ(runs_of(m).size(), 256u);
 }
 
 TEST(PageMask, SetIndices) {
   PageMask m;
   m.set(5);
   m.set(300);
-  auto idx = m.set_indices();
+  auto idx = indices_of(m);
   ASSERT_EQ(idx.size(), 2u);
   EXPECT_EQ(idx[0], 5u);
   EXPECT_EQ(idx[1], 300u);
@@ -161,7 +183,7 @@ TEST(PageMask, RangesAcrossWordBoundaries) {
   EXPECT_TRUE(tail.test(511));
   EXPECT_EQ(tail.count_range(448, 512), 64u);
   EXPECT_EQ(tail.count_range(511, 512), 1u);
-  auto runs = tail.runs();
+  auto runs = runs_of(tail);
   ASSERT_EQ(runs.size(), 1u);
   EXPECT_EQ(runs[0], (PageMask::Run{440, 72}));
 }
@@ -182,8 +204,8 @@ TEST(PageMask, FullBlockRange) {
   m.set_range(0, kPagesPerBlock);
   EXPECT_EQ(m.count(), kPagesPerBlock);
   EXPECT_EQ(m.count_range(0, kPagesPerBlock), kPagesPerBlock);
-  ASSERT_EQ(m.runs().size(), 1u);
-  EXPECT_EQ(m.runs()[0], (PageMask::Run{0, kPagesPerBlock}));
+  ASSERT_EQ(runs_of(m).size(), 1u);
+  EXPECT_EQ(runs_of(m)[0], (PageMask::Run{0, kPagesPerBlock}));
 }
 
 TEST(PageMask, FindNextSetAndClear) {
@@ -208,9 +230,7 @@ TEST(PageMask, SetBitsIteratorMatchesSetIndices) {
   Rng rng(101);
   for (std::uint32_t density : {0u, 1u, 10u, 50u, 95u, 100u}) {
     PageMask m = random_mask(rng, density);
-    std::vector<std::uint32_t> via_iter;
-    for (std::uint32_t i : m.set_bits()) via_iter.push_back(i);
-    EXPECT_EQ(via_iter, m.set_indices());
+    EXPECT_EQ(indices_of(m), ref_indices(m));
   }
 }
 
@@ -222,7 +242,7 @@ TEST(PageMask, RandomMasksMatchNaiveReference) {
     PageMask m = random_mask(rng, density);
 
     EXPECT_EQ(m.count(), ref_count_range(m, 0, kPagesPerBlock));
-    EXPECT_EQ(m.runs(), ref_runs(m));
+    EXPECT_EQ(runs_of(m), ref_runs(m));
 
     // Random sub-ranges, biased to word boundaries.
     for (int k = 0; k < 8; ++k) {

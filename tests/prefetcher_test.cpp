@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "prefetch_reference.h"
 #include "sim/rng.h"
 
@@ -176,6 +178,44 @@ TEST(Prefetcher, ComputeFastMatchesReferenceOnRandomInputs) {
             << " upgrade=" << upgrade << " trial=" << trial;
         ASSERT_EQ(ref.tree_updates, fast.tree_updates)
             << "num_pages=" << b.num_pages << " threshold=" << th
+            << " upgrade=" << upgrade << " trial=" << trial;
+      }
+    }
+  }
+
+  // The sparse regime random workloads produce: a bin holds one or two
+  // faulted pages, on a block resident (or evicted) by whole 64 KB big
+  // pages. Own stream, so the trials above keep theirs.
+  Rng sparse(4048);
+  const std::uint32_t sparse_thresholds[] = {0, 1, 25, 51, 75, 100, 101};
+  for (int trial = 0; trial < 400; ++trial) {
+    VaBlock b = make_block(sizes[trial % 5]);
+    const std::uint64_t resident_pct = sparse.next_below(101);
+    for (std::uint32_t lo = 0; lo < b.num_pages; lo += kPagesPerBigPage) {
+      if (sparse.next_below(100) < resident_pct) {
+        b.gpu_resident.set_range(lo,
+                                 std::min(lo + kPagesPerBigPage, b.num_pages));
+      }
+    }
+    const std::uint32_t holes = b.num_pages - b.gpu_resident.count();
+    if (holes == 0) continue;
+    PageMask faulted;
+    const std::uint32_t want = 1 + static_cast<std::uint32_t>(
+                                       sparse.next_below(2));
+    while (faulted.count() < std::min(want, holes)) {
+      const auto p = static_cast<std::uint32_t>(
+          sparse.next_below(b.num_pages));
+      if (!b.gpu_resident.test(p)) faulted.set(p);
+    }
+    for (std::uint32_t th : sparse_thresholds) {
+      for (bool upgrade : {false, true}) {
+        auto ref = reference_prefetch(b, faulted, upgrade, th);
+        auto fast = Prefetcher::compute_fast(b, faulted, upgrade, th);
+        ASSERT_EQ(ref.prefetch, fast.prefetch)
+            << "sparse num_pages=" << b.num_pages << " threshold=" << th
+            << " upgrade=" << upgrade << " trial=" << trial;
+        ASSERT_EQ(ref.tree_updates, fast.tree_updates)
+            << "sparse num_pages=" << b.num_pages << " threshold=" << th
             << " upgrade=" << upgrade << " trial=" << trial;
       }
     }
