@@ -56,6 +56,8 @@ echo "== residency writers stamp the GPU engine =="
 # GpuEngine::on_pages_mapped. The stamping homes: Driver::map_local and
 # map_remote (driver.cpp), the three writes of resolve_fault
 # (gpu_driven.cpp) and Simulator::prefill_all_resident (simulator.cpp).
+# resolve_fault writes a word at a time (set_word_bits), each write
+# followed by the per-word notice on_pages_mapped(blk, w, bits).
 SETS_RESIDENCY='[.>](gpu_resident|remote_mapped)[[:space:]]*(\|=|=[^=]|\.set\(|\.set_range\(|\.set_word_bits\()'
 WRITERS=$(grep -rnE "$SETS_RESIDENCY" src \
   | cut -d: -f1 | sort | uniq -c | awk '{print $2 "=" $1}' | tr '\n' ' ')

@@ -403,21 +403,8 @@ bool GpuEngine::quiet_premise_holds(LanePage p, const Utlb& utlb) const {
 }
 
 void GpuEngine::on_pages_mapped(VaBlockId blk, const PageMask& pages) {
-  if (blk >= pending_.size()) return;
-  constexpr std::uint32_t kPerWord = PageMask::kWordBits / kPagesPerBigPage;
-  std::uint64_t* const stamps = &stamps_[std::size_t{blk} * kBigPagesPerBlock];
-  for (std::uint32_t wi = 0; wi < PageMask::kWords; ++wi) {
-    // Fold each 16-bit big page of the word onto its lowest bit: the shifts
-    // add up to 15, so no big page reaches into the next one down.
-    std::uint64_t x = pages.word(wi);
-    x |= x >> 8;
-    x |= x >> 4;
-    x |= x >> 2;
-    x |= x >> 1;
-    x &= 0x0001000100010001ULL;
-    for (; x != 0; x &= x - 1) {
-      stamps[wi * kPerWord + std::countr_zero(x) / kPagesPerBigPage] = walks_;
-    }
+  for (std::uint32_t w = 0; w < PageMask::kWords; ++w) {
+    on_pages_mapped(blk, w, pages.word(w));
   }
 }
 

@@ -14,6 +14,7 @@
 // co-scheduled round-robin onto the shared SM array.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -132,6 +133,24 @@ class GpuEngine {
   /// touches (see the walk numbers below). Blocks created after the last
   /// launch are ignored; no lane has walked them.
   void on_pages_mapped(VaBlockId blk, const PageMask& pages);
+  /// The same notice for the pages `bits` of storage word `w` alone: the
+  /// GPU-driven resolve_fault maps one to eight words per fault.
+  void on_pages_mapped(VaBlockId blk, std::uint32_t w, std::uint64_t bits) {
+    if (blk >= pending_.size()) return;
+    constexpr std::uint32_t kPerWord = PageMask::kWordBits / kPagesPerBigPage;
+    // Fold each 16-bit big page of the word onto its lowest bit: the shifts
+    // add up to 15, so no big page reaches into the next one down.
+    bits |= bits >> 8;
+    bits |= bits >> 4;
+    bits |= bits >> 2;
+    bits |= bits >> 1;
+    bits &= 0x0001000100010001ULL;
+    std::uint64_t* const stamps =
+        &stamps_[(std::size_t{blk} * kBigPagesPerBlock) + (w * kPerWord)];
+    for (; bits != 0; bits &= bits - 1) {
+      stamps[std::countr_zero(bits) / kPagesPerBigPage] = walks_;
+    }
+  }
 
   /// Installs the handler invoked whenever a fault entry is pushed (the
   /// driver's interrupt line).

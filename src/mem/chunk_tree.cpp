@@ -1,5 +1,7 @@
 #include "mem/chunk_tree.h"
 
+#include <algorithm>
+
 namespace uvmsim {
 
 ChunkTree::TakeResult ChunkTree::take_chunks(std::uint64_t want_bytes,
@@ -10,27 +12,33 @@ ChunkTree::TakeResult ChunkTree::take_chunks(std::uint64_t want_bytes,
     pages.set_all();
     res.bytes = kVaBlockSize;
     res.chunks = 1;
+    res.hi = kPagesPerBlock;
     return res;
   }
   // Ascending page order so partial eviction is deterministic and takes the
   // coldest end of the block first (LRU faults arrive in ascending order
-  // within a bin).
-  for (std::uint32_t g = 0; g < kBigPagesPerBlock && res.bytes < want_bytes;
-       ++g) {
-    if (big_backed(g)) {
-      big_ &= ~(std::uint32_t{1} << g);
-      pages.set_range(g * kPagesPerBigPage, (g + 1) * kPagesPerBigPage);
+  // within a bin). The next chunk is the lower of the lowest big chunk and
+  // the next base chunk; no base chunk lies inside a big one.
+  std::uint32_t next_base = base_.find_next_set(0);
+  while (res.bytes < want_bytes &&
+         (big_ != 0 || next_base < PageMask::kBits)) {
+    const std::uint32_t big_lo =
+        big_ == 0 ? PageMask::kBits
+                  : static_cast<std::uint32_t>(std::countr_zero(big_)) *
+                        kPagesPerBigPage;
+    const std::uint32_t lo = std::min(big_lo, next_base);
+    if (res.chunks++ == 0) res.lo = lo;
+    if (big_lo < next_base) {
+      big_ &= big_ - 1;
+      res.hi = lo + kPagesPerBigPage;
+      pages.set_range(lo, res.hi);
       res.bytes += kBigPageSize;
-      ++res.chunks;
-      continue;
-    }
-    const std::uint32_t hi = (g + 1) * kPagesPerBigPage;
-    for (std::uint32_t p = base_.find_next_set(g * kPagesPerBigPage);
-         p < hi && res.bytes < want_bytes; p = base_.find_next_set(p + 1)) {
-      base_.reset(p);
-      pages.set(p);
+    } else {
+      base_.reset(lo);
+      res.hi = lo + 1;
+      pages.set(lo);
       res.bytes += kPageSize;
-      ++res.chunks;
+      next_base = base_.find_next_set(res.hi);
     }
   }
   return res;

@@ -33,6 +33,8 @@ class ChunkTree {
   struct TakeResult {
     std::uint64_t bytes = 0;
     std::uint32_t chunks = 0;
+    std::uint32_t lo = 0;  ///< first page of the first chunk removed
+    std::uint32_t hi = 0;  ///< one past the last page of the last chunk
   };
 
   /// True when the block is backed by one whole 2 MB root chunk.
@@ -78,19 +80,23 @@ class ChunkTree {
   /// block may cover page indices past num_pages; callers intersect with
   /// masks that only carry valid bits).
   [[nodiscard]] PageMask backed_pages() const {
-    PageMask m = base_;
-    if (root_) {
-      m.set_all();
-      return m;
-    }
-    std::uint32_t bits = big_;
-    while (bits != 0) {
-      const std::uint32_t g =
-          static_cast<std::uint32_t>(std::countr_zero(bits));
-      bits &= bits - 1;
-      m.set_range(g * kPagesPerBigPage, (g + 1) * kPagesPerBigPage);
+    PageMask m;
+    for (std::uint32_t w = 0; w < PageMask::kWords; ++w) {
+      m.set_word_bits(w, backed_word(w));
     }
     return m;
+  }
+  /// Storage word `w` of backed_pages() (pages [64w, 64w+64), four big
+  /// pages), without building the mask.
+  [[nodiscard]] std::uint64_t backed_word(std::uint32_t w) const {
+    if (root_) return ~std::uint64_t{0};
+    constexpr std::uint32_t kBigPerWord = PageMask::kWordBits / kPagesPerBigPage;
+    // Move big-page bit j of this word to bit 16j, then widen each to the
+    // 16 pages it covers (the spread bits are 16 apart, so nothing carries).
+    const std::uint64_t g = (big_ >> (w * kBigPerWord)) & 0xF;
+    const std::uint64_t spread =
+        (g | g << 15 | g << 30 | g << 45) & 0x0001000100010001ULL;
+    return base_.word(w) | spread * 0xFFFF;
   }
 
   /// PMA bytes the backing occupies (a root chunk is always the full 2 MB,
@@ -110,7 +116,8 @@ class ChunkTree {
   /// Removes whole chunks in ascending page order until at least
   /// `want_bytes` are freed (or the tree empties), accumulating the covered
   /// pages into `pages`. A root chunk is always taken whole. Returns the
-  /// bytes and chunk count removed; the caller returns the bytes to the PMA.
+  /// bytes and chunk count removed and the page span [lo, hi) they cover;
+  /// the caller returns the bytes to the PMA.
   TakeResult take_chunks(std::uint64_t want_bytes, PageMask& pages);
 
  private:

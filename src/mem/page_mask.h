@@ -38,6 +38,14 @@ class PageMask {
   void reset_word_bits(std::uint32_t w, std::uint64_t bits) {
     words_[w] &= ~bits;
   }
+  /// The bits of storage word `w` that pages [lo, hi) cover; the word must
+  /// overlap the range (lo < (w+1)*64 and hi > w*64).
+  [[nodiscard]] static constexpr std::uint64_t range_word(std::uint32_t w,
+                                                          std::uint32_t lo,
+                                                          std::uint32_t hi) {
+    const std::uint32_t base = w * kWordBits;
+    return low_mask(hi - base) & ~low_mask(lo > base ? lo - base : 0);
+  }
   void set_all() { words_.fill(~std::uint64_t{0}); }
   void clear() { words_.fill(0); }
 

@@ -555,10 +555,11 @@ Driver::Population Driver::populate(VaBlock& blk, PageMask want, SimTime& t,
   return pop;
 }
 
-SimTime Driver::zero_fill(VaBlock& blk, const PageMask& pages, SimTime t) {
+SimTime Driver::zero_fill(VaBlock& blk, const PageMask& pages, SimTime t,
+                          std::uint32_t wlo, std::uint32_t whi) {
   // Count and mark the never-populated pages in one pass.
   std::uint32_t zeroed = 0;
-  for (std::uint32_t w = 0; w < PageMask::kWords; ++w) {
+  for (std::uint32_t w = wlo; w < whi; ++w) {
     const std::uint64_t z = pages.word(w) & ~blk.ever_populated.word(w);
     zeroed += static_cast<std::uint32_t>(std::popcount(z));
     blk.ever_populated.set_word_bits(w, z);
@@ -831,34 +832,59 @@ bool Driver::evict_victim(SimTime& t, VaBlockId faulting_block,
   PageMask freed_pages;
   const ChunkTree::TakeResult taken =
       vb.backing.take_chunks(want_bytes, freed_pages);
-  PageMask resident = vb.gpu_resident & freed_pages;
+  // The victim holds backing (the policy tracks only backed blocks), so
+  // the span below covers at least one page.
+  assert(taken.chunks > 0);
+  // Every mask step below reads and writes only the storage words the freed
+  // chunks span: one word for the GPU-driven path's single 4 KB chunk, all
+  // eight for a root chunk. The other words of `writeback` stay empty.
+  const std::uint32_t wlo = taken.lo / PageMask::kWordBits;
+  const std::uint32_t whi =
+      (taken.hi + PageMask::kWordBits - 1) / PageMask::kWordBits;
+  PageMask writeback;
+  std::uint32_t n_resident = 0;
+  std::uint32_t n_writeback = 0;
+  std::uint32_t n_unused = 0;
+  for (std::uint32_t w = wlo; w < whi; ++w) {
+    const std::uint64_t freed = freed_pages.word(w);
+    const std::uint64_t res = vb.gpu_resident.word(w) & freed;
+    // Device-to-host writeback: needed for every resident page whose host
+    // copy is invalid (paged migration unmapped it). Read-duplicated pages
+    // still have a valid host copy and skip the transfer.
+    const std::uint64_t wb = res & ~vb.cpu_resident.word(w);
+    writeback.set_word_bits(w, wb);
+    n_resident += static_cast<std::uint32_t>(std::popcount(res));
+    n_writeback += static_cast<std::uint32_t>(std::popcount(wb));
+    n_unused += static_cast<std::uint32_t>(
+        std::popcount(vb.prefetched_unused.word(w) & freed));
+  }
 
   t += cm_.evict_overhead;
-  // Device-to-host writeback: needed for every resident page whose host
-  // copy is invalid (paged migration unmapped it). Read-duplicated pages
-  // still have a valid host copy and skip the transfer.
-  PageMask writeback = resident.and_not(vb.cpu_resident);
-  counters_.writebacks_avoided += resident.count() - writeback.count();
-  if (writeback.any()) {
+  counters_.writebacks_avoided += n_resident - n_writeback;
+  if (n_writeback > 0) {
     CopyOutcome rc = robust_copy(Direction::DeviceToHost, t,
                                  runs_to_bytes(writeback));
     t = rc.done;
     recovery = rc.recovery;
   }
-  counters_.pages_evicted += writeback.count();
-  counters_.prefetched_evicted_unused +=
-      (vb.prefetched_unused & freed_pages).count();
+  counters_.pages_evicted += n_writeback;
+  counters_.prefetched_evicted_unused += n_unused;
 
-  vb.gpu_resident &= ~resident;
+  // Resident pages move back to the host; no freed page keeps a duplicate,
+  // a dirty bit or an unused-prefetch mark.
+  for (std::uint32_t w = wlo; w < whi; ++w) {
+    const std::uint64_t freed = freed_pages.word(w);
+    const std::uint64_t res = vb.gpu_resident.word(w) & freed;
+    vb.gpu_resident.reset_word_bits(w, res);
+    vb.cpu_resident.set_word_bits(w, res);
+    vb.read_duplicated.reset_word_bits(w, freed);
+    vb.dirty.reset_word_bits(w, freed);
+    vb.prefetched_unused.reset_word_bits(w, freed);
+  }
   t += cm_.map_membar +
-       static_cast<SimDuration>(resident.count()) * cm_.unmap_per_page;
+       static_cast<SimDuration>(n_resident) * cm_.unmap_per_page;
   d_.gpu->invalidate_tlbs();
-
-  vb.cpu_resident |= resident;
-  vb.read_duplicated = vb.read_duplicated.and_not(freed_pages);
-  vb.dirty = vb.dirty.and_not(freed_pages);
   thrashing_.on_eviction(vb.id, t);
-  vb.prefetched_unused = vb.prefetched_unused.and_not(freed_pages);
   ++vb.eviction_count;
   d_.pma->release_bytes(taken.bytes);
   if (vb.backing.any()) {
@@ -870,14 +896,13 @@ bool Driver::evict_victim(SimTime& t, VaBlockId faulting_block,
   ++counters_.evictions;
 
   if (log_.enabled()) {
-    log_.record(FaultLogEntry{
-        0, t, FaultLogKind::Eviction,
-        vb.first_page + freed_pages.find_next_set(0), vb.id, vb.range,
-        false});
+    log_.record(FaultLogEntry{0, t, FaultLogKind::Eviction,
+                              vb.first_page + taken.lo, vb.id, vb.range,
+                              false});
   }
   prof_.add(CostCategory::Eviction, (t - t0) - recovery);
   trace_span(TraceCategory::Eviction, "evict.victim", t0, t, *v,
-             "chunks", taken.chunks, "writeback_pages", writeback.count(),
+             "chunks", taken.chunks, "writeback_pages", n_writeback,
              "scanned", eviction_->last_scan_length());
   return true;
 }

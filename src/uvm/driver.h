@@ -186,8 +186,12 @@ class Driver {
   Population populate(VaBlock& blk, PageMask want, SimTime& t,
                       bool speculative);
   /// Zero-fills the never-populated pages of `pages` (data born on the
-  /// GPU) and marks them populated.
-  SimTime zero_fill(VaBlock& blk, const PageMask& pages, SimTime t);
+  /// GPU) with one DMA memset and marks them populated. Reads only the
+  /// storage words [wlo, whi) of `pages`: resolve_fault passes the one to
+  /// eight words its fault group spans, every other caller the whole mask.
+  SimTime zero_fill(VaBlock& blk, const PageMask& pages, SimTime t,
+                    std::uint32_t wlo = 0,
+                    std::uint32_t whi = PageMask::kWords);
   /// Maps `pages` GPU-resident: PTE writes plus one membar (ServiceMap).
   SimTime map_local(VaBlock& blk, const PageMask& pages, SimTime t);
   /// Maps `pages` remote (zero-copy): PTE writes plus one membar, charged

@@ -21,7 +21,7 @@
 // backed degrade to host-pinned remote mappings, mirroring the driver
 // path's graceful degradation.
 #include <algorithm>
-#include <vector>
+#include <bit>
 
 #include "sim/annotations.h"
 #include "uvm/driver.h"
@@ -83,13 +83,12 @@ UVMSIM_HOT SimTime Driver::resolve_fault(const FaultEntry& e,
   SimTime t = start;
   VaBlock& blk = d_.as->block(e.block);
   const std::uint32_t pi = page_in_block(e.page);
-  const PageMask mapped = blk.gpu_resident | blk.remote_mapped;
 
   // Every fault is a fault-driven residency signal, emitted in the driver
   // path's order: after the fault's backing, so that a block's first demand
   // fault touches the block its backing just began tracking. Stale and
   // remote-mapped faults back nothing and touch straight away.
-  if (mapped.test(pi)) {
+  if (blk.gpu_resident.test(pi) || blk.remote_mapped.test(pi)) {
     // Stale: another fault in this drain (or an earlier pass) already
     // resolved the page; short-circuit.
     eviction_->on_block_touched(blk.id);
@@ -116,11 +115,30 @@ UVMSIM_HOT SimTime Driver::resolve_fault(const FaultEntry& e,
   const std::uint32_t group = d_.gpu->config().fault_granularity_pages;
   const std::uint32_t lo = pi - pi % group;
   const std::uint32_t hi = std::min(lo + group, blk.num_pages);
+  // Every mask below is computed on the storage words [wlo, whi) the group
+  // spans and stays empty elsewhere: one word for host pages of 256 KB or
+  // smaller, eight for 2 MB pages.
+  const std::uint32_t wlo = lo / PageMask::kWordBits;
+  const std::uint32_t whi =
+      (hi + PageMask::kWordBits - 1) / PageMask::kWordBits;
+
+  // `need`: the group's unmapped pages; `missing`: those without a chunk.
   PageMask need;
-  need.set_range(lo, hi);
-  need = need.and_not(mapped);
-  if (group > 1 && need.count() > 0) {
-    counters_.base_page_fill_pages += need.count() - 1;
+  PageMask missing;
+  std::uint32_t n_need = 0;
+  std::uint64_t any_missing = 0;
+  for (std::uint32_t w = wlo; w < whi; ++w) {
+    const std::uint64_t bits =
+        PageMask::range_word(w, lo, hi) &
+        ~(blk.gpu_resident.word(w) | blk.remote_mapped.word(w));
+    const std::uint64_t unbacked_bits = bits & ~blk.backing.backed_word(w);
+    need.set_word_bits(w, bits);
+    missing.set_word_bits(w, unbacked_bits);
+    any_missing |= unbacked_bits;
+    n_need += static_cast<std::uint32_t>(std::popcount(bits));
+  }
+  if (group > 1 && n_need > 0) {
+    counters_.base_page_fill_pages += n_need - 1;
   }
 
   const MemAdvise& advise = d_.as->range(blk.range).advise;
@@ -128,12 +146,13 @@ UVMSIM_HOT SimTime Driver::resolve_fault(const FaultEntry& e,
     // cudaMemAdvise remote mapping binds the backend too: map, never
     // migrate.
     eviction_->on_block_touched(blk.id);
-    blk.remote_mapped |= need;
-    d_.gpu->on_pages_mapped(blk.id, need);
-    const SimDuration cost =
-        static_cast<SimDuration>(need.count()) * gd.pte_update;
+    for (std::uint32_t w = wlo; w < whi; ++w) {
+      blk.remote_mapped.set_word_bits(w, need.word(w));
+      d_.gpu->on_pages_mapped(blk.id, w, need.word(w));
+    }
+    const SimDuration cost = static_cast<SimDuration>(n_need) * gd.pte_update;
     t += cost;
-    counters_.pages_remote_mapped += need.count();
+    counters_.pages_remote_mapped += n_need;
     prof_.add(CostCategory::ServiceMap, cost);
     if (log_.enabled()) {
       log_.record(FaultLogEntry{0, t, FaultLogKind::Fault, e.page, blk.id,
@@ -146,12 +165,20 @@ UVMSIM_HOT SimTime Driver::resolve_fault(const FaultEntry& e,
 
   // --- physical backing: 4 KB chunks from the device-resident pool ---
   PageMask unbacked;
-  PageMask missing = need.and_not(blk.backing.backed_pages());
-  if (missing.any()) {
+  std::uint32_t n_unbacked = 0;
+  if (any_missing != 0) {
     eviction_->begin_victim_round();
     const bool first_chunk = !blk.backing.any();
-    for (std::uint32_t i : missing.set_bits()) {
-      if (!back_page(blk, i, t)) unbacked.set(i);
+    for (std::uint32_t w = wlo; w < whi; ++w) {
+      for (std::uint64_t bits = missing.word(w); bits != 0; bits &= bits - 1) {
+        const std::uint32_t i =
+            w * PageMask::kWordBits +
+            static_cast<std::uint32_t>(std::countr_zero(bits));
+        if (!back_page(blk, i, t)) {
+          unbacked.set(i);
+          ++n_unbacked;
+        }
+      }
     }
     if (first_chunk && blk.backing.any()) {
       eviction_->on_block_allocated(blk.id);
@@ -160,20 +187,24 @@ UVMSIM_HOT SimTime Driver::resolve_fault(const FaultEntry& e,
   }
   eviction_->on_block_touched(blk.id);
 
-  PageMask to_populate = need.and_not(unbacked);
-  if (unbacked.any()) {
+  // From here on `need` holds the pages to populate.
+  const std::uint32_t n_populate = n_need - n_unbacked;
+  if (n_unbacked > 0) {
     // Graceful degradation mirrors the driver path: pages with no eviction
     // victim available stay host-pinned behind a remote mapping.
     SimTime tr = t;
-    blk.remote_mapped |= unbacked;
-    d_.gpu->on_pages_mapped(blk.id, unbacked);
-    t += static_cast<SimDuration>(unbacked.count()) * gd.pte_update;
-    counters_.gpu_remote_fallback_pages += unbacked.count();
+    for (std::uint32_t w = wlo; w < whi; ++w) {
+      need.reset_word_bits(w, unbacked.word(w));
+      blk.remote_mapped.set_word_bits(w, unbacked.word(w));
+      d_.gpu->on_pages_mapped(blk.id, w, unbacked.word(w));
+    }
+    t += static_cast<SimDuration>(n_unbacked) * gd.pte_update;
+    counters_.gpu_remote_fallback_pages += n_unbacked;
     prof_.add(CostCategory::ErrorRecovery, t - tr);
     trace_span(TraceCategory::Recovery, "gpu.degraded_remote", tr, t, blk.id,
-               "pages", unbacked.count());
+               "pages", n_unbacked);
     log_pages(blk, unbacked, t, FaultLogKind::Hazard);
-    if (to_populate.none()) {
+    if (n_populate == 0) {
       if (log_.enabled()) {
         log_.record(FaultLogEntry{0, t, FaultLogKind::Fault, e.page, blk.id,
                                   blk.range, false});
@@ -184,30 +215,39 @@ UVMSIM_HOT SimTime Driver::resolve_fault(const FaultEntry& e,
     }
   }
 
-  t = zero_fill(blk, to_populate, t);  // pages born on the GPU
+  t = zero_fill(blk, need, t, wlo, whi);  // pages born on the GPU
+
+  // Host-resident pages are fetched; every populated page gains its local
+  // PTE. The mask writes come first; the wire and PTE charges follow.
+  std::uint32_t n_fetch = 0;
+  for (std::uint32_t w = wlo; w < whi; ++w) {
+    const std::uint64_t pop = need.word(w);
+    const std::uint64_t fetch =
+        pop & blk.cpu_resident.word(w) & blk.ever_populated.word(w);
+    n_fetch += static_cast<std::uint32_t>(std::popcount(fetch));
+    blk.cpu_resident.reset_word_bits(w, fetch);  // paged migration unmaps
+    blk.gpu_resident.set_word_bits(w, pop);
+    d_.gpu->on_pages_mapped(blk.id, w, pop);
+  }
 
   // --- pull host-resident data as page-sized RDMA reads ---
   // reserve_pipelined: no bulk-transfer setup latency, but each 4 KB read
   // occupies the wire. This is the backend's trade: no 2 MB amplification,
   // no coalescing either.
-  PageMask fetch = to_populate & blk.cpu_resident & blk.ever_populated;
-  if (fetch.any()) {
+  if (n_fetch > 0) {
     SimTime t0 = t;
-    for ([[maybe_unused]] std::uint32_t i : fetch.set_bits()) {
+    for (std::uint32_t k = 0; k < n_fetch; ++k) {
       t = d_.dma->link().reserve_pipelined(Direction::HostToDevice, t,
                                            kPageSize, gd.rdma_overhead);
     }
-    blk.cpu_resident &= ~fetch;  // paged migration unmaps the source
-    counters_.pages_migrated_h2d += fetch.count();
-    counters_.gpu_page_fetches += fetch.count();
+    counters_.pages_migrated_h2d += n_fetch;
+    counters_.gpu_page_fetches += n_fetch;
     prof_.add(CostCategory::ServiceMigrate, t - t0);
   }
 
   // --- local PTE updates, no membar/TLB broadcast ---
-  blk.gpu_resident |= to_populate;
-  d_.gpu->on_pages_mapped(blk.id, to_populate);
   const SimDuration map_cost =
-      static_cast<SimDuration>(to_populate.count()) * gd.pte_update;
+      static_cast<SimDuration>(n_populate) * gd.pte_update;
   t += map_cost;
   prof_.add(CostCategory::ServiceMap, map_cost);
 
@@ -216,7 +256,7 @@ UVMSIM_HOT SimTime Driver::resolve_fault(const FaultEntry& e,
                               blk.range, false});
   }
   trace_span(TraceCategory::Service, "gpu.resolve", start, t, e.page, "block",
-             blk.id, "pages", to_populate.count(), "stalled",
+             blk.id, "pages", n_populate, "stalled",
              start > arrival ? 1 : 0);
 
   blk.service_locked = false;

@@ -4,6 +4,8 @@
 // not whole blocks; fully-resident split blocks re-coalesce to a root chunk.
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "core/simulator.h"
 #include "mem/chunk_tree.h"
 #include "workloads/registry.h"
@@ -85,6 +87,71 @@ TEST(ChunkTree, TakeChunksAscendingUntilSatisfied) {
   res = t.take_chunks(kVaBlockSize, rest);
   EXPECT_EQ(res.bytes, kPageSize);
   EXPECT_FALSE(t.any());
+}
+
+TEST(ChunkTree, BackedWordMatchesBackedPages) {
+  // Random trees of every shape: root-backed, big chunks only, base chunks
+  // only, and both (base chunks only outside big-backed groups). `want`
+  // is the covered set built page by page from the chunks set.
+  std::mt19937_64 rng(7);
+  auto check = [](const ChunkTree& t, const PageMask& want) {
+    const PageMask m = t.backed_pages();
+    for (std::uint32_t w = 0; w < PageMask::kWords; ++w) {
+      ASSERT_EQ(t.backed_word(w), m.word(w)) << "word " << w;
+      ASSERT_EQ(t.backed_word(w), want.word(w)) << "word " << w;
+    }
+  };
+  ChunkTree root;
+  root.set_root();
+  PageMask all;
+  all.set_all();
+  check(root, all);
+  for (int trial = 0; trial < 200; ++trial) {
+    const int shape = trial % 3;  // 0 big only, 1 base only, 2 mixed
+    ChunkTree t;
+    PageMask want;
+    std::uint32_t big = 0;
+    if (shape != 1) {
+      big = static_cast<std::uint32_t>(rng());
+      for (std::uint32_t g = 0; g < kBigPagesPerBlock; ++g) {
+        if ((big >> g) & 1u) {
+          t.set_big(g);
+          want.set_range(g * kPagesPerBigPage, (g + 1) * kPagesPerBigPage);
+        }
+      }
+    }
+    if (shape != 0) {
+      const std::uint64_t density = rng() % 64;  // sparse to near-full
+      for (std::uint32_t p = 0; p < kPagesPerBlock; ++p) {
+        if ((big >> big_page_of(p)) & 1u) continue;
+        if (rng() % 64 < density) {
+          t.set_base(p);
+          want.set(p);
+        }
+      }
+    }
+    check(t, want);
+  }
+}
+
+TEST(ChunkTree, TakeChunksReportsTheFreedSpan) {
+  ChunkTree t;
+  t.set_base(70);
+  t.set_big(3);     // pages [48, 64)
+  t.set_base(500);
+  PageMask pages;
+  auto res = t.take_chunks(kBigPageSize + 2 * kPageSize, pages);
+  EXPECT_EQ(res.chunks, 3u);
+  EXPECT_EQ(res.lo, 48u);
+  EXPECT_EQ(res.hi, 501u);
+  EXPECT_EQ(pages.count(), kPagesPerBigPage + 2);
+  EXPECT_FALSE(t.any());
+
+  t.set_root();
+  PageMask all;
+  res = t.take_chunks(kPageSize, all);
+  EXPECT_EQ(res.lo, 0u);
+  EXPECT_EQ(res.hi, kPagesPerBlock);
 }
 
 // --- split-only-under-pressure -------------------------------------------
@@ -234,6 +301,85 @@ TEST(Chunking, EvictionFreesOnlyDemandedChunks) {
   EXPECT_FALSE(blk0.backing.covers(0));
   EXPECT_TRUE(blk0.gpu_resident.test(17));
   EXPECT_EQ(blk0.backing.backed_bytes(), 7 * kPageSize);
+}
+
+TEST(Chunking, EvictionSpanCoversEveryFreedWord) {
+  // The LRU victim holds two 4 KB chunks, page 5 (word 0) and page 480
+  // (word 7); a two-page bin of the other block takes both in one
+  // eviction. evict_victim updates only the words the freed chunks span,
+  // which here are all eight, so every word of the victim's masks must
+  // match the whole-mask reference below.
+  SimConfig cfg;
+  cfg.set_gpu_memory(64ull << 10);  // 16 page frames
+  cfg.pma.slab_chunks = 1;
+  cfg.enable_fault_log = false;
+  cfg.driver.chunking.split_watermark = 2.0;
+  cfg.driver.chunking.fine_watermark = 2.0;
+  cfg.driver.prefetch = PrefetchMode::Off;
+  cfg.costs.driver_cold_start = 0;
+
+  Simulator sim(cfg);
+  RangeId rid = sim.malloc_managed(4ull << 20, "data");  // 2 blocks
+  const VaRange& r = sim.address_space().range(rid);
+
+  auto push = [&](std::uint64_t block, std::uint32_t page) {
+    FaultEntry e;
+    e.page = r.first_page + block * kPagesPerBlock + page;
+    e.block = block_of_page(e.page);
+    e.range = rid;
+    ASSERT_TRUE(sim.fault_buffer().push(e, sim.event_queue().now()));
+  };
+  auto service = [&] {
+    sim.driver().on_gpu_interrupt();
+    sim.event_queue().run();
+  };
+  push(0, 5);
+  service();
+  push(0, 480);
+  service();
+  for (std::uint32_t i = 0; i < 14; ++i) {
+    push(1, i * 17);
+    service();
+  }
+  ASSERT_EQ(sim.driver().counters().evictions, 0u);
+
+  // Victim state the eviction must fold: page 480 read-duplicated (no
+  // writeback), dirty and unused-prefetch bits on freed and kept pages.
+  VaBlock& victim = sim.address_space().block(r.first_block);
+  ASSERT_TRUE(victim.gpu_resident.test(5));
+  ASSERT_TRUE(victim.gpu_resident.test(480));
+  victim.cpu_resident.set(480);
+  victim.read_duplicated.set(480);
+  victim.read_duplicated.set(200);
+  victim.dirty.set(5);
+  victim.dirty.set(300);
+  victim.prefetched_unused.set(5);
+  victim.prefetched_unused.set(481);
+  const VaBlock before = victim;
+
+  push(1, 300);
+  push(1, 400);
+  service();
+  const DriverCounters& c = sim.driver().counters();
+  ASSERT_EQ(c.evictions, 1u);
+  EXPECT_EQ(c.chunks_evicted, 2u);
+  EXPECT_EQ(c.pages_evicted, 1u);  // page 5; page 480 had a host copy
+  EXPECT_EQ(c.writebacks_avoided, 1u);
+  EXPECT_EQ(c.prefetched_evicted_unused, 1u);
+
+  // The whole-mask reference of the eviction's mask steps.
+  const PageMask freed =
+      before.backing.backed_pages().and_not(victim.backing.backed_pages());
+  ASSERT_EQ(freed.count(), 2u);
+  ASSERT_TRUE(freed.test(5));
+  ASSERT_TRUE(freed.test(480));
+  const PageMask resident = before.gpu_resident & freed;
+  EXPECT_EQ(victim.gpu_resident, before.gpu_resident.and_not(resident));
+  EXPECT_EQ(victim.cpu_resident, before.cpu_resident | resident);
+  EXPECT_EQ(victim.dirty, before.dirty.and_not(freed));
+  EXPECT_EQ(victim.read_duplicated, before.read_duplicated.and_not(freed));
+  EXPECT_EQ(victim.prefetched_unused,
+            before.prefetched_unused.and_not(freed));
 }
 
 // --- the paper's oversubscription verdict --------------------------------

@@ -2,7 +2,14 @@
 // GPU-side resolution, the GPUVM model in src/uvm/gpu_driven.cpp.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <string>
+
+#include "core/report.h"
 #include "core/simulator.h"
+#include "fnv.h"
 #include "workloads/random_access.h"
 #include "workloads/regular.h"
 
@@ -118,6 +125,83 @@ TEST(GpuDriven, NeverFetchesMuchMoreThanFootprint) {
   EXPECT_GT(r.counters.gpu_resolved_faults, 0u);
   EXPECT_LE(r.bytes_h2d + r.counters.gpu_page_fetches * kPageSize,
             r.total_bytes + r.total_bytes / 20);
+}
+
+// Three ranges of 1 MiB + 40 KB (266 pages each, so word 4 of every mask
+// holds 10 valid bits and 54 past num_pages) on a 2 MB GPU: the third
+// kernel's faults evict 4 KB chunks of the first two blocks. resolve_fault
+// and evict_victim work on the mask words a fault or an eviction spans, and
+// the last of those words is partial. After every event no bit at or above
+// num_pages may be set in gpu_resident, remote_mapped or the backing, and
+// the digest pins the whole run. To re-capture after an *intentional*
+// output change, run with UVMSIM_PARITY_PRINT=1 and paste the printed value.
+std::uint64_t mid_word_digest(std::uint64_t host_page_bytes) {
+  SimConfig cfg = gpu_cfg(2ull << 20);
+  cfg.set_host_page_size(host_page_bytes);
+  cfg.enable_fault_log = true;
+  Simulator sim(cfg);
+  for (int i = 0; i < 3; ++i) {
+    RandomTouch((1ull << 20) + (40ull << 10)).setup(sim);
+  }
+
+  const AddressSpace& as = sim.address_space();
+  auto tail_clear = [&] {
+    for (VaBlockId b = 0; b < as.num_blocks(); ++b) {
+      const VaBlock& blk = as.block(b);
+      const PageMask backed = blk.backing.backed_pages();
+      if (blk.gpu_resident.find_next_set(blk.num_pages) != PageMask::kBits ||
+          blk.remote_mapped.find_next_set(blk.num_pages) != PageMask::kBits ||
+          backed.find_next_set(blk.num_pages) != PageMask::kBits) {
+        return false;
+      }
+    }
+    return true;
+  };
+  std::uint64_t events = 0;
+  bool clear = true;
+  while (clear && sim.event_queue().step()) {
+    ++events;
+    clear = tail_clear();
+  }
+  EXPECT_TRUE(clear) << "a bit past num_pages after event " << events;
+  RunResult r = sim.run();
+
+  EXPECT_EQ(as.num_blocks(), 3u);
+  EXPECT_EQ(as.block(0).num_pages, 266u);
+  EXPECT_GT(r.counters.evictions, 0u);
+  EXPECT_EQ(r.counters.gpu_remote_fallback_pages, 0u);
+
+  std::uint64_t h = kFnvOffset;
+  const std::string csv = run_summary_table(r).to_csv();
+  h = fnv1a64(h, csv.data(), csv.size());
+  for (const FaultLogEntry& e : r.fault_log) {
+    h = mix_u64(h, e.time);
+    h = mix_u64(h, static_cast<std::uint64_t>(e.kind));
+    h = mix_u64(h, e.page);
+  }
+  for (VaBlockId b = 0; b < as.num_blocks(); ++b) {
+    const VaBlock& blk = as.block(b);
+    const PageMask backed = blk.backing.backed_pages();
+    for (const PageMask* m :
+         {&blk.gpu_resident, &blk.cpu_resident, &blk.dirty,
+          &blk.ever_populated, &blk.read_duplicated, &blk.remote_mapped,
+          &blk.prefetched_unused, &backed}) {
+      for (std::uint32_t w = 0; w < PageMask::kWords; ++w) {
+        h = mix_u64(h, m->word(w));
+      }
+    }
+  }
+  if (std::getenv("UVMSIM_PARITY_PRINT") != nullptr) {
+    std::printf("mid-word %llu KB host pages 0x%016llxULL\n",
+                static_cast<unsigned long long>(host_page_bytes >> 10),
+                static_cast<unsigned long long>(h));
+  }
+  return h;
+}
+
+TEST(GpuDriven, RangeEndingMidWordKeepsTailBitsClear) {
+  EXPECT_EQ(mid_word_digest(4 << 10), 0x9916b62f323b040cULL);
+  EXPECT_EQ(mid_word_digest(2 << 20), 0x629c4699b250f9ccULL);
 }
 
 TEST(GpuDriven, BackendSelectionIsVisible) {
