@@ -1,8 +1,9 @@
 // Proves that servicing faults allocates nothing per fault, per bin or per
 // pass on either backend: a whole oversubscribed run (tree prefetch, LRU
 // eviction) makes no more heap allocations when its touch count doubles,
-// and on the driver backend a warmed-up run services its remaining bins
-// without a single allocation. The whole binary's operator new/delete are
+// with tracing off and with every trace category on (so the tracer's
+// record/span/instant run on every pass), and on the driver backend a
+// warmed-up run services its remaining bins without a single allocation. The whole binary's operator new/delete are
 // replaced with counting wrappers; this file must stay its own test
 // executable.
 #include <gtest/gtest.h>
@@ -57,8 +58,8 @@ constexpr std::uint32_t kLanes = 32;
 /// doubles the touches without changing the grid's shape.
 class Rig {
  public:
-  Rig(ServicingBackendKind backend, std::uint32_t records)
-      : sim_(config(backend)) {
+  Rig(ServicingBackendKind backend, std::uint32_t records, bool traced = false)
+      : sim_(config(backend, traced)) {
     const RangeId rid = sim_.malloc_managed(kRangeMiB << 20, "data");
     const VaRange& r = sim_.address_space().range(rid);
     Rng rng(0xA110C);
@@ -92,8 +93,10 @@ class Rig {
   [[nodiscard]] const RunResult& result() const { return result_; }
 
  private:
-  static SimConfig config(ServicingBackendKind backend) {
+  static SimConfig config(ServicingBackendKind backend, bool traced) {
     SimConfig c;
+    c.trace.enabled = traced;
+    c.trace.categories = kAllTraceCategories;
     c.seed = 7;
     c.set_gpu_memory(kGpuMiB << 20);
     c.driver.backend = backend;
@@ -109,10 +112,11 @@ class Rig {
 
 constexpr std::uint32_t kRecords = 16;
 
-void expect_flat_in_touches(ServicingBackendKind backend) {
-  Rig small(backend, kRecords);
+void expect_flat_in_touches(ServicingBackendKind backend, bool traced) {
+  SCOPED_TRACE(traced ? "tracing on, all categories" : "tracing off");
+  Rig small(backend, kRecords, traced);
   const std::uint64_t base = small.run_allocs();
-  Rig large(backend, 2 * kRecords);
+  Rig large(backend, 2 * kRecords, traced);
   const std::uint64_t doubled = large.run_allocs();
 
   const RunResult& s = small.result();
@@ -123,16 +127,24 @@ void expect_flat_in_touches(ServicingBackendKind backend) {
   EXPECT_GT(s.counters.evictions, 0u);
   EXPECT_GT(s.counters.faults_fetched, 0u);
   EXPECT_GT(l.counters.faults_fetched, s.counters.faults_fetched);
+  if (traced) {
+    EXPECT_GT(large.sim().tracer()->recorded(),
+              small.sim().tracer()->recorded());
+  }
   EXPECT_LE(doubled, base) << "small run " << base << " allocations, "
                            << "doubled run " << doubled;
 }
 
 TEST(ServicingAlloc, DriverRunAllocationsDoNotGrowWithTouches) {
-  expect_flat_in_touches(ServicingBackendKind::DriverCentric);
+  for (const bool traced : {false, true}) {
+    expect_flat_in_touches(ServicingBackendKind::DriverCentric, traced);
+  }
 }
 
 TEST(ServicingAlloc, GpuDrivenRunAllocationsDoNotGrowWithTouches) {
-  expect_flat_in_touches(ServicingBackendKind::GpuDriven);
+  for (const bool traced : {false, true}) {
+    expect_flat_in_touches(ServicingBackendKind::GpuDriven, traced);
+  }
 }
 
 TEST(ServicingAlloc, DriverServicesBinsWithoutAllocatingAfterWarmUp) {

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <ostream>
 #include <set>
 #include <sstream>
 #include <string>
@@ -14,9 +12,6 @@
 #include <utility>
 #include <vector>
 
-#include "callgraph.h"
-#include "dataflow.h"
-#include "index.h"
 #include "lexer.h"
 #include "rules.h"
 
@@ -55,6 +50,14 @@ std::string file_key(const fs::path& p) {
 bool ends_with(std::string_view s, std::string_view suffix) {
   return s.size() >= suffix.size() &&
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
+}
+
+/// True if `path` lies under a directory named `dir` (at the start or
+/// anywhere below the root).
+bool in_dir(std::string_view path, std::string_view dir) {
+  const std::string d = std::string(dir) + "/";
+  return path.substr(0, d.size()) == d ||
+         path.find("/" + d) != std::string_view::npos;
 }
 
 bool is_id(const Token& t, std::string_view text) {
@@ -188,92 +191,16 @@ void collect_unordered_names(FileData& fd) {
 // with a mandatory justification, covering that line and the next.
 // ---------------------------------------------------------------------------
 
-struct ScopeRange {
-  std::string rule;
-  int begin = 0;  ///< first covered line, inclusive
-  int end = 0;    ///< last covered line, inclusive
-};
-
-struct Suppressions {
-  std::map<int, std::set<std::string>> by_line;
-  /// suppress(rule) comments, keyed by the comment's line; resolved to
-  /// function extents once the file's symbol index exists.
-  std::vector<std::pair<int, std::string>> scoped_pending;
-  std::vector<ScopeRange> scoped;
-};
+using Suppressions = std::map<int, std::set<std::string>>;  ///< line -> rules
 
 bool is_suppressed(const Suppressions& sup, const std::string& rule,
                    int line) {
-  const auto it = sup.by_line.find(line);
-  if (it != sup.by_line.end() && it->second.count(rule)) return true;
-  for (const ScopeRange& r : sup.scoped) {
-    if (r.rule == rule && line >= r.begin && line <= r.end) return true;
-  }
-  return false;
-}
-
-/// Maps each pending suppress(rule) comment to the extent of the function
-/// whose signature starts on the following line. When no function matches,
-/// the suppression degrades to covering the comment line and the next one
-/// (same reach as allow), so a stray comment can never widen coverage.
-void resolve_scoped(Suppressions& sup, const FileIndex& fi) {
-  for (const auto& [cline, rule] : sup.scoped_pending) {
-    bool matched = false;
-    for (const IndexedSymbol& s : fi.symbols) {
-      if (s.is_lambda) continue;
-      if (cline + 1 >= s.decl_line && cline + 1 <= s.name_line &&
-          s.body_end_line >= s.decl_line) {
-        sup.scoped.push_back({rule, s.decl_line, s.body_end_line});
-        matched = true;
-      }
-    }
-    if (!matched) sup.scoped.push_back({rule, cline, cline + 1});
-  }
-  sup.scoped_pending.clear();
+  const auto it = sup.find(line);
+  return it != sup.end() && it->second.count(rule) > 0;
 }
 
 bool rule_id_char(char c) {
   return (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c == '-';
-}
-
-void parse_scope_suppressions(const FileData& fd, const SideText& c,
-                              Suppressions& sup, std::vector<Finding>& meta) {
-  std::size_t pos = 0;
-  while (true) {
-    pos = c.text.find("suppress(", pos);
-    if (pos == std::string::npos) break;
-    pos += 9;
-    while (pos < c.text.size() && c.text[pos] == ' ') ++pos;
-    std::string id;
-    while (pos < c.text.size() && rule_id_char(c.text[pos])) {
-      id += c.text[pos++];
-    }
-    while (pos < c.text.size() && c.text[pos] == ' ') ++pos;
-    if (pos >= c.text.size() || c.text[pos] != ')') continue;
-    ++pos;
-    if (!is_known_rule(id) || is_meta_rule(id)) {
-      meta.push_back({fd.display, c.line, "suppression-unknown-rule", "meta",
-                      "suppression names unknown rule '" + id +
-                          "'; see uvmsim_lint --list-rules",
-                      ""});
-      continue;
-    }
-    // Justification: the rest of the comment text (minus a block-comment
-    // terminator), mandatory and non-empty.
-    std::string rest = c.text.substr(pos);
-    const std::size_t endc = rest.rfind("*/");
-    if (endc != std::string::npos) rest = rest.substr(0, endc);
-    if (trim(rest).empty()) {
-      meta.push_back({fd.display, c.line,
-                      "suppression-missing-justification", "meta",
-                      "suppression of '" + id +
-                          "' lacks the mandatory justification: suppress(" +
-                          id + ") why this is safe",
-                      ""});
-      continue;
-    }
-    sup.scoped_pending.emplace_back(c.line, id);
-  }
 }
 
 void parse_suppressions(const FileData& fd, Suppressions& sup,
@@ -281,7 +208,6 @@ void parse_suppressions(const FileData& fd, Suppressions& sup,
   for (const SideText& c : fd.lx.comments) {
     const std::size_t tag = c.text.find("uvmsim-lint:");
     if (tag == std::string::npos) continue;
-    parse_scope_suppressions(fd, c, sup, meta);
     std::size_t pos = tag;
     while (true) {
       pos = c.text.find("allow(", pos);
@@ -296,8 +222,7 @@ void parse_suppressions(const FileData& fd, Suppressions& sup,
       if (!is_known_rule(id) || is_meta_rule(id)) {
         meta.push_back({fd.display, c.line, "suppression-unknown-rule", "meta",
                         "suppression names unknown rule '" + id +
-                            "'; see uvmsim_lint --list-rules",
-                        ""});
+                            "'; see uvmsim_lint --list-rules"});
         continue;
       }
       std::string justification;
@@ -319,12 +244,11 @@ void parse_suppressions(const FileData& fd, Suppressions& sup,
                         "suppression-missing-justification", "meta",
                         "suppression of '" + id +
                             "' lacks the mandatory justification string: "
-                            "allow(" + id + ", \"why this is safe\")",
-                        ""});
+                            "allow(" + id + ", \"why this is safe\")"});
         continue;
       }
-      sup.by_line[c.line].insert(id);
-      sup.by_line[c.line + 1].insert(id);
+      sup[c.line].insert(id);
+      sup[c.line + 1].insert(id);
     }
   }
 }
@@ -558,31 +482,6 @@ bool in_extents(const std::vector<Extent>& es, std::size_t i) {
   return false;
 }
 
-/// Body extents of functions annotated UVMSIM_HOT. The annotation must
-/// appear at the start of the definition; the body is the first "{" at
-/// paren depth 0 after it (declarations, which reach ";" first, are
-/// skipped). Brace member-initializers would end the scan early, so hot
-/// functions use parenthesized initializers — all current ones do.
-std::vector<Extent> find_hot_extents(const std::vector<Token>& t) {
-  std::vector<Extent> out;
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    if (!is_id(t[i], "UVMSIM_HOT")) continue;
-    int pd = 0;
-    for (std::size_t j = i + 1; j < t.size(); ++j) {
-      if (t[j].kind != TokKind::Punct) continue;
-      if (t[j].text == "(") ++pd;
-      if (t[j].text == ")") --pd;
-      if (pd == 0 && t[j].text == ";") break;  // declaration only
-      if (pd == 0 && t[j].text == "{") {
-        const std::size_t close = match_brace(t, j);
-        if (close != kNpos) out.push_back({j, close});
-        break;
-      }
-    }
-  }
-  return out;
-}
-
 /// Body extents of lambdas passed (at any argument position) to
 /// ThreadPool::submit or SweepRunner::map/sweep call sites —
 /// i.e. code that runs on pool workers.
@@ -640,20 +539,22 @@ void check_file(const FileData& fd, const std::set<std::string>& unordered_all,
       ends_with(norm, "sim/rng.h") || ends_with(norm, "sim/rng.cpp");
   const bool trace_impl =
       ends_with(norm, "sim/trace.h") || ends_with(norm, "sim/trace.cpp");
-  const bool bench_file =
-      norm.find("bench/") == 0 || norm.find("/bench/") != std::string::npos;
+  const bool bench_file = in_dir(norm, "bench");
+  const bool io_home = bench_file || in_dir(norm, "tools") ||
+                       in_dir(norm, "campaign") ||
+                       ends_with(norm, "core/report.cpp") ||
+                       ends_with(norm, "core/env.h");
 
   auto add = [&](int line, std::string_view rule, std::string message) {
     for (const RuleInfo& r : all_rules()) {
       if (r.id == rule) {
         out.push_back({fd.display, line, std::string(rule),
-                       std::string(r.category), std::move(message), ""});
+                       std::string(r.category), std::move(message)});
         return;
       }
     }
   };
 
-  const std::vector<Extent> hot = find_hot_extents(t);
   const std::vector<Extent> task = find_task_extents(t);
 
   static const std::set<std::string_view> kRandomIds = {
@@ -666,16 +567,10 @@ void check_file(const FileData& fd, const std::set<std::string>& unordered_all,
       "system_clock", "gettimeofday", "timespec_get", "clock_gettime"};
   static const std::set<std::string_view> kClockRestricted = {
       "steady_clock", "high_resolution_clock"};
-  static const std::set<std::string_view> kHotAllocIds = {
-      "make_unique", "make_shared", "malloc",       "calloc",
-      "realloc",     "strdup",      "aligned_alloc"};
-  static const std::set<std::string_view> kHotContainers = {
-      "vector",        "string",        "map",
-      "set",           "multimap",      "multiset",
-      "unordered_map", "unordered_set", "unordered_multimap",
-      "unordered_multiset", "deque",    "list",
-      "queue",         "priority_queue", "stringstream",
-      "ostringstream", "istringstream", "basic_string"};
+  static const std::set<std::string_view> kIoIds = {
+      "cout",  "cerr",    "clog",  "printf", "fprintf",  "puts",
+      "fputs", "putchar", "fputc", "fopen",  "fwrite",   "ofstream",
+      "ifstream", "fstream"};
   static const std::set<std::string_view> kTaskIoIds = {
       "cout", "cerr", "clog", "printf", "fprintf", "puts", "fputs",
       "putchar"};
@@ -717,6 +612,15 @@ void check_file(const FileData& fd, const std::set<std::string>& unordered_all,
               "and bench/ (wall-clock reporting)");
     }
 
+    // ---- D: banned-io ------------------------------------------------------
+    if (kIoIds.count(tok.text) && !io_home) {
+      add(tok.line, "banned-io",
+          "'" + tok.text +
+              "' is allowed only in bench/, tools/, src/campaign/, "
+              "core/report.cpp and core/env.h; simulation code returns "
+              "results and the caller prints them");
+    }
+
     // ---- D: thread-id ------------------------------------------------------
     if (tok.text == "get_id") {
       add(tok.line, "thread-id",
@@ -724,7 +628,7 @@ void check_file(const FileData& fd, const std::set<std::string>& unordered_all,
           "results; tasks are placement-agnostic");
     }
 
-    // ---- D: pointer-keyed-container + A: hot-local-container --------------
+    // ---- D: pointer-keyed-container -------------------------------------
     if (tok.text == "std" && i + 2 < t.size() && is_p(t[i + 1], "::") &&
         t[i + 2].kind == TokKind::Identifier) {
       const std::string& name = t[i + 2].text;
@@ -754,13 +658,6 @@ void check_file(const FileData& fd, const std::set<std::string>& unordered_all,
                   "varies run to run; key by a stable id instead");
         }
       }
-      if (kHotContainers.count(name) && in_extents(hot, i + 2)) {
-        add(t[i + 2].line, "hot-local-container",
-            "std::" + name +
-                " referenced inside a UVMSIM_HOT body; hot paths use "
-                "preallocated members (suppress with a justification if "
-                "this does not allocate per event)");
-      }
       if (fd.is_header) {
         auto it = std_header_table().find(name);
         if (it != std_header_table().end()) {
@@ -778,18 +675,6 @@ void check_file(const FileData& fd, const std::set<std::string>& unordered_all,
             }
           }
         }
-      }
-    }
-
-    // ---- A: hot-alloc ------------------------------------------------------
-    if (in_extents(hot, i)) {
-      if (tok.text == "new" ||
-          (kHotAllocIds.count(tok.text) &&
-           (next_is_call || (i + 1 < t.size() && is_p(t[i + 1], "<"))))) {
-        add(tok.line, "hot-alloc",
-            "'" + tok.text +
-                "' inside a UVMSIM_HOT body; the schedule->fire and service "
-                "paths must stay heap-allocation-free");
       }
     }
 
@@ -931,37 +816,6 @@ void check_file(const FileData& fd, const std::set<std::string>& unordered_all,
 
 }  // namespace
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 // ---------------------------------------------------------------------------
 // Linter driver.
 // ---------------------------------------------------------------------------
@@ -980,7 +834,7 @@ struct Linter::Impl {
     FileData fd;
     fd.display = display_path(p);
     fd.key = file_key(p);
-    fd.lx = lex_file(fd.display, source);
+    fd.lx = lex_file(source);
     const std::string& d = fd.display;
     fd.is_header = ends_with(d, ".h") || ends_with(d, ".hpp");
     parse_directives(fd);
@@ -1099,8 +953,7 @@ std::vector<Finding> Linter::run() {
           }
           chain += files[e.to].display;
           findings.push_back({files[f.node].display, e.line, "include-cycle",
-                              "hygiene", "project include cycle: " + chain,
-                              ""});
+                              "hygiene", "project include cycle: " + chain});
           continue;
         }
         if (color[e.to] == 0) {
@@ -1135,80 +988,15 @@ std::vector<Finding> Linter::run() {
     merged[i] = std::move(acc);
   }
 
-  // Symbol index per TU — scope suppressions and symbol attribution need it
-  // in every mode; project mode additionally feeds it to the call graph.
-  std::vector<FileIndex> indices(files.size());
+  // Suppressions, then the per-file rule pass.
   for (std::size_t i = 0; i < files.size(); ++i) {
-    indices[i] = index_file(files[i].lx);
-    indices[i].path = files[i].display;
-  }
-
-  // Suppressions, with scope comments resolved to function extents.
-  std::vector<Suppressions> sup(files.size());
-  for (std::size_t i = 0; i < files.size(); ++i) {
-    parse_suppressions(files[i], sup[i], findings);  // meta findings direct
-    resolve_scoped(sup[i], indices[i]);
-  }
-
-  // Per-file rule pass. Project mode supersedes the token-level
-  // unordered-iteration rule with its semantic replacement (the rule stays
-  // registered so existing suppressions of it do not become unknown-rule
-  // findings).
-  for (std::size_t i = 0; i < files.size(); ++i) {
+    Suppressions sup;
+    parse_suppressions(files[i], sup, findings);  // meta findings direct
     std::vector<Finding> raw;
     check_file(files[i], merged[i], raw);
     for (Finding& f : raw) {
-      if (impl_->opts.project && f.rule == "unordered-iteration") continue;
-      if (is_suppressed(sup[i], f.rule, f.line)) continue;
+      if (is_suppressed(sup, f.rule, f.line)) continue;
       findings.push_back(std::move(f));
-    }
-  }
-
-  // Whole-program pass: call graph + dataflow rules.
-  if (impl_->opts.project) {
-    const CallGraph graph(indices);
-    for (const ProjectFinding& pf :
-         run_project_rules(indices, graph, merged)) {
-      if (pf.file < 0 || static_cast<std::size_t>(pf.file) >= files.size()) {
-        continue;
-      }
-      if (is_suppressed(sup[static_cast<std::size_t>(pf.file)], pf.rule,
-                        pf.line)) {
-        continue;
-      }
-      std::string category = "determinism";
-      for (const RuleInfo& r : all_rules()) {
-        if (r.id == pf.rule) {
-          category = std::string(r.category);
-          break;
-        }
-      }
-      findings.push_back({files[static_cast<std::size_t>(pf.file)].display,
-                          pf.line, pf.rule, category, pf.message, pf.symbol});
-    }
-  }
-
-  // Symbol attribution for per-file findings: the innermost non-lambda
-  // symbol whose extent covers the finding line.
-  {
-    std::map<std::string, std::size_t> by_display;
-    for (std::size_t i = 0; i < files.size(); ++i) {
-      by_display[files[i].display] = i;
-    }
-    for (Finding& f : findings) {
-      if (!f.symbol.empty()) continue;
-      const auto it = by_display.find(f.file);
-      if (it == by_display.end()) continue;
-      int best_span = -1;
-      for (const IndexedSymbol& s : indices[it->second].symbols) {
-        if (s.is_lambda) continue;
-        if (f.line < s.decl_line || f.line > s.body_end_line) continue;
-        const int span = s.body_end_line - s.decl_line;
-        if (best_span < 0 || span < best_span) {
-          best_span = span;
-          f.symbol = s.name;
-        }
-      }
     }
   }
 
@@ -1227,43 +1015,6 @@ std::vector<Finding> Linter::run() {
                              }),
                  findings.end());
   return findings;
-}
-
-std::string finding_id(const Finding& f, int ordinal) {
-  std::string id = f.rule + ":" + f.file + ":" + f.symbol;
-  if (ordinal >= 2) {
-    id += '#';
-    id += std::to_string(ordinal);
-  }
-  return id;
-}
-
-std::vector<std::string> finding_ids(const std::vector<Finding>& fs) {
-  std::map<std::string, int> seen;
-  std::vector<std::string> out;
-  out.reserve(fs.size());
-  for (const Finding& f : fs) {
-    const std::string base = finding_id(f, 1);
-    const int ordinal = ++seen[base];
-    out.push_back(finding_id(f, ordinal));
-  }
-  return out;
-}
-
-void write_findings_json(std::ostream& os, const std::vector<Finding>& fs) {
-  os << "{\"schema_version\":2,\"count\":" << fs.size() << ",\"findings\":[";
-  const std::vector<std::string> ids = finding_ids(fs);
-  for (std::size_t i = 0; i < fs.size(); ++i) {
-    const Finding& f = fs[i];
-    if (i > 0) os << ",";
-    os << "{\"id\":\"" << json_escape(ids[i]) << "\",\"file\":\""
-       << json_escape(f.file) << "\",\"line\":" << f.line << ",\"rule\":\""
-       << json_escape(f.rule) << "\",\"category\":\""
-       << json_escape(f.category) << "\",\"symbol\":\""
-       << json_escape(f.symbol) << "\",\"message\":\""
-       << json_escape(f.message) << "\"}";
-  }
-  os << "]}\n";
 }
 
 }  // namespace uvmsim::lint

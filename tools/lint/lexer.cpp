@@ -21,9 +21,8 @@ constexpr std::array<std::string_view, 22> kPuncts = {
 
 }  // namespace
 
-LexedFile lex_file(const std::string& path, const std::string& source) {
+LexedFile lex_file(const std::string& source) {
   LexedFile out;
-  out.path = path;
   const std::size_t n = source.size();
   std::size_t i = 0;
   int line = 1;

@@ -37,7 +37,6 @@ struct SideText {
 };
 
 struct LexedFile {
-  std::string path;                 ///< as passed by the caller
   std::vector<Token> tokens;        ///< code tokens, in order
   std::vector<SideText> comments;   ///< // and /* */ comments, in order
   std::vector<SideText> directives; ///< #... logical lines, in order
@@ -45,7 +44,6 @@ struct LexedFile {
 
 /// Tokenizes `source`. Never fails: unrecognized bytes become single-char
 /// Punct tokens, unterminated literals run to end of file.
-[[nodiscard]] LexedFile lex_file(const std::string& path,
-                                 const std::string& source);
+[[nodiscard]] LexedFile lex_file(const std::string& source);
 
 }  // namespace uvmsim::lint

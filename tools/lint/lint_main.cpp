@@ -1,13 +1,10 @@
 // uvmsim_lint — in-tree static analyzer enforcing the repository's
-// determinism, hot-path-allocation, concurrency, and hygiene invariants.
+// determinism, concurrency, and hygiene invariants, one file at a time.
 //
-//   uvmsim_lint [--json] [--root DIR] [paths...]   lint files/directories
-//   uvmsim_lint --project [paths...]               whole-program pass
-//   uvmsim_lint --list-rules [--json]              print the rule table
+//   uvmsim_lint [--root DIR] [paths...]   lint files/directories
+//   uvmsim_lint --list-rules              print the rule table
 //
-// Project mode adds the call-graph/dataflow rules (hot-transitive-*,
-// unordered-sink-iteration). CI requires the project
-// pass to be clean; a justified allow(...)/suppress(...) comment is the
+// CI requires the lint to be clean; a justified allow(...) comment is the
 // only way to accept a finding.
 //
 // Exit codes: 0 clean, 1 findings, 2 usage or I/O error. With no paths the
@@ -22,33 +19,17 @@
 namespace {
 
 void print_usage(std::ostream& os) {
-  os << "usage: uvmsim_lint [--json] [--root DIR] [--project] [paths...]\n"
-        "       uvmsim_lint --list-rules [--json]\n"
+  os << "usage: uvmsim_lint [--root DIR] [paths...]\n"
+        "       uvmsim_lint --list-rules\n"
         "\n"
         "Lints *.h/*.cpp under the given files/directories (default: src\n"
         "bench tools). Findings go to stdout; exit 1 when any are found.\n"
-        "--project enables the whole-program rules.\n"
         "Suppress a finding with a mandatory justification:\n"
-        "  // uvmsim-lint: allow(<rule-id>, \"why this is safe\")\n"
-        "or cover a whole function from the line before its signature:\n"
-        "  // uvmsim-lint: suppress(<rule-id>) why this is safe\n";
+        "  // uvmsim-lint: allow(<rule-id>, \"why this is safe\")\n";
 }
 
-void list_rules(bool json) {
-  using uvmsim::lint::all_rules;
-  if (json) {
-    std::cout << "{\"version\":1,\"rules\":[";
-    bool first = true;
-    for (const auto& r : all_rules()) {
-      if (!first) std::cout << ",";
-      first = false;
-      std::cout << "{\"id\":\"" << r.id << "\",\"category\":\"" << r.category
-                << "\",\"summary\":\"" << r.summary << "\"}";
-    }
-    std::cout << "]}\n";
-    return;
-  }
-  for (const auto& r : all_rules()) {
+void list_rules() {
+  for (const auto& r : uvmsim::lint::all_rules()) {
     std::cout << r.id << "  [" << r.category << "]\n    " << r.summary
               << "\n";
   }
@@ -64,26 +45,21 @@ void print_text(const std::vector<uvmsim::lint::Finding>& findings) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool json = false;
   bool rules_only = false;
   uvmsim::lint::LintOptions opts;
   std::vector<std::string> paths;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--json") {
-      json = true;
-    } else if (arg == "--list-rules") {
+    if (arg == "--list-rules") {
       rules_only = true;
-    } else if (arg == "--project") {
-      opts.project = true;
     } else if (arg == "--root") {
       if (i + 1 >= argc) {
         std::cerr << "uvmsim_lint: --root requires an argument\n";
         return 2;
       }
       opts.root = argv[++i];
-    } else if (arg == "-h" || arg == "--help") {
+    } else if (arg == "-h") {
       print_usage(std::cout);
       return 0;
     } else if (!arg.empty() && arg[0] == '-') {
@@ -96,7 +72,7 @@ int main(int argc, char** argv) {
   }
 
   if (rules_only) {
-    list_rules(json);
+    list_rules();
     return 0;
   }
 
@@ -113,15 +89,11 @@ int main(int argc, char** argv) {
   }
 
   const std::vector<uvmsim::lint::Finding> findings = linter.run();
-  if (json) {
-    uvmsim::lint::write_findings_json(std::cout, findings);
+  print_text(findings);
+  if (findings.empty()) {
+    std::cout << "uvmsim_lint: clean\n";
   } else {
-    print_text(findings);
-    if (findings.empty()) {
-      std::cout << "uvmsim_lint: clean\n";
-    } else {
-      std::cout << "uvmsim_lint: " << findings.size() << " finding(s)\n";
-    }
+    std::cout << "uvmsim_lint: " << findings.size() << " finding(s)\n";
   }
   return findings.empty() ? 0 : 1;
 }

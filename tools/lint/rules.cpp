@@ -12,39 +12,19 @@ const std::vector<RuleInfo>& all_rules() {
        "time()/system_clock (everywhere) and steady_clock/"
        "high_resolution_clock outside sim/trace.* and bench/; simulated "
        "time comes from sim/time.h"},
+      {"banned-io", "determinism",
+       "cout/printf/fopen/ofstream/... outside bench/, tools/, src/campaign/, "
+       "core/report.cpp and core/env.h; simulation code returns results "
+       "and only the output modules print"},
       {"unordered-iteration", "determinism",
        "range-for over an unordered container; iteration order depends on "
-       "hashing/address layout — iterate a sorted view instead (per-file "
-       "mode only; --project supersedes it with unordered-sink-iteration)"},
-      {"unordered-sink-iteration", "determinism",
-       "range-for over an unordered container whose body prints or calls "
-       "code that transitively can; hash order would leak into output "
-       "(--project replacement for unordered-iteration)"},
+       "hashing/address layout — iterate a sorted view instead"},
       {"pointer-keyed-container", "determinism",
        "std::map/std::set keyed by a raw pointer; ordering follows the "
        "allocator and varies run to run — key by a stable id"},
       {"thread-id", "determinism",
        "std::this_thread::get_id() in product code; results must not depend "
        "on which pool worker ran a task"},
-      // -- A: hot-path allocation -------------------------------------------
-      {"hot-alloc", "allocation",
-       "new/make_unique/make_shared/malloc inside a UVMSIM_HOT function; the "
-       "schedule->fire and service paths must not heap-allocate"},
-      {"hot-local-container", "allocation",
-       "allocating std:: container named inside a UVMSIM_HOT function; use "
-       "preallocated members or spans"},
-      {"hot-transitive-alloc", "allocation",
-       "heap allocation in code transitively callable from a UVMSIM_HOT "
-       "function; reported with the call chain (--project only)"},
-      {"hot-transitive-io", "allocation",
-       "I/O in code transitively callable from a UVMSIM_HOT function "
-       "(--project only)"},
-      {"hot-transitive-clock", "determinism",
-       "wall-clock read in code transitively callable from a UVMSIM_HOT "
-       "function (--project only)"},
-      {"hot-transitive-random", "determinism",
-       "nondeterministic RNG in code transitively callable from a "
-       "UVMSIM_HOT function (--project only)"},
       // -- C: concurrency ----------------------------------------------------
       {"mutable-static", "concurrency",
        "non-const, non-atomic static; shared mutable state is reachable from "

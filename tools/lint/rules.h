@@ -3,7 +3,6 @@
 // Rules are grouped by the invariant family they protect:
 //   D (determinism)  — byte-identical output for a (seed, config) pair,
 //                      independent of thread count and address layout;
-//   A (allocation)   — UVMSIM_HOT functions stay heap-allocation-free;
 //   C (concurrency)  — SweepRunner/ThreadPool tasks touch no unguarded
 //                      shared mutable state and never print;
 //   H (hygiene)      — headers stay self-contained and asserts side-effect
@@ -19,11 +18,11 @@ namespace uvmsim::lint {
 
 struct RuleInfo {
   std::string_view id;        ///< stable kebab-case id used in suppressions
-  std::string_view category;  ///< "determinism", "allocation", ...
+  std::string_view category;  ///< "determinism", "hygiene", ...
   std::string_view summary;   ///< one-line description for --list-rules
 };
 
-/// All rules, in documentation order (D, A, C, H, meta).
+/// All rules, in documentation order (D, C, H, meta).
 [[nodiscard]] const std::vector<RuleInfo>& all_rules();
 
 /// True if `id` names a rule (including meta rules).
