@@ -240,8 +240,8 @@ void BM_EventQueueTypedSteps(benchmark::State& state) {
     EventQueue q;
     std::uint64_t sink = 0;
     q.set_step_handler(
-        [](void* s, std::uint64_t payload) {
-          *static_cast<std::uint64_t*>(s) += payload;
+        [](void* s, std::uint32_t id) {
+          *static_cast<std::uint64_t*>(s) += id;
         },
         &sink);
     for (int i = 0; i < 1000; ++i) {
@@ -249,7 +249,7 @@ void BM_EventQueueTypedSteps(benchmark::State& state) {
       if (i % 50 == 0) {
         q.schedule_in(delay, [&sink] { ++sink; });
       } else {
-        q.schedule_step_in(delay, static_cast<std::uint64_t>(i));
+        q.schedule_step_in(delay, static_cast<std::uint32_t>(i));
       }
     }
     q.run();

@@ -58,6 +58,22 @@ if [ "$WRITERS" != "src/core/simulator.cpp=1 src/uvm/driver.cpp=2 src/uvm/gpu_dr
 fi
 echo "residency-stamp gate: residency bits set only at its six homes"
 
+echo "== warp steps are scheduled from one place =="
+# EventQueue::schedule_step_in takes a dense id that may have at most one
+# pending step. GpuEngine::schedule_step is its only caller, which leaves
+# one site to audit for that promise.
+CALLERS=$(grep -rn 'schedule_step_in(' src \
+  | grep -v -e '^src/sim/event_queue\.h:' -e '^src/sim/event_queue\.cpp:' \
+  || true)
+if [ "$(printf '%s\n' "$CALLERS" | grep -c .)" -ne 1 ] \
+    || ! grep -B8 'schedule_step_in(' src/gpu/gpu_engine.cpp \
+         | grep -q '^void GpuEngine::schedule_step('; then
+  echo "$CALLERS"
+  echo "step-caller gate FAILED: schedule_step_in called outside GpuEngine::schedule_step"
+  exit 1
+fi
+echo "step-caller gate: schedule_step_in called only by GpuEngine::schedule_step"
+
 echo "== every src header compiles on its own =="
 # A header that leans on its includer's includes breaks the next file that
 # includes it first. Each one is compiled alone (included from stdin, so

@@ -60,10 +60,11 @@ void GpuEngine::launch(const KernelSpec* spec,
         "stored blocks");
   }
   // Sized once per launch, never per step: a lane indexes its block's
-  // pending mask directly.
+  // pending mask, its big page's stamp and its SM's µTLB live bit directly.
   if (pending_.size() < as_->num_blocks()) {
     pending_.resize(as_->num_blocks());
     stamps_.resize(pending_.size() * kBigPagesPerBlock);
+    for (Sm& sm : sms_) sm.utlb.reserve(stamps_.size());
   }
   stream_queues_[stream].push_back(
       PendingKernel{spec, std::move(on_complete), stream});
@@ -126,8 +127,17 @@ void GpuEngine::dispatch_blocks() {
       w.stream = &blk.warps[i];
       w.pos = 0;
       w.state = WarpState::Runnable;
-      schedule_step(WarpRef{si, i},
-                    cfg_.dispatch_latency + jitter());
+      if (free_step_ids_.empty()) {
+        w.step = static_cast<std::uint32_t>(step_owners_.size());
+        step_owners_.push_back(WarpRef{si, i});
+        // Room for every id, so retiring warps never grow the stack.
+        free_step_ids_.reserve(step_owners_.capacity());
+      } else {
+        w.step = free_step_ids_.back();
+        free_step_ids_.pop_back();
+        step_owners_[w.step] = WarpRef{si, i};
+      }
+      schedule_step(w, cfg_.dispatch_latency + jitter());
     }
     // A block with zero warps retires immediately.
     if (count == 0) {
@@ -137,21 +147,23 @@ void GpuEngine::dispatch_blocks() {
   }
 }
 
-void GpuEngine::schedule_step(WarpRef ref, SimDuration delay) {
-  // A warp step is a typed event: (slot, warp) packed into its payload.
-  eq_->schedule_step_in(delay, (std::uint64_t{ref.slot} << 32) | ref.warp);
+void GpuEngine::schedule_step(const Warp& w, SimDuration delay) {
+  // A warp step is a typed event named by the warp's step id. A warp has
+  // at most one pending step: it is scheduled at dispatch, by its own
+  // step, or by the replay that ends its stall, and a warp that parks or
+  // retires schedules none.
+  eq_->schedule_step_in(delay, w.step);
 }
 
-void GpuEngine::on_step_event(void* engine, std::uint64_t packed) {
-  static_cast<GpuEngine*>(engine)->step_warp(
-      WarpRef{static_cast<std::uint32_t>(packed >> 32),
-              static_cast<std::uint32_t>(packed)});
+void GpuEngine::on_step_event(void* engine, std::uint32_t id) {
+  auto* self = static_cast<GpuEngine*>(engine);
+  self->step_warp(self->step_owners_[id]);
 }
 
 UVMSIM_HOT void GpuEngine::step_warp(WarpRef ref) {
   BlockSlot& slot = slots_[ref.slot];
   Warp& w = slot.warps[ref.warp];
-  if (w.state != WarpState::Runnable) return;  // stale event
+  assert(w.state == WarpState::Runnable);  // only a runnable warp has a step
 
   const AccessStream& s = *w.stream;
   if (w.pos >= s.size()) {
@@ -177,7 +189,7 @@ UVMSIM_HOT void GpuEngine::step_warp(WarpRef ref) {
   w.pending_pages.clear();
   w.record_in_flight = false;
   ++w.pos;
-  schedule_step(ref, rec.compute_ns + cfg_.access_latency + walk_penalty +
+  schedule_step(w, rec.compute_ns + cfg_.access_latency + walk_penalty +
                          jitter());
 }
 
@@ -224,7 +236,7 @@ UVMSIM_HOT bool GpuEngine::step_resident(const StridedAccess& sa,
 
   // Exactly the per-lane walk's µTLB and mask effects. Its first lane in a
   // big page looks the page up, and on a miss walks and inserts it; either
-  // way the memo then holds that tag, so the big page's other lanes hit.
+  // way the tag is then live, so the big page's other lanes hit.
   constexpr std::uint64_t kBigPageBits = (1ULL << kPagesPerBigPage) - 1;
   std::uint64_t misses = 0;
   for (const Piece& pc : std::span(pieces, n)) {
@@ -443,6 +455,9 @@ bool GpuEngine::raise_fault(Warp& w, KernelStats& ks, LanePage p, bool write,
 
 void GpuEngine::complete_warp(std::uint32_t si, Warp& w) {
   w.state = WarpState::Done;
+  // The id is free at once: a block dispatched below may hand it to a new
+  // warp while this warp's step is still firing.
+  free_step_ids_.push_back(w.step);
   BlockSlot& slot = slots_[si];
   ActiveKernel& k = *slot.kernel;
   ++k.warps_done;
@@ -493,7 +508,7 @@ void GpuEngine::replay() {
       k.last_replay_seen = replays_;
       ++ks.replays_seen;
     }
-    schedule_step(ref, cfg_.replay_latency + jitter());
+    schedule_step(w, cfg_.replay_latency + jitter());
   }
   resuming_.clear();
 }

@@ -234,9 +234,11 @@ class GpuEngine {
   void try_activate_stream(std::uint32_t stream);
   void activate(PendingKernel pk);
   void dispatch_blocks();
-  void schedule_step(WarpRef ref, SimDuration delay);
-  /// The event queue's step handler: unpacks a schedule_step payload.
-  static void on_step_event(void* engine, std::uint64_t packed);
+  /// Schedules `w`'s next step under its step id; the only caller of
+  /// EventQueue::schedule_step_in.
+  void schedule_step(const Warp& w, SimDuration delay);
+  /// The event queue's step handler: steps the warp holding step id `id`.
+  static void on_step_event(void* engine, std::uint32_t id);
   void step_warp(WarpRef ref);
   /// Steps the first attempt at a record of one-page rows `sa` (access
   /// counters off) a mask word at a time, if every lane is GPU-resident
@@ -307,6 +309,11 @@ class GpuEngine {
   std::vector<BlockSlot> slots_;
   std::vector<std::uint32_t> free_slots_;
   std::vector<WarpRef> stalled_;
+  /// Step ids: each dispatched warp holds one (Warp::step) until it
+  /// retires. step_owners_ maps an id to its warp; free_step_ids_ is a
+  /// stack of the ids no warp holds.
+  std::vector<WarpRef> step_owners_;
+  std::vector<std::uint32_t> free_step_ids_;
   /// Buffers reused across calls so stepping and replay never allocate in
   /// steady state: a strided record's expanded lanes, the lanes still
   /// missing after a first attempt (swapped into the warp; a retry

@@ -14,7 +14,6 @@
 // rules, so the structures below only make them cheap, never different.
 #pragma once
 
-#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -27,112 +26,92 @@ namespace uvmsim {
 
 class Utlb {
  public:
-  explicit Utlb(std::uint32_t entries = 64)
-      : slots_(entries), heads_(bucket_count(entries), kNil),
-        bucket_shift_(64 - std::countr_zero(bucket_count(entries))) {
+  /// The live-bit table covers big pages [0, tags) until reserve() grows
+  /// it: by default the first 4096 (256 MiB of VA). GpuEngine passes 0 and
+  /// sizes every SM's table once, at launch, from the address space.
+  static constexpr std::uint64_t kDefaultTags = 4096;
+
+  explicit Utlb(std::uint32_t entries = 64,
+                std::uint64_t tags = kDefaultTags)
+      : slots_(entries, kDead) {
     if (entries == 0) {
       throw std::invalid_argument("Utlb: entries must be positive");
     }
+    reserve(tags);
+  }
+
+  /// Grows the live-bit table to cover big pages [0, tags). Never shrinks.
+  void reserve(std::uint64_t tags) {
+    const std::size_t words = static_cast<std::size_t>((tags + 63) / 64);
+    if (live_bits_.size() < words) live_bits_.resize(words, 0);
   }
 
   /// True if the big page containing `p` has a cached translation.
   [[nodiscard]] bool lookup(VirtPage p) const {
     const std::uint64_t tag = tag_of(p);
-    if (tag == mru_) return true;
-    // The bucket's chain holds exactly the live slots whose tag hashes
-    // there, newest first; most chains are empty or one slot long.
-    for (std::uint32_t i = heads_[bucket_of(tag)]; i != kNil;
-         i = slots_[i].next) {
-      if (slots_[i].tag == tag) {
-        mru_ = tag;
-        return true;
-      }
-    }
-    return false;
+    assert(tag / 64 < live_bits_.size());
+    return ((live_bits_[tag / 64] >> (tag % 64)) & 1) != 0;
   }
 
   /// Installs a translation (round-robin replacement).
   void insert(VirtPage p) {
     const std::uint64_t tag = tag_of(p);
-    const auto s = static_cast<std::uint32_t>(next_);
+    assert(tag / 64 < live_bits_.size());
+    std::uint64_t& slot = slots_[next_];
     if (live_ == slots_.size()) {
       // The ring is full: the slot about to be overwritten is the oldest
-      // live one, so it leaves its chain. If it held the memo's tag, the
-      // memo moves to the new tag below.
-      unlink_tail(s);
+      // live one. Its tag leaves unless a newer copy took over its bit.
+      if (slot != kDead) live_bits_[slot / 64] &= ~(1ULL << (slot % 64));
     } else {
       ++live_;
     }
-    Slot& slot = slots_[s];
-    std::uint32_t& head = heads_[bucket_of(tag)];
-    slot.tag = tag;
-    slot.prev = kNil;
-    slot.next = head;
-    if (head != kNil) slots_[head].prev = s;
-    head = s;
-    mru_ = tag;
+    std::uint64_t& word = live_bits_[tag / 64];
+    if (((word >> (tag % 64)) & 1) != 0) {
+      // A second copy of a live tag (the engine inserts only after a
+      // miss, so it never gets here). The older copy goes dead: the tag
+      // stays cached until this newer copy, overwritten later, leaves.
+      for (std::size_t k = 0, i = next_; k + 1 < live_; ++k) {
+        i = (i == 0 ? slots_.size() : i) - 1;
+        if (slots_[i] == tag) {
+          slots_[i] = kDead;
+          break;
+        }
+      }
+    }
+    word |= 1ULL << (tag % 64);
+    slot = tag;
     if (++next_ == slots_.size()) next_ = 0;
   }
 
   /// Drops every entry (driver-issued TLB invalidate). The driver
   /// invalidates every SM's µTLB on every eviction, so this costs one
-  /// bucket write per live slot and leaves the ring itself untouched.
+  /// table write per live slot and leaves the ring itself untouched.
   void invalidate_all() {
     for (std::size_t k = 0, i = next_; k < live_; ++k) {
       i = (i == 0 ? slots_.size() : i) - 1;
-      heads_[bucket_of(slots_[i].tag)] = kNil;
+      // Every set bit belongs to a live slot, so clearing whole words
+      // clears only tags that are leaving anyway.
+      if (slots_[i] != kDead) live_bits_[slots_[i] / 64] = 0;
     }
     live_ = 0;
-    mru_ = kNone;
     ++invalidations_;
   }
 
   [[nodiscard]] std::uint64_t invalidations() const { return invalidations_; }
 
  private:
-  /// No VirtPage maps to this tag (tags are page numbers / 16).
-  static constexpr std::uint64_t kNone = ~0ULL;
-  /// End of a chain.
-  static constexpr std::uint32_t kNil = ~0U;
+  /// A slot whose tag left (a duplicate's older copy) or was never set.
+  /// No VirtPage maps to it (tags are page numbers / 16).
+  static constexpr std::uint64_t kDead = ~0ULL;
   static std::uint64_t tag_of(VirtPage p) { return p / kPagesPerBigPage; }
-  /// Eight buckets per slot keeps the expected chain length near 1/8.
-  static std::size_t bucket_count(std::uint32_t entries) {
-    return std::bit_ceil(8 * std::size_t{entries});
-  }
-  [[nodiscard]] std::size_t bucket_of(std::uint64_t tag) const {
-    return static_cast<std::size_t>((tag * 0x9E3779B97F4A7C15ULL) >>
-                                    bucket_shift_);
-  }
-  /// Removes live slot `s` from its bucket's chain. Only the oldest live
-  /// slot is ever removed, and chains are newest first, so `s` is its
-  /// chain's tail.
-  void unlink_tail(std::uint32_t s) {
-    const Slot& slot = slots_[s];
-    assert(slot.next == kNil);
-    if (slot.prev == kNil) {
-      heads_[bucket_of(slot.tag)] = kNil;
-    } else {
-      slots_[slot.prev].next = kNil;
-    }
-  }
 
-  /// A ring slot and its links in its bucket's chain (slot indices). Only
-  /// live slots are linked; a dead slot's links are stale.
-  struct Slot {
-    std::uint64_t tag = kNone;
-    std::uint32_t prev = kNil;
-    std::uint32_t next = kNil;
-  };
-  /// The ring. Live slots are exactly the `live_` positions before `next_`.
-  std::vector<Slot> slots_;
-  /// Newest live slot of each bucket's chain, or kNil.
-  std::vector<std::uint32_t> heads_;
-  int bucket_shift_;
+  /// The ring. Live slots are exactly the `live_` positions before `next_`;
+  /// a live slot holds its tag, or kDead once a newer copy of it exists.
+  std::vector<std::uint64_t> slots_;
+  /// One bit per big page: set iff a live slot holds its tag.
+  std::vector<std::uint64_t> live_bits_;
   std::size_t next_ = 0;
   std::size_t live_ = 0;
-  /// A tag known to be live: the last one inserted or found in a chain.
-  /// Only insert (which replaces it) and invalidate_all can end that.
-  mutable std::uint64_t mru_ = kNone;
   std::uint64_t invalidations_ = 0;
 };
 

@@ -25,6 +25,8 @@ enum class WarpState : std::uint8_t {
 struct Warp {
   std::uint32_t id = 0;           ///< global warp id within the kernel
   std::uint32_t sm = 0;           ///< SM the block is resident on
+  /// The warp's event-queue step id, held from dispatch to retirement.
+  std::uint32_t step = 0;
   const AccessStream* stream = nullptr;
   std::size_t pos = 0;            ///< index of the next record to execute
   WarpState state = WarpState::Done;

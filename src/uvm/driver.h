@@ -23,6 +23,7 @@
 // continuation — is shared.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -332,7 +333,8 @@ class Driver {
   // --- GPU-driven resolution queue (sized only under GpuDriven) ---
   /// slot_free_[s] = when resolution slot s finishes its current fault.
   std::vector<SimTime> slot_free_;
-  std::uint64_t next_slot_ = 0;
+  /// The slot the next fault resolves on; wraps at slot_free_.size().
+  std::size_t next_slot_ = 0;
   /// The entries of the current drain; keeps its capacity across passes.
   std::vector<FaultEntry> drained_;
 

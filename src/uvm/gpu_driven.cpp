@@ -22,6 +22,7 @@
 // path's graceful degradation.
 #include <algorithm>
 #include <bit>
+#include <cassert>
 
 #include "sim/annotations.h"
 #include "uvm/driver.h"
@@ -70,7 +71,8 @@ UVMSIM_HOT SimTime Driver::resolve_fault(const FaultEntry& e,
   // Bounded resolution queue: the fault cannot start resolving until its
   // slot's previous occupant finishes. This is where dense fault storms
   // pay — with every slot busy, per-fault handling serializes.
-  const std::size_t slot = next_slot_++ % slot_free_.size();
+  const std::size_t slot = next_slot_;
+  if (++next_slot_ == slot_free_.size()) next_slot_ = 0;
   const SimTime arrival = std::max(engine_start, e.ready_at);
   const SimTime start = std::max(arrival, slot_free_[slot]);
   if (start > arrival) {
@@ -83,6 +85,14 @@ UVMSIM_HOT SimTime Driver::resolve_fault(const FaultEntry& e,
   SimTime t = start;
   VaBlock& blk = d_.as->block(e.block);
   const std::uint32_t pi = page_in_block(e.page);
+  // Every return frees the slot at `done`. A resolve must leave the
+  // faulting page mapped: otherwise its warp retries, faults again and the
+  // run spins instead of failing.
+  const auto finish = [&](SimTime done) {
+    assert(blk.gpu_resident.test(pi) || blk.remote_mapped.test(pi));
+    slot_free_[slot] = done;
+    return done;
+  };
 
   // Every fault is a fault-driven residency signal, emitted in the driver
   // path's order: after the fault's backing, so that a block's first demand
@@ -99,8 +109,7 @@ UVMSIM_HOT SimTime Driver::resolve_fault(const FaultEntry& e,
       log_.record(FaultLogEntry{0, t, FaultLogKind::Fault, e.page, blk.id,
                                 blk.range, true});
     }
-    slot_free_[slot] = t;
-    return t;
+    return finish(t);
   }
 
   ++counters_.faults_serviced;
@@ -113,7 +122,8 @@ UVMSIM_HOT SimTime Driver::resolve_fault(const FaultEntry& e,
   // aligned base-page group, as on the driver path) — but never the 2 MB
   // block; GPU-driven paging is page-granular by design.
   const std::uint32_t group = d_.gpu->config().fault_granularity_pages;
-  const std::uint32_t lo = pi - pi % group;
+  // `group` divides 512 (SimConfig::validate), so it is a power of two.
+  const std::uint32_t lo = pi & ~(group - 1);
   const std::uint32_t hi = std::min(lo + group, blk.num_pages);
   // Every mask below is computed on the storage words [wlo, whi) the group
   // spans and stays empty elsewhere: one word for host pages of 256 KB or
@@ -159,8 +169,7 @@ UVMSIM_HOT SimTime Driver::resolve_fault(const FaultEntry& e,
                                 blk.range, false});
     }
     blk.service_locked = false;
-    slot_free_[slot] = t;
-    return t;
+    return finish(t);
   }
 
   // --- physical backing: 4 KB chunks from the device-resident pool ---
@@ -210,8 +219,7 @@ UVMSIM_HOT SimTime Driver::resolve_fault(const FaultEntry& e,
                                   blk.range, false});
       }
       blk.service_locked = false;
-      slot_free_[slot] = t;
-      return t;
+      return finish(t);
     }
   }
 
@@ -260,8 +268,7 @@ UVMSIM_HOT SimTime Driver::resolve_fault(const FaultEntry& e,
              start > arrival ? 1 : 0);
 
   blk.service_locked = false;
-  slot_free_[slot] = t;
-  return t;
+  return finish(t);
 }
 
 UVMSIM_HOT bool Driver::back_page(VaBlock& blk, std::uint32_t i, SimTime& t) {

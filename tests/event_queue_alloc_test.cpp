@@ -84,13 +84,14 @@ TEST(EventQueueAlloc, ReservePrewarmsColdQueue) {
   EXPECT_EQ(fired, 64u);
 }
 
-void count_step(void* fired, std::uint64_t /*payload*/) {
+void count_step(void* fired, std::uint32_t /*id*/) {
   ++*static_cast<std::uint64_t*>(fired);
 }
 
 TEST(EventQueueAlloc, TypedStepsAllocateNothing) {
-  // A typed step is only a heap entry: once the heap has its capacity,
-  // scheduling and firing steps, mixed with callbacks, allocates nothing.
+  // A typed step is only a leaf key: once the tree covers the ids and the
+  // heap has its capacity, scheduling and firing steps, mixed with
+  // callbacks, allocates nothing.
   EventQueue q;
   q.reserve(64);
   std::uint64_t fired = 0;
@@ -102,7 +103,7 @@ TEST(EventQueueAlloc, TypedStepsAllocateNothing) {
         q.schedule_in(static_cast<SimDuration>(i % 5), [&fired] { ++fired; });
       } else {
         q.schedule_step_in(static_cast<SimDuration>(i % 5),
-                           static_cast<std::uint64_t>(i));
+                           static_cast<std::uint32_t>(i));
       }
     }
     q.run();

@@ -133,22 +133,22 @@ TEST(EventQueue, ClockMonotoneAcrossCallbacks) {
   EXPECT_TRUE(monotone);
 }
 
-/// Step handler that appends each typed step's payload to a vector.
-void record_step(void* log, std::uint64_t payload) {
-  static_cast<std::vector<std::uint64_t>*>(log)->push_back(payload);
+/// Step handler that appends each typed step's id to a vector.
+void record_step(void* log, std::uint32_t id) {
+  static_cast<std::vector<std::uint64_t>*>(log)->push_back(id);
 }
 
 TEST(EventQueue, TypedStepsFireAtTheirTimeWithTheirPayload) {
+  // Ids are dense: 70 grows the tree past its first few leaves.
   EventQueue q;
   std::vector<std::uint64_t> steps;
   q.set_step_handler(&record_step, &steps);
   q.schedule_step_in(30, 3);
   q.schedule_step_in(10, 1);
-  q.schedule_step_in(20, (std::uint64_t{7} << 32) | 2);
+  q.schedule_step_in(20, 70);
   EXPECT_EQ(q.pending_events(), 3u);
   q.run();
-  EXPECT_EQ(steps, (std::vector<std::uint64_t>{
-                       1, (std::uint64_t{7} << 32) | 2, 3}));
+  EXPECT_EQ(steps, (std::vector<std::uint64_t>{1, 70, 3}));
   EXPECT_EQ(q.now(), 30u);
   EXPECT_EQ(q.executed_events(), 3u);
 }
@@ -179,7 +179,7 @@ TEST(EventQueue, TypedAndCallbackEventsInterleaveInWhenSeqOrder) {
     if (next_id < 400) schedule(id < 1000);
   };
   q.set_step_handler(
-      [](void* fire, std::uint64_t id) {
+      [](void* fire, std::uint32_t id) {
         (*static_cast<decltype(on_fire)*>(fire))(id);
       },
       &on_fire);
@@ -206,10 +206,10 @@ TEST(EventQueue, TypedAndCallbackEventsInterleaveInWhenSeqOrder) {
 }
 
 TEST(EventQueue, HandlersSchedulingAnyNumberFireInWhenSeqOrder) {
-  // A fired typed step stays at the heap root while its handler runs, and
-  // the handler's first schedule replaces it. Handlers here schedule 0, 1
-  // or 3 follow-ups of either kind, so the root is replaced, replaced and
-  // then pushed onto, or popped afterwards, and every handler checks
+  // A fired typed step's leaf goes idle while its path still names it,
+  // until a schedule or the next step() replays that path. Handlers here
+  // schedule 0, 1 or 3 follow-ups of either kind, so other leaves' paths
+  // are replayed through the stale one, and every handler checks
   // pending_events() and empty() against the count of unfired events.
   EventQueue q;
   std::vector<std::uint64_t> fired;
@@ -240,7 +240,7 @@ TEST(EventQueue, HandlersSchedulingAnyNumberFireInWhenSeqOrder) {
     }
   };
   q.set_step_handler(
-      [](void* fire, std::uint64_t id) {
+      [](void* fire, std::uint32_t id) {
         (*static_cast<decltype(on_fire)*>(fire))(id);
       },
       &on_fire);
@@ -276,7 +276,7 @@ TEST(EventQueue, ThrowingStepHandlerLeavesTheQueueConsistent) {
   int calls = 0;
   std::pair<EventQueue*, int*> state{&q, &calls};
   q.set_step_handler(
-      [](void* ctx, std::uint64_t id) {
+      [](void* ctx, std::uint32_t id) {
         auto& self = *static_cast<std::pair<EventQueue*, int*>*>(ctx);
         ++*self.second;
         if (id == 1) {
@@ -323,6 +323,138 @@ TEST(EventQueue, StepOnEmptyQueueKeepsTheClock) {
   EXPECT_EQ(q.run(), 100u);
   EXPECT_FALSE(q.step());
   EXPECT_EQ(q.now(), 100u);
+}
+
+/// A step handler's view of its queue and what it fired, for the tests
+/// whose handlers schedule steps themselves.
+struct StepRig {
+  EventQueue q;
+  std::vector<std::pair<SimTime, std::uint32_t>> fired;
+  std::function<void(std::uint32_t)> on_step;
+
+  StepRig() {
+    q.set_step_handler(
+        [](void* rig, std::uint32_t id) {
+          auto& self = *static_cast<StepRig*>(rig);
+          self.fired.emplace_back(self.q.now(), id);
+          if (self.on_step) self.on_step(id);
+        },
+        this);
+  }
+};
+
+TEST(EventQueue, HandlerReschedulesItsOwnId) {
+  // The fired id is no longer pending, so its handler may schedule it again.
+  StepRig r;
+  int left = 3;
+  r.on_step = [&](std::uint32_t id) {
+    if (id != 0 || left-- == 0) return;
+    const std::size_t before = r.q.pending_events();
+    r.q.schedule_step_in(10, 0);
+    EXPECT_EQ(r.q.pending_events(), before + 1);
+  };
+  r.q.schedule_step_in(5, 0);
+  r.q.schedule_step_in(25, 1);
+  r.q.run();
+  // At 25, id 1 was scheduled first.
+  EXPECT_EQ(r.fired, (std::vector<std::pair<SimTime, std::uint32_t>>{
+                         {5, 0}, {15, 0}, {25, 1}, {25, 0}, {35, 0}}));
+  EXPECT_TRUE(r.q.empty());
+}
+
+TEST(EventQueue, HandlerSchedulesAnotherIdThenItsOwn) {
+  // The other id's path is replayed while the fired id's path still names
+  // the fired leaf; rescheduling the fired id must repair it.
+  StepRig r;
+  bool first = true;
+  r.on_step = [&](std::uint32_t id) {
+    if (id == 2 && first) {
+      first = false;
+      r.q.schedule_step_in(4, 3);  // a sibling leaf of id 2
+      r.q.schedule_step_in(1, 2);
+      r.q.schedule_step_in(2, 6);  // another subtree
+    }
+  };
+  r.q.schedule_step_in(10, 2);
+  r.q.schedule_step_in(20, 5);
+  r.q.run();
+  EXPECT_EQ(r.fired, (std::vector<std::pair<SimTime, std::uint32_t>>{
+                         {10, 2}, {11, 2}, {12, 6}, {14, 3}, {20, 5}}));
+}
+
+TEST(EventQueue, FiredIdReusedByANewOwner) {
+  // Like a warp that retires while its step fires and hands its id to a
+  // newly dispatched warp: the id's next step belongs to the new owner.
+  StepRig r;
+  std::vector<int> owner{10, 20};  // id -> owner
+  std::vector<int> ran;
+  r.on_step = [&](std::uint32_t id) {
+    ran.push_back(owner[id]);
+    if (owner[id] == 10) {
+      owner[id] = 11;  // owner 10 retires; owner 11 takes its id
+      r.q.schedule_step_in(0, id);
+    }
+  };
+  r.q.schedule_step_in(3, 0);
+  r.q.schedule_step_in(3, 1);
+  r.q.run();
+  EXPECT_EQ(ran, (std::vector<int>{10, 20, 11}));
+}
+
+TEST(EventQueue, SchedulingAPendingIdIsRejected) {
+  StepRig r;
+  r.q.schedule_step_in(5, 4);
+  EXPECT_THROW(r.q.schedule_step_in(1, 4), std::logic_error);
+  EXPECT_EQ(r.q.pending_events(), 1u);
+  r.q.run();
+  // The rejected step left no trace: id 4 fired once, at its first time.
+  EXPECT_EQ(r.fired,
+            (std::vector<std::pair<SimTime, std::uint32_t>>{{5, 4}}));
+}
+
+TEST(EventQueue, ReusedIdsFireInWhenSeqOrder) {
+  // A small pool of ids, each reused many times: every handler draws one
+  // to three ids at random (its own among them) and schedules the idle
+  // ones, so paths
+  // are replayed through the fired leaf before and after it is rescheduled.
+  StepRig r;
+  struct Expect {
+    SimTime when;
+    std::uint64_t seq;
+    std::uint32_t id;
+  };
+  std::vector<Expect> expect;
+  std::uint64_t seq = 0;
+  std::uint32_t lcg = 4242;
+  auto draw = [&lcg](std::uint32_t n) {
+    lcg = lcg * 1103515245u + 12345u;
+    return (lcg >> 16) % n;
+  };
+  constexpr std::uint32_t kIds = 13;
+  std::vector<bool> pending(kIds, false);
+  auto schedule = [&](std::uint32_t id) {
+    const SimDuration delay = draw(4);  // many equal timestamps
+    expect.push_back({r.q.now() + delay, seq++, id});
+    pending[id] = true;
+    r.q.schedule_step_in(delay, id);
+  };
+  r.on_step = [&](std::uint32_t id) {
+    pending[id] = false;
+    if (seq >= 3000) return;
+    for (std::uint32_t n = 1 + draw(3); n > 0; --n) {
+      const std::uint32_t pick = draw(kIds);
+      if (!pending[pick]) schedule(pick);
+    }
+  };
+  for (std::uint32_t id = 0; id < kIds; id += 2) schedule(id);
+  r.q.run();
+  std::sort(expect.begin(), expect.end(), [](const Expect& a, const Expect& b) {
+    return std::tie(a.when, a.seq) < std::tie(b.when, b.seq);
+  });
+  std::vector<std::pair<SimTime, std::uint32_t>> want;
+  for (const Expect& e : expect) want.emplace_back(e.when, e.id);
+  EXPECT_EQ(r.fired, want);
+  EXPECT_GT(want.size(), 1000u);  // the run did not die out early
 }
 
 TEST(EventQueue, FiredCallbackReleasesItsCaptures) {

@@ -184,11 +184,10 @@ TEST_P(UtlbOracle, MatchesMapMirrorModel) {
 }
 
 TEST_P(UtlbOracle, ChainUnlinkingMatchesMapMirrorModel) {
-  // Stresses the bucket chains: a tag space of about 1.5x the ring, so
-  // most overwrites unlink a tag that still has live copies elsewhere in
-  // its chain, and long stretches (~50 ring wraps) without an invalidate,
-  // so chains are only ever unlinked one slot at a time. A second phase
-  // never invalidates at all.
+  // Stresses overwrites: a tag space of about 1.5x the ring, so most
+  // overwrites hit a tag that was inserted again since, and long stretches
+  // (~50 ring wraps) without an invalidate, so tags leave only one
+  // overwrite at a time. A second phase never invalidates at all.
   const std::uint32_t entries = GetParam();
   Utlb fast(entries);
   MapMirrorUtlb ref(entries);
@@ -200,6 +199,53 @@ TEST_P(UtlbOracle, ChainUnlinkingMatchesMapMirrorModel) {
       run_oracle(fast, ref, rng, tag_space, 0, 40000);
   EXPECT_GT(hits + hits2, 0u);
   EXPECT_GT(misses + misses2, 0u);
+}
+
+TEST_P(UtlbOracle, ReservedTableMatchesMapMirrorModelAtHighTags) {
+  // Tags up to 2^28 - 1, so pages up to 2^32 - 1 (the managed-VA bound),
+  // on a table reserved for all of them. Tags come from a pool spread over
+  // the whole range, both ends and a word boundary included, about twice
+  // the ring's size: inserts duplicate live tags, lookups hit and miss,
+  // and invalidates fall between.
+  const std::uint32_t entries = GetParam();
+  constexpr std::uint64_t kTags = std::uint64_t{1} << 28;
+  Utlb fast(entries);
+  fast.reserve(kTags);
+  MapMirrorUtlb ref(entries);
+  Rng rng(0xF00D + entries);
+  std::vector<std::uint64_t> pool{0, 63, 64, kTags - 2, kTags - 1};
+  while (pool.size() < 2ull * entries + 3) {
+    pool.push_back(rng.next_below(kTags));
+  }
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+  std::uint64_t duplicates = 0;
+  for (int op = 0; op < 20000; ++op) {
+    const std::uint64_t tag = pool[rng.next_below(pool.size())];
+    const VirtPage p = tag * kPagesPerBigPage + rng.next_below(kPagesPerBigPage);
+    if (rng.next_below(8ull * entries + 50) == 0) {
+      fast.invalidate_all();
+      ref.invalidate_all();
+    } else if (rng.next_below(2) == 0) {
+      const bool want = ref.lookup(p);
+      ASSERT_EQ(fast.lookup(p), want) << "op " << op << " page " << p;
+      (want ? hits : misses) += 1;
+    } else {
+      duplicates += ref.lookup(p) ? 1 : 0;
+      fast.insert(p);
+      ref.insert(p);
+    }
+  }
+  for (const std::uint64_t tag : pool) {
+    EXPECT_EQ(fast.lookup(tag * kPagesPerBigPage),
+              ref.lookup(tag * kPagesPerBigPage))
+        << "tag " << tag;
+  }
+  EXPECT_EQ(fast.invalidations(), ref.invalidations());
+  EXPECT_GT(ref.invalidations(), 0u);
+  EXPECT_GT(hits, 0u);
+  EXPECT_GT(misses, 0u);
+  EXPECT_GT(duplicates, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, UtlbOracle,
